@@ -1,13 +1,27 @@
-// Fixed-capacity ring buffer, used for the Logger NF's record ring and the
-// migration engine's in-flight packet buffer.  Overwrites the oldest element
-// when full (the behaviour a packet logger wants) unless the caller uses
-// try_push.
+// Ring buffers.
+//
+// RingBuffer: fixed capacity, used for the Logger NF's record ring.
+// Overwrites the oldest element when full (the behaviour a packet logger
+// wants) unless the caller uses try_push.
+//
+// FifoRing: a FIFO queue on a power-of-two ring that grows on demand and
+// never shrinks, used for FcfsServer's waiting jobs.  Once a queue has
+// reached its high-water mark, push and pop never allocate.
+//
+// BlockFifo: a FIFO queue in fixed-size blocks that keeps emptied blocks
+// for reuse, used for the traffic source's ingress window (up to 65,536
+// entries).  It never allocates at its high-water mark either, and it
+// grows a block at a time: no doubling copy and no single large
+// allocation, whose release would make glibc raise its mmap threshold
+// and keep later buffers on the heap.
 
 #pragma once
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace pam {
@@ -75,6 +89,107 @@ class RingBuffer {
   std::vector<T> buf_;
   std::size_t head_ = 0;  // next write position
   std::size_t tail_ = 0;  // oldest element
+  std::size_t size_ = 0;
+};
+
+template <typename T>
+class FifoRing {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Slots allocated so far: 0 or a power of two.  Callers bound their own
+  /// length (drop-tail, a window cap), so a queue never holding more than
+  /// n elements never allocates more than bit_ceil(n) slots.
+  [[nodiscard]] std::size_t slots() const noexcept { return buf_.size(); }
+
+  /// Oldest element.
+  [[nodiscard]] const T& front() const noexcept {
+    assert(size_ > 0);
+    return buf_[head_];
+  }
+
+  /// Element i, oldest first.
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    assert(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  void push_back(const T& value) {
+    if (size_ == buf_.size()) {
+      grow();
+    }
+    buf_[(head_ + size_) & (buf_.size() - 1)] = value;
+    ++size_;
+  }
+
+  void pop_front() noexcept {
+    assert(size_ > 0);
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 8;
+
+  /// Doubles the ring, unwrapping the elements to start at slot 0.
+  void grow() {
+    std::vector<T> bigger(buf_.empty() ? kInitialSlots : buf_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;
+  std::size_t head_ = 0;  // oldest element
+  std::size_t size_ = 0;
+};
+
+template <typename T, std::size_t kBlock>
+class BlockFifo {
+ public:
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  /// Blocks allocated so far: the high-water mark in blocks, plus one at
+  /// most.
+  [[nodiscard]] std::size_t blocks() const noexcept { return owned_.size(); }
+
+  /// Oldest element.
+  [[nodiscard]] const T& front() const noexcept {
+    assert(size_ > 0);
+    return blocks_.front()[head_];
+  }
+
+  void push_back(const T& value) {
+    const std::size_t pos = head_ + size_;  // counted from the first block
+    if (pos == blocks_.size() * kBlock) {
+      if (spare_.empty()) {
+        owned_.push_back(std::make_unique<T[]>(kBlock));
+        spare_.push_back(owned_.back().get());
+      }
+      blocks_.push_back(spare_.back());
+      spare_.pop_back();
+    }
+    blocks_[pos / kBlock][pos % kBlock] = value;
+    ++size_;
+  }
+
+  void pop_front() {
+    assert(size_ > 0);
+    --size_;
+    if (++head_ == kBlock) {
+      spare_.push_back(blocks_.front());
+      blocks_.pop_front();
+      head_ = 0;
+    }
+  }
+
+ private:
+  FifoRing<T*> blocks_;                      ///< blocks in use, oldest first
+  std::vector<T*> spare_;                    ///< emptied blocks kept for reuse
+  std::vector<std::unique_ptr<T[]>> owned_;  ///< every block allocated
+  std::size_t head_ = 0;  ///< oldest element's slot in blocks_.front()
   std::size_t size_ = 0;
 };
 

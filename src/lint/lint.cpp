@@ -68,8 +68,9 @@ const std::vector<RuleInfo> kRules = {
      "std::function in the per-packet processing layers (src/packet, "
      "src/nf, src/device) type-erases through an indirect call and may "
      "heap-allocate per capture; use a template parameter or a plain "
-     "function pointer (the kernel's EventQueue::Action in src/sim is the "
-     "one sanctioned type-erasure boundary)"},
+     "function pointer (src/sim is exempt: its EventQueue::Action erases "
+     "control-plane and periodic tasks only, while per-packet hops are "
+     "plain EventRecords)"},
     {"X001", "allow-hygiene",
      "pam-lint: allow(...) escape hatches need a known rule id and a "
      "reason, and must match a finding (stale allows are reported)"},
@@ -657,8 +658,9 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
 
   // P001/P002 — heavy-copy rules over every hot-path library; P003 only
   // in the per-packet processing layers: in src/sim the event queue's
-  // Action *is* a std::function — the kernel's sanctioned type-erasure
-  // boundary (mirrored by .clang-tidy's AllowedTypes).
+  // Action *is* a std::function, the kernel's sanctioned type-erasure
+  // boundary for control-plane and periodic tasks (mirrored by
+  // .clang-tidy's AllowedTypes); per-packet hops there are EventRecords.
   if (perf_hot_path) {
     scan_p001(file, f, companion, v);
     scan_p002(file, f, v);

@@ -31,8 +31,12 @@ void SpaceSaving::add(const FiveTuple& key, std::uint64_t weight) {
     }
   }
   const std::uint64_t min_count = min_it->second.count;
-  entries_.erase(min_it);
-  entries_.emplace(key, Entry{key, min_count + weight, min_count});
+  // Re-key the victim's node instead of erase + emplace: a full sketch
+  // then counts without allocating.
+  auto node = entries_.extract(min_it);
+  node.key() = key;
+  node.mapped() = Entry{key, min_count + weight, min_count};
+  entries_.insert(std::move(node));
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::top(std::size_t k) const {

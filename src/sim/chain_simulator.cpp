@@ -9,6 +9,47 @@
 
 namespace pam {
 
+namespace {
+
+/// The simulator's typed events.  Payload fields per kind:
+///   kArrival        a = frame size of the packet to inject
+///   kReplayArrival  a = index of the trace record to inject
+///   kSourcePoll     (none) — re-run the traffic source
+///   kNfDone         pkt, node, a = submit time, b = NF location
+///   kAdvance        pkt, node = next position, a = rack slot, b = side
+///   kPcieDone       pkt, node = next position, a = ServerDevices*,
+///                   b = fixed delay, c = driver service
+///   kPcieFixed      pkt, node = next position, a = ServerDevices*,
+///                   c = driver service
+///   kPcieCont       pkt, node = next position (deliver past the last)
+/// Times are in ns.
+enum Kind : std::uint32_t {
+  kArrival,
+  kReplayArrival,
+  kSourcePoll,
+  kNfDone,
+  kAdvance,
+  kPcieDone,
+  kPcieFixed,
+  kPcieCont,
+};
+
+/// Ingress-window entries kept at most.
+constexpr std::size_t kIngressWindowCap = 65536;
+
+std::uint64_t word(SimTime t) { return static_cast<std::uint64_t>(t.ns()); }
+SimTime time_of(std::uint64_t w) {
+  return SimTime::nanoseconds(static_cast<std::int64_t>(w));
+}
+std::uint64_t word(ServerDevices* devices) {
+  return reinterpret_cast<std::uintptr_t>(devices);
+}
+ServerDevices* devices_of(std::uint64_t w) {
+  return reinterpret_cast<ServerDevices*>(static_cast<std::uintptr_t>(w));
+}
+
+}  // namespace
+
 ChainSimulator::ChainSimulator(ServiceChain chain, Server& server,
                                TrafficSourceConfig traffic, Calibration calibration)
     : chain_(std::move(chain)),
@@ -129,14 +170,71 @@ void ChainSimulator::resume_node(std::size_t i) {
 
 Gbps ChainSimulator::observed_ingress_rate(SimTime window) const {
   const SimTime cutoff = kernel_->now() - window;
-  while (!ingress_window_.empty() && ingress_window_.front().first < cutoff) {
+  while (!ingress_window_.empty() && ingress_window_.front().at < cutoff) {
+    ingress_bytes_ -= ingress_window_.front().bytes;
     ingress_window_.pop_front();
   }
-  std::uint64_t bytes = 0;
-  for (const auto& [t, b] : ingress_window_) {
-    bytes += b;
+  return rate_of(Bytes{ingress_bytes_}, window);
+}
+
+EventRecord ChainSimulator::record(std::uint32_t kind, Packet* p, std::size_t node) {
+  EventRecord rec;
+  rec.sink = this;
+  rec.kind = kind;
+  rec.pkt = p;
+  rec.node = static_cast<std::uint32_t>(node);
+  return rec;
+}
+
+void ChainSimulator::on_event(const EventRecord& ev) {
+  Packet* p = ev.pkt;
+  switch (ev.kind) {
+    case kArrival:
+      if (kernel_->stopped() || kernel_->now() >= kernel_->horizon() ||
+          (active_stop_.ns() >= 0 && kernel_->now() >= active_stop_)) {
+        return;
+      }
+      inject(ev.a);
+      schedule_next_arrival();
+      return;
+    case kReplayArrival:
+      if (kernel_->stopped() || kernel_->now() >= kernel_->horizon()) {
+        return;
+      }
+      inject_frame(traffic_.replay->records()[ev.a].frame);
+      schedule_next_arrival();
+      return;
+    case kSourcePoll:
+      schedule_next_arrival();
+      return;
+    case kNfDone:
+      nf_done(p, ev.node, static_cast<Location>(ev.b), time_of(ev.a));
+      return;
+    case kAdvance:
+      advance(p, ev.node, Hop{ev.a, static_cast<Location>(ev.b)});
+      return;
+    case kPcieDone: {
+      EventRecord fixed = ev;
+      fixed.kind = kPcieFixed;
+      kernel_->queue().schedule_after(time_of(ev.b), fixed);
+      return;
+    }
+    case kPcieFixed:
+      // Host-side DMA/driver work shares the CPU with NF processing.
+      if (!devices_of(ev.a)->cpu.submit(time_of(ev.c), record(kPcieCont, p, ev.node))) {
+        drop(p, dropped_queue_cpu_);
+      }
+      return;
+    case kPcieCont:
+      if (ev.node < chain_.size()) {
+        process_node(p, ev.node);
+      } else {
+        deliver(p);
+      }
+      return;
+    default:
+      assert(false && "unknown ChainSimulator event kind");
   }
-  return rate_of(Bytes{bytes}, window);
 }
 
 void ChainSimulator::schedule_next_arrival() {
@@ -154,8 +252,8 @@ void ChainSimulator::schedule_next_arrival() {
   const std::size_t next_size = traffic_.sizes.sample(rng_);
   if (rate.value() <= 1e-9) {
     // Source idle; poll the profile again shortly.
-    kernel_->schedule_after(SimTime::milliseconds(1.0),
-                            [this] { schedule_next_arrival(); });
+    kernel_->queue().schedule_after(SimTime::milliseconds(1.0),
+                                    record(kSourcePoll, nullptr, 0));
     return;
   }
   const SimTime gap_mean = serialization_delay(Bytes{next_size}, rate);
@@ -164,16 +262,9 @@ void ChainSimulator::schedule_next_arrival() {
           ? SimTime::nanoseconds(static_cast<std::int64_t>(
                 rng_.exponential(static_cast<double>(gap_mean.ns()))))
           : gap_mean;
-  kernel_->schedule_after(gap, [this, next_size] {
-    if (kernel_->stopped() || kernel_->now() >= kernel_->horizon()) {
-      return;
-    }
-    if (active_stop_.ns() >= 0 && kernel_->now() >= active_stop_) {
-      return;
-    }
-    inject(next_size);
-    schedule_next_arrival();
-  });
+  EventRecord arrival = record(kArrival, nullptr, 0);
+  arrival.a = next_size;
+  kernel_->queue().schedule_after(gap, arrival);
 }
 
 void ChainSimulator::schedule_replay_arrival() {
@@ -191,27 +282,23 @@ void ChainSimulator::schedule_replay_arrival() {
     replay_pos_ = 0;
   }
   const SimTime first_ts = records.front().timestamp;
-  const TraceRecord& rec = records[replay_pos_];
-  const SimTime at = replay_epoch_ + (rec.timestamp - first_ts);
+  const SimTime at = replay_epoch_ + (records[replay_pos_].timestamp - first_ts);
+  EventRecord arrival = record(kReplayArrival, nullptr, 0);
+  arrival.a = replay_pos_;
   ++replay_pos_;
-  kernel_->schedule_at(at, [this, &rec] {
-    if (kernel_->stopped() || kernel_->now() >= kernel_->horizon()) {
-      return;
-    }
-    inject_frame(rec.frame);
-    schedule_next_arrival();
-  });
+  kernel_->queue().schedule_at(at, arrival);
 }
 
 void ChainSimulator::account_injection(Packet* p) {
   p->set_id(++injected_);
   p->set_ingress_time(kernel_->now());
   ++in_flight_;
-  ingress_window_.emplace_back(kernel_->now(),
-                               static_cast<std::uint64_t>(p->size()));
-  if (ingress_window_.size() > 65536) {
+  if (ingress_window_.size() == kIngressWindowCap) {
+    ingress_bytes_ -= ingress_window_.front().bytes;
     ingress_window_.pop_front();
   }
+  ingress_window_.push_back(Arrival{kernel_->now(), p->size()});
+  ingress_bytes_ += p->size();
   if (metering()) {
     ++measured_injected_;
     measured_injected_bytes_ += p->size();
@@ -258,13 +345,12 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
   if (idx >= chain_.size()) {
     // Egress is always served from the home slot.
     if (from.server != home_.server) {
-      forward_to_server(p, home_.server,
-                        [this, p, idx](Hop at) { advance(p, idx, at); });
+      forward_to_server(p, home_.server, idx);
       return;
     }
     const Location egress_side = side_of(chain_.egress());
     if (from.side != egress_side) {
-      cross_pcie(p, home_, [this, p] { deliver(p); });
+      cross_pcie(p, home_, chain_.size());
     } else {
       deliver(p);
     }
@@ -285,13 +371,12 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
   if (from.server != binding.server) {
     // Next NF lives on another rack slot: forward over the inter-server
     // fabric; the packet re-enters at that slot's SmartNIC side.
-    forward_to_server(p, binding.server,
-                      [this, p, idx](Hop at) { advance(p, idx, at); });
+    forward_to_server(p, binding.server, idx);
     return;
   }
   const Location loc = chain_.location_of(idx);
   if (loc != from.side) {
-    cross_pcie(p, binding, [this, p, idx] { process_node(p, idx); });
+    cross_pcie(p, binding, idx);
   } else {
     process_node(p, idx);
   }
@@ -336,43 +421,31 @@ void ChainSimulator::resume_from_remote(std::size_t i, const RemoteReturn& ret) 
 }
 
 void ChainSimulator::forward_to_server(Packet* p, std::size_t to_server,
-                                       std::function<void(Hop)> continuation) {
+                                       std::size_t idx) {
   ++server_hops_total_;
-  (void)p;  // pure pipeline delay: no queueing model on the rack fabric
-  kernel_->schedule_after(
-      inter_server_latency_,
-      [to_server, cont = std::move(continuation)]() mutable {
-        cont(Hop{to_server, Location::kSmartNic});
-      });
+  // Pure pipeline delay: no queueing model on the rack fabric.  The packet
+  // re-enters at the slot's SmartNIC side.
+  EventRecord arrive = record(kAdvance, p, idx);
+  arrive.a = to_server;
+  arrive.b = static_cast<std::uint64_t>(Location::kSmartNic);
+  kernel_->queue().schedule_after(inter_server_latency_, arrive);
 }
 
 void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
-                                std::function<void()> continuation) {
+                                std::size_t next) {
   auto& pcie = binding.hw->pcie();
   p->note_pcie_crossing();
   pcie.note_crossing(p->wire_bytes());
   ++crossings_total_;
 
   const SimTime link_service = serialization_delay(p->wire_bytes(), pcie.bandwidth());
-  const SimTime driver_service =
-      serialization_delay(p->wire_bytes(), pcie.host_cost_rate());
-  const SimTime fixed = pcie.fixed_cost();
-
-  ServerDevices* devices = binding.devices;
-  const bool accepted = devices->pcie.submit(
-      link_service, [this, p, devices, fixed, driver_service,
-                     cont = std::move(continuation)]() mutable {
-        kernel_->schedule_after(
-            fixed,
-            [this, p, devices, driver_service, cont = std::move(cont)]() mutable {
-              // Host-side DMA/driver work shares the CPU with NF processing.
-              const bool ok = devices->cpu.submit(driver_service, std::move(cont));
-              if (!ok) {
-                drop(p, dropped_queue_cpu_);
-              }
-            });
-      });
-  if (!accepted) {
+  // Link serialisation, then the fixed delay, then host driver work on the
+  // slot's CPU (kPcieDone -> kPcieFixed -> kPcieCont).
+  EventRecord done = record(kPcieDone, p, next);
+  done.a = word(binding.devices);
+  done.b = word(pcie.fixed_cost());
+  done.c = word(serialization_delay(p->wire_bytes(), pcie.host_cost_rate()));
+  if (!binding.devices->pcie.submit(link_service, done)) {
     drop(p, dropped_queue_pcie_);
   }
 }
@@ -391,36 +464,39 @@ void ChainSimulator::process_node(Packet* p, std::size_t idx) {
       serialization_delay(p->wire_bytes(), node.spec.capacity.on(loc)) *
       node.spec.load_factor;
 
-  const SimTime submitted_at = kernel_->now();
-  const bool accepted = srv.submit(service, [this, p, idx, loc, submitted_at] {
-    if (metering()) {
-      auto& stats = node_stats_[idx];
-      ++stats.packets;
-      stats.residence.record(kernel_->now() - submitted_at);
-    }
-    p->note_hop();
-    const Verdict verdict = nfs_[idx]->handle(*p, kernel_->now());
-    if (verdict == Verdict::kDrop) {
-      drop(p, dropped_by_nf_);
-      return;
-    }
-    // pass_ratio below the functional drop rate models policy drops for NF
-    // configurations the functional object does not encode (spec-level
-    // annotation; 1.0 in the paper scenarios).
-    const auto& spec = chain_.node(idx).spec;
-    if (spec.pass_ratio < 1.0 && rng_.chance(1.0 - spec.pass_ratio)) {
-      drop(p, dropped_by_nf_);
-      return;
-    }
-    const std::size_t at_server = bindings_[idx].server;
-    kernel_->schedule_after(calibration_.nf_overhead(loc),
-                            [this, p, idx, loc, at_server] {
-                              advance(p, idx + 1, Hop{at_server, loc});
-                            });
-  });
-  if (!accepted) {
+  EventRecord done = record(kNfDone, p, idx);
+  done.a = word(kernel_->now());
+  done.b = static_cast<std::uint64_t>(loc);
+  if (!srv.submit(service, done)) {
     drop(p, loc == Location::kSmartNic ? dropped_queue_nic_ : dropped_queue_cpu_);
   }
+}
+
+void ChainSimulator::nf_done(Packet* p, std::size_t idx, Location loc,
+                             SimTime submitted_at) {
+  if (metering()) {
+    auto& stats = node_stats_[idx];
+    ++stats.packets;
+    stats.residence.record(kernel_->now() - submitted_at);
+  }
+  p->note_hop();
+  const Verdict verdict = nfs_[idx]->handle(*p, kernel_->now());
+  if (verdict == Verdict::kDrop) {
+    drop(p, dropped_by_nf_);
+    return;
+  }
+  // pass_ratio below the functional drop rate models policy drops for NF
+  // configurations the functional object does not encode (spec-level
+  // annotation; 1.0 in the paper scenarios).
+  const auto& spec = chain_.node(idx).spec;
+  if (spec.pass_ratio < 1.0 && rng_.chance(1.0 - spec.pass_ratio)) {
+    drop(p, dropped_by_nf_);
+    return;
+  }
+  EventRecord next = record(kAdvance, p, idx + 1);
+  next.a = bindings_[idx].server;
+  next.b = static_cast<std::uint64_t>(loc);
+  kernel_->queue().schedule_after(calibration_.nf_overhead(loc), next);
 }
 
 void ChainSimulator::deliver(Packet* p) {
@@ -452,7 +528,7 @@ void ChainSimulator::start() {
   assert(!ran_ && "a ChainSimulator instance runs once");
   ran_ = true;
   if (active_start_ > SimTime::zero()) {
-    kernel_->schedule_at(active_start_, [this] { schedule_next_arrival(); });
+    kernel_->queue().schedule_at(active_start_, record(kSourcePoll, nullptr, 0));
     return;
   }
   schedule_next_arrival();

@@ -21,6 +21,11 @@
 // bytes) run at service completion, so behavioural tests and performance
 // tests exercise one code path.
 //
+// Every hop of a packet — arrival, NF service done, the nf_overhead delay,
+// the PCIe link, its fixed delay and the host driver job — is a typed
+// EventRecord whose sink is this simulator (see Kind in the .cpp), so
+// the datapath schedules no closures and allocates nothing per packet.
+//
 // The engine guts (event queue, packet pool, warmup/horizon/drain, periodic
 // scheduling) live in SimulationKernel.  A ChainSimulator either owns a
 // private kernel (standalone mode — the historical behaviour, public API
@@ -37,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -45,6 +49,7 @@
 #include <vector>
 
 #include "chain/calibration.hpp"
+#include "common/ring_buffer.hpp"
 #include "chain/service_chain.hpp"
 #include "device/server.hpp"
 #include "nf/network_function.hpp"
@@ -57,7 +62,7 @@
 
 namespace pam {
 
-class ChainSimulator {
+class ChainSimulator final : public EventSink {
  public:
   /// Standalone mode: a private SimulationKernel and ServerDevices are
   /// created for this chain.  `server` must outlive the simulator; its
@@ -240,6 +245,13 @@ class ChainSimulator {
     Hop at;
   };
 
+  /// Dispatches one of this simulator's typed events (traffic source and
+  /// packet hops).
+  void on_event(const EventRecord& ev) override;
+
+  /// A record of kind `kind` for `p` at chain position `node`.
+  [[nodiscard]] EventRecord record(std::uint32_t kind, Packet* p, std::size_t node);
+
   void schedule_next_arrival();
   void schedule_replay_arrival();
   void inject(std::size_t size_bytes);
@@ -248,10 +260,12 @@ class ChainSimulator {
   void advance(Packet* p, std::size_t idx, Hop from);
   void send_to_fabric(Packet* p, std::size_t idx);
   void process_node(Packet* p, std::size_t idx);
-  void cross_pcie(Packet* p, const NodeBinding& binding,
-                  std::function<void()> continuation);
-  void forward_to_server(Packet* p, std::size_t to_server,
-                         std::function<void(Hop)> continuation);
+  void nf_done(Packet* p, std::size_t idx, Location loc, SimTime submitted_at);
+  /// Crosses PCIe on `binding`'s slot, then continues at chain position
+  /// `next`: process that node, or deliver when it is past the last one.
+  void cross_pcie(Packet* p, const NodeBinding& binding, std::size_t next);
+  /// Forwards to rack slot `to_server`, then advances to position `idx`.
+  void forward_to_server(Packet* p, std::size_t to_server, std::size_t idx);
   void deliver(Packet* p);
   void drop(Packet* p, std::uint64_t& counter);
   void finish(Packet* p);
@@ -311,8 +325,14 @@ class ChainSimulator {
   std::uint64_t measured_injected_bytes_ = 0;
   std::uint64_t measured_crossings_ = 0;
 
-  // trailing-window ingress estimator
-  mutable std::deque<std::pair<SimTime, std::uint64_t>> ingress_window_;
+  // trailing-window ingress estimator: (arrival time, bytes) of the latest
+  // arrivals, at most 65,536, and the running byte sum over them
+  struct Arrival {
+    SimTime at;
+    std::uint64_t bytes = 0;
+  };
+  mutable BlockFifo<Arrival, 256> ingress_window_;
+  mutable std::uint64_t ingress_bytes_ = 0;
 
   // trace replay / capture
   std::size_t replay_pos_ = 0;

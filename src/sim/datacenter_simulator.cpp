@@ -14,6 +14,13 @@ namespace {
 // hosts the lease — and how many threads advance it — never shifts a
 // random stream.
 constexpr std::uint64_t kLeaseSeedBase = 0x9d47ac3a5e1ea5e5ull;
+
+/// Lease-path events.  Payload: pkt, node, a = host rack, b = global chain;
+/// kLeaseNfDone also c = submit time in ns.
+enum Kind : std::uint32_t {
+  kLeaseNfDone,
+  kLeaseReturn,
+};
 }  // namespace
 
 DatacenterSimulator::DatacenterSimulator(const Options& options)
@@ -198,40 +205,64 @@ void DatacenterSimulator::host_visit(std::size_t host, FabricFrame frame) {
       serialization_delay(p->wire_bytes(),
                           lease->spec.capacity.on(Location::kSmartNic)) *
       lease->spec.load_factor;
-  const SimTime submitted_at = kernel.now();
-  const bool accepted = nic.submit(service, [this, host, c, node, p,
-                                             submitted_at] {
-    Lease* lease = find_lease(c, node);
-    SimulationKernel& kernel = racks_[host]->kernel();
-    if (kernel.metering()) {
-      ++lease->packets;
-      lease->residence.record(kernel.now() - submitted_at);
-    }
-    p->note_hop();
-    const Verdict verdict = lease->nf->handle(*p, kernel.now());
-    bool nf_drop = verdict == Verdict::kDrop;
-    if (!nf_drop && lease->spec.pass_ratio < 1.0 &&
-        lease->rng.chance(1.0 - lease->spec.pass_ratio)) {
-      nf_drop = true;
-    }
-    if (nf_drop) {
-      send_return(host, c, node, FabricFrame::Outcome::kDroppedNf, *p);
-      kernel.pool().release(p);
-      return;
-    }
-    // NF software overhead, then back over the fabric (parity with the
-    // nf_overhead pipeline delay a local visit pays).
-    kernel.schedule_after(
-        racks_[host]->calibration().nf_overhead(Location::kSmartNic),
-        [this, host, c, node, p] {
-          send_return(host, c, node, FabricFrame::Outcome::kPassed, *p);
-          racks_[host]->kernel().pool().release(p);
-        });
-  });
-  if (!accepted) {
+  EventRecord done;
+  done.sink = this;
+  done.kind = kLeaseNfDone;
+  done.pkt = p;
+  done.node = static_cast<std::uint32_t>(node);
+  done.a = host;
+  done.b = c;
+  done.c = static_cast<std::uint64_t>(kernel.now().ns());
+  if (!nic.submit(service, done)) {
     send_return(host, c, node, FabricFrame::Outcome::kDroppedNic, *p);
     kernel.pool().release(p);
   }
+}
+
+void DatacenterSimulator::on_event(const EventRecord& ev) {
+  const std::size_t host = ev.a;
+  const std::size_t c = ev.b;
+  if (ev.kind == kLeaseNfDone) {
+    lease_nf_done(host, c, ev.node, ev.pkt,
+                  SimTime::nanoseconds(static_cast<std::int64_t>(ev.c)));
+    return;
+  }
+  send_return(host, c, ev.node, FabricFrame::Outcome::kPassed, *ev.pkt);
+  racks_[host]->kernel().pool().release(ev.pkt);
+}
+
+void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
+                                        std::size_t node, Packet* p,
+                                        SimTime submitted_at) {
+  Lease* lease = find_lease(c, node);
+  SimulationKernel& kernel = racks_[host]->kernel();
+  if (kernel.metering()) {
+    ++lease->packets;
+    lease->residence.record(kernel.now() - submitted_at);
+  }
+  p->note_hop();
+  const Verdict verdict = lease->nf->handle(*p, kernel.now());
+  bool nf_drop = verdict == Verdict::kDrop;
+  if (!nf_drop && lease->spec.pass_ratio < 1.0 &&
+      lease->rng.chance(1.0 - lease->spec.pass_ratio)) {
+    nf_drop = true;
+  }
+  if (nf_drop) {
+    send_return(host, c, node, FabricFrame::Outcome::kDroppedNf, *p);
+    kernel.pool().release(p);
+    return;
+  }
+  // NF software overhead, then back over the fabric (parity with the
+  // nf_overhead pipeline delay a local visit pays).
+  EventRecord back;
+  back.sink = this;
+  back.kind = kLeaseReturn;
+  back.pkt = p;
+  back.node = static_cast<std::uint32_t>(node);
+  back.a = host;
+  back.b = c;
+  kernel.queue().schedule_after(
+      racks_[host]->calibration().nf_overhead(Location::kSmartNic), back);
 }
 
 void DatacenterSimulator::home_return(std::size_t home, FabricFrame frame) {

@@ -74,7 +74,7 @@ struct DatacenterReport {
   std::uint64_t epochs = 0;
 };
 
-class DatacenterSimulator {
+class DatacenterSimulator final : public EventSink {
  public:
   struct Options {
     std::size_t shards = 2;
@@ -213,6 +213,11 @@ class DatacenterSimulator {
                   const Packet& p);
   void deliver_frame(std::size_t dst, FabricFrame&& frame);
   void host_visit(std::size_t host, FabricFrame frame);
+  /// The lease path's typed events: a leased NF's visit finished on the
+  /// host NIC, and the visit's nf_overhead delay elapsed.
+  void on_event(const EventRecord& ev) override;
+  void lease_nf_done(std::size_t host, std::size_t c, std::size_t node, Packet* p,
+                     SimTime submitted_at);
   void send_return(std::size_t host, std::size_t c, std::size_t node,
                    FabricFrame::Outcome outcome, const Packet& p);
   void home_return(std::size_t home, FabricFrame frame);

@@ -17,41 +17,56 @@ void FcfsServer::set_speed(double speed) noexcept {
 }
 
 bool FcfsServer::submit(SimTime service, Completion done) {
+  if (full()) {
+    ++rejected_;
+    return false;
+  }
+  return submit(service, queue_.park(std::move(done)));
+}
+
+bool FcfsServer::submit(SimTime service, const EventRecord& done) {
   assert(service >= SimTime::zero());
+  if (full()) {
+    ++rejected_;
+    return false;
+  }
   if (speed_ != 1.0) {
     service = service * (1.0 / speed_);
   }
   if (busy_) {
-    if (waiting_.size() >= capacity_) {
-      ++rejected_;
-      return false;
-    }
-    waiting_.push_back(Job{service, std::move(done)});
+    waiting_.push_back(Job{service, done});
     max_queue_ = std::max(max_queue_, waiting_.size());
     return true;
   }
-  start(Job{service, std::move(done)});
+  start(Job{service, done});
   return true;
 }
 
-void FcfsServer::start(Job job) {
+void FcfsServer::start(const Job& job) {
   busy_ = true;
   busy_time_ += job.service;
-  queue_.schedule_after(job.service, [this, done = std::move(job.done)]() mutable {
-    ++completed_;
-    // Completion may submit more work; run it before dequeuing so FIFO
-    // order among already-queued jobs is preserved (new submissions land
-    // behind them).
-    Completion local = std::move(done);
-    if (!waiting_.empty()) {
-      Job next = std::move(waiting_.front());
-      waiting_.pop_front();
-      start(std::move(next));
-    } else {
-      busy_ = false;
-    }
-    local();
-  });
+  in_service_ = job.done;
+  EventRecord completion;
+  completion.sink = this;
+  queue_.schedule_after(job.service, completion);
+}
+
+void FcfsServer::on_event(const EventRecord& /*ev*/) {
+  ++completed_;
+  // The next waiting job starts (and schedules its own completion) before
+  // this job's completion runs.  So work the completion submits lands
+  // behind every job already queued, and the next job's completion event
+  // takes its sequence number before any event the completion schedules —
+  // the order every determinism oracle pins.
+  const EventRecord done = in_service_;
+  if (waiting_.empty()) {
+    busy_ = false;
+  } else {
+    const Job next = waiting_.front();
+    waiting_.pop_front();
+    start(next);
+  }
+  queue_.dispatch(done);
 }
 
 }  // namespace pam

@@ -5,27 +5,38 @@
 // an explicit service time, so one server naturally realises the paper's
 // resource model: a device is saturated exactly when the sum of
 // (rate_i x service_i) across its resident NFs reaches 1.
+//
+// A job is {service, completion record}.  The server is itself the sink of
+// its completion events: only one job is in service at a time, so the
+// event needs no payload.  Waiting jobs sit in a FifoRing that grows on
+// demand and never shrinks, so a server at its high-water mark queues
+// without allocating.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "common/ring_buffer.hpp"
 #include "sim/event_queue.hpp"
 
 namespace pam {
 
-class FcfsServer {
+class FcfsServer final : public EventSink {
  public:
-  using Completion = std::function<void()>;
+  using Completion = EventQueue::Action;
 
   FcfsServer(EventQueue& queue, std::string name, std::size_t queue_capacity);
 
-  /// Enqueues a job needing `service` busy time; `done` runs at completion.
-  /// Returns false (and runs nothing) when the drop-tail queue is full —
-  /// the caller owns whatever the job carried.
+  // Pending completion events point at this server.
+  FcfsServer(const FcfsServer&) = delete;
+  FcfsServer& operator=(const FcfsServer&) = delete;
+
+  /// Enqueues a job needing `service` busy time; `done` is dispatched at
+  /// completion.  Returns false (and dispatches nothing) when the
+  /// drop-tail queue is full — the caller owns whatever the job carried.
+  [[nodiscard]] bool submit(SimTime service, const EventRecord& done);
+  /// Same, with an erased completion.
   [[nodiscard]] bool submit(SimTime service, Completion done);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -54,15 +65,21 @@ class FcfsServer {
  private:
   struct Job {
     SimTime service;
-    Completion done;
+    EventRecord done;
   };
 
-  void start(Job job);
+  [[nodiscard]] bool full() const noexcept {
+    return busy_ && waiting_.size() >= capacity_;
+  }
+  void start(const Job& job);
+  /// Completion of the job in service.
+  void on_event(const EventRecord& ev) override;
 
   EventQueue& queue_;
   std::string name_;
   std::size_t capacity_;
-  std::deque<Job> waiting_;
+  FifoRing<Job> waiting_;
+  EventRecord in_service_;  ///< completion of the job in service
   bool busy_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

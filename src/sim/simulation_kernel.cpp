@@ -16,25 +16,20 @@ SimulationKernel::SimulationKernel(std::size_t pool_capacity)
 void SimulationKernel::schedule_periodic(SimTime start, SimTime period,
                                          std::function<void()> fn) {
   assert(period.ns() > 0);
-  // Self-rescheduling closure.  `shared_fn` keeps a single callback
-  // instance across firings (stateful callbacks keep their state); the
-  // kernel owns the holder via periodic_tasks_ and the closure captures
-  // only a weak_ptr to it, so no shared_ptr cycle forms and everything is
-  // reclaimed with the kernel.
-  auto shared_fn = std::make_shared<std::function<void()>>(std::move(fn));
-  auto holder = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak_holder = holder;
-  *holder = [this, period, shared_fn, weak_holder]() {
-    if (stopped_ || queue_.now() > horizon_) {
-      return;
-    }
-    (*shared_fn)();
-    if (auto strong = weak_holder.lock()) {
-      queue_.schedule_after(period, *strong);
-    }
-  };
-  queue_.schedule_at(start, *holder);
-  periodic_tasks_.push_back(std::move(holder));
+  EventRecord tick;
+  tick.sink = this;
+  tick.a = periodic_tasks_.size();
+  periodic_tasks_.push_back(PeriodicTask{std::move(fn), period});
+  queue_.schedule_at(start, tick);
+}
+
+void SimulationKernel::on_event(const EventRecord& ev) {
+  if (stopped_ || queue_.now() > horizon_) {
+    return;
+  }
+  PeriodicTask& task = periodic_tasks_[ev.a];
+  task.fn();
+  queue_.schedule_after(task.period, ev);
 }
 
 void SimulationKernel::arm(SimTime duration, SimTime warmup) {

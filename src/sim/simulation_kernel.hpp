@@ -19,9 +19,8 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/units.hpp"
 #include "packet/packet_pool.hpp"
@@ -32,7 +31,7 @@ namespace pam {
 
 struct Calibration;
 
-class SimulationKernel {
+class SimulationKernel final : public EventSink {
  public:
   explicit SimulationKernel(std::size_t pool_capacity = 4096);
 
@@ -64,9 +63,9 @@ class SimulationKernel {
   }
 
   /// Periodic callback every `period` starting at `start`; stops when the
-  /// run's horizon is reached.  The kernel owns the self-rescheduling
-  /// closure (queued copies hold only weak_ptrs), so destroying the kernel
-  /// reclaims stateful callbacks without a shared_ptr cycle.
+  /// run's horizon is reached.  The kernel keeps the one callback instance
+  /// (stateful callbacks keep their state across firings); each firing is
+  /// a record naming it, so destroying the kernel reclaims it.
   void schedule_periodic(SimTime start, SimTime period, std::function<void()> fn);
 
   /// Single-shot: arms the measurement window, runs events until the clock
@@ -96,9 +95,18 @@ class SimulationKernel {
   void begin_drain() noexcept { stopped_ = true; }
 
  private:
+  struct PeriodicTask {
+    std::function<void()> fn;
+    SimTime period;
+  };
+
+  /// One firing of periodic task `ev.a`.
+  void on_event(const EventRecord& ev) override;
+
   EventQueue queue_;
   PacketPool pool_;
-  std::vector<std::shared_ptr<std::function<void()>>> periodic_tasks_;
+  /// A deque, so a task that registers another keeps its address.
+  std::deque<PeriodicTask> periodic_tasks_;
   SimTime warmup_ = SimTime::zero();
   SimTime horizon_ = SimTime::zero();
   bool stopped_ = false;

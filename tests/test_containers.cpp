@@ -1,5 +1,5 @@
-// Tests for RingBuffer (the Logger's record store and the migration
-// engine's packet buffer) and Result<T, E>.
+// Tests for RingBuffer (the Logger's record store), FifoRing (FcfsServer's
+// waiting jobs), BlockFifo (the ingress window) and Result<T, E>.
 
 #include <gtest/gtest.h>
 
@@ -100,6 +100,87 @@ TEST(Result, OkPath) {
   EXPECT_TRUE(static_cast<bool>(r));
   EXPECT_EQ(r.value(), 42);
   EXPECT_EQ(r.value_or(0), 42);
+}
+
+TEST(FifoRing, StartsEmptyWithoutSlots) {
+  FifoRing<int> ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.slots(), 0u);
+}
+
+TEST(FifoRing, GrowsAcrossWrapAroundInOrder) {
+  FifoRing<int> ring;
+  int pushed = 0;
+  int popped = 0;
+  // Keep the head moving so every doubling happens with wrapped contents.
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      ring.push_back(pushed++);
+    }
+    ASSERT_EQ(ring.front(), popped);
+    ring.pop_front();
+    ++popped;
+  }
+  EXPECT_EQ(ring.size(), 400u);
+  EXPECT_EQ(ring.slots(), 512u);
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+  EXPECT_EQ(ring.slots(), 512u);  // never shrinks
+}
+
+TEST(FifoRing, SteadyLengthStopsGrowing) {
+  FifoRing<int> ring;
+  for (int i = 0; i < 5; ++i) {
+    ring.push_back(i);
+  }
+  const std::size_t slots = ring.slots();
+  for (int i = 5; i < 10'000; ++i) {
+    ring.push_back(i);
+    ring.pop_front();
+  }
+  EXPECT_EQ(ring.slots(), slots);
+  EXPECT_EQ(ring.front(), 10'000 - 5);
+}
+
+TEST(BlockFifo, KeepsOrderAcrossBlocks) {
+  BlockFifo<int, 4> fifo;
+  int pushed = 0;
+  int popped = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      fifo.push_back(pushed++);
+    }
+    ASSERT_EQ(fifo.front(), popped);
+    fifo.pop_front();
+    ++popped;
+  }
+  EXPECT_EQ(fifo.size(), 100u);
+  while (!fifo.empty()) {
+    ASSERT_EQ(fifo.front(), popped++);
+    fifo.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+  fifo.push_back(7);  // reuses a spare block
+  EXPECT_EQ(fifo.front(), 7);
+}
+
+TEST(BlockFifo, ReusesEmptiedBlocks) {
+  BlockFifo<int, 4> fifo;
+  for (int i = 0; i < 10; ++i) {
+    fifo.push_back(i);
+  }
+  const std::size_t blocks = fifo.blocks();
+  EXPECT_EQ(blocks, 3u);
+  for (int i = 10; i < 10'000; ++i) {
+    fifo.push_back(i);
+    fifo.pop_front();
+  }
+  EXPECT_LE(fifo.blocks(), blocks + 1);
+  EXPECT_EQ(fifo.front(), 10'000 - 10);
 }
 
 TEST(Result, ErrPath) {

@@ -223,6 +223,21 @@ TEST(Simulator, ObservedIngressRateTracksOffered) {
   EXPECT_NEAR(observed.value(), 1.5, 0.15);
 }
 
+TEST(Simulator, IngressWindowKeepsTheLatest65536Arrivals) {
+  // 64 B frames at 10 Gbps arrive every ~51 ns, so a 10 ms window would
+  // hold ~196k of them: the estimator keeps only the latest 65,536, and its
+  // running byte sum must equal exactly their bytes.
+  Server server = Server::paper_testbed();
+  ChainSimulator sim{paper_figure1_chain(), server, traffic(10.0_gbps, 64)};
+  Gbps observed;
+  sim.schedule_at(SimTime::milliseconds(20), [&] {
+    observed = sim.observed_ingress_rate(SimTime::milliseconds(10));
+  });
+  (void)sim.run(SimTime::milliseconds(21), SimTime::milliseconds(5));
+  EXPECT_EQ(observed.value(),
+            rate_of(Bytes{65536 * 64}, SimTime::milliseconds(10)).value());
+}
+
 TEST(Simulator, PoissonAndCbrSameMeanThroughput) {
   const auto cbr = run_once(paper_figure1_chain(), traffic(1.0_gbps, 512, 5));
   const auto poisson = run_once(paper_figure1_chain(),
