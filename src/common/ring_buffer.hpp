@@ -98,7 +98,7 @@ class FifoRing {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Slots allocated so far: 0 or a power of two.  Callers bound their own
-  /// length (drop-tail, a window cap), so a queue never holding more than
+  /// length (FcfsServer's drop-tail), so a queue never holding more than
   /// n elements never allocates more than bit_ceil(n) slots.
   [[nodiscard]] std::size_t slots() const noexcept { return buf_.size(); }
 

@@ -49,8 +49,8 @@
 #include <vector>
 
 #include "chain/calibration.hpp"
-#include "common/ring_buffer.hpp"
 #include "chain/service_chain.hpp"
+#include "common/ring_buffer.hpp"
 #include "device/server.hpp"
 #include "nf/network_function.hpp"
 #include "packet/packet_pool.hpp"
