@@ -278,40 +278,39 @@ InvariantReport check_invariants(const RunResult& result) {
     }
     check_events(cr.events, spec.duration_ms, spec.cluster.cooldown_ms,
                  /*fleet=*/true, report);
-    if (cr.shards > 1) {
-      // shard-totals: every packet the fleet accounts for is accounted for
-      // by exactly one shard — the sharded run hides nothing in the fabric.
-      std::uint64_t injected = 0;
-      std::uint64_t delivered = 0;
-      std::uint64_t dropped = 0;
-      std::uint64_t in_flight = 0;
-      for (const ClusterShardResult& shard : cr.shard_totals) {
-        injected += shard.injected;
-        delivered += shard.delivered;
-        dropped += shard.dropped;
-        in_flight += shard.in_flight_at_end;
-      }
-      if (cr.shard_totals.size() != cr.shards) {
-        add(report, "shard-totals",
-            format("report has %zu shard entries for %zu shards",
-                   cr.shard_totals.size(), cr.shards));
-      }
-      if (injected != cr.fleet.injected || delivered != cr.fleet.delivered ||
-          dropped != cr.fleet.dropped_total() ||
-          in_flight != cr.fleet.in_flight_at_end) {
-        add(report, "shard-totals",
-            format("per-shard sums (injected %llu, delivered %llu, dropped "
-                   "%llu, in-flight %llu) != fleet totals (injected %llu, "
-                   "delivered %llu, dropped %llu, in-flight %llu)",
-                   static_cast<unsigned long long>(injected),
-                   static_cast<unsigned long long>(delivered),
-                   static_cast<unsigned long long>(dropped),
-                   static_cast<unsigned long long>(in_flight),
-                   static_cast<unsigned long long>(cr.fleet.injected),
-                   static_cast<unsigned long long>(cr.fleet.delivered),
-                   static_cast<unsigned long long>(cr.fleet.dropped_total()),
-                   static_cast<unsigned long long>(cr.fleet.in_flight_at_end)));
-      }
+    // shard-totals: every packet the fleet accounts for is accounted for
+    // by exactly one shard (a one-rack run has one), so a sharded run
+    // hides nothing in the fabric.
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t in_flight = 0;
+    for (const ClusterShardResult& shard : cr.shard_totals) {
+      injected += shard.injected;
+      delivered += shard.delivered;
+      dropped += shard.dropped;
+      in_flight += shard.in_flight_at_end;
+    }
+    if (cr.shard_totals.size() != cr.shards) {
+      add(report, "shard-totals",
+          format("report has %zu shard entries for %zu shards",
+                 cr.shard_totals.size(), cr.shards));
+    }
+    if (injected != cr.fleet.injected || delivered != cr.fleet.delivered ||
+        dropped != cr.fleet.dropped_total() ||
+        in_flight != cr.fleet.in_flight_at_end) {
+      add(report, "shard-totals",
+          format("per-shard sums (injected %llu, delivered %llu, dropped "
+                 "%llu, in-flight %llu) != fleet totals (injected %llu, "
+                 "delivered %llu, dropped %llu, in-flight %llu)",
+                 static_cast<unsigned long long>(injected),
+                 static_cast<unsigned long long>(delivered),
+                 static_cast<unsigned long long>(dropped),
+                 static_cast<unsigned long long>(in_flight),
+                 static_cast<unsigned long long>(cr.fleet.injected),
+                 static_cast<unsigned long long>(cr.fleet.delivered),
+                 static_cast<unsigned long long>(cr.fleet.dropped_total()),
+                 static_cast<unsigned long long>(cr.fleet.in_flight_at_end)));
     }
   }
 

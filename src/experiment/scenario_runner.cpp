@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "chain/chain_analyzer.hpp"
@@ -361,309 +362,47 @@ Result<RunResult> run_deployment(const ScenarioSpec& spec) {
   return result;
 }
 
-Result<RunResult> run_cluster(const ScenarioSpec& spec) {
-  RunResult result;
-  result.spec = spec;
-  const ClusterSpec& cs = spec.cluster;
-
-  ClusterSimulator cluster{cs.servers, Calibration::defaults(),
-                           SimTime::microseconds(cs.inter_server_us)};
-  std::vector<std::string> before;
-  std::vector<std::size_t> homes;
-  before.reserve(spec.chains.size());
-  homes.reserve(spec.chains.size());
-  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-    const ChainDecl& decl = spec.chains[i];
-    auto parsed = parse_chain_spec(decl.spec, decl.name);
-    if (!parsed) {
-      return Error{format("chain '%s': %s", decl.name.c_str(),
-                          parsed.error().what().c_str())};
-    }
-    const std::size_t home = decl.server >= 0
-                                 ? static_cast<std::size_t>(decl.server)
-                                 : i % cs.servers;
-    TrafficSourceConfig cfg;
-    cfg.rate = decl.has_rate ? profile_of(decl.rate)
-                             : RateProfile::constant(Gbps{decl.offered_gbps});
-    cfg.process = spec.traffic.arrival;
-    cfg.sizes =
-        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
-    // One seed lineage: every per-chain stream derives from the scenario
-    // seed through a splitmix64 mix, never from clocks or random_device.
-    cfg.seed = Rng::derive(spec.seed, i);
-    before.push_back(parsed.value().describe());
-    homes.push_back(home);
-    cluster.add_chain(std::move(parsed).value(), std::move(cfg), home);
-    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
-      cluster.chain_sim(i).set_active_window(
-          SimTime::milliseconds(decl.arrive_ms),
-          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
-                                : SimTime::nanoseconds(-1));
-    }
-  }
-
-  std::optional<FleetController> fleet;
-  if (cs.rebalance) {
-    FleetControllerOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-    auto policy = make_policy(spec.policy);
-    if (!policy) {
-      return policy.error();
-    }
-    fleet.emplace(cluster, std::move(policy).value(), opts);
-    // Heterogeneous fleets: per-chain [chain] policy overrides.
-    for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-      if (spec.chains[i].policy.empty()) {
-        continue;
-      }
-      auto chain_policy = make_policy(spec.chains[i].policy);
-      if (!chain_policy) {
-        return chain_policy.error();
-      }
-      fleet->set_chain_policy(i, std::move(chain_policy).value());
-    }
-    fleet->arm();
-  }
-
-  // Failure kind: each event kills a slot (placement-level: bound work keeps
-  // draining through the ToR) and lets the fleet controller evacuate the
-  // resident NFs loss-free; optional recovery re-admits the slot.
-  FleetController* fleet_ptr = fleet ? &*fleet : nullptr;
-  for (const FailureEvent& ev : spec.failures) {
-    const std::size_t victim = ev.server;
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(ev.at_ms), [&cluster, fleet_ptr, victim] {
-          cluster.fail_server(victim);
-          if (fleet_ptr != nullptr) {
-            fleet_ptr->on_server_failed(victim);
-          }
-        });
-    if (ev.recover_ms >= 0.0) {
-      cluster.kernel().schedule_at(
-          SimTime::milliseconds(ev.recover_ms),
-          [&cluster, victim] { cluster.recover_server(victim); });
-    }
-  }
-
-  // Hostile kind: replay the link trace — fabric delay steps plus per-slot
-  // capacity fades (degraded devices serve slower, so live load climbs).
-  for (const LinkTraceSpec::FabricPoint& point : spec.link.fabric) {
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(point.at_ms), [&cluster, us = point.delay_us] {
-          cluster.set_fabric_latency(SimTime::microseconds(us));
-        });
-  }
-  for (const LinkTraceSpec::SlotFade& fade : spec.link.fades) {
-    cluster.kernel().schedule_at(
-        SimTime::milliseconds(fade.at_ms),
-        [&cluster, s = fade.server, speed = fade.speed] {
-          cluster.set_slot_speed(s, speed);
-        });
-  }
-
-  const ClusterReport report = cluster.run(
-      SimTime::milliseconds(spec.duration_ms), SimTime::milliseconds(spec.warmup_ms));
-
-  ClusterResult cr;
-  cr.servers = cs.servers;
-  cr.rebalance = cs.rebalance;
-  if (fleet) {
-    cr.events = fleet->events();
-    cr.migrations_executed = fleet->migrations_executed();
-    cr.scale_out_moves = fleet->scale_out_moves();
-    cr.evacuations = fleet->evacuations();
-  }
-
-  const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
-                                ? spec.traffic.sizes.fixed
-                                : 0;
-  MeasuredRun fleet_run;
-  fleet_run.size_bytes = point;
-  double crossings_weighted = 0.0;
-  std::uint64_t crossings_weight = 0;
-  cr.chains.reserve(report.per_chain.size());
-  for (std::size_t i = 0; i < report.per_chain.size(); ++i) {
-    const SimReport& chain_report = report.per_chain[i];
-    ClusterChainResult chain_result;
-    chain_result.name = spec.chains[i].name;
-    chain_result.home_server = homes[i];
-    chain_result.chain_before = before[i];
-    chain_result.chain_after = cluster.chain_sim(i).chain().describe();
-    chain_result.nodes_off_home = cluster.chain_sim(i).nodes_off_home();
-    chain_result.inter_server_hops = chain_report.inter_server_hops;
-    chain_result.metrics = to_measured(chain_report, point);
-    cr.chains.push_back(std::move(chain_result));
-
-    fleet_run.injected += chain_report.injected;
-    fleet_run.delivered += chain_report.delivered;
-    fleet_run.dropped_queue_nic += chain_report.dropped_queue_nic;
-    fleet_run.dropped_queue_cpu += chain_report.dropped_queue_cpu;
-    fleet_run.dropped_queue_pcie += chain_report.dropped_queue_pcie;
-    fleet_run.dropped_by_nf += chain_report.dropped_by_nf;
-    fleet_run.in_flight_at_end += chain_report.in_flight_at_end;
-    crossings_weighted += chain_report.mean_crossings_per_packet *
-                          static_cast<double>(chain_report.measured_delivered);
-    crossings_weight += chain_report.measured_delivered;
-  }
-  cr.per_server.reserve(report.per_server.size());
-  for (const ServerSummary& sum : report.per_server) {
-    ClusterServerResult server_result;
-    server_result.server_id = sum.server_id;
-    server_result.chains_homed = sum.chains_homed;
-    server_result.nodes_hosted = sum.nodes_hosted;
-    server_result.smartnic_utilization = sum.smartnic_utilization;
-    server_result.cpu_utilization = sum.cpu_utilization;
-    server_result.pcie_utilization = sum.pcie_utilization;
-    server_result.injected = sum.injected;
-    server_result.delivered = sum.delivered;
-    server_result.dropped = sum.dropped;
-    cr.per_server.push_back(server_result);
-    // Fleet utilisation = the hottest slot (bottleneck view).
-    fleet_run.smartnic_utilization =
-        std::max(fleet_run.smartnic_utilization, sum.smartnic_utilization);
-    fleet_run.cpu_utilization =
-        std::max(fleet_run.cpu_utilization, sum.cpu_utilization);
-    fleet_run.pcie_utilization =
-        std::max(fleet_run.pcie_utilization, sum.pcie_utilization);
-  }
-  fleet_run.offered_gbps = report.offered_rate.value();
-  fleet_run.goodput_gbps = report.egress_goodput.value();
-  fleet_run.latency = summarize(report.latency);
-  fleet_run.mean_crossings_per_packet =
-      crossings_weight > 0 ? crossings_weighted / static_cast<double>(crossings_weight)
-                           : 0.0;
-  cr.fleet = fleet_run;
-  cr.inter_server_hops = report.inter_server_hops;
-  cr.conserved = report.conserved();
-
-  result.cluster = std::move(cr);
-  return result;
+/// The [cluster] control knobs, shared by the rack controllers and the
+/// orchestrator.
+template <typename Options>
+Options control_options(const ClusterSpec& cs) {
+  Options opts;
+  opts.trigger_utilization = cs.trigger_utilization;
+  opts.target_max_load = cs.target_max_load;
+  opts.period = SimTime::milliseconds(cs.period_ms);
+  opts.first_check = SimTime::milliseconds(cs.first_check_ms);
+  opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
+  return opts;
 }
 
-/// The sharded run path ([cluster] shards > 1): per-rack KernelShards in
-/// lock-step epochs, per-rack FleetControllers, and optionally the
-/// DatacenterOrchestrator leasing chains across racks at epoch barriers.
-/// Mirrors run_cluster's wiring; results carry global server/chain ids and
-/// are bit-identical for any thread count.
-Result<RunResult> run_datacenter(const ScenarioSpec& spec,
-                                 std::size_t threads) {
-  RunResult result;
-  result.spec = spec;
-  const ClusterSpec& cs = spec.cluster;
+/// A fleet scenario wired for its run: the racks, one fleet controller per
+/// rack, and the orchestrator leasing chains across racks.  Heap-held by
+/// build_fleet so the hooks the wiring installs keep pointing at it.
+struct Fleet {
+  explicit Fleet(const DatacenterSimulator::Options& options)
+      : dc{options}, local_to_global(dc.num_racks()) {}
 
-  DatacenterSimulator::Options options;
-  options.shards = cs.shards;
-  options.servers_total = cs.servers;
-  options.calibration = Calibration::defaults();
-  options.intra_rack_latency = SimTime::microseconds(cs.inter_server_us);
-  options.cross_rack_latency = SimTime::microseconds(cs.cross_rack_us);
-  DatacenterSimulator dc{options};
-
-  std::vector<std::string> before;
-  std::vector<std::size_t> homes;
-  std::vector<std::vector<std::size_t>> local_to_global(dc.num_racks());
-  before.reserve(spec.chains.size());
-  homes.reserve(spec.chains.size());
-  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-    const ChainDecl& decl = spec.chains[i];
-    auto parsed = parse_chain_spec(decl.spec, decl.name);
-    if (!parsed) {
-      return Error{format("chain '%s': %s", decl.name.c_str(),
-                          parsed.error().what().c_str())};
-    }
-    const std::size_t home = decl.server >= 0
-                                 ? static_cast<std::size_t>(decl.server)
-                                 : i % cs.servers;
-    TrafficSourceConfig cfg;
-    cfg.rate = decl.has_rate ? profile_of(decl.rate)
-                             : RateProfile::constant(Gbps{decl.offered_gbps});
-    cfg.process = spec.traffic.arrival;
-    cfg.sizes =
-        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
-    // Same lineage as the single-kernel path: stream i derives from the
-    // scenario seed alone — which rack (or thread) runs the chain never
-    // enters the stream.
-    cfg.seed = Rng::derive(spec.seed, i);
-    before.push_back(parsed.value().describe());
-    homes.push_back(home);
-    const std::size_t global_c =
-        dc.add_chain(std::move(parsed).value(), std::move(cfg), home);
-    (void)global_c;
-    local_to_global[dc.home_rack_of(i)].push_back(i);
-    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
-      dc.chain_sim(i).set_active_window(
-          SimTime::milliseconds(decl.arrive_ms),
-          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
-                                : SimTime::nanoseconds(-1));
-    }
-  }
-
-  std::vector<std::unique_ptr<FleetController>> rack_controllers;
-  if (cs.rebalance) {
-    FleetControllerOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-    rack_controllers.reserve(dc.num_racks());
-    for (std::size_t r = 0; r < dc.num_racks(); ++r) {
-      auto policy = make_policy(spec.policy);
-      if (!policy) {
-        return policy.error();
-      }
-      rack_controllers.push_back(std::make_unique<FleetController>(
-          dc.rack(r), std::move(policy).value(), opts));
-    }
-    for (std::size_t i = 0; i < spec.chains.size(); ++i) {
-      if (spec.chains[i].policy.empty()) {
-        continue;
-      }
-      auto chain_policy = make_policy(spec.chains[i].policy);
-      if (!chain_policy) {
-        return chain_policy.error();
-      }
-      rack_controllers[dc.home_rack_of(i)]->set_chain_policy(
-          dc.local_chain_of(i), std::move(chain_policy).value());
-    }
-    for (auto& controller : rack_controllers) {
-      controller->arm();
-    }
-  }
-
+  DatacenterSimulator dc;
+  std::vector<std::string> before;  ///< chain descriptions before the run
+  std::vector<std::vector<std::size_t>> local_to_global;  ///< per rack
+  std::vector<std::unique_ptr<FleetController>> controllers;  ///< per rack
   std::optional<DatacenterOrchestrator> orchestrator;
-  if (cs.rebalance && cs.orchestrate) {
-    DatacenterOrchestratorOptions opts;
-    opts.trigger_utilization = cs.trigger_utilization;
-    opts.target_max_load = cs.target_max_load;
-    opts.period = SimTime::milliseconds(cs.period_ms);
-    opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-    opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-    std::vector<FleetController*> racks;
-    racks.reserve(rack_controllers.size());
-    for (auto& controller : rack_controllers) {
-      racks.push_back(controller.get());
-    }
-    orchestrator.emplace(dc, std::move(racks), opts);
-    dc.set_barrier_hook(
-        [&orchestrator](SimTime t, bool draining) {
-          orchestrator->on_barrier(t, draining);
-        });
-    dc.set_drain_gate([&orchestrator] { return orchestrator->has_pending(); });
-  }
+};
 
-  // Failure kind: each event is a rack-local perturbation, scheduled on the
-  // victim's own shard so no other shard observes it mid-epoch.
+/// Schedules the failure and hostile kinds' perturbations.  Each is a
+/// rack-local event on the rack it touches, so no other rack observes it
+/// mid-epoch.
+void schedule_perturbations(const ScenarioSpec& spec, Fleet& fleet) {
+  DatacenterSimulator& dc = fleet.dc;
+  // Failure kind: each event kills a slot (placement-level: bound work keeps
+  // draining through the ToR) and lets the rack's fleet controller evacuate
+  // the resident NFs loss-free; optional recovery re-admits the slot.
   for (const FailureEvent& ev : spec.failures) {
     const std::size_t r = dc.rack_of(ev.server);
     const std::size_t slot = dc.slot_of(ev.server);
     ClusterSimulator* rack = &dc.rack(r);
     FleetController* controller =
-        r < rack_controllers.size() ? rack_controllers[r].get() : nullptr;
+        r < fleet.controllers.size() ? fleet.controllers[r].get() : nullptr;
     dc.schedule_on_rack(r, SimTime::milliseconds(ev.at_ms),
                         [rack, controller, slot] {
                           rack->fail_server(slot);
@@ -677,8 +416,9 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
     }
   }
 
-  // Hostile kind: fabric delay steps hit every rack's intra-rack fabric (one
-  // rack-local event per shard); capacity fades hit the owning rack only.
+  // Hostile kind: replay the link trace — fabric delay steps hit every
+  // rack's intra-rack fabric; capacity fades (degraded devices serve
+  // slower, so live load climbs) hit the owning rack only.
   for (const LinkTraceSpec::FabricPoint& point : spec.link.fabric) {
     dc.schedule_fabric_latency(SimTime::milliseconds(point.at_ms),
                                SimTime::microseconds(point.delay_us));
@@ -692,37 +432,134 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
                           rack->set_slot_speed(slot, speed);
                         });
   }
+}
 
-  const DatacenterReport dr =
-      dc.run(SimTime::milliseconds(spec.duration_ms),
-             SimTime::milliseconds(spec.warmup_ms),
-             threads > 0 ? threads : cs.threads);
+/// Builds the fleet of a cluster/churn/failure/hostile scenario for any
+/// shard count: [cluster] shards racks of servers/shards slots, per-rack
+/// FleetControllers, and the DatacenterOrchestrator above them when there
+/// is more than one rack (a lease must cross racks).  shards = 1 is one
+/// rack whose epochs merely slice a single kernel's run.
+Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
+  const ClusterSpec& cs = spec.cluster;
+  DatacenterSimulator::Options options;
+  options.shards = cs.shards;
+  options.servers_total = cs.servers;
+  options.calibration = Calibration::defaults();
+  options.intra_rack_latency = SimTime::microseconds(cs.inter_server_us);
+  options.cross_rack_latency = SimTime::microseconds(cs.cross_rack_us);
+  auto fleet = std::make_unique<Fleet>(options);
+  DatacenterSimulator& dc = fleet->dc;
+
+  fleet->before.reserve(spec.chains.size());
+  for (std::size_t i = 0; i < spec.chains.size(); ++i) {
+    const ChainDecl& decl = spec.chains[i];
+    auto parsed = parse_chain_spec(decl.spec, decl.name);
+    if (!parsed) {
+      return Error{format("chain '%s': %s", decl.name.c_str(),
+                          parsed.error().what().c_str())};
+    }
+    const std::size_t home = decl.server >= 0
+                                 ? static_cast<std::size_t>(decl.server)
+                                 : i % cs.servers;
+    TrafficSourceConfig cfg;
+    cfg.rate = decl.has_rate ? profile_of(decl.rate)
+                             : RateProfile::constant(Gbps{decl.offered_gbps});
+    cfg.process = spec.traffic.arrival;
+    cfg.sizes =
+        dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
+    // One seed lineage: stream i derives from the scenario seed alone
+    // through a splitmix64 mix — which rack (or thread) runs the chain
+    // never enters the stream, and neither do clocks or random_device.
+    cfg.seed = Rng::derive(spec.seed, i);
+    fleet->before.push_back(parsed.value().describe());
+    dc.add_chain(std::move(parsed).value(), std::move(cfg), home);
+    fleet->local_to_global[dc.home_rack_of(i)].push_back(i);
+    if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
+      dc.chain_sim(i).set_active_window(
+          SimTime::milliseconds(decl.arrive_ms),
+          decl.depart_ms >= 0.0 ? SimTime::milliseconds(decl.depart_ms)
+                                : SimTime::nanoseconds(-1));
+    }
+  }
+
+  if (cs.rebalance) {
+    const auto opts = control_options<FleetControllerOptions>(cs);
+    fleet->controllers.reserve(dc.num_racks());
+    for (std::size_t r = 0; r < dc.num_racks(); ++r) {
+      auto policy = make_policy(spec.policy);
+      if (!policy) {
+        return policy.error();
+      }
+      fleet->controllers.push_back(std::make_unique<FleetController>(
+          dc.rack(r), std::move(policy).value(), opts));
+    }
+    // Heterogeneous fleets: per-chain [chain] policy overrides.
+    for (std::size_t i = 0; i < spec.chains.size(); ++i) {
+      if (spec.chains[i].policy.empty()) {
+        continue;
+      }
+      auto chain_policy = make_policy(spec.chains[i].policy);
+      if (!chain_policy) {
+        return chain_policy.error();
+      }
+      fleet->controllers[dc.home_rack_of(i)]->set_chain_policy(
+          dc.local_chain_of(i), std::move(chain_policy).value());
+    }
+    for (auto& controller : fleet->controllers) {
+      controller->arm();
+    }
+  }
+
+  if (cs.rebalance && cs.orchestrate && dc.num_racks() > 1) {
+    const auto opts = control_options<DatacenterOrchestratorOptions>(cs);
+    std::vector<FleetController*> racks;
+    racks.reserve(fleet->controllers.size());
+    for (auto& controller : fleet->controllers) {
+      racks.push_back(controller.get());
+    }
+    DatacenterOrchestrator* orchestrator =
+        &fleet->orchestrator.emplace(dc, std::move(racks), opts);
+    dc.set_barrier_hook([orchestrator](SimTime t, bool draining) {
+      orchestrator->on_barrier(t, draining);
+    });
+    dc.set_drain_gate([orchestrator] { return orchestrator->has_pending(); });
+  }
+
+  schedule_perturbations(spec, *fleet);
+  return fleet;
+}
+
+/// Assembles the run's ClusterResult.  Results carry global server and
+/// chain ids and are bit-identical for any thread count.
+ClusterResult collect_fleet(const ScenarioSpec& spec, Fleet& fleet,
+                            const DatacenterReport& dr) {
+  DatacenterSimulator& dc = fleet.dc;
   const ClusterReport& report = dr.cluster;
-
   ClusterResult cr;
-  cr.servers = cs.servers;
-  cr.rebalance = cs.rebalance;
-  cr.shards = cs.shards;
+  cr.servers = spec.cluster.servers;
+  cr.rebalance = spec.cluster.rebalance;
+  cr.shards = spec.cluster.shards;
 
   // Event log: rack controllers speak rack-local chain and slot ids; remap
   // the structured fields to global ids (narrative `detail` strings keep
   // their rack-local view) and merge with the orchestrator's (already
   // global) events in barrier order.  stable_sort keeps the per-source
   // emission order among same-instant events, so the merge is deterministic.
-  for (std::size_t r = 0; r < rack_controllers.size(); ++r) {
-    for (ControlEvent ev : rack_controllers[r]->events()) {
-      ev.chain = local_to_global[r].at(ev.chain);
+  for (std::size_t r = 0; r < fleet.controllers.size(); ++r) {
+    const FleetController& controller = *fleet.controllers[r];
+    for (ControlEvent ev : controller.events()) {
+      ev.chain = fleet.local_to_global[r].at(ev.chain);
       ev.server = dc.global_server(r, ev.server);
       cr.events.push_back(std::move(ev));
     }
-    cr.migrations_executed += rack_controllers[r]->migrations_executed();
-    cr.scale_out_moves += rack_controllers[r]->scale_out_moves();
-    cr.evacuations += rack_controllers[r]->evacuations();
+    cr.migrations_executed += controller.migrations_executed();
+    cr.scale_out_moves += controller.scale_out_moves();
+    cr.evacuations += controller.evacuations();
   }
-  if (orchestrator) {
-    const auto& events = orchestrator->events();
+  if (fleet.orchestrator) {
+    const auto& events = fleet.orchestrator->events();
     cr.events.insert(cr.events.end(), events.begin(), events.end());
-    cr.cross_rack_moves = orchestrator->cross_rack_moves();
+    cr.cross_rack_moves = fleet.orchestrator->cross_rack_moves();
   }
   std::stable_sort(cr.events.begin(), cr.events.end(),
                    [](const ControlEvent& a, const ControlEvent& b) {
@@ -741,8 +578,8 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
     const SimReport& chain_report = report.per_chain[i];
     ClusterChainResult chain_result;
     chain_result.name = spec.chains[i].name;
-    chain_result.home_server = homes[i];
-    chain_result.chain_before = before[i];
+    chain_result.home_server = dc.home_server_of(i);
+    chain_result.chain_before = fleet.before[i];
     chain_result.chain_after = dc.chain_sim(i).chain().describe();
     chain_result.nodes_off_home = dc.chain_sim(i).nodes_off_home();
     chain_result.nodes_remote = dc.chain_sim(i).nodes_remote();
@@ -761,19 +598,9 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
                           static_cast<double>(chain_report.measured_delivered);
     crossings_weight += chain_report.measured_delivered;
   }
-  cr.per_server.reserve(report.per_server.size());
+  cr.per_server = report.per_server;
   for (const ServerSummary& sum : report.per_server) {
-    ClusterServerResult server_result;
-    server_result.server_id = sum.server_id;
-    server_result.chains_homed = sum.chains_homed;
-    server_result.nodes_hosted = sum.nodes_hosted;
-    server_result.smartnic_utilization = sum.smartnic_utilization;
-    server_result.cpu_utilization = sum.cpu_utilization;
-    server_result.pcie_utilization = sum.pcie_utilization;
-    server_result.injected = sum.injected;
-    server_result.delivered = sum.delivered;
-    server_result.dropped = sum.dropped;
-    cr.per_server.push_back(server_result);
+    // Fleet utilisation = the hottest slot (bottleneck view).
     fleet_run.smartnic_utilization =
         std::max(fleet_run.smartnic_utilization, sum.smartnic_utilization);
     fleet_run.cpu_utilization =
@@ -794,22 +621,24 @@ Result<RunResult> run_datacenter(const ScenarioSpec& spec,
   cr.cross_rack_hops = report.cross_rack_hops;
   cr.cross_rack_frames = dr.cross_rack_frames;
   cr.epochs = dr.epochs;
-  cr.shard_totals.reserve(dr.shards.size());
-  for (const ShardSummary& shard : dr.shards) {
-    ClusterShardResult sr;
-    sr.shard = shard.shard;
-    sr.first_server = shard.first_server;
-    sr.servers = shard.servers;
-    sr.events_executed = shard.events_executed;
-    sr.injected = shard.injected;
-    sr.delivered = shard.delivered;
-    sr.dropped = shard.dropped;
-    sr.in_flight_at_end = shard.in_flight_at_end;
-    sr.frames_out = shard.frames_out;
-    cr.shard_totals.push_back(sr);
-  }
+  cr.shard_totals = dr.shards;
+  return cr;
+}
 
-  result.cluster = std::move(cr);
+/// The one fleet run path, for every [cluster] shards value.  `threads`
+/// workers advance the racks' epochs (0 = the spec's own count).
+Result<RunResult> run_fleet(const ScenarioSpec& spec, std::size_t threads) {
+  auto fleet = build_fleet(spec);
+  if (!fleet) {
+    return fleet.error();
+  }
+  const DatacenterReport report = fleet.value()->dc.run(
+      SimTime::milliseconds(spec.duration_ms),
+      SimTime::milliseconds(spec.warmup_ms),
+      threads > 0 ? threads : spec.cluster.threads);
+  RunResult result;
+  result.spec = spec;
+  result.cluster = collect_fleet(spec, *fleet.value(), report);
   return result;
 }
 
@@ -842,10 +671,7 @@ Result<RunResult> ScenarioRunner::run(const ScenarioSpec& spec,
     case ScenarioKind::kChurn:
     case ScenarioKind::kFailure:
     case ScenarioKind::kHostile:
-      // shards == 1 keeps the classic single-kernel path bit-for-bit; the
-      // sharded path is opt-in via [cluster] shards.
-      return spec.cluster.shards > 1 ? run_datacenter(spec, threads_override)
-                                     : run_cluster(spec);
+      return run_fleet(spec, threads_override);
   }
   return Error{"unknown scenario kind"};
 }

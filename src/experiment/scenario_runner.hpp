@@ -18,6 +18,7 @@
 #include "control/control_plane.hpp"
 #include "core/migration_plan.hpp"
 #include "experiment/scenario_spec.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 namespace pam {
 
@@ -138,31 +139,11 @@ struct ClusterChainResult {
   MeasuredRun metrics;
 };
 
-/// One rack slot of a cluster scenario.
-struct ClusterServerResult {
-  std::size_t server_id = 0;
-  std::size_t chains_homed = 0;
-  std::size_t nodes_hosted = 0;
-  double smartnic_utilization = 0.0;
-  double cpu_utilization = 0.0;
-  double pcie_utilization = 0.0;
-  std::uint64_t injected = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-};
+/// One rack slot of a cluster scenario (the simulator's own summary).
+using ClusterServerResult = ServerSummary;
 
-/// One kernel shard (rack) of a sharded datacenter run.
-struct ClusterShardResult {
-  std::size_t shard = 0;
-  std::size_t first_server = 0;  ///< global id of the rack's first slot
-  std::size_t servers = 0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t injected = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t in_flight_at_end = 0;
-  std::uint64_t frames_out = 0;  ///< fabric frames this shard sent
-};
+/// One kernel shard (rack) of a fleet run (the simulator's own summary).
+using ClusterShardResult = ShardSummary;
 
 /// Result of a cluster scenario: the fleet controller's event log, per-chain
 /// and per-server metrics, and the fleet aggregation.
@@ -179,7 +160,8 @@ struct ClusterResult {
   std::uint64_t inter_server_hops = 0;
   bool conserved = false;
 
-  // --- sharded datacenter mode (shards > 1; all zero/empty otherwise) ------
+  // --- racks: filled by every run; a one-rack (shards = 1) run has one shard
+  // total, epochs > 0 and no cross-rack traffic ------------------------------
   std::size_t shards = 1;
   std::size_t cross_rack_moves = 0;        ///< committed cross-rack leases
   std::uint64_t cross_rack_hops = 0;       ///< packets over the shard fabric

@@ -266,10 +266,11 @@ struct ClusterSpec {
   double first_check_ms = 10.0;
   double cooldown_ms = 20.0;
 
-  // --- sharded datacenter mode (shards > 1) ---------------------------------
-  /// Kernel shards (racks).  1 = the classic single-kernel rack; > 1
-  /// partitions the fleet into `shards` racks of servers/shards slots each,
-  /// advancing in lock-step epochs (sim/datacenter_simulator.hpp).
+  // --- racks (the keys after `shards` parse only when shards > 1) -----------
+  /// Kernel shards (racks): the fleet is partitioned into `shards` racks of
+  /// servers/shards slots each, advancing in lock-step epochs
+  /// (sim/datacenter_simulator.hpp).  1 runs the whole fleet as one rack,
+  /// with the default cross_rack_us as its epoch quantum.
   std::size_t shards = 1;
   /// Worker threads for the epoch executor; results are bit-identical for
   /// any value.  Only meaningful (and only accepted) when shards > 1.

@@ -10,6 +10,11 @@
 // the barrier that ends epoch k, so every shard can run a full epoch
 // without observing any other shard.
 //
+// One rack is how every `[cluster] shards = 1` scenario runs: a lease must
+// cross racks, so no frame ever enters the fabric and the epochs only cut
+// one kernel's run at quantum boundaries, which leaves its event order
+// unchanged.
+//
 // The epoch loop:
 //
 //   1. every shard runs `advance_until(k * quantum)` — in parallel when a

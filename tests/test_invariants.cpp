@@ -98,6 +98,14 @@ TEST(Invariants, FleetLedgerMismatchBreaksConservation) {
   expect_caught(mutated, "conservation", "fleet aggregate");
 }
 
+TEST(Invariants, TamperedShardTotalOfOneRackRunIsCaught) {
+  RunResult mutated = green_result();
+  ASSERT_EQ(mutated.cluster->shards, 1u);
+  ASSERT_EQ(mutated.cluster->shard_totals.size(), 1u);
+  mutated.cluster->shard_totals[0].delivered += 1;  // a packet counted twice
+  expect_caught(mutated, "shard-totals", "per-shard sums");
+}
+
 TEST(Invariants, ClusterConservedFlagIsAudited) {
   RunResult mutated = green_result();
   mutated.cluster->conserved = false;

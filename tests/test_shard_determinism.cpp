@@ -173,12 +173,28 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
   ScenarioSpec single = spec.value();
   single.cluster.shards = 1;
   single.cluster.threads = 1;
-  const std::string json = to_json(run_at(single, 0));
+  const RunResult result = run_at(single, 0);
+
+  // shards == 1 runs as one rack: one shard total that partitions the
+  // fleet, real epochs, and nothing across racks.
+  ASSERT_TRUE(result.cluster.has_value());
+  const ClusterResult& cr = *result.cluster;
+  ASSERT_EQ(cr.shard_totals.size(), 1u);
+  const ClusterShardResult& shard = cr.shard_totals[0];
+  EXPECT_EQ(shard.injected, cr.fleet.injected);
+  EXPECT_EQ(shard.delivered, cr.fleet.delivered);
+  EXPECT_EQ(shard.dropped, cr.fleet.dropped_total());
+  EXPECT_EQ(shard.in_flight_at_end, cr.fleet.in_flight_at_end);
+  EXPECT_EQ(cr.cross_rack_moves, 0u);
+  EXPECT_GT(cr.epochs, 0u);
+
   // shards == 1 must stay byte-compatible with the pre-sharding schema.
-  EXPECT_EQ(json.find("\"shard_totals\""), std::string::npos);
-  EXPECT_EQ(json.find("\"epochs\""), std::string::npos);
-  EXPECT_EQ(json.find("\"cross_rack_moves\""), std::string::npos);
-  EXPECT_EQ(json.find("\"nodes_remote\""), std::string::npos);
+  const std::string json = to_json(result);
+  for (const char* key : {"\"shards\"", "\"epochs\"", "\"cross_rack_moves\"",
+                          "\"cross_rack_hops\"", "\"cross_rack_frames\"",
+                          "\"shard_totals\"", "\"nodes_remote\""}) {
+    EXPECT_EQ(json.find(key), std::string::npos) << key;
+  }
 }
 
 // --- EpochExecutor ------------------------------------------------------------
