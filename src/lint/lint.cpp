@@ -12,7 +12,6 @@
 #include "common/json_writer.hpp"
 #include "lint/include_graph.hpp"
 #include "lint/source_view.hpp"
-#include "lint/type_registry.hpp"
 
 namespace pam::lint {
 namespace {
@@ -56,14 +55,6 @@ const std::vector<RuleInfo> kRules = {
      "std::thread/mutex/atomic/... outside the kernel's shard-execution "
      "unit (src/sim/epoch_executor.*) forks concurrency that the epoch "
      "barrier cannot order; parallel work must flow through EpochExecutor"},
-    {"P001", "pass-heavy-by-value",
-     "a hot-path function (src/packet, src/sim, src/nf, src/device) "
-     "taking a heavy type by value copies it per call; take const& — or "
-     "keep by-value and std::move it into the sink (moved parameters are "
-     "exempt, matching clang-tidy performance-unnecessary-value-param)"},
-    {"P002", "copy-in-range-for",
-     "a range-for over heavy elements declared by value copies every "
-     "element per iteration on a hot path; bind const auto& instead"},
     {"P003", "std-function-on-packet-path",
      "std::function in the per-packet processing layers (src/packet, "
      "src/nf, src/device) type-erases through an indirect call and may "
@@ -220,239 +211,6 @@ const std::string& snippet_line(const FileCtx& f, std::size_t line_1based) {
              : kEmpty;
 }
 
-/// True when `std::move(name)` appears anywhere in `text` — the P001
-/// moved-parameter exemption (the by-value copy is the intended transfer).
-bool name_is_moved(const std::string& text, const std::string& name) {
-  for (const std::size_t col : find_word(text, "move")) {
-    if (!std_qualified(text, col)) {
-      continue;
-    }
-    const std::size_t open = next_nonspace(text, col + 4);
-    if (open == std::string::npos || text[open] != '(') {
-      continue;
-    }
-    const std::size_t b = next_nonspace(text, open + 1);
-    if (b == std::string::npos || !ident_char(text[b])) {
-      continue;
-    }
-    std::size_t e = b;
-    while (e < text.size() && ident_char(text[e])) ++e;
-    if (text.compare(b, e - b, name) != 0) {
-      continue;
-    }
-    const std::size_t after = next_nonspace(text, e);
-    if (after != std::string::npos && text[after] == ')') {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool is_control_keyword(const std::string& word) {
-  static const std::set<std::string> kControl = {
-      "if",     "for",     "while",    "switch",        "catch",
-      "return", "sizeof",  "alignof",  "static_assert", "decltype",
-      "new",    "delete",  "throw",    "noexcept",      "defined",
-      "assert", "typeid",  "requires", "alignas",
-  };
-  return kControl.count(word) > 0;
-}
-
-/// Matching ')' for the '(' at `open`, or npos.
-std::size_t match_paren(const std::string& text, std::size_t open) {
-  std::size_t depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') ++depth;
-    if (text[i] == ')') {
-      if (--depth == 0) return i;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Splits a parameter list body into top-level comma-separated pieces,
-/// each as (absolute start offset, text).  Angle brackets are tracked in
-/// type context so `map<K, V>` never splits.
-std::vector<std::pair<std::size_t, std::string>> split_params(
-    const std::string& text, std::size_t open, std::size_t close) {
-  std::vector<std::pair<std::size_t, std::string>> out;
-  int round = 0, curly = 0, square = 0, angle = 0;
-  std::size_t start = open + 1;
-  for (std::size_t i = open + 1; i < close; ++i) {
-    const char c = text[i];
-    switch (c) {
-      case '(': ++round; break;
-      case ')': if (round > 0) --round; break;
-      case '{': ++curly; break;
-      case '}': if (curly > 0) --curly; break;
-      case '[': ++square; break;
-      case ']': if (square > 0) --square; break;
-      case '<':
-        if (i > 0 && (ident_char(text[i - 1]) || text[i - 1] == ':')) ++angle;
-        break;
-      case '>':
-        if (angle > 0 && text[i - 1] != '-') --angle;
-        break;
-      case ',':
-        if (round == 0 && curly == 0 && square == 0 && angle == 0) {
-          out.emplace_back(start, text.substr(start, i - start));
-          start = i + 1;
-        }
-        break;
-      default: break;
-    }
-  }
-  if (close > start) {
-    out.emplace_back(start, text.substr(start, close - start));
-  } else if (close == start) {
-    // empty parameter list: nothing to add
-  }
-  return out;
-}
-
-/// P001 over one file: by-value heavy-type parameters of functions whose
-/// name precedes the '(' (control keywords, lambdas and operators are
-/// skipped — conservative).
-void scan_p001(const std::string& file, const FileCtx& f,
-               const JoinedCode* companion, std::vector<Violation>& v) {
-  const std::string& text = f.joined.text;
-  std::size_t i = 0;
-  while ((i = text.find('(', i)) != std::string::npos) {
-    const std::size_t open = i;
-    ++i;
-    const std::string fname = word_ending_at(text, open);
-    if (fname.empty() || is_control_keyword(fname)) {
-      continue;
-    }
-    const std::size_t close = match_paren(text, open);
-    if (close == std::string::npos) {
-      continue;
-    }
-    for (const auto& [param_start, param] : split_params(text, open, close)) {
-      // Reference/pointer parameters are cheap — skip when '&'/'*' occurs
-      // outside template arguments (vector<Packet*> stays a heavy value).
-      bool by_value = true;
-      int angle = 0;
-      for (std::size_t k = 0; k < param.size(); ++k) {
-        const char c = param[k];
-        if (c == '<' && k > 0 && (ident_char(param[k - 1]) || param[k - 1] == ':')) ++angle;
-        if (c == '>' && angle > 0 && param[k - 1] != '-') --angle;
-        if ((c == '&' || c == '*') && angle == 0) {
-          by_value = false;
-          break;
-        }
-      }
-      if (!by_value) {
-        continue;
-      }
-      // The declared name: trailing identifier before any default value.
-      std::string head = param;
-      const std::size_t eq = head.find('=');
-      if (eq != std::string::npos) head = head.substr(0, eq);
-      std::size_t name_end = head.size();
-      while (name_end > 0 &&
-             (head[name_end - 1] == ' ' || head[name_end - 1] == '\t' ||
-              head[name_end - 1] == '\n'))
-        --name_end;
-      const std::string name = word_ending_at(head, name_end);
-      if (name.empty()) {
-        continue;  // unnamed prototype param; the definition will be named
-      }
-      const std::size_t name_col = name_end - name.size();
-      // A heavy type mentioned strictly before the name.
-      for (const auto& t : heavy_types()) {
-        bool hit = false;
-        for (const std::size_t col : find_word(head, t.name)) {
-          if (col + t.name.size() > name_col) {
-            break;  // that occurrence *is* the name (or past it)
-          }
-          if (t.needs_std && !std_qualified(head, col)) {
-            continue;
-          }
-          if (head.compare(col + t.name.size(), 2, "::") == 0) {
-            continue;  // qualified name (Packet::Kind k), not the type
-          }
-          if (name_is_moved(text, name) ||
-              (companion != nullptr &&
-               name_is_moved(companion->text, name))) {
-            continue;  // sink parameter, transferred with std::move
-          }
-          const std::size_t abs = param_start + col;
-          const std::size_t ln = f.joined.line_of(abs);
-          add_violation(
-              v, "P001", file, ln, abs - f.joined.line_start[ln - 1],
-              snippet_line(f, ln),
-              "parameter '" + name + "' takes " +
-                  (t.needs_std ? "std::" + t.name : t.name) +
-                  " by value (" + t.why + "); take const& or move it "
-                  "into the sink");
-          hit = true;
-          break;
-        }
-        if (hit) break;
-      }
-    }
-  }
-}
-
-/// P002 over one file: range-for loop variables of heavy type declared by
-/// value.
-void scan_p002(const std::string& file, const FileCtx& f,
-               std::vector<Violation>& v) {
-  const std::string& text = f.joined.text;
-  for (const std::size_t col : find_word(text, "for")) {
-    const std::size_t open = next_nonspace(text, col + 3);
-    if (open == std::string::npos || text[open] != '(') {
-      continue;
-    }
-    // Top-level ':' (not '::') inside the parens → range-for declaration.
-    std::size_t depth = 0;
-    std::size_t colon = std::string::npos;
-    const std::size_t close = match_paren(text, open);
-    if (close == std::string::npos) {
-      continue;
-    }
-    for (std::size_t k = open; k < close; ++k) {
-      const char c = text[k];
-      if (c == '(') ++depth;
-      if (c == ')') --depth;
-      if (c == ':' && depth == 1 &&
-          (k + 1 >= text.size() || text[k + 1] != ':') &&
-          (k == 0 || text[k - 1] != ':')) {
-        colon = k;
-        break;
-      }
-    }
-    if (colon == std::string::npos) {
-      continue;
-    }
-    const std::string decl = text.substr(open + 1, colon - open - 1);
-    if (decl.find('&') != std::string::npos ||
-        decl.find('*') != std::string::npos) {
-      continue;  // by-reference (or pointer) binding
-    }
-    for (const auto& t : heavy_types()) {
-      bool hit = false;
-      for (const std::size_t c2 : find_word(decl, t.name)) {
-        if (t.needs_std && !std_qualified(decl, c2)) {
-          continue;
-        }
-        const std::size_t abs = open + 1 + c2;
-        const std::size_t ln = f.joined.line_of(abs);
-        add_violation(
-            v, "P002", file, ln, abs - f.joined.line_start[ln - 1],
-            snippet_line(f, ln),
-            "range-for copies a " +
-                (t.needs_std ? "std::" + t.name : t.name) +
-                " per iteration (" + t.why + "); bind const auto&");
-        hit = true;
-        break;
-      }
-      if (hit) break;
-    }
-  }
-}
-
 /// P003 over one file: any std::function on the scoped hot paths.
 void scan_p003(const std::string& file, const FileCtx& f,
                std::vector<Violation>& v) {
@@ -470,18 +228,16 @@ void scan_p003(const std::string& file, const FileCtx& f,
   }
 }
 
-/// All per-file findings (D001..D006, P001..P003) before suppression
-/// filtering.
+/// All per-file findings (D001..D006, P003) before suppression filtering.
 std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
-                                 const ContainerRegistry& reg,
-                                 const JoinedCode* companion) {
+                                 const ContainerRegistry& reg) {
   std::vector<Violation> v;
   const bool benchreport = starts_with(file, "src/benchreport/");
   const bool alloc_hot_path =
       starts_with(file, "src/packet/") || starts_with(file, "src/sim/");
-  const bool perf_hot_path =
-      alloc_hot_path || starts_with(file, "src/nf/") ||
-      starts_with(file, "src/device/");
+  const bool packet_path = starts_with(file, "src/packet/") ||
+                           starts_with(file, "src/nf/") ||
+                           starts_with(file, "src/device/");
   const bool shard_executor = starts_with(file, "src/sim/epoch_executor.");
 
   const std::vector<SourceLine>& lines = f.lines;
@@ -656,22 +412,30 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
     }
   }
 
-  // P001/P002 — heavy-copy rules over every hot-path library; P003 only
-  // in the per-packet processing layers: in src/sim the event queue's
-  // Action *is* a std::function, the kernel's sanctioned type-erasure
-  // boundary for control-plane and periodic tasks (mirrored by
-  // .clang-tidy's AllowedTypes); per-packet hops there are EventRecords.
-  if (perf_hot_path) {
-    scan_p001(file, f, companion, v);
-    scan_p002(file, f, v);
-    if (!starts_with(file, "src/sim/")) {
-      scan_p003(file, f, v);
-    }
+  // P003 — only in the per-packet processing layers.  src/sim is out of
+  // scope: the event queue's Action *is* a std::function, the kernel's
+  // sanctioned type-erasure boundary for control-plane and periodic tasks
+  // (mirrored by .clang-tidy's AllowedTypes); per-packet hops there are
+  // EventRecords.
+  if (packet_path) {
+    scan_p003(file, f, v);
   }
   return v;
 }
 
 // --- architecture rules (A001..A003) -----------------------------------------
+
+/// foo.cpp ↔ foo.hpp, or empty for any other extension.
+std::string companion_of(const std::string& rel) {
+  const std::size_t dot = rel.rfind('.');
+  if (dot == std::string::npos) {
+    return {};
+  }
+  const std::string ext = rel.substr(dot);
+  if (ext == ".cpp") return rel.substr(0, dot) + ".hpp";
+  if (ext == ".hpp") return rel.substr(0, dot) + ".cpp";
+  return {};
+}
 
 /// A001 over one file's resolved project includes.
 void check_layering(const std::string& file,
@@ -757,14 +521,7 @@ void check_unused_includes(const std::string& file, const FileCtx& f,
                            const std::map<std::string, FileCtx>& ctx,
                            std::map<std::string, std::set<std::string>>& cache,
                            std::vector<Violation>& v) {
-  const std::string companion = [&] {
-    const std::size_t dot = file.rfind('.');
-    if (dot == std::string::npos) return std::string{};
-    const std::string ext = file.substr(dot);
-    if (ext == ".cpp") return file.substr(0, dot) + ".hpp";
-    if (ext == ".hpp") return file.substr(0, dot) + ".cpp";
-    return std::string{};
-  }();
+  const std::string companion = companion_of(file);
   for (const auto& d : edges) {
     if (d.target == companion) {
       continue;  // a TU always includes its own header
@@ -800,17 +557,6 @@ void check_unused_includes(const std::string& file, const FileCtx& f,
 
 // --- the cross-TU pipeline ---------------------------------------------------
 
-std::string companion_of(const std::string& rel) {
-  const std::size_t dot = rel.rfind('.');
-  if (dot == std::string::npos) {
-    return {};
-  }
-  const std::string ext = rel.substr(dot);
-  if (ext == ".cpp") return rel.substr(0, dot) + ".hpp";
-  if (ext == ".hpp") return rel.substr(0, dot) + ".cpp";
-  return {};
-}
-
 std::string read_file(const std::filesystem::path& p, bool& ok) {
   std::ifstream in{p, std::ios::binary};
   if (!in) {
@@ -825,8 +571,7 @@ std::string read_file(const std::filesystem::path& p, bool& ok) {
 
 /// The full pass over an in-memory file set.  `context_raw` holds
 /// companions of linted files that are not part of the set themselves:
-/// they feed the container registry and the P001 moved-parameter
-/// exemption but are not linted.  `pre` carries violations discovered
+/// they feed the D003 container registry but are not linted.  `pre` carries violations discovered
 /// before parsing (unreadable files).
 LintReport lint_set(const std::map<std::string, std::string>& raw,
                     const std::map<std::string, std::string>& context_raw,
@@ -856,21 +601,17 @@ LintReport lint_set(const std::map<std::string, std::string>& raw,
 
     ContainerRegistry reg;
     collect_containers(f.joined, reg);
-    const JoinedCode* companion = nullptr;
     const std::string comp = companion_of(rel);
     if (!comp.empty()) {
       if (const auto it = ctx.find(comp); it != ctx.end()) {
-        companion = &it->second.joined;
+        collect_containers(it->second.joined, reg);
       } else if (const auto jt = context_joined.find(comp);
                  jt != context_joined.end()) {
-        companion = &jt->second;
+        collect_containers(jt->second, reg);
       }
     }
-    if (companion != nullptr) {
-      collect_containers(*companion, reg);
-    }
 
-    const auto found = scan_file(rel, f, reg, companion);
+    const auto found = scan_file(rel, f, reg);
     all.insert(all.end(), found.begin(), found.end());
   }
 

@@ -12,9 +12,9 @@
 //               (src/lint/include_graph.hpp is the machine-readable single
 //               source of truth), include cycles, unused includes.
 //   D001..D006  determinism & race-safety — per-file token scans.
-//   P001..P003  hot-path performance — heavy-type copies (the registry in
-//               src/lint/type_registry.hpp) scoped to src/packet, src/sim,
-//               src/nf, src/device.
+//   P003        no std::function in the per-packet layers (src/packet,
+//               src/nf, src/device).  Copy checks are clang-tidy's
+//               (performance-unnecessary-value-param, -for-range-copy).
 //   X001        suppression hygiene.
 //
 // Scanning is token-based ("AST-lite", src/lint/source_view.hpp): block
@@ -40,7 +40,7 @@ namespace pam::lint {
 
 /// One rule of the catalogue (docs/STATIC_ANALYSIS.md has the rationale).
 struct RuleInfo {
-  std::string id;           ///< "A001".."A003", "D001".."D006", "P001".."P003", "X001"
+  std::string id;           ///< "A001".."A003", "D001".."D006", "P003", "X001"
   std::string name;         ///< kebab-case short name
   std::string description;  ///< one-line summary
 };
@@ -90,8 +90,8 @@ struct LintOptions {
 
 /// Lints every file in `options.files` (read from disk under root).
 /// Cross-TU rules (A001..A003) see exactly this set; companions of listed
-/// files are additionally loaded from disk as *context* (container
-/// registry, moved-parameter exemption) without being linted themselves.
+/// files are additionally loaded from disk as *context* (the D003
+/// container registry) without being linted themselves.
 [[nodiscard]] LintReport run_lint(const LintOptions& options);
 
 /// Lints one in-memory buffer as if it lived at `rel_path` — the unit-test
