@@ -1,7 +1,7 @@
 // Microbenchmarks of the control-plane hot paths: the PAM decision
 // procedure vs chain length, border identification, the analytic model,
 // and — for context — data-plane primitives (AC matching, consistent
-// hashing, header parsing).  Self-timing (steady clock, warmup + repeats
+// hashing, header parsing, packet build and payload fill).  Self-timing (steady clock, warmup + repeats
 // via benchreport's time_runs; best-of-repeats reported to shed scheduler
 // noise) so the bench builds everywhere without Google Benchmark.
 //
@@ -135,6 +135,25 @@ int main(int argc, char** argv) {
           [&](std::size_t) {
             const auto t = pkt.five_tuple();
             sink(t ? t->src_port : 0);
+          });
+  }
+
+  // The traffic generator's per-packet build leaves the payload pending;
+  // the first payload reader (DPI, Encryptor, VXLAN) pays the fill.
+  for (const std::size_t bytes : {64u, 512u, 1500u}) {
+    Packet pkt;
+    PacketBuilder builder;
+    builder.size(bytes).flow(FiveTuple{0x0a000001, 0xc0000202, 40000, 443, IpProto::kUdp});
+    micro(reporter, "packet_build", {{"bytes", std::to_string(bytes)}},
+          "ns_per_build", 1000000 / scale, [&](std::size_t i) {
+            builder.payload_seed(i);
+            builder.build_into(pkt);
+            sink(pkt.size());
+          });
+    micro(reporter, "payload_fill", {{"bytes", std::to_string(bytes)}},
+          "ns_per_fill", 20000 / scale, [&](std::size_t i) {
+            pkt.defer_payload(i);
+            sink(pkt.payload().back());
           });
   }
 

@@ -10,6 +10,13 @@ namespace pam {
 namespace {
 constexpr std::size_t kL3Offset = EthernetHeader::kSize;           // 14
 constexpr std::size_t kL4Offset = kL3Offset + Ipv4Header::kMinSize;  // 34
+constexpr std::size_t kPayloadOffset = kL4Offset + UdpHeader::kSize;  // 42
+
+/// The bytes of `buf` from `offset` on, or empty when the frame is shorter.
+template <typename Byte>
+std::span<Byte> tail_from(std::span<Byte> buf, std::size_t offset) noexcept {
+  return buf.size() > offset ? buf.subspan(offset) : std::span<Byte>{};
+}
 }  // namespace
 
 void Packet::reset(std::size_t wire_size) {
@@ -19,6 +26,7 @@ void Packet::reset(std::size_t wire_size) {
   ingress_time_ = SimTime::zero();
   pcie_crossings_ = 0;
   hops_ = 0;
+  payload_pending_ = false;
 }
 
 void Packet::reset_headers(std::size_t wire_size) {
@@ -32,48 +40,57 @@ void Packet::reset_headers(std::size_t wire_size) {
   ingress_time_ = SimTime::zero();
   pcie_crossings_ = 0;
   hops_ = 0;
+  payload_pending_ = false;
+}
+
+void Packet::fill_payload() const noexcept {
+  payload_pending_ = false;
+  // Deterministic pseudo-random fill so DPI scans non-trivial content.
+  std::uint64_t state = payload_seed_ ^ 0x6a09e667f3bcc909ull;
+  for (auto& byte : tail_from(std::span<std::uint8_t>{data_}, kPayloadOffset)) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    byte = static_cast<std::uint8_t>(state & 0xff);
+  }
 }
 
 std::span<std::uint8_t> Packet::l3() noexcept {
-  return data_.size() > kL3Offset ? std::span<std::uint8_t>{data_}.subspan(kL3Offset)
-                                  : std::span<std::uint8_t>{};
+  return tail_from(data(), kL3Offset);
 }
 
 std::span<const std::uint8_t> Packet::l3() const noexcept {
-  return data_.size() > kL3Offset ? std::span<const std::uint8_t>{data_}.subspan(kL3Offset)
-                                  : std::span<const std::uint8_t>{};
+  return tail_from(data(), kL3Offset);
 }
 
 std::span<std::uint8_t> Packet::l4() noexcept {
-  return data_.size() > kL4Offset ? std::span<std::uint8_t>{data_}.subspan(kL4Offset)
-                                  : std::span<std::uint8_t>{};
+  return tail_from(data(), kL4Offset);
 }
 
 std::span<const std::uint8_t> Packet::l4() const noexcept {
-  return data_.size() > kL4Offset ? std::span<const std::uint8_t>{data_}.subspan(kL4Offset)
-                                  : std::span<const std::uint8_t>{};
+  return tail_from(data(), kL4Offset);
 }
 
 std::span<std::uint8_t> Packet::payload() noexcept {
-  constexpr std::size_t kPayloadOffset = kL4Offset + UdpHeader::kSize;
-  return data_.size() > kPayloadOffset
-             ? std::span<std::uint8_t>{data_}.subspan(kPayloadOffset)
-             : std::span<std::uint8_t>{};
+  return tail_from(data(), kPayloadOffset);
 }
 
 std::span<const std::uint8_t> Packet::payload() const noexcept {
-  constexpr std::size_t kPayloadOffset = kL4Offset + UdpHeader::kSize;
-  return data_.size() > kPayloadOffset
-             ? std::span<const std::uint8_t>{data_}.subspan(kPayloadOffset)
-             : std::span<const std::uint8_t>{};
+  return tail_from(data(), kPayloadOffset);
 }
 
+// The header paths below read and write data_ directly, never filling.
+// Their results use only bytes [0, 38) — Ethernet, IPv4 and the L4 ports —
+// and the deferred fill starts at byte 42, so a pending payload cannot
+// change them.
+
 std::optional<Ipv4Header> Packet::ipv4() const noexcept {
-  const auto eth = EthernetHeader::parse(data());
+  const std::span<const std::uint8_t> raw{data_};
+  const auto eth = EthernetHeader::parse(raw);
   if (!eth || eth->ether_type != EthernetHeader::kEtherTypeIpv4) {
     return std::nullopt;
   }
-  return Ipv4Header::parse(l3());
+  return Ipv4Header::parse(tail_from(raw, kL3Offset));
 }
 
 std::optional<FiveTuple> Packet::five_tuple() const noexcept {
@@ -85,7 +102,7 @@ std::optional<FiveTuple> Packet::five_tuple() const noexcept {
   t.src_ip = ip->src;
   t.dst_ip = ip->dst;
   t.proto = ip->protocol;
-  const auto l4_bytes = l4();
+  const auto l4_bytes = tail_from(std::span<const std::uint8_t>{data_}, kL4Offset);
   if (ip->protocol == IpProto::kTcp) {
     const auto tcp = TcpHeader::parse(l4_bytes);
     if (!tcp) {
@@ -111,7 +128,7 @@ void Packet::rewrite_ipv4_addrs(std::uint32_t new_src, std::uint32_t new_dst) no
   }
   ip->src = new_src;
   ip->dst = new_dst;
-  ip->write(l3());
+  ip->write(tail_from(std::span<std::uint8_t>{data_}, kL3Offset));
 }
 
 void Packet::rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcept {
@@ -119,7 +136,7 @@ void Packet::rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcep
   if (!ip) {
     return;
   }
-  auto l4_bytes = l4();
+  auto l4_bytes = tail_from(std::span<std::uint8_t>{data_}, kL4Offset);
   if (l4_bytes.size() < 4) {
     return;
   }

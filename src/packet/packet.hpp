@@ -4,6 +4,15 @@
 // buffer holding real Ethernet/IPv4/L4 headers plus payload, a cached parse
 // of the flow key, and simulator metadata (ingress timestamp, hop count,
 // PCIe crossing count) used by the measurement layer.
+//
+// The payload may be *pending*: PacketBuilder writes the headers and records
+// only the payload seed (defer_payload).  The deterministic fill runs on the
+// first call to an accessor that can expose payload bytes — data(), l3(),
+// l4(), payload(), const or not — so every observed byte is the same as an
+// eager fill.  The header paths (ipv4, five_tuple, rewrite_*) touch only the
+// header region and never fill, which is why header-only NFs never pay for
+// the payload.  Because a const accessor may write the buffer, a Packet must
+// not be read from two threads at once.
 
 #pragma once
 
@@ -39,40 +48,65 @@ class Packet {
   Packet(Packet&&) noexcept = default;
   Packet& operator=(Packet&&) noexcept = default;
 
-  /// Re-initialises for a frame of `wire_size` bytes (fully zero-filled).
+  /// Re-initialises for a frame of `wire_size` bytes (fully zero-filled,
+  /// no payload pending).
   void reset(std::size_t wire_size);
 
   /// Fast re-initialisation for recycling: zeroes only the kHeaderBytes
   /// header region (plus any newly grown tail, which vector growth
-  /// value-initialises); payload bytes beyond the headers keep whatever the
-  /// previous occupant left and MUST be overwritten by the producer
-  /// (PacketBuilder fills the whole payload; trace replay copies the whole
-  /// frame).  This is what PacketPool::acquire uses — recycling a 1500B
-  /// frame no longer memsets the full MTU.
+  /// value-initialises) and clears a pending payload; payload bytes beyond
+  /// the headers keep whatever the previous occupant left and MUST be
+  /// overwritten by the producer (PacketBuilder defers a fill that covers
+  /// the whole payload; trace replay copies the whole frame).  This is what
+  /// PacketPool::acquire uses — recycling a 1500B frame no longer memsets
+  /// the full MTU.  The deferred fill starts at byte 42 (see payload()), so
+  /// for TCP it overwrites the last 12 header bytes the builder wrote.
   void reset_headers(std::size_t wire_size);
+
+  /// Marks the payload as pending: the first accessor that can expose
+  /// payload bytes fills them from `seed` (see the file comment).
+  void defer_payload(std::uint64_t seed) noexcept {
+    payload_seed_ = seed;
+    payload_pending_ = true;
+  }
+  /// True while a deferred payload has not been written yet.
+  [[nodiscard]] bool payload_pending() const noexcept { return payload_pending_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] Bytes wire_bytes() const noexcept { return Bytes{data_.size()}; }
-  [[nodiscard]] std::span<std::uint8_t> data() noexcept { return data_; }
-  [[nodiscard]] std::span<const std::uint8_t> data() const noexcept { return data_; }
+  [[nodiscard]] std::span<std::uint8_t> data() noexcept {
+    fill_if_pending();
+    return data_;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> data() const noexcept {
+    fill_if_pending();
+    return data_;
+  }
 
   /// Byte views of the embedded headers (L2 at offset 0, L3 at 14, L4 at 34).
+  /// Each extends to the end of the frame, so each fills a pending payload.
   [[nodiscard]] std::span<std::uint8_t> l3() noexcept;
   [[nodiscard]] std::span<const std::uint8_t> l3() const noexcept;
   [[nodiscard]] std::span<std::uint8_t> l4() noexcept;
   [[nodiscard]] std::span<const std::uint8_t> l4() const noexcept;
+  /// Bytes from offset 42 (after a UDP header) for UDP and TCP alike: for
+  /// TCP the payload view overlaps the header's last 12 bytes (ack, data
+  /// offset, flags, window, checksum, urgent).  The fill overwrites them, so
+  /// those TCP fields read differently before and after a deferred fill.  No
+  /// code reads them; moving the offset would change every DPI input.
   [[nodiscard]] std::span<std::uint8_t> payload() noexcept;
   [[nodiscard]] std::span<const std::uint8_t> payload() const noexcept;
 
   /// Parses headers out of the buffer.  Returns nullopt for truncated or
-  /// non-IPv4 frames.
+  /// non-IPv4 frames.  Never fills a pending payload.
   [[nodiscard]] std::optional<Ipv4Header> ipv4() const noexcept;
   [[nodiscard]] std::optional<FiveTuple> five_tuple() const noexcept;
 
   /// Rewrites the IPv4 src/dst (host order) in place, recomputing the IP
-  /// checksum — what the NAT and load balancer do.
+  /// checksum — what the NAT and load balancer do.  Never fills.
   void rewrite_ipv4_addrs(std::uint32_t new_src, std::uint32_t new_dst) noexcept;
   /// Rewrites L4 ports in place (TCP or UDP inferred from the IP header).
+  /// Never fills.
   void rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcept;
 
   // --- simulator metadata ---------------------------------------------------
@@ -98,11 +132,23 @@ class Packet {
   }
 
  private:
-  std::vector<std::uint8_t> data_;
+  void fill_if_pending() const noexcept {
+    if (payload_pending_) {
+      fill_payload();
+    }
+  }
+  /// Writes the deferred payload and clears the pending flag.
+  void fill_payload() const noexcept;
+
+  // Mutable so a const accessor can materialise a deferred payload: the
+  // observable bytes are the same either way.
+  mutable std::vector<std::uint8_t> data_;
   std::uint64_t id_ = 0;
   SimTime ingress_time_ = SimTime::zero();
   std::uint32_t pcie_crossings_ = 0;
   std::uint32_t hops_ = 0;
+  std::uint64_t payload_seed_ = 0;
+  mutable bool payload_pending_ = false;
 };
 
 /// Owning handle returned by PacketPool; releases back to the pool on

@@ -8,7 +8,7 @@ namespace pam {
 void PacketBuilder::build_into(Packet& pkt) const {
   assert(wire_size_ >= Packet::kMinSize);
   // Header-only reset: every byte below is written explicitly (headers) or
-  // by the deterministic payload fill, which always covers [42, size) since
+  // by the deferred payload fill, which always covers [42, size) since
   // size >= kMinSize; zeroed headers cover non-TCP/UDP protocols too.
   pkt.reset_headers(wire_size_);
   auto buf = pkt.data();
@@ -51,21 +51,12 @@ void PacketBuilder::build_into(Packet& pkt) const {
   // IP header written last: total_length already set, checksum covers finals.
   ip.write(l3);
 
-  auto payload = pkt.payload();
-  if (!payload.empty()) {
-    // Deterministic pseudo-random fill so DPI scans non-trivial content.
-    std::uint64_t state = payload_seed_ ^ 0x6a09e667f3bcc909ull;
-    for (auto& byte : payload) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      byte = static_cast<std::uint8_t>(state & 0xff);
-    }
-    if (!payload_text_.empty()) {
-      const std::size_t n = std::min(payload_text_.size(), payload.size());
-      std::copy_n(payload_text_.data(), n,
-                  reinterpret_cast<char*>(payload.data()));
-    }
+  // The payload is written on first read (Packet::defer_payload).
+  pkt.defer_payload(payload_seed_);
+  if (!payload_text_.empty()) {
+    auto payload = pkt.payload();  // fills, then the text goes on top
+    const std::size_t n = std::min(payload_text_.size(), payload.size());
+    std::copy_n(payload_text_.data(), n, reinterpret_cast<char*>(payload.data()));
   }
 }
 

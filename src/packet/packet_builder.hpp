@@ -1,7 +1,8 @@
 // Fluent construction of well-formed frames, used by the traffic generator
 // and by tests.  Produces a frame whose Ethernet/IPv4/L4 headers are valid
 // wire bytes (checksummed) and whose payload is filled deterministically so
-// the DPI NF has something to scan.
+// the DPI NF has something to scan.  The fill is deferred until something
+// reads the payload (Packet::defer_payload).
 
 #pragma once
 
@@ -33,8 +34,9 @@ class PacketBuilder {
   /// Plants `text` at the start of the payload (for DPI signature tests).
   PacketBuilder& payload_text(std::string_view text) noexcept { payload_text_ = text; return *this; }
 
-  /// Writes headers + payload into `pkt` (resizing it to the configured wire
-  /// size).  The packet is valid: parseable headers, correct IP checksum.
+  /// Writes the headers into `pkt` (resizing it to the configured wire size)
+  /// and leaves its payload pending.  The packet is valid: parseable
+  /// headers, correct IP checksum.
   void build_into(Packet& pkt) const;
 
  private:

@@ -56,7 +56,7 @@ ChainSimulator::ChainSimulator(ServiceChain chain, Server& server,
       server_(&server),
       calibration_(calibration),
       traffic_(std::move(traffic)),
-      owned_kernel_(std::make_unique<SimulationKernel>(4096)),
+      owned_kernel_(std::make_unique<SimulationKernel>()),
       kernel_(owned_kernel_.get()),
       owned_devices_(std::make_unique<ServerDevices>(kernel_->queue(), calibration)),
       home_{0, owned_devices_.get(), &server},

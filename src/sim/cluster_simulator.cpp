@@ -10,7 +10,6 @@ namespace pam {
 ClusterSimulator::ClusterSimulator(std::size_t num_servers, Calibration calibration,
                                    SimTime inter_server_latency)
     : calibration_(calibration),
-      kernel_(4096 * std::max<std::size_t>(num_servers, 1)),
       inter_server_latency_(inter_server_latency) {
   assert(num_servers > 0);
   servers_.reserve(num_servers);

@@ -10,9 +10,6 @@ namespace {
 constexpr std::size_t kPcieQueueFactor = 4;  // link ring deeper than NF queues
 }
 
-SimulationKernel::SimulationKernel(std::size_t pool_capacity)
-    : pool_(pool_capacity) {}
-
 void SimulationKernel::schedule_periodic(SimTime start, SimTime period,
                                          std::function<void()> fn) {
   assert(period.ns() > 0);

@@ -33,7 +33,12 @@ struct Calibration;
 
 class SimulationKernel final : public EventSink {
  public:
-  explicit SimulationKernel(std::size_t pool_capacity = 4096);
+  /// Packets pre-allocated per kernel.  The pool grows on demand beyond
+  /// this (up to PacketPool's max capacity), so it bounds set-up memory,
+  /// not the packets a run may hold in flight.
+  static constexpr std::size_t kPoolPrealloc = 4096;
+
+  SimulationKernel() = default;
 
   SimulationKernel(const SimulationKernel&) = delete;
   SimulationKernel& operator=(const SimulationKernel&) = delete;
@@ -104,7 +109,7 @@ class SimulationKernel final : public EventSink {
   void on_event(const EventRecord& ev) override;
 
   EventQueue queue_;
-  PacketPool pool_;
+  PacketPool pool_{kPoolPrealloc};
   /// A deque, so a task that registers another keeps its address.
   std::deque<PeriodicTask> periodic_tasks_;
   SimTime warmup_ = SimTime::zero();

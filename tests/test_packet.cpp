@@ -1,11 +1,16 @@
 // Packet, PacketPool and PacketBuilder tests: the builder must produce
-// frames whose headers parse back exactly, and the pool must recycle without
+// frames whose headers parse back exactly, its deferred payload must read
+// back byte-identical to an eager fill, and the pool must recycle without
 // leaking.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "nf/dpi.hpp"
+#include "nf/nf_factory.hpp"
 #include "packet/packet_builder.hpp"
 #include "packet/packet_pool.hpp"
 
@@ -20,6 +25,56 @@ FiveTuple sample_tuple(IpProto proto = IpProto::kUdp) {
   t.dst_port = 443;
   t.proto = proto;
   return t;
+}
+
+/// The frame PacketBuilder produced when it filled the payload eagerly:
+/// its header writes for the default builder options, then its fill loop,
+/// verbatim.  The deferred fill must read back exactly these bytes.
+std::vector<std::uint8_t> eager_reference(std::size_t wire_size,
+                                          const FiveTuple& tuple,
+                                          std::uint64_t payload_seed) {
+  std::vector<std::uint8_t> frame(wire_size, 0);
+  const std::span<std::uint8_t> buf{frame};
+  EthernetHeader eth;
+  eth.src = MacAddress{0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
+  eth.dst = MacAddress{0x02, 0x00, 0x00, 0x00, 0x00, 0x02};
+  eth.write(buf);
+  Ipv4Header ip;
+  ip.src = tuple.src_ip;
+  ip.dst = tuple.dst_ip;
+  ip.protocol = tuple.proto;
+  ip.total_length = static_cast<std::uint16_t>(wire_size - EthernetHeader::kSize);
+  const auto l4 = buf.subspan(34);
+  if (tuple.proto == IpProto::kTcp) {
+    TcpHeader tcp;
+    tcp.src_port = tuple.src_port;
+    tcp.dst_port = tuple.dst_port;
+    tcp.flags = TcpHeader::kFlagAck;
+    tcp.seq = static_cast<std::uint32_t>(payload_seed);
+    tcp.write(l4);
+  } else {
+    UdpHeader udp;
+    udp.src_port = tuple.src_port;
+    udp.dst_port = tuple.dst_port;
+    udp.length = static_cast<std::uint16_t>(wire_size - 34);
+    udp.write(l4);
+  }
+  ip.write(buf.subspan(14));
+
+  auto payload = buf.subspan(42);
+  std::uint64_t state = payload_seed ^ 0x6a09e667f3bcc909ull;
+  for (auto& byte : payload) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    byte = static_cast<std::uint8_t>(state & 0xff);
+  }
+  return frame;
+}
+
+bool same_bytes(std::span<const std::uint8_t> got,
+                std::span<const std::uint8_t> want) {
+  return std::equal(got.begin(), got.end(), want.begin(), want.end());
 }
 
 TEST(Packet, ResetInitialises) {
@@ -155,10 +210,19 @@ TEST(PacketBuilder, BuildsParseableTcpFrame) {
 
 TEST(PacketBuilder, PayloadTextPlanted) {
   Packet p;
-  PacketBuilder{}.size(256).flow(sample_tuple()).payload_text("NEEDLE").build_into(p);
+  PacketBuilder{}
+      .size(256)
+      .flow(sample_tuple())
+      .payload_seed(3)
+      .payload_text("NEEDLE")
+      .build_into(p);
+  EXPECT_FALSE(p.payload_pending());  // planting the text forced the fill
   const auto payload = p.payload();
   const std::string head(reinterpret_cast<const char*>(payload.data()), 6);
   EXPECT_EQ(head, "NEEDLE");
+  // The rest of the payload is the seed's stream, as with no text.
+  const auto want = eager_reference(256, sample_tuple(), 3);
+  EXPECT_TRUE(same_bytes(payload.subspan(6), std::span{want}.subspan(42 + 6)));
 }
 
 TEST(PacketBuilder, PayloadDeterministicPerSeed) {
@@ -280,6 +344,144 @@ TEST(PacketPool, ReleaseAndReacquireReusesMemory) {
   auto q = pool.acquire(256);
   EXPECT_EQ(q.get(), first);
   EXPECT_EQ(q->size(), 256u);
+}
+
+// --- deferred payload fill -------------------------------------------------
+
+// Every accessor that can expose payload bytes, const and not, reads the
+// same bytes the eager fill wrote, at the sizes that bracket the sweep.
+class LazyPayload
+    : public ::testing::TestWithParam<std::tuple<std::size_t, IpProto>> {
+ protected:
+  static constexpr std::uint64_t kSeed = 0x1234'5678'9abc'def0ull;
+
+  Packet built() const {
+    const auto [size, proto] = GetParam();
+    Packet p;
+    PacketBuilder{}.size(size).flow(sample_tuple(proto)).payload_seed(kSeed).build_into(p);
+    return p;
+  }
+  std::vector<std::uint8_t> reference() const {
+    const auto [size, proto] = GetParam();
+    return eager_reference(size, sample_tuple(proto), kSeed);
+  }
+};
+
+TEST_P(LazyPayload, EveryAccessorReadsTheEagerBytes) {
+  const auto want = reference();
+  const std::span<const std::uint8_t> ref{want};
+  const auto check = [&](const char* accessor, auto&& read, std::size_t offset) {
+    Packet p = built();
+    ASSERT_TRUE(p.payload_pending()) << accessor;
+    EXPECT_TRUE(same_bytes(read(p), ref.subspan(offset))) << accessor;
+    EXPECT_FALSE(p.payload_pending()) << accessor;
+  };
+  check("data()", [](Packet& p) { return std::span<const std::uint8_t>{p.data()}; }, 0);
+  check("data() const", [](const Packet& p) { return p.data(); }, 0);
+  check("payload()", [](Packet& p) { return std::span<const std::uint8_t>{p.payload()}; }, 42);
+  check("payload() const", [](const Packet& p) { return p.payload(); }, 42);
+  check("l4()", [](Packet& p) { return std::span<const std::uint8_t>{p.l4()}; }, 34);
+  check("l4() const", [](const Packet& p) { return p.l4(); }, 34);
+  check("l3()", [](Packet& p) { return std::span<const std::uint8_t>{p.l3()}; }, 14);
+  check("l3() const", [](const Packet& p) { return p.l3(); }, 14);
+}
+
+TEST_P(LazyPayload, HeaderPathsDoNotFillAndReadTheSameBeforeAndAfter) {
+  Packet p = built();
+  const auto ip_before = p.ipv4();
+  const auto tuple_before = p.five_tuple();
+  EXPECT_TRUE(p.payload_pending());
+  ASSERT_TRUE(ip_before.has_value());
+  ASSERT_TRUE(tuple_before.has_value());
+  EXPECT_EQ(*tuple_before, sample_tuple(std::get<1>(GetParam())));
+
+  (void)p.data();
+  const auto ip_after = p.ipv4();
+  ASSERT_TRUE(ip_after.has_value());
+  EXPECT_EQ(ip_after->src, ip_before->src);
+  EXPECT_EQ(ip_after->dst, ip_before->dst);
+  EXPECT_EQ(ip_after->protocol, ip_before->protocol);
+  EXPECT_EQ(ip_after->total_length, ip_before->total_length);
+  EXPECT_EQ(ip_after->ttl, ip_before->ttl);
+  EXPECT_EQ(ip_after->checksum, ip_before->checksum);
+  EXPECT_EQ(p.five_tuple(), tuple_before);
+}
+
+TEST_P(LazyPayload, RewritesOnAPendingPacketMatchRewritesAfterTheFill) {
+  Packet lazy = built();
+  lazy.rewrite_ipv4_addrs(0x01020304, 0x05060708);
+  lazy.rewrite_ports(1111, 2222);
+  EXPECT_TRUE(lazy.payload_pending());
+
+  Packet eager = built();
+  (void)eager.data();
+  eager.rewrite_ipv4_addrs(0x01020304, 0x05060708);
+  eager.rewrite_ports(1111, 2222);
+  EXPECT_TRUE(same_bytes(lazy.data(), eager.data()));
+}
+
+TEST_P(LazyPayload, CopyOfAPendingPacketFillsToTheSameBytes) {
+  const Packet original = built();
+  Packet copy = original;  // NOLINT(performance-unnecessary-copy-initialization) — the copy is under test
+  EXPECT_TRUE(copy.payload_pending());
+  const auto want = reference();
+  EXPECT_TRUE(same_bytes(copy.data(), want));
+  EXPECT_TRUE(original.payload_pending());  // filling the copy leaves the original alone
+  EXPECT_TRUE(same_bytes(original.data(), want));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgeSizes, LazyPayload,
+    ::testing::Combine(::testing::Values(64, 65, 512, 1500),
+                       ::testing::Values(IpProto::kUdp, IpProto::kTcp)));
+
+TEST(LazyPayloadPool, RecycledBufferNeverShowsThePreviousOccupant) {
+  constexpr std::uint8_t kSentinel = 0xAB;
+  PacketPool pool{1, 1};
+  {
+    auto p = pool.acquire(1500);
+    ASSERT_TRUE(p);
+    std::fill(p->data().begin(), p->data().end(), kSentinel);
+  }
+  auto p = pool.acquire(512);
+  ASSERT_TRUE(p);
+  PacketBuilder{}.size(512).flow(sample_tuple()).payload_seed(99).build_into(*p);
+  const Packet& view = *p;
+  const auto got = view.data();  // the first read goes through a const accessor
+  const auto want = eager_reference(512, sample_tuple(), 99);
+  EXPECT_TRUE(same_bytes(got, want));
+  // A stale byte would show up as a sentinel the stream does not contain.
+  EXPECT_EQ(std::count(got.begin(), got.end(), kSentinel),
+            std::count(want.begin(), want.end(), kSentinel));
+}
+
+TEST(LazyPayloadPool, ResetsClearThePendingPayload) {
+  Packet p;
+  PacketBuilder{}.size(256).flow(sample_tuple()).payload_seed(5).build_into(p);
+  p.reset_headers(256);
+  EXPECT_FALSE(p.payload_pending());
+  PacketBuilder{}.size(256).flow(sample_tuple()).payload_seed(5).build_into(p);
+  p.reset(256);
+  EXPECT_FALSE(p.payload_pending());
+  EXPECT_TRUE(std::all_of(p.data().begin(), p.data().end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(LazyPayloadNf, HeaderOnlyNfsNeverFillAndDpiDoes) {
+  for (const auto type : {NfType::kFirewall, NfType::kMonitor, NfType::kLogger,
+                          NfType::kLoadBalancer, NfType::kNat, NfType::kRateLimiter}) {
+    auto nf = make_network_function(type, "nf");
+    Packet p;
+    PacketBuilder{}.size(1500).flow(sample_tuple(IpProto::kTcp)).build_into(p);
+    (void)nf->handle(p, SimTime::zero());
+    EXPECT_TRUE(p.payload_pending()) << to_string(type);
+  }
+  Dpi dpi{"dpi", DpiAction::kAlert};
+  dpi.add_signature("NEEDLE");
+  Packet p;
+  PacketBuilder{}.size(1500).flow(sample_tuple(IpProto::kTcp)).build_into(p);
+  (void)dpi.handle(p, SimTime::zero());
+  EXPECT_FALSE(p.payload_pending());
 }
 
 // Builder validity across the paper's full size sweep and both L4 protocols.

@@ -64,8 +64,8 @@ TEST(SimulationKernel, PeriodicCallbackKeepsStateAcrossFirings) {
 }
 
 TEST(SimulationKernel, PoolIsSharedAndLeakChecked) {
-  SimulationKernel kernel{8};
-  EXPECT_EQ(kernel.pool().capacity(), 8u);
+  SimulationKernel kernel;
+  EXPECT_EQ(kernel.pool().capacity(), SimulationKernel::kPoolPrealloc);
   auto p = kernel.pool().acquire(128);
   EXPECT_TRUE(p);
   EXPECT_EQ(kernel.pool().in_use(), 1u);
