@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs the static-analysis gate: pam_lint (architecture, determinism and
-# packet-path rules A001..A003/D001..D006/P003/X001,
+# Runs the static-analysis gate: pam_lint (architecture and determinism
+# rules A001..A003/D001..D006/X001,
 # docs/STATIC_ANALYSIS.md) followed by clang-tidy over the curated check
 # set in .clang-tidy, which alone owns the copy checks.  This is exactly
 # what the `lint` CI job runs.

@@ -55,13 +55,6 @@ const std::vector<RuleInfo> kRules = {
      "std::thread/mutex/atomic/... outside the kernel's shard-execution "
      "unit (src/sim/epoch_executor.*) forks concurrency that the epoch "
      "barrier cannot order; parallel work must flow through EpochExecutor"},
-    {"P003", "std-function-on-packet-path",
-     "std::function in the per-packet processing layers (src/packet, "
-     "src/nf, src/device) type-erases through an indirect call and may "
-     "heap-allocate per capture; use a template parameter or a plain "
-     "function pointer (src/sim is exempt: its EventQueue::Action erases "
-     "control-plane and periodic tasks only, while per-packet hops are "
-     "plain EventRecords)"},
     {"X001", "allow-hygiene",
      "pam-lint: allow(...) escape hatches need a known rule id and a "
      "reason, and must match a finding (stale allows are reported)"},
@@ -211,33 +204,13 @@ const std::string& snippet_line(const FileCtx& f, std::size_t line_1based) {
              : kEmpty;
 }
 
-/// P003 over one file: any std::function on the scoped hot paths.
-void scan_p003(const std::string& file, const FileCtx& f,
-               std::vector<Violation>& v) {
-  const std::string& text = f.joined.text;
-  for (const std::size_t col : find_word(text, "function")) {
-    if (!std_qualified(text, col)) {
-      continue;
-    }
-    const std::size_t ln = f.joined.line_of(col);
-    add_violation(v, "P003", file, ln, col - f.joined.line_start[ln - 1],
-                  snippet_line(f, ln),
-                  "std::function type-erases through an indirect call and "
-                  "may heap-allocate per capture on a per-packet path; use "
-                  "a template parameter or a function pointer");
-  }
-}
-
-/// All per-file findings (D001..D006, P003) before suppression filtering.
+/// All per-file findings (D001..D006) before suppression filtering.
 std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
                                  const ContainerRegistry& reg) {
   std::vector<Violation> v;
   const bool benchreport = starts_with(file, "src/benchreport/");
   const bool alloc_hot_path =
       starts_with(file, "src/packet/") || starts_with(file, "src/sim/");
-  const bool packet_path = starts_with(file, "src/packet/") ||
-                           starts_with(file, "src/nf/") ||
-                           starts_with(file, "src/device/");
   const bool shard_executor = starts_with(file, "src/sim/epoch_executor.");
 
   const std::vector<SourceLine>& lines = f.lines;
@@ -412,14 +385,6 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
     }
   }
 
-  // P003 — only in the per-packet processing layers.  src/sim is out of
-  // scope: the event queue's Action *is* a std::function, the kernel's
-  // sanctioned type-erasure boundary for control-plane and periodic tasks
-  // (mirrored by .clang-tidy's AllowedTypes); per-packet hops there are
-  // EventRecords.
-  if (packet_path) {
-    scan_p003(file, f, v);
-  }
   return v;
 }
 

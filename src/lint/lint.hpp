@@ -12,10 +12,11 @@
 //               (src/lint/include_graph.hpp is the machine-readable single
 //               source of truth), include cycles, unused includes.
 //   D001..D006  determinism & race-safety — per-file token scans.
-//   P003        no std::function in the per-packet layers (src/packet,
-//               src/nf, src/device).  Copy checks are clang-tidy's
-//               (performance-unnecessary-value-param, -for-range-copy).
 //   X001        suppression hygiene.
+//
+// Copy checks are clang-tidy's (performance-unnecessary-value-param,
+// -for-range-copy); the per-packet allocation cost is gated by
+// tests/test_steady_state_allocs.cpp.
 //
 // Scanning is token-based ("AST-lite", src/lint/source_view.hpp): block
 // comments, line comments and string/char literals are blanked before
@@ -40,12 +41,12 @@ namespace pam::lint {
 
 /// One rule of the catalogue (docs/STATIC_ANALYSIS.md has the rationale).
 struct RuleInfo {
-  std::string id;           ///< "A001".."A003", "D001".."D006", "P003", "X001"
+  std::string id;           ///< "A001".."A003", "D001".."D006", "X001"
   std::string name;         ///< kebab-case short name
   std::string description;  ///< one-line summary
 };
 
-/// The rule catalogue, in id order (A*, D*, P*, X*).
+/// The rule catalogue, in id order (A*, D*, X*).
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
 /// One finding: `rule` violated at `file:line:column`.

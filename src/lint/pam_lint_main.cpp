@@ -35,9 +35,9 @@ void usage(std::FILE* out) {
   std::fputs(
       "usage: pam_lint [graph|metrics] [options] [path...]\n"
       "\n"
-      "Lints PAM sources for determinism, layering and packet-path\n"
-      "type-erasure hazards (rules A001..A003, D001..D006, P003, X001;\n"
-      "docs/STATIC_ANALYSIS.md).  Copy checks live in clang-tidy.\n"
+      "Lints PAM sources for determinism and layering hazards\n"
+      "(rules A001..A003, D001..D006, X001; docs/STATIC_ANALYSIS.md).\n"
+      "Copy checks live in clang-tidy.\n"
       "\n"
       "subcommands:\n"
       "  (none)                 run the lint gate\n"

@@ -362,8 +362,8 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
     return;
   }
   if (remote_[idx]) {
-    // The node is leased to another rack: the packet leaves this shard as
-    // a serialized FabricFrame and comes back through resume_from_remote.
+    // The node is leased to another rack: the packet leaves this shard in
+    // a FabricFrame and comes back through resume_from_remote.
     send_to_fabric(p, idx);
     return;
   }
@@ -383,41 +383,31 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
 }
 
 void ChainSimulator::send_to_fabric(Packet* p, std::size_t idx) {
-  assert(fabric_egress_ && "remote node without a fabric send hook");
+  assert(egress_sink_ != nullptr && "remote node without a fabric egress");
   ++cross_rack_hops_;
-  fabric_egress_(*p, idx);
-  // The packet stays logically in flight (in_flight_ unchanged) while its
-  // serialized form crosses the fabric; only the buffer goes back to the
-  // pool, to be recycled by home traffic in the meantime.
-  pool().release(p);
+  // The packet stays in flight (in_flight_ unchanged) until it comes back.
+  EventRecord egress;
+  egress.sink = egress_sink_;
+  egress.kind = egress_kind_;
+  egress.b = egress_tag_;
+  egress.pkt = p;
+  egress.node = static_cast<std::uint32_t>(idx);
+  egress.sink->on_event(egress);
 }
 
-void ChainSimulator::resume_from_remote(std::size_t i, const RemoteReturn& ret) {
-  if (!ret.passed) {
-    assert(in_flight_ > 0);
-    --in_flight_;
-    if (ret.drop == 1) {
-      ++dropped_queue_nic_;
-    } else {
-      ++dropped_by_nf_;
-    }
-    return;
+void ChainSimulator::resume_from_remote(std::size_t i, Packet* p,
+                                        FabricFrame::Outcome outcome) {
+  switch (outcome) {
+    case FabricFrame::Outcome::kPassed:
+      advance(p, i + 1, Hop{home_.server, Location::kSmartNic});
+      return;
+    case FabricFrame::Outcome::kDroppedNic:
+      drop(p, dropped_queue_nic_);
+      return;
+    case FabricFrame::Outcome::kDroppedNf:
+      drop(p, dropped_by_nf_);
+      return;
   }
-  auto handle = pool().acquire(ret.bytes.size());
-  if (!handle) {
-    // Home pool exhausted at re-entry: the returning frame has nowhere to
-    // land, which on hardware is a NIC-side loss.
-    assert(in_flight_ > 0);
-    --in_flight_;
-    ++dropped_queue_nic_;
-    return;
-  }
-  Packet* p = handle.release();
-  std::copy(ret.bytes.begin(), ret.bytes.end(), p->data().begin());
-  p->set_id(ret.packet_id);
-  p->set_ingress_time(ret.ingress_time);
-  p->restore_path_counters(ret.pcie_crossings, ret.hops);
-  advance(p, i + 1, Hop{home_.server, Location::kSmartNic});
 }
 
 void ChainSimulator::forward_to_server(Packet* p, std::size_t to_server,

@@ -56,6 +56,7 @@
 #include "packet/packet_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fcfs_server.hpp"
+#include "sim/shard_fabric.hpp"
 #include "sim/sim_report.hpp"
 #include "sim/simulation_kernel.hpp"
 #include "trafficgen/traffic_source_config.hpp"
@@ -176,31 +177,20 @@ class ChainSimulator final : public EventSink {
   //
   // A DatacenterOrchestrator can lease one of this chain's nodes to a slot
   // on another rack (a different kernel shard).  The home simulator then
-  // serializes packets reaching that node onto the shard fabric instead of
-  // processing them locally; the fabric hands the visit's outcome back via
-  // resume_from_remote.  In flight across the fabric, a packet exists only
-  // as its serialized form — the home Packet object returns to the pool and
-  // a fresh one is materialized on return — but it stays counted in
-  // in_flight_ throughout, so conservation is exact.
+  // hands packets reaching that node to the fabric egress instead of
+  // processing them locally, and the fabric hands each one back, with the
+  // visit's outcome, via resume_from_remote.  The packet itself crosses:
+  // it stays owned by this chain's pool and counted in in_flight_
+  // throughout, so conservation is exact, and a payload still pending when
+  // it leaves is filled only if something reads it.
 
-  /// Outcome of one remote visit, as reported back by the fabric.
-  struct RemoteReturn {
-    bool passed = false;
-    /// 1 = drop-tail at the host SmartNIC, 2 = policy drop by the leased NF
-    /// (meaningful only when !passed; mirrors FabricFrame::Outcome).
-    int drop = 0;
-    std::span<const std::uint8_t> bytes;  ///< the frame after the remote NF ran
-    std::uint64_t packet_id = 0;
-    SimTime ingress_time;
-    std::uint32_t pcie_crossings = 0;
-    std::uint32_t hops = 0;
-  };
-
-  /// Installs the fabric send hook: every packet reaching a remote node is
-  /// handed to `fn` (which serializes it into the shard mailbox) and its
-  /// home buffer returns to the pool.
-  void set_fabric_egress(std::function<void(const Packet&, std::size_t)> fn) {
-    fabric_egress_ = std::move(fn);
+  /// Installs the fabric egress: every packet reaching a remote node is
+  /// handed to `sink` as the record {kind, pkt, node = its position,
+  /// b = tag}, called at once.
+  void set_fabric_egress(EventSink* sink, std::uint32_t kind, std::uint64_t tag) {
+    egress_sink_ = sink;
+    egress_kind_ = kind;
+    egress_tag_ = tag;
   }
 
   /// Marks node i as leased to another rack.  Takes effect for packets not
@@ -217,9 +207,10 @@ class ChainSimulator final : public EventSink {
     return std::move(nfs_.at(i));
   }
 
-  /// Re-materializes a packet returning from its remote visit and advances
-  /// it past node i; remote drops are charged to home counters.
-  void resume_from_remote(std::size_t i, const RemoteReturn& ret);
+  /// Takes back a packet returning from its remote visit to node i: a
+  /// passed packet advances past node i; a dropped one is charged to home
+  /// counters and released into the home pool.
+  void resume_from_remote(std::size_t i, Packet* p, FabricFrame::Outcome outcome);
 
   /// Packets sent over the cross-rack fabric by this chain.
   [[nodiscard]] std::uint64_t cross_rack_hops() const noexcept {
@@ -290,7 +281,9 @@ class ChainSimulator final : public EventSink {
   std::vector<std::unique_ptr<NetworkFunction>> nfs_;
   std::vector<bool> paused_;
   std::vector<bool> remote_;  ///< node leased to another rack (datacenter mode)
-  std::function<void(const Packet&, std::size_t)> fabric_egress_;
+  EventSink* egress_sink_ = nullptr;  ///< fabric egress (set_fabric_egress)
+  std::uint32_t egress_kind_ = 0;
+  std::uint64_t egress_tag_ = 0;
   std::vector<std::vector<Parked>> buffers_;
 
   struct NodeStats {

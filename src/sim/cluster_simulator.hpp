@@ -65,7 +65,7 @@ struct ClusterReport {
   std::uint64_t in_flight_at_end = 0;
   std::uint64_t pcie_crossings = 0;
   std::uint64_t inter_server_hops = 0;
-  /// Packets serialized over the cross-rack fabric (datacenter mode; 0 for
+  /// Packets sent over the cross-rack fabric (datacenter mode; 0 for
   /// a single-rack run).
   std::uint64_t cross_rack_hops = 0;
 

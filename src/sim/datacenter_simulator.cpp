@@ -15,11 +15,19 @@ namespace {
 // random stream.
 constexpr std::uint64_t kLeaseSeedBase = 0x9d47ac3a5e1ea5e5ull;
 
-/// Lease-path events.  Payload: pkt, node, a = host rack, b = global chain;
-/// kLeaseNfDone also c = submit time in ns.
+/// Lease-path events.  Payload: pkt, node = the leased node, b = global
+/// chain, and
+///   kFabricEgress  (none) — the home chain hands the packet over
+///   kVisitArrive   a = host rack
+///   kLeaseNfDone   a = host rack, c = submit time in ns
+///   kLeaseReturn   a = host rack — the nf_overhead delay elapsed
+///   kReturnArrive  a = home rack, c = FabricFrame::Outcome
 enum Kind : std::uint32_t {
+  kFabricEgress,
+  kVisitArrive,
   kLeaseNfDone,
   kLeaseReturn,
+  kReturnArrive,
 };
 }  // namespace
 
@@ -49,10 +57,7 @@ std::size_t DatacenterSimulator::add_chain(ServiceChain chain,
   const std::size_t global_c = chain_map_.size();
   chain_map_.push_back(ChainRef{r, local});
   chain_home_.push_back(home);
-  racks_[r]->chain_sim(local).set_fabric_egress(
-      [this, global_c, r](const Packet& p, std::size_t node) {
-        send_visit(r, global_c, node, p);
-      });
+  racks_[r]->chain_sim(local).set_fabric_egress(this, kFabricEgress, global_c);
   return global_c;
 }
 
@@ -114,89 +119,57 @@ bool DatacenterSimulator::commit_lease(std::size_t c, std::size_t node,
   return true;
 }
 
-void DatacenterSimulator::send_visit(std::size_t src_rack, std::size_t c,
-                                     std::size_t node, const Packet& p) {
-  Lease* lease = find_lease(c, node);
+void DatacenterSimulator::send_visit(std::size_t c, std::size_t node, Packet* p) {
+  const Lease* lease = find_lease(c, node);
   assert(lease != nullptr && "remote node without a lease");
-  FabricFrame frame = fabric_.acquire(src_rack);
+  const std::size_t home = home_rack_of(c);
+  FabricFrame frame;
   frame.kind = FabricFrame::Kind::kVisit;
-  frame.outcome = FabricFrame::Outcome::kPassed;
   frame.chain = c;
   frame.node = node;
-  frame.sent_at = racks_[src_rack]->kernel().now();
-  frame.bytes.assign(p.data().begin(), p.data().end());
-  frame.packet_id = p.id();
-  frame.ingress_time = p.ingress_time();
-  frame.pcie_crossings = p.pcie_crossings();
-  frame.hops = p.hops();
-  fabric_.send(src_rack, lease->host_rack, std::move(frame));
+  frame.sent_at = racks_[home]->kernel().now();
+  frame.packet = p;
+  fabric_.send(home, lease->host_rack, std::move(frame));
 }
 
-void DatacenterSimulator::deliver_frame(std::size_t dst, FabricFrame&& frame) {
+void DatacenterSimulator::deliver_frame(std::size_t dst, const FabricFrame& frame) {
   // Lookahead: sent_at lies inside the epoch that just ended, so the
   // arrival is always at or after the barrier the destination sits at.
-  const SimTime at = frame.sent_at + options_.cross_rack_latency;
-  const bool visit = frame.kind == FabricFrame::Kind::kVisit;
-  SimulationKernel& kernel = racks_[dst]->kernel();
-  if (visit) {
-    kernel.schedule_at(at, [this, dst, f = std::move(frame)]() mutable {
-      host_visit(dst, std::move(f));
-    });
-  } else {
-    kernel.schedule_at(at, [this, dst, f = std::move(frame)]() mutable {
-      home_return(dst, std::move(f));
-    });
-  }
+  EventRecord arrive;
+  arrive.sink = this;
+  arrive.kind =
+      frame.kind == FabricFrame::Kind::kVisit ? kVisitArrive : kReturnArrive;
+  arrive.pkt = frame.packet;
+  arrive.node = static_cast<std::uint32_t>(frame.node);
+  arrive.a = dst;
+  arrive.b = frame.chain;
+  arrive.c = static_cast<std::uint64_t>(frame.outcome);
+  racks_[dst]->kernel().queue().schedule_at(
+      frame.sent_at + options_.cross_rack_latency, arrive);
 }
 
 void DatacenterSimulator::send_return(std::size_t host, std::size_t c,
                                       std::size_t node,
-                                      FabricFrame::Outcome outcome,
-                                      const Packet& p) {
-  FabricFrame frame = fabric_.acquire(host);
+                                      FabricFrame::Outcome outcome, Packet* p) {
+  FabricFrame frame;
   frame.kind = FabricFrame::Kind::kReturn;
   frame.outcome = outcome;
   frame.chain = c;
   frame.node = node;
   frame.sent_at = racks_[host]->kernel().now();
-  frame.packet_id = p.id();
-  frame.ingress_time = p.ingress_time();
-  frame.pcie_crossings = p.pcie_crossings();
-  frame.hops = p.hops();
-  frame.bytes.clear();
-  if (outcome == FabricFrame::Outcome::kPassed) {
-    frame.bytes.assign(p.data().begin(), p.data().end());
-  }
+  frame.packet = p;
   fabric_.send(host, home_rack_of(c), std::move(frame));
 }
 
-void DatacenterSimulator::host_visit(std::size_t host, FabricFrame frame) {
+void DatacenterSimulator::host_visit(std::size_t host, std::size_t c,
+                                     std::size_t node, Packet* p) {
   // Runs on the host shard's thread, mid-epoch.  Everything it touches —
-  // the host rack's pool/devices/kernel, the lease, the host's own mailbox
-  // row — is owned by this shard for the epoch.
-  Lease* lease = find_lease(frame.chain, frame.node);
+  // the packet, the host rack's devices/kernel, the lease, the host's own
+  // mailbox row — is owned by this shard for the epoch.  The packet never
+  // enters the host's pool: every outcome, drops included, goes home.
+  const Lease* lease = find_lease(c, node);
   assert(lease != nullptr && lease->host_rack == host);
   ClusterSimulator& rack = *racks_[host];
-  SimulationKernel& kernel = rack.kernel();
-
-  auto handle = kernel.pool().acquire(frame.bytes.size());
-  if (!handle) {
-    // Host pool exhausted: the visit is refused at the host NIC.
-    frame.kind = FabricFrame::Kind::kReturn;
-    frame.outcome = FabricFrame::Outcome::kDroppedNic;
-    frame.sent_at = kernel.now();
-    frame.bytes.clear();
-    fabric_.send(host, home_rack_of(frame.chain), std::move(frame));
-    return;
-  }
-  Packet* p = handle.release();
-  std::copy(frame.bytes.begin(), frame.bytes.end(), p->data().begin());
-  p->set_id(frame.packet_id);
-  p->set_ingress_time(frame.ingress_time);
-  p->restore_path_counters(frame.pcie_crossings, frame.hops);
-  const std::size_t c = frame.chain;
-  const std::size_t node = frame.node;
-  fabric_.release(host, std::move(frame));  // inbound storage recycled
 
   // Leased NFs always execute on the host SmartNIC: same occupancy rule as
   // ChainSimulator::process_node, against the host slot's shared NIC.
@@ -212,23 +185,38 @@ void DatacenterSimulator::host_visit(std::size_t host, FabricFrame frame) {
   done.node = static_cast<std::uint32_t>(node);
   done.a = host;
   done.b = c;
-  done.c = static_cast<std::uint64_t>(kernel.now().ns());
+  done.c = static_cast<std::uint64_t>(rack.kernel().now().ns());
   if (!nic.submit(service, done)) {
-    send_return(host, c, node, FabricFrame::Outcome::kDroppedNic, *p);
-    kernel.pool().release(p);
+    send_return(host, c, node, FabricFrame::Outcome::kDroppedNic, p);
   }
 }
 
 void DatacenterSimulator::on_event(const EventRecord& ev) {
-  const std::size_t host = ev.a;
   const std::size_t c = ev.b;
-  if (ev.kind == kLeaseNfDone) {
-    lease_nf_done(host, c, ev.node, ev.pkt,
-                  SimTime::nanoseconds(static_cast<std::int64_t>(ev.c)));
-    return;
+  switch (ev.kind) {
+    case kFabricEgress:
+      send_visit(c, ev.node, ev.pkt);
+      return;
+    case kVisitArrive:
+      host_visit(ev.a, c, ev.node, ev.pkt);
+      return;
+    case kLeaseNfDone:
+      lease_nf_done(ev.a, c, ev.node, ev.pkt,
+                    SimTime::nanoseconds(static_cast<std::int64_t>(ev.c)));
+      return;
+    case kLeaseReturn:
+      send_return(ev.a, c, ev.node, FabricFrame::Outcome::kPassed, ev.pkt);
+      return;
+    case kReturnArrive: {
+      const ChainRef& ref = chain_map_[c];
+      assert(ref.rack == ev.a);
+      racks_[ref.rack]->chain_sim(ref.local).resume_from_remote(
+          ev.node, ev.pkt, static_cast<FabricFrame::Outcome>(ev.c));
+      return;
+    }
+    default:
+      assert(false && "unknown lease-path event");
   }
-  send_return(host, c, ev.node, FabricFrame::Outcome::kPassed, *ev.pkt);
-  racks_[host]->kernel().pool().release(ev.pkt);
 }
 
 void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
@@ -248,8 +236,7 @@ void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
     nf_drop = true;
   }
   if (nf_drop) {
-    send_return(host, c, node, FabricFrame::Outcome::kDroppedNf, *p);
-    kernel.pool().release(p);
+    send_return(host, c, node, FabricFrame::Outcome::kDroppedNf, p);
     return;
   }
   // NF software overhead, then back over the fabric (parity with the
@@ -265,26 +252,10 @@ void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
       racks_[host]->calibration().nf_overhead(Location::kSmartNic), back);
 }
 
-void DatacenterSimulator::home_return(std::size_t home, FabricFrame frame) {
-  const ChainRef& ref = chain_map_.at(frame.chain);
-  assert(ref.rack == home);
-  ChainSimulator& sim = racks_[home]->chain_sim(ref.local);
-  ChainSimulator::RemoteReturn ret;
-  ret.passed = frame.outcome == FabricFrame::Outcome::kPassed;
-  ret.drop = frame.outcome == FabricFrame::Outcome::kDroppedNic ? 1 : 2;
-  ret.bytes = frame.bytes;
-  ret.packet_id = frame.packet_id;
-  ret.ingress_time = frame.ingress_time;
-  ret.pcie_crossings = frame.pcie_crossings;
-  ret.hops = frame.hops;
-  sim.resume_from_remote(frame.node, ret);
-  fabric_.release(home, std::move(frame));
-}
-
 void DatacenterSimulator::exchange() {
-  fabric_.exchange([this](std::size_t src, std::size_t dst, FabricFrame&& frame) {
-    (void)src;  // mailbox order already encodes (dst, src, seq)
-    deliver_frame(dst, std::move(frame));
+  // Mailbox order already encodes (dst, src, seq).
+  fabric_.exchange([this](std::size_t, std::size_t dst, const FabricFrame& frame) {
+    deliver_frame(dst, frame);
   });
 }
 
@@ -295,6 +266,18 @@ DatacenterReport DatacenterSimulator::run(SimTime duration, SimTime warmup,
   for (auto& rack : racks_) {
     rack->kernel().arm(duration, warmup);
     rack->begin();
+  }
+
+  if (racks_.size() == 1 && !barrier_hook_ && !drain_gate_) {
+    // Nothing can happen at a barrier, so quantum slicing would change
+    // nothing: run as SimulationKernel::run does.
+    SimulationKernel& kernel = racks_[0]->kernel();
+    kernel.advance_until(duration);
+    ++epochs_;
+    kernel.begin_drain();
+    while (kernel.queue().run_one()) {
+    }
+    return assemble(duration);
   }
 
   EpochExecutor executor(std::max<std::size_t>(threads, 1), racks_.size());

@@ -6,14 +6,14 @@
 // EventQueue, PacketPool, ServerDevices and embedded ChainSimulators — and
 // the only coupling between racks is the cross-rack fabric, whose one-way
 // latency is the epoch quantum.  That latency is the lookahead guarantee:
-// a packet serialized onto the fabric during epoch k cannot arrive before
-// the barrier that ends epoch k, so every shard can run a full epoch
-// without observing any other shard.
+// a packet sent onto the fabric during epoch k cannot arrive before the
+// barrier that ends epoch k, so every shard can run a full epoch without
+// observing any other shard.
 //
 // One rack is how every `[cluster] shards = 1` scenario runs: a lease must
-// cross racks, so no frame ever enters the fabric and the epochs only cut
-// one kernel's run at quantum boundaries, which leaves its event order
-// unchanged.
+// cross racks, so no frame ever enters the fabric.  Without a barrier hook
+// such a run is one epoch to the horizon and then a dry run of the queue,
+// exactly SimulationKernel::run.
 //
 // The epoch loop:
 //
@@ -35,10 +35,11 @@
 // Cross-rack placement is lease-based: a chain node moved to another rack
 // (ControlEvent kind `cross_rack_move`) keeps its home-chain identity, but
 // its functional NF instance travels to the host rack, where each visit
-// occupies the host slot's SmartNIC like any resident NF.  Packets reach
-// it as FabricFrames and return the same way, so in steady state the shard
-// boundary costs serialization into recycled arena storage, never a heap
-// allocation per packet.
+// occupies the host slot's SmartNIC like any resident NF.  The packet
+// itself reaches it in a FabricFrame and returns the same way, owned by its
+// home rack's pool throughout: the shard boundary copies no bytes, forces
+// no payload fill and allocates nothing per packet.  Every hop of the
+// crossing is a typed EventRecord whose sink is this simulator.
 
 #pragma once
 
@@ -214,18 +215,17 @@ class DatacenterSimulator final : public EventSink {
 
   [[nodiscard]] Lease* find_lease(std::size_t c, std::size_t node);
 
-  void send_visit(std::size_t src_rack, std::size_t c, std::size_t node,
-                  const Packet& p);
-  void deliver_frame(std::size_t dst, FabricFrame&& frame);
-  void host_visit(std::size_t host, FabricFrame frame);
-  /// The lease path's typed events: a leased NF's visit finished on the
-  /// host NIC, and the visit's nf_overhead delay elapsed.
+  void send_visit(std::size_t c, std::size_t node, Packet* p);
+  void deliver_frame(std::size_t dst, const FabricFrame& frame);
+  void host_visit(std::size_t host, std::size_t c, std::size_t node, Packet* p);
+  /// The lease path's typed events (see Kind in the .cpp): a packet leaves
+  /// its home chain, arrives at the host, finishes its visit on the host
+  /// NIC, clears the visit's nf_overhead delay and arrives back home.
   void on_event(const EventRecord& ev) override;
   void lease_nf_done(std::size_t host, std::size_t c, std::size_t node, Packet* p,
                      SimTime submitted_at);
   void send_return(std::size_t host, std::size_t c, std::size_t node,
-                   FabricFrame::Outcome outcome, const Packet& p);
-  void home_return(std::size_t home, FabricFrame frame);
+                   FabricFrame::Outcome outcome, Packet* p);
   void exchange();
 
   [[nodiscard]] DatacenterReport assemble(SimTime duration);

@@ -57,11 +57,9 @@ class EventSink {
 class EventQueue {
  public:
   /// Erased callable for control-plane, periodic and test events.  The
-  /// per-packet datapath schedules EventRecords instead, so lint rule P003
-  /// (no std::function on the packet path) can exempt src/sim — and
-  /// .clang-tidy's AllowedTypes mirrors it.  Per-packet code in
-  /// packet/nf/device must still take concrete callables or interfaces,
-  /// never std::function.
+  /// per-packet datapath, cross-rack hops included, schedules EventRecords
+  /// instead; tests/test_steady_state_allocs.cpp checks that it allocates
+  /// nothing per packet.
   using Action = std::function<void()>;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }

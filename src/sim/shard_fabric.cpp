@@ -55,25 +55,6 @@ void ShardFabric::release(std::size_t shard, FabricFrame frame) {
   arenas_[shard].push_back(std::move(frame));
 }
 
-void ShardFabric::exchange(
-    const std::function<void(std::size_t, std::size_t, FabricFrame&&)>& deliver) {
-  for (std::size_t dst = 0; dst < shards_; ++dst) {
-    for (std::size_t src = 0; src < shards_; ++src) {
-      Mailbox& mb = box(src, dst);
-      if (mb.frames.empty()) {
-        continue;
-      }
-      // Frames are already in seq order (appended under the sender's own
-      // sequence counter); draining in push order realises (src, seq).
-      for (FabricFrame& frame : mb.frames) {
-        ++frames_exchanged_;
-        deliver(src, dst, std::move(frame));
-      }
-      mb.frames.clear();  // capacity retained
-    }
-  }
-}
-
 bool ShardFabric::idle() const noexcept {
   for (const Mailbox& mb : boxes_) {
     if (!mb.frames.empty()) {

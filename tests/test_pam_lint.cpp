@@ -1,5 +1,5 @@
-// Unit tests for pam_lint (src/lint/): every rule A001..A003, D001..D006,
-// P003 is exercised by a fixture that violates it exactly once, and the
+// Unit tests for pam_lint (src/lint/): every rule A001..A003, D001..D006
+// is exercised by a fixture that violates it exactly once, and the
 // allow() escape hatch is proven to suppress, inventory, and go stale
 // correctly (X001) in both the comment-line and trailing same-line forms.
 //
@@ -7,8 +7,7 @@
 // point; cross-TU fixtures (include graph, cycles, unused includes) go
 // through lint_sources().  The rel_path argument matters: rule scoping
 // (the benchreport/ steady-clock allowlist, the packet/sim hot-path scope
-// of D005, the packet-layer scope of P003, the layer DAG of A001) keys
-// off it.
+// of D005, the layer DAG of A001) keys off it.
 
 #include <algorithm>
 #include <map>
@@ -30,9 +29,9 @@ namespace {
 
 TEST(PamLintRules, CatalogueListsAllRulesInOrder) {
   const auto& catalogue = rules();
-  ASSERT_EQ(catalogue.size(), 11u);
+  ASSERT_EQ(catalogue.size(), 10u);
   const char* expected[] = {"A001", "A002", "A003", "D001", "D002", "D003",
-                            "D004", "D005", "D006", "P003", "X001"};
+                            "D004", "D005", "D006", "X001"};
   for (std::size_t i = 0; i < catalogue.size(); ++i) {
     EXPECT_EQ(catalogue[i].id, expected[i]);
   }
@@ -418,9 +417,10 @@ TEST(PamLintSuppression, StaleAllowFailsTheGate) {
 }
 
 TEST(PamLintSuppression, UnknownRuleIsX001) {
-  // P001/P002 are not rule ids (clang-tidy owns the copy checks): an
-  // allow naming them must fail loudly, not pass as a stale suppression.
-  for (const std::string id : {"D999", "P001", "P002"}) {
+  // P001..P003 are not rule ids (clang-tidy owns the copy checks, the
+  // steady-state allocation test the per-packet closures): an allow naming
+  // them must fail loudly, not pass as a stale suppression.
+  for (const std::string id : {"D999", "P001", "P002", "P003"}) {
     const std::string src =
         "// pam-lint: allow(" + id + ") there is no such rule\n"
         "int five() { return 5; }\n";
@@ -603,41 +603,6 @@ TEST(PamLintA003, TargetOutsideScannedSetSkipped) {
       "#include \"common/rng.hpp\"\n"
       "int local_only() { return 5; }\n";
   const LintReport report = lint_source("src/chain/fixture_noinfo.cpp", src);
-  EXPECT_TRUE(report.clean()) << report.violations.size();
-}
-
-// --- P003: std::function on packet paths -------------------------------------
-
-TEST(PamLintP003, StdFunctionOnPacketLayerFlaggedExactlyOnce) {
-  const std::string src =
-      "#include <functional>\n"
-      "struct Hook { std::function<void()> on_drop; };\n";
-  for (const std::string dir : {"src/packet/", "src/nf/", "src/device/"}) {
-    const LintReport report = lint_source(dir + "fixture_p003.hpp", src);
-    ASSERT_EQ(report.violations.size(), 1u) << dir;
-    EXPECT_EQ(report.violations[0].rule, "P003") << dir;
-    EXPECT_EQ(report.violations[0].line, 2u) << dir;
-  }
-}
-
-TEST(PamLintP003, SimEventQueueBoundaryIsSanctioned) {
-  // In src/sim the event queue's Action IS a std::function — the kernel's
-  // one sanctioned type-erasure boundary; the rule stays out.  Layers
-  // above the packet path (src/control) are out of scope too.
-  const std::string src =
-      "#include <functional>\n"
-      "struct Hook { std::function<void()> on_drop; };\n";
-  for (const std::string dir : {"src/sim/", "src/control/"}) {
-    const LintReport report = lint_source(dir + "fixture_action.hpp", src);
-    EXPECT_TRUE(report.clean()) << dir << ": " << report.violations.size();
-  }
-}
-
-TEST(PamLintP003, PlainFunctionWordIsClean) {
-  const std::string src =
-      "struct Doc { int function; };\n"
-      "int get_function(const Doc& d);\n";
-  const LintReport report = lint_source("src/nf/fixture_word.cpp", src);
   EXPECT_TRUE(report.clean()) << report.violations.size();
 }
 

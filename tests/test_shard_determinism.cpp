@@ -5,19 +5,26 @@
 // equality covers the fabric path, the orchestrator and the report
 // assembly, not just independent racks.  Unit tests for the two pieces
 // the contract rests on — EpochExecutor's slice/barrier protocol and
-// ShardFabric's (dst, src, seq) exchange order — ride along.
+// ShardFabric's (dst, src, seq) exchange order — ride along, as do checks
+// that a leased visit hands over the packet itself, pending payload and
+// all.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "chain/chain_spec.hpp"
 #include "experiment/invariants.hpp"
 #include "experiment/metrics_sink.hpp"
 #include "experiment/scenario_runner.hpp"
 #include "experiment/scenario_spec.hpp"
+#include "nf/dpi.hpp"
+#include "sim/datacenter_simulator.hpp"
 #include "sim/epoch_executor.hpp"
 #include "sim/shard_fabric.hpp"
 
@@ -176,7 +183,7 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
   const RunResult result = run_at(single, 0);
 
   // shards == 1 runs as one rack: one shard total that partitions the
-  // fleet, real epochs, and nothing across racks.
+  // fleet, a single epoch to the horizon, and nothing across racks.
   ASSERT_TRUE(result.cluster.has_value());
   const ClusterResult& cr = *result.cluster;
   ASSERT_EQ(cr.shard_totals.size(), 1u);
@@ -195,6 +202,108 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
                           "\"shard_totals\"", "\"nodes_remote\""}) {
     EXPECT_EQ(json.find(key), std::string::npos) << key;
   }
+}
+
+// --- the packet crosses racks, its pending payload with it --------------------
+
+/// Stands in for the home node after a leased one: records whether each
+/// packet's payload is still pending when it gets back, then reads it.
+class PayloadProbe final : public NetworkFunction {
+ public:
+  PayloadProbe() : NetworkFunction("probe") {}
+  [[nodiscard]] NfType type() const noexcept override { return NfType::kLogger; }
+
+  std::vector<bool> pending;
+  std::vector<std::vector<std::uint8_t>> frames;
+
+ protected:
+  [[nodiscard]] Verdict process(Packet& pkt, SimTime /*now*/) override {
+    pending.push_back(pkt.payload_pending());
+    const auto bytes = pkt.data();
+    frames.emplace_back(bytes.begin(), bytes.end());
+    return Verdict::kForward;
+  }
+};
+
+struct ProbeRun {
+  std::vector<bool> pending;
+  std::vector<std::vector<std::uint8_t>> frames;
+  DatacenterReport report;
+};
+
+DatacenterSimulator::Options two_racks() {
+  DatacenterSimulator::Options options;
+  options.shards = 2;
+  options.servers_total = 2;
+  return options;
+}
+
+/// Runs the two-node chain `spec` on `dc`, homed on rack 0, with node 1
+/// replaced by a PayloadProbe.  `first`, when given, replaces node 0; with
+/// `lease`, node 0 runs on rack 1.
+ProbeRun run_probe(DatacenterSimulator& dc, const char* spec, bool lease,
+                   std::unique_ptr<NetworkFunction> first = nullptr) {
+  auto chain = parse_chain_spec(spec, "probe");
+  EXPECT_TRUE(chain) << (chain ? std::string{} : chain.error().what());
+  TrafficSourceConfig traffic;
+  traffic.rate = RateProfile::constant(Gbps{0.5});
+  traffic.sizes = PacketSizeDistribution::fixed(512);
+  traffic.seed = 7;
+  const std::size_t c = dc.add_chain(std::move(chain).value(), traffic, 0);
+  auto probe = std::make_unique<PayloadProbe>();
+  PayloadProbe* seen = probe.get();
+  dc.chain_sim(c).replace_nf(1, std::move(probe));
+  if (first) {
+    dc.chain_sim(c).replace_nf(0, std::move(first));
+  }
+  if (lease) {
+    EXPECT_TRUE(dc.commit_lease(c, 0, 1));
+  }
+  ProbeRun out;
+  out.report = dc.run(SimTime::milliseconds(20), SimTime::milliseconds(5), 2);
+  out.pending = std::move(seen->pending);
+  out.frames = std::move(seen->frames);
+  return out;
+}
+
+constexpr const char* kMonitorChain = "wire | S:Monitor S:Logger | wire";
+
+TEST(CrossRackLease, HeaderOnlyNfLeavesPayloadPending) {
+  DatacenterSimulator local_dc{two_racks()};
+  DatacenterSimulator leased_dc{two_racks()};
+  const ProbeRun local = run_probe(local_dc, kMonitorChain, false);
+  const ProbeRun leased = run_probe(leased_dc, kMonitorChain, true);
+  EXPECT_EQ(local.report.cross_rack_frames, 0u);
+  EXPECT_GT(leased.report.cross_rack_frames, 0u);
+
+  // Monitor reads headers only, so the payload crosses racks twice and
+  // comes back unfilled; once read, every byte is what a local run reads.
+  ASSERT_GT(leased.pending.size(), 1'000u);
+  EXPECT_EQ(std::count(leased.pending.begin(), leased.pending.end(), false), 0);
+  EXPECT_EQ(leased.frames, local.frames);
+  EXPECT_TRUE(leased.report.cluster.conserved());
+}
+
+TEST(CrossRackLease, LeasedDpiFillsPayloadAndMatches) {
+  DatacenterSimulator local_dc{two_racks()};
+  const ProbeRun local = run_probe(local_dc, kMonitorChain, false);
+  ASSERT_FALSE(local.frames.empty());
+  // A signature taken from the first packet's payload bytes.
+  const std::vector<std::uint8_t>& first = local.frames.front();
+  ASSERT_GT(first.size(), 116u);
+  const std::string signature(first.begin() + 100, first.begin() + 116);
+  auto dpi = std::make_unique<Dpi>("DPI", DpiAction::kAlert);
+  dpi->add_signature(signature);
+  const Dpi* leased_dpi = dpi.get();  // moves into the lease, lives with dc
+
+  DatacenterSimulator dc{two_racks()};
+  const ProbeRun leased =
+      run_probe(dc, "wire | S:DPI S:Logger | wire", true, std::move(dpi));
+  EXPECT_GT(leased.report.cross_rack_frames, 0u);
+  ASSERT_EQ(leased.pending.size(), local.pending.size());
+  EXPECT_EQ(std::count(leased.pending.begin(), leased.pending.end(), true), 0);
+  EXPECT_EQ(leased.frames, local.frames);
+  EXPECT_GE(leased_dpi->hits_for(signature), 1u);
 }
 
 // --- EpochExecutor ------------------------------------------------------------

@@ -8,6 +8,11 @@
 // thousands of packet hops, metered, with drop-tail losses in the overload
 // case — must make zero heap allocations.
 //
+// A second case runs the same chain on two racks with its Monitor leased
+// across them, so every packet also crosses the shard fabric twice; the
+// window there is a run of whole epochs, opened and closed from the
+// barrier hook.
+//
 // Frames have one fixed size.  A pooled packet's buffer grows the first
 // time it carries a frame larger than any it carried before, so under a
 // size mix the pool keeps a trickle of such growth until every pooled
@@ -21,6 +26,7 @@
 
 #include "chain/chain_builder.hpp"
 #include "sim/chain_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 namespace {
 
@@ -110,6 +116,63 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<double>& info) {
       return std::string{info.param > 2.0 ? "overload" : "underload"};
     });
+
+TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
+  DatacenterSimulator::Options options;
+  options.shards = 2;
+  options.servers_total = 2;
+  DatacenterSimulator dc{options};
+  TrafficSourceConfig traffic;
+  traffic.rate = RateProfile::constant(Gbps{1.0});
+  traffic.sizes = PacketSizeDistribution::fixed(512);
+  traffic.seed = 2018;
+  const std::size_t chain = dc.add_chain(paper_figure1_chain(), traffic, 0);
+  constexpr std::size_t kMonitor = 1;
+  ASSERT_TRUE(dc.commit_lease(chain, kMonitor, 1));
+
+  // Same warm-up reasoning as above: by 300 ms every reservoir, ring and
+  // mailbox has reached its high-water mark.
+  const SimTime window_start = SimTime::milliseconds(300);
+  const SimTime window_end = SimTime::milliseconds(350);
+  const auto executed = [&dc] {
+    return dc.rack(0).kernel().queue().executed() +
+           dc.rack(1).kernel().queue().executed();
+  };
+  std::uint64_t injected_before = 0;
+  std::uint64_t executed_before = 0;
+  std::uint64_t injected = 0;
+  std::uint64_t events = 0;
+  std::uint64_t allocations = 0;
+  dc.set_barrier_hook([&](SimTime t, bool draining) {
+    const bool in_window = !draining && t >= window_start && t < window_end;
+    if (in_window == g_counting.load()) {
+      return;
+    }
+    if (in_window) {
+      injected_before = dc.chain_sim(chain).build_report().injected;
+      executed_before = executed();
+      g_allocations.store(0);
+      g_counting.store(true);
+      return;
+    }
+    g_counting.store(false);
+    allocations = g_allocations.load();
+    events = executed() - executed_before;
+    injected = dc.chain_sim(chain).build_report().injected - injected_before;
+  });
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), /*threads=*/2);
+
+  EXPECT_EQ(allocations, 0u) << "over " << events << " events, " << injected
+                             << " packets";
+  EXPECT_GT(injected, 10'000u);
+  EXPECT_GT(events, 100'000u);
+  EXPECT_GE(report.cross_rack_frames, 2 * injected);
+  EXPECT_TRUE(report.cluster.conserved());
+  for (std::size_t r = 0; r < dc.num_racks(); ++r) {
+    EXPECT_EQ(dc.rack(r).kernel().pool().in_use(), 0u) << "rack " << r;
+  }
+}
 
 }  // namespace
 }  // namespace pam
