@@ -180,7 +180,7 @@ class ChainSimulator final : public EventSink {
   // hands packets reaching that node to the fabric egress instead of
   // processing them locally, and the fabric hands each one back, with the
   // visit's outcome, via resume_from_remote.  The packet itself crosses:
-  // it stays owned by this chain's pool and counted in in_flight_
+  // it stays owned by the home kernel's pool and counted in in_flight_
   // throughout, so conservation is exact, and a payload still pending when
   // it leaves is filled only if something reads it.
 
