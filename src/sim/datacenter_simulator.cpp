@@ -268,18 +268,6 @@ DatacenterReport DatacenterSimulator::run(SimTime duration, SimTime warmup,
     rack->begin();
   }
 
-  if (racks_.size() == 1 && !barrier_hook_ && !drain_gate_) {
-    // Nothing can happen at a barrier, so quantum slicing would change
-    // nothing: run as SimulationKernel::run does.
-    SimulationKernel& kernel = racks_[0]->kernel();
-    kernel.advance_until(duration);
-    ++epochs_;
-    kernel.begin_drain();
-    while (kernel.queue().run_one()) {
-    }
-    return assemble(duration);
-  }
-
   EpochExecutor executor(std::max<std::size_t>(threads, 1), racks_.size());
   const auto advance_all = [&](SimTime until) {
     executor.run_epoch(

@@ -11,9 +11,9 @@
 // observing any other shard.
 //
 // One rack is how every `[cluster] shards = 1` scenario runs: a lease must
-// cross racks, so no frame ever enters the fabric.  Without a barrier hook
-// such a run is one epoch to the horizon and then a dry run of the queue,
-// exactly SimulationKernel::run.
+// cross racks, so no frame ever enters the fabric and the epochs only cut
+// one kernel's run at quantum boundaries, which leaves its event order
+// unchanged.
 //
 // The epoch loop:
 //

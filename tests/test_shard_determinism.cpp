@@ -183,7 +183,7 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
   const RunResult result = run_at(single, 0);
 
   // shards == 1 runs as one rack: one shard total that partitions the
-  // fleet, a single epoch to the horizon, and nothing across racks.
+  // fleet, real epochs, and nothing across racks.
   ASSERT_TRUE(result.cluster.has_value());
   const ClusterResult& cr = *result.cluster;
   ASSERT_EQ(cr.shard_totals.size(), 1u);
