@@ -5,7 +5,8 @@
 // wants) unless the caller uses try_push.
 //
 // FifoRing: a FIFO queue on a power-of-two ring that grows on demand and
-// never shrinks, used for FcfsServer's waiting jobs.  Once a queue has
+// never shrinks, used for FcfsServer's waiting jobs and EventQueue's delay
+// lines.  Once a queue has
 // reached its high-water mark, push and pop never allocate.
 //
 // BlockFifo: a FIFO queue in fixed-size blocks that keeps emptied blocks

@@ -933,6 +933,11 @@ class SpecParser {
                    "(%zu)",
                    spec_.cluster.servers, spec_.cluster.shards));
       }
+      if (!(spec_.cluster.inter_server_us >= 0.0)) {
+        return fail_global(
+            "[cluster] inter_server_us must not be negative (it is a fixed "
+            "forwarding delay)");
+      }
       if (spec_.cluster.shards > 1 && spec_.cluster.cross_rack_us <= 0.0) {
         return fail_global(
             "[cluster] cross_rack_us must be positive (it is the epoch "

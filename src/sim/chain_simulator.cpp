@@ -52,30 +52,17 @@ ServerDevices* devices_of(std::uint64_t w) {
 
 ChainSimulator::ChainSimulator(ServiceChain chain, Server& server,
                                TrafficSourceConfig traffic, Calibration calibration)
-    : chain_(std::move(chain)),
-      server_(&server),
-      calibration_(calibration),
-      traffic_(std::move(traffic)),
-      owned_kernel_(std::make_unique<SimulationKernel>()),
-      kernel_(owned_kernel_.get()),
-      owned_devices_(std::make_unique<ServerDevices>(kernel_->queue(), calibration)),
-      home_{0, owned_devices_.get(), &server},
-      flowgen_(traffic_.flows, traffic_.seed),
-      rng_(traffic_.seed ^ 0xabcdef0123456789ull) {
-  chain_.validate();
-  nfs_.reserve(chain_.size());
-  for (const auto& node : chain_.nodes()) {
-    nfs_.push_back(make_network_function(node.spec.type, node.spec.name,
-                                         node.spec.load_factor));
-  }
-  bindings_.assign(chain_.size(), home_);
-  paused_.assign(chain_.size(), false);
-  remote_.assign(chain_.size(), false);
-  buffers_.resize(chain_.size());
-  node_stats_.resize(chain_.size());
-}
+    : ChainSimulator(nullptr, nullptr, 0, std::move(chain), server,
+                     std::move(traffic), calibration) {}
 
 ChainSimulator::ChainSimulator(SimulationKernel& kernel, ServerDevices& devices,
+                               std::size_t home_server_id, ServiceChain chain,
+                               Server& server, TrafficSourceConfig traffic,
+                               Calibration calibration)
+    : ChainSimulator(&kernel, &devices, home_server_id, std::move(chain), server,
+                     std::move(traffic), calibration) {}
+
+ChainSimulator::ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
                                std::size_t home_server_id, ServiceChain chain,
                                Server& server, TrafficSourceConfig traffic,
                                Calibration calibration)
@@ -83,30 +70,31 @@ ChainSimulator::ChainSimulator(SimulationKernel& kernel, ServerDevices& devices,
       server_(&server),
       calibration_(calibration),
       traffic_(std::move(traffic)),
-      kernel_(&kernel),
-      home_{home_server_id, &devices, &server},
+      owned_kernel_(kernel == nullptr ? std::make_unique<SimulationKernel>() : nullptr),
+      kernel_(kernel == nullptr ? owned_kernel_.get() : kernel),
+      owned_devices_(devices == nullptr
+                         ? std::make_unique<ServerDevices>(kernel_->queue(), calibration)
+                         : nullptr),
+      home_{home_server_id, devices == nullptr ? owned_devices_.get() : devices, &server},
       flowgen_(traffic_.flows, traffic_.seed),
       rng_(traffic_.seed ^ 0xabcdef0123456789ull) {
+  assert((kernel == nullptr) == (devices == nullptr));
   chain_.validate();
-  nfs_.reserve(chain_.size());
-  for (const auto& node : chain_.nodes()) {
-    nfs_.push_back(make_network_function(node.spec.type, node.spec.name,
-                                         node.spec.load_factor));
+  nodes_.resize(chain_.size());
+  for (std::size_t i = 0; i < chain_.size(); ++i) {
+    const auto& spec = chain_.node(i).spec;
+    nodes_[i].binding = home_;
+    nodes_[i].nf = make_network_function(spec.type, spec.name, spec.load_factor);
   }
-  bindings_.assign(chain_.size(), home_);
-  paused_.assign(chain_.size(), false);
-  remote_.assign(chain_.size(), false);
-  buffers_.resize(chain_.size());
-  node_stats_.resize(chain_.size());
 }
 
 ChainSimulator::~ChainSimulator() {
   // Release anything still parked so the pool's leak check stays meaningful.
-  for (auto& buffer : buffers_) {
-    for (auto& parked : buffer) {
+  for (auto& node : nodes_) {
+    for (auto& parked : node.buffer) {
       pool().release(parked.pkt);
     }
-    buffer.clear();
+    node.buffer.clear();
   }
 }
 
@@ -125,7 +113,7 @@ void ChainSimulator::schedule_periodic(SimTime start, SimTime period,
 
 void ChainSimulator::replace_nf(std::size_t i, std::unique_ptr<NetworkFunction> fresh) {
   assert(fresh != nullptr);
-  nfs_.at(i) = std::move(fresh);
+  nodes_.at(i).nf = std::move(fresh);
 }
 
 void ChainSimulator::set_node_location(std::size_t i, Location loc) {
@@ -134,13 +122,13 @@ void ChainSimulator::set_node_location(std::size_t i, Location loc) {
 
 void ChainSimulator::set_node_server(std::size_t i, std::size_t server_id,
                                      ServerDevices& devices, Server& hw) {
-  bindings_.at(i) = NodeBinding{server_id, &devices, &hw};
+  nodes_.at(i).binding = NodeBinding{server_id, &devices, &hw};
 }
 
 std::size_t ChainSimulator::nodes_off_home() const noexcept {
   std::size_t n = 0;
-  for (const auto& b : bindings_) {
-    if (b.server != home_.server) {
+  for (const auto& node : nodes_) {
+    if (node.binding.server != home_.server) {
       ++n;
     }
   }
@@ -149,20 +137,21 @@ std::size_t ChainSimulator::nodes_off_home() const noexcept {
 
 std::size_t ChainSimulator::nodes_remote() const noexcept {
   std::size_t n = 0;
-  for (const bool r : remote_) {
-    if (r) {
+  for (const auto& node : nodes_) {
+    if (node.remote) {
       ++n;
     }
   }
   return n;
 }
 
-void ChainSimulator::pause_node(std::size_t i) { paused_.at(i) = true; }
+void ChainSimulator::pause_node(std::size_t i) { nodes_.at(i).paused = true; }
 
 void ChainSimulator::resume_node(std::size_t i) {
-  paused_.at(i) = false;
-  auto parked = std::move(buffers_.at(i));
-  buffers_.at(i).clear();
+  Node& node = nodes_.at(i);
+  node.paused = false;
+  auto parked = std::move(node.buffer);
+  node.buffer.clear();
   for (auto& entry : parked) {
     advance(entry.pkt, i, entry.at);
   }
@@ -216,7 +205,7 @@ void ChainSimulator::on_event(const EventRecord& ev) {
     case kPcieDone: {
       EventRecord fixed = ev;
       fixed.kind = kPcieFixed;
-      kernel_->queue().schedule_after(time_of(ev.b), fixed);
+      kernel_->queue().schedule_delayed(time_of(ev.b), fixed);
       return;
     }
     case kPcieFixed:
@@ -356,18 +345,19 @@ void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
     }
     return;
   }
-  if (paused_[idx]) {
-    buffers_[idx].push_back(Parked{p, from});
+  Node& node = nodes_[idx];
+  if (node.paused) {
+    node.buffer.push_back(Parked{p, from});
     ++total_buffered_;
     return;
   }
-  if (remote_[idx]) {
+  if (node.remote) {
     // The node is leased to another rack: the packet leaves this shard in
     // a FabricFrame and comes back through resume_from_remote.
     send_to_fabric(p, idx);
     return;
   }
-  const NodeBinding& binding = bindings_[idx];
+  const NodeBinding& binding = node.binding;
   if (from.server != binding.server) {
     // Next NF lives on another rack slot: forward over the inter-server
     // fabric; the packet re-enters at that slot's SmartNIC side.
@@ -418,7 +408,7 @@ void ChainSimulator::forward_to_server(Packet* p, std::size_t to_server,
   EventRecord arrive = record(kAdvance, p, idx);
   arrive.a = to_server;
   arrive.b = static_cast<std::uint64_t>(Location::kSmartNic);
-  kernel_->queue().schedule_after(inter_server_latency_, arrive);
+  kernel_->queue().schedule_delayed(inter_server_latency_, arrive);
 }
 
 void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
@@ -443,7 +433,7 @@ void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
 void ChainSimulator::process_node(Packet* p, std::size_t idx) {
   const auto& node = chain_.node(idx);
   const Location loc = node.location;
-  const NodeBinding& binding = bindings_[idx];
+  const NodeBinding& binding = nodes_[idx].binding;
   FcfsServer& srv =
       loc == Location::kSmartNic ? binding.devices->nic : binding.devices->cpu;
 
@@ -464,13 +454,13 @@ void ChainSimulator::process_node(Packet* p, std::size_t idx) {
 
 void ChainSimulator::nf_done(Packet* p, std::size_t idx, Location loc,
                              SimTime submitted_at) {
+  Node& node = nodes_[idx];
   if (metering()) {
-    auto& stats = node_stats_[idx];
-    ++stats.packets;
-    stats.residence.record(kernel_->now() - submitted_at);
+    ++node.packets;
+    node.residence.record(kernel_->now() - submitted_at);
   }
   p->note_hop();
-  const Verdict verdict = nfs_[idx]->handle(*p, kernel_->now());
+  const Verdict verdict = node.nf->handle(*p, kernel_->now());
   if (verdict == Verdict::kDrop) {
     drop(p, dropped_by_nf_);
     return;
@@ -484,9 +474,9 @@ void ChainSimulator::nf_done(Packet* p, std::size_t idx, Location loc,
     return;
   }
   EventRecord next = record(kAdvance, p, idx + 1);
-  next.a = bindings_[idx].server;
+  next.a = node.binding.server;
   next.b = static_cast<std::uint64_t>(loc);
-  kernel_->queue().schedule_after(calibration_.nf_overhead(loc), next);
+  kernel_->queue().schedule_delayed(calibration_.nf_overhead(loc), next);
 }
 
 void ChainSimulator::deliver(Packet* p) {
@@ -551,10 +541,10 @@ SimReport ChainSimulator::build_report() const {
     NodeSummary node;
     node.name = chain_.node(i).spec.name;
     node.location = chain_.node(i).location;
-    node.packets = node_stats_[i].packets;
-    if (node_stats_[i].packets > 0) {
-      node.mean_residence = node_stats_[i].residence.mean();
-      node.p99_residence = node_stats_[i].residence.quantile(0.99);
+    node.packets = nodes_[i].packets;
+    if (nodes_[i].packets > 0) {
+      node.mean_residence = nodes_[i].residence.mean();
+      node.p99_residence = nodes_[i].residence.quantile(0.99);
     }
     report.per_node.push_back(std::move(node));
   }

@@ -25,6 +25,8 @@
 // the PCIe link, its fixed delay and the host driver job — is a typed
 // EventRecord whose sink is this simulator (see Kind in the .cpp), so
 // the datapath schedules no closures and allocates nothing per packet.
+// The fixed delays (nf_overhead, the PCIe fixed cost, the inter-server
+// hop) go on EventQueue delay lines rather than its heap.
 //
 // The engine guts (event queue, packet pool, warmup/horizon/drain, periodic
 // scheduling) live in SimulationKernel.  A ChainSimulator either owns a
@@ -118,7 +120,7 @@ class ChainSimulator final : public EventSink {
   void schedule_periodic(SimTime start, SimTime period, std::function<void()> fn);
 
   /// The functional NF instance at chain position i.
-  [[nodiscard]] NetworkFunction& nf(std::size_t i) { return *nfs_.at(i); }
+  [[nodiscard]] NetworkFunction& nf(std::size_t i) { return *nodes_.at(i).nf; }
   /// Swap in a new instance (the migration engine's restore step).
   void replace_nf(std::size_t i, std::unique_ptr<NetworkFunction> fresh);
 
@@ -133,7 +135,7 @@ class ChainSimulator final : public EventSink {
   void set_node_server(std::size_t i, std::size_t server_id,
                        ServerDevices& devices, Server& hw);
   [[nodiscard]] std::size_t node_server(std::size_t i) const {
-    return bindings_.at(i).server;
+    return nodes_.at(i).binding.server;
   }
   [[nodiscard]] std::size_t home_server() const noexcept { return home_.server; }
   /// Count of nodes currently bound away from the home slot.
@@ -157,9 +159,9 @@ class ChainSimulator final : public EventSink {
   void pause_node(std::size_t i);
   /// Resume: flushes the buffer through the node at its current location.
   void resume_node(std::size_t i);
-  [[nodiscard]] bool paused(std::size_t i) const { return paused_.at(i); }
+  [[nodiscard]] bool paused(std::size_t i) const { return nodes_.at(i).paused; }
   [[nodiscard]] std::size_t buffered_at(std::size_t i) const {
-    return buffers_.at(i).size();
+    return nodes_.at(i).buffer.size();
   }
 
   /// Ingress rate observed over the trailing window (controller input).
@@ -195,8 +197,8 @@ class ChainSimulator final : public EventSink {
 
   /// Marks node i as leased to another rack.  Takes effect for packets not
   /// yet routed to it; requires a fabric hook before traffic reaches it.
-  void set_node_remote(std::size_t i, bool remote) { remote_.at(i) = remote; }
-  [[nodiscard]] bool node_remote(std::size_t i) const { return remote_.at(i); }
+  void set_node_remote(std::size_t i, bool remote) { nodes_.at(i).remote = remote; }
+  [[nodiscard]] bool node_remote(std::size_t i) const { return nodes_.at(i).remote; }
   /// Count of nodes currently leased to other racks.
   [[nodiscard]] std::size_t nodes_remote() const noexcept;
 
@@ -204,7 +206,7 @@ class ChainSimulator final : public EventSink {
   /// on the host rack (the NF's state travels with it — same rule as
   /// intra-rack migration).  Mark the node remote before packets flow.
   [[nodiscard]] std::unique_ptr<NetworkFunction> take_nf(std::size_t i) {
-    return std::move(nfs_.at(i));
+    return std::move(nodes_.at(i).nf);
   }
 
   /// Takes back a packet returning from its remote visit to node i: a
@@ -235,6 +237,23 @@ class ChainSimulator final : public EventSink {
     Packet* pkt;
     Hop at;
   };
+
+  /// Everything kept per chain position.
+  struct Node {
+    NodeBinding binding;                  ///< execution slot
+    std::unique_ptr<NetworkFunction> nf;  ///< functional instance
+    bool paused = false;
+    bool remote = false;        ///< leased to another rack (datacenter mode)
+    std::vector<Parked> buffer;  ///< packets parked while paused
+    std::uint64_t packets = 0;   ///< metered visits
+    LatencyRecorder residence;   ///< queue wait + service per metered visit
+  };
+
+  /// Both public constructors land here.  Null `kernel` and `devices`
+  /// mean standalone mode: the simulator creates and owns them.
+  ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
+                 std::size_t home_server_id, ServiceChain chain, Server& server,
+                 TrafficSourceConfig traffic, Calibration calibration);
 
   /// Dispatches one of this simulator's typed events (traffic source and
   /// packet hops).
@@ -272,25 +291,15 @@ class ChainSimulator final : public EventSink {
   std::unique_ptr<SimulationKernel> owned_kernel_;
   SimulationKernel* kernel_;
   std::unique_ptr<ServerDevices> owned_devices_;
-  NodeBinding home_;                   ///< home rack slot (ingress/egress side)
-  std::vector<NodeBinding> bindings_;  ///< per-node execution slot
+  NodeBinding home_;         ///< home rack slot (ingress/egress side)
+  std::vector<Node> nodes_;  ///< per chain position
   SimTime inter_server_latency_ = SimTime::microseconds(50.0);
   SimTime active_start_ = SimTime::zero();
   SimTime active_stop_ = SimTime::nanoseconds(-1);  ///< negative: never stops
 
-  std::vector<std::unique_ptr<NetworkFunction>> nfs_;
-  std::vector<bool> paused_;
-  std::vector<bool> remote_;  ///< node leased to another rack (datacenter mode)
   EventSink* egress_sink_ = nullptr;  ///< fabric egress (set_fabric_egress)
   std::uint32_t egress_kind_ = 0;
   std::uint64_t egress_tag_ = 0;
-  std::vector<std::vector<Parked>> buffers_;
-
-  struct NodeStats {
-    std::uint64_t packets = 0;
-    LatencyRecorder residence;  ///< queue wait + service per visit
-  };
-  std::vector<NodeStats> node_stats_;
 
   FlowGenerator flowgen_;
   Rng rng_;

@@ -248,7 +248,7 @@ void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
   back.node = static_cast<std::uint32_t>(node);
   back.a = host;
   back.b = c;
-  kernel.queue().schedule_after(
+  kernel.queue().schedule_delayed(
       racks_[host]->calibration().nf_overhead(Location::kSmartNic), back);
 }
 

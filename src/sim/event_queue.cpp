@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace pam {
@@ -9,6 +10,22 @@ void EventQueue::schedule_at(SimTime at, const EventRecord& rec) {
     at = now_;  // clamp: scheduling in the past means "immediately"
   }
   heap_.push(Event{at, next_seq_++, rec});
+}
+
+void EventQueue::schedule_delayed(SimTime delay, const EventRecord& rec) {
+  assert(delay >= SimTime::zero());
+  DelayLine* line = nullptr;
+  for (auto& candidate : lines_) {
+    if (candidate.delay == delay) {
+      line = &candidate;
+      break;
+    }
+  }
+  if (line == nullptr) {
+    line = &lines_.emplace_back(DelayLine{delay, {}});
+  }
+  line->events.push_back(Event{now_ + delay, next_seq_++, rec});
+  ++line_events_;
 }
 
 EventRecord EventQueue::park(Action action) {
@@ -39,21 +56,50 @@ void EventQueue::dispatch(const EventRecord& rec) {
   action();
 }
 
-bool EventQueue::run_one() {
-  if (heap_.empty()) {
-    return false;
+EventQueue::Next EventQueue::earliest() const noexcept {
+  Next next;
+  if (!heap_.empty()) {
+    next = Next{&heap_.top(), kHeap};
   }
-  const Event ev = heap_.top();
-  heap_.pop();
+  if (line_events_ == 0) {
+    return next;
+  }
+  const Later later;
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    const FifoRing<Event>& events = lines_[i].events;
+    if (!events.empty() && (next.ev == nullptr || later(*next.ev, events.front()))) {
+      next = Next{&events.front(), i};
+    }
+  }
+  return next;
+}
+
+void EventQueue::run(Next next) {
+  const Event ev = *next.ev;
+  if (next.line == kHeap) {
+    heap_.pop();
+  } else {
+    lines_[next.line].events.pop_front();
+    --line_events_;
+  }
   now_ = ev.at;
   ++executed_;
   dispatch(ev.rec);
+}
+
+bool EventQueue::run_one() {
+  const Next next = earliest();
+  if (next.ev == nullptr) {
+    return false;
+  }
+  run(next);
   return true;
 }
 
 void EventQueue::run_until(SimTime until) {
-  while (!heap_.empty() && heap_.top().at <= until) {
-    run_one();
+  for (Next next = earliest(); next.ev != nullptr && next.ev->at <= until;
+       next = earliest()) {
+    run(next);
   }
   if (now_ < until) {
     now_ = until;

@@ -10,6 +10,20 @@
 //     of the datapath is one of these;
 //   - erased actions (EventQueue::Action): any callable, parked in a slab
 //     with a free list.  Control-plane, periodic and test code uses them.
+//
+// Pending events live in two kinds of store:
+//   - a binary heap, for anything scheduled at an arbitrary time;
+//   - delay lines: one FIFO per distinct fixed delay d, fed by
+//     schedule_delayed(d, rec).  Each entry is {now + d, next seq}; since
+//     the clock never goes back and the sequence only grows, a line is
+//     already sorted by (time, sequence) and needs no heap.
+// run_one pops the earliest of the heap top and the line fronts under the
+// same (time, sequence) comparison, so the execution order is exactly the
+// one a heap alone would give.  The datapath's pure pipeline delays use
+// the lines — ChainSimulator's per-NF nf_overhead, the PCIe fixed delay
+// and the inter-server hop, and a cross-rack lease's nf_overhead — which
+// is where most in-flight packets wait.  A simulation has a handful of
+// such delays, so the lines sit in a small vector scanned linearly.
 
 #pragma once
 
@@ -19,6 +33,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/ring_buffer.hpp"
 #include "common/units.hpp"
 
 namespace pam {
@@ -63,20 +78,28 @@ class EventQueue {
   using Action = std::function<void()>;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return heap_.empty() && line_events_ == 0;
+  }
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return heap_.size() + line_events_;
+  }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Timestamp of the earliest pending event.  Only meaningful when
   /// !empty(); the epoch loop uses it to fast-forward idle shards past
   /// empty barrier quanta without walking them one epoch at a time.
-  [[nodiscard]] SimTime next_at() const noexcept { return heap_.top().at; }
+  [[nodiscard]] SimTime next_at() const noexcept { return earliest().ev->at; }
 
   /// Schedules `rec` at absolute time `at` (>= now, clamped otherwise).
   void schedule_at(SimTime at, const EventRecord& rec);
   void schedule_after(SimTime delay, const EventRecord& rec) {
     schedule_at(now_ + delay, rec);
   }
+  /// Schedules `rec` after the fixed `delay` (>= 0) on that delay's line:
+  /// the same (time, sequence) slot as schedule_after, without a heap
+  /// push.  Meant for delays every packet pays unchanged.
+  void schedule_delayed(SimTime delay, const EventRecord& rec);
 
   /// Schedules the erased `action` at `at` / after `delay`.
   void schedule_at(SimTime at, Action action) {
@@ -103,7 +126,7 @@ class EventQueue {
  private:
   struct Event {
     SimTime at;
-    std::uint64_t seq;
+    std::uint64_t seq = 0;
     EventRecord rec;
   };
   struct Later {
@@ -115,7 +138,26 @@ class EventQueue {
     }
   };
 
+  /// Pending events at now + `delay`, in (time, sequence) order.
+  struct DelayLine {
+    SimTime delay;
+    FifoRing<Event> events;
+  };
+  /// The earliest pending event and where it waits: `line` indexes lines_,
+  /// or is kHeap for the heap top.  `ev` is null when nothing is pending.
+  struct Next {
+    const Event* ev = nullptr;
+    std::size_t line = 0;
+  };
+  static constexpr std::size_t kHeap = ~std::size_t{0};
+
+  [[nodiscard]] Next earliest() const noexcept;
+  /// Pops `next` from its store, advances the clock to it and runs it.
+  void run(Next next);
+
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::vector<DelayLine> lines_;
+  std::size_t line_events_ = 0;  ///< events waiting on all lines
   std::vector<Action> actions_;            ///< slab of parked actions
   std::vector<std::uint32_t> free_slots_;  ///< reusable slab slots
   SimTime now_ = SimTime::zero();

@@ -1,12 +1,17 @@
 // Deterministic event scheduler tests: ordering, tie-breaking, clamping,
-// the run_until horizon semantics the simulator depends on, and typed
-// records sharing one order with erased actions.
+// the run_until horizon semantics the simulator depends on, typed records
+// sharing one order with erased actions, and delay lines sharing it with
+// the heap.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/event_queue.hpp"
 
 namespace pam {
@@ -201,6 +206,190 @@ TEST(EventQueue, ActionsReuseSlotsWhileRunning) {
   while (q.run_one()) {
   }
   EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 9, 19, 29}));
+}
+
+EventRecord tagged(EventSink* sink, int tag) {
+  EventRecord rec;
+  rec.sink = sink;
+  rec.a = static_cast<std::uint64_t>(tag);
+  return rec;
+}
+
+TEST(EventQueue, EqualTimesKeepSchedulingOrderAcrossHeapActionsAndLines) {
+  // Every event below runs at 10 us: heap records, erased actions, and
+  // two delay lines (10 us scheduled at 0, 6 us scheduled at 4 us).
+  EventQueue q;
+  std::vector<int> order;
+  Recorder sink;
+  sink.seen = &order;
+  const SimTime at = SimTime::microseconds(10);
+  q.schedule_at(at, tagged(&sink, 0));
+  q.schedule_delayed(SimTime::microseconds(10), tagged(&sink, 1));
+  q.schedule_at(at, [&order] { order.push_back(2); });
+  q.schedule_delayed(SimTime::microseconds(10), tagged(&sink, 3));
+  q.run_until(SimTime::microseconds(4));
+  ASSERT_TRUE(order.empty());
+  q.schedule_delayed(SimTime::microseconds(6), tagged(&sink, 4));
+  q.schedule_after(SimTime::microseconds(6), [&order] { order.push_back(5); });
+  q.schedule_delayed(SimTime::microseconds(6), tagged(&sink, 6));
+  q.schedule_at(at, tagged(&sink, 7));
+  q.schedule_delayed(SimTime::microseconds(10), tagged(&sink, 8));  // at 14 us
+  while (q.run_one()) {
+    if (order.size() == 8) {
+      EXPECT_EQ(q.now(), at);
+    }
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(q.now().us(), 14.0);
+  EXPECT_EQ(q.executed(), 9u);
+}
+
+TEST(EventQueue, LineOnlyQueueIsSeenByEveryQuery) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder sink;
+  sink.seen = &order;
+  q.schedule_delayed(SimTime::microseconds(5), tagged(&sink, 1));
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_at().us(), 5.0);
+  q.schedule_delayed(SimTime::microseconds(3), tagged(&sink, 2));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.next_at().us(), 3.0);  // the shorter line's front comes first
+
+  q.run_until(SimTime::microseconds(4));
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_at().us(), 5.0);
+  EXPECT_EQ(q.now().us(), 4.0);
+
+  q.run_until(SimTime::microseconds(10));
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.now().us(), 10.0);
+  EXPECT_FALSE(q.run_one());
+}
+
+TEST(EventQueue, ZeroDelayLineRunsAfterEarlierScheduledEventsAtNow) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder sink;
+  sink.seen = &order;
+  q.schedule_at(SimTime::microseconds(2), [&] {
+    q.schedule_delayed(SimTime::zero(), tagged(&sink, 3));
+    q.schedule_after(SimTime::zero(), tagged(&sink, 4));
+  });
+  q.schedule_at(SimTime::microseconds(2), tagged(&sink, 1));
+  q.schedule_delayed(SimTime::microseconds(2), tagged(&sink, 2));
+  while (q.run_one()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(q.now().us(), 2.0);
+}
+
+/// Drives a queue with a seeded mix of schedule_at (past times included),
+/// schedule_after and schedule_delayed calls, records and actions, from
+/// the top level and from inside handlers, and records what was expected
+/// of each event and what actually ran.
+class Differential final : public EventSink {
+ public:
+  explicit Differential(std::uint64_t seed) : rng_(seed) {}
+
+  void run(std::size_t total) {
+    total_ = total;
+    while (expected_.size() < total_) {
+      const std::uint64_t burst = rng_.uniform_u64(1, 40);
+      for (std::uint64_t i = 0; i < burst && expected_.size() < total_; ++i) {
+        schedule_one();
+      }
+      q_.run_until(q_.now() + SimTime::nanoseconds(static_cast<std::int64_t>(
+                                  rng_.uniform_u64(0, 60'000))));
+    }
+    while (q_.run_one()) {
+    }
+  }
+
+  /// (time, id) of every scheduled event, id = scheduling order.
+  [[nodiscard]] const std::vector<std::pair<SimTime, std::uint64_t>>& expected() const {
+    return expected_;
+  }
+  /// (time, id) of every event as it ran.
+  [[nodiscard]] const std::vector<std::pair<SimTime, std::uint64_t>>& ran() const {
+    return ran_;
+  }
+
+  void on_event(const EventRecord& ev) override { fired(ev.a); }
+
+ private:
+  void fired(std::uint64_t id) {
+    ran_.emplace_back(q_.now(), id);
+    const std::uint64_t children = rng_.uniform_u64(0, 2);
+    for (std::uint64_t i = 0; i < children && expected_.size() < total_; ++i) {
+      schedule_one();
+    }
+  }
+
+  void schedule_one() {
+    static constexpr std::int64_t kLines[] = {0, 3'000, 32'000, 55'000, 70'000};
+    const std::uint64_t id = expected_.size();
+    const SimTime now = q_.now();
+    const bool action = rng_.chance(0.25);
+    EventRecord rec;
+    rec.sink = this;
+    rec.a = id;
+    SimTime at;
+    switch (rng_.bounded(3)) {
+      case 0: {
+        // Absolute time up to 20 us in the past (clamped to now) or 80 us ahead.
+        at = now + SimTime::nanoseconds(
+                       static_cast<std::int64_t>(rng_.uniform_u64(0, 100'000)) - 20'000);
+        if (action) {
+          q_.schedule_at(at, [this, id] { fired(id); });
+        } else {
+          q_.schedule_at(at, rec);
+        }
+        at = std::max(at, now);
+        break;
+      }
+      case 1: {
+        const SimTime delay =
+            SimTime::nanoseconds(static_cast<std::int64_t>(rng_.uniform_u64(0, 80'000)));
+        at = now + delay;
+        if (action) {
+          q_.schedule_after(delay, [this, id] { fired(id); });
+        } else {
+          q_.schedule_after(delay, rec);
+        }
+        break;
+      }
+      default: {
+        const SimTime delay = SimTime::nanoseconds(kLines[rng_.bounded(std::size(kLines))]);
+        at = now + delay;
+        q_.schedule_delayed(delay, rec);
+        break;
+      }
+    }
+    expected_.emplace_back(at, id);
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::size_t total_ = 0;
+  std::vector<std::pair<SimTime, std::uint64_t>> expected_;
+  std::vector<std::pair<SimTime, std::uint64_t>> ran_;
+};
+
+TEST(EventQueue, MixedSchedulingMatchesSortByTimeThenSequence) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Differential diff(seed);
+    diff.run(4000);
+    auto sorted = diff.expected();
+    ASSERT_EQ(sorted.size(), 4000u);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(diff.ran(), sorted);
+  }
 }
 
 }  // namespace

@@ -582,6 +582,16 @@ TEST(ScenarioSpec, ShardsMustDivideServers) {
   EXPECT_NE(result.error().what().find("divide evenly"), std::string::npos);
 }
 
+TEST(ScenarioSpec, InterServerLatencyMustNotBeNegative) {
+  std::string text{kClusterText};
+  const std::string key = "inter_server_us = 40";
+  text.replace(text.find(key), key.size(), "inter_server_us = -5");
+  const auto result = ScenarioSpec::parse(text);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_NE(result.error().what().find("inter_server_us must not be negative"),
+            std::string::npos);
+}
+
 TEST(ScenarioSpec, ChainServerKeyRejectedOutsideCluster) {
   const auto result = ScenarioSpec::parse(R"(
 [scenario]
