@@ -8,7 +8,8 @@
 //
 // Doubles as the end-to-end datapath budget bench: the DES wall-clock over
 // the whole sweep yields ns/packet and packets/s, and a tight PacketPool
-// recycle loop isolates the acquire fast path.  With --bench-json[=FILE]
+// recycle loop isolates the acquire fast path, and an EventQueue loop times
+// schedule + pop at the datapath's queue shape.  With --bench-json[=FILE]
 // (or PAM_BENCH_JSON) everything lands as pam-bench/v1 trajectory records
 // (docs/BENCHMARKS.md).  PAM_BENCH_QUICK=1 shrinks simulated durations and
 // iteration counts without changing the record key set.
@@ -24,6 +25,7 @@
 #include "core/naive_policy.hpp"
 #include "core/pam_policy.hpp"
 #include "sim/chain_simulator.hpp"
+#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -56,6 +58,28 @@ Point measure(const ServiceChain& chain, Gbps rate, SimTime duration,
   g_total_packets += report.injected;
   return Point{report.egress_goodput, report.latency.mean(), report.dropped_total()};
 }
+
+/// Keeps an EventQueue at the datapath's shape: kind 0 records ride the
+/// fixed pipeline delays (delay line `node`), kind 1 records stand for FCFS
+/// completions and reschedule through the heap after a varying service.
+struct PipelineSink final : EventSink {
+  static constexpr SimTime kDelays[] = {SimTime::microseconds(55.0),
+                                        SimTime::microseconds(70.0),
+                                        SimTime::microseconds(32.0)};
+  EventQueue* queue = nullptr;
+
+  void on_event(const EventRecord& ev) override {
+    EventRecord next = ev;
+    if (ev.kind == 0) {
+      queue->schedule_delayed(kDelays[ev.node], next);
+      return;
+    }
+    next.a = next.a * 6364136223846793005ull + 1442695040888963407ull;  // LCG
+    queue->schedule_after(SimTime::nanoseconds(500 + static_cast<std::int64_t>(
+                                                         (next.a >> 33) % 1500)),
+                          next);
+  }
+};
 
 }  // namespace
 
@@ -151,6 +175,45 @@ int main(int argc, char** argv) {
     reporter.add_case("pool_recycle")
         .param("frame_bytes", std::uint64_t{kFrame})
         .metric("ns_per_acquire", MetricKind::kLatency, ns, "ns", kIters);
+  }
+
+  // EventQueue pipeline microbenchmark: ~800 packets in flight on the three
+  // fixed pipeline delays (NF overhead on SmartNIC and CPU, PCIe fixed
+  // cost) plus a few heap-scheduled completions, in steady state.  One
+  // iteration is one pop, its dispatch and the schedule it makes.
+  {
+    constexpr std::size_t kInFlight = 800;
+    constexpr std::size_t kHeapEvents = 8;
+    const std::size_t kIters = bench_quick_mode() ? 500'000 : 4'000'000;
+    EventQueue queue;
+    PipelineSink sink;
+    sink.queue = &queue;
+    EventRecord rec;
+    rec.sink = &sink;
+    for (std::size_t i = 0; i < kInFlight + kHeapEvents; ++i) {
+      rec.kind = i < kInFlight ? 0 : 1;
+      rec.node = static_cast<std::uint32_t>(i % std::size(PipelineSink::kDelays));
+      rec.a = i;
+      queue.schedule_at(SimTime::nanoseconds(static_cast<std::int64_t>(i) * 70), rec);
+    }
+    for (std::size_t i = 0; i < kInFlight * 4; ++i) {  // warm up: reach steady state
+      queue.run_one();
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kIters; ++i) {
+      queue.run_one();
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(t1 - t0).count() /
+        static_cast<double>(kIters);
+    std::printf("event queue pipeline (%zu in flight, %zu delays, %zu heap): "
+                "%.1f ns/event over %zu events\n",
+                kInFlight, std::size(PipelineSink::kDelays), kHeapEvents, ns, kIters);
+    reporter.add_case("event_queue_pipeline")
+        .param("in_flight", std::uint64_t{kInFlight})
+        .param("heap_events", std::uint64_t{kHeapEvents})
+        .metric("ns_per_event", MetricKind::kLatency, ns, "ns", kIters);
   }
   return reporter.flush();
 }

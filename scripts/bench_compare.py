@@ -59,6 +59,12 @@ def main():
               f"(old quick={old_doc['quick']}, new quick={new_doc['quick']}); "
               "timing deltas are not meaningful across modes",
               file=sys.stderr)
+    if old_doc.get("nproc") != new_doc.get("nproc"):
+        print(f"bench_compare: WARNING: nproc mismatch "
+              f"(old nproc={old_doc.get('nproc')}, "
+              f"new nproc={new_doc.get('nproc')}); "
+              "the runs come from machines of a different size",
+              file=sys.stderr)
 
     old_by_key = {bench_schema.record_key(r): r for r in old_doc["records"]}
     new_by_key = {bench_schema.record_key(r): r for r in new_doc["records"]}

@@ -5,8 +5,8 @@ Usage: bench_merge.py SECTION.json [SECTION.json ...] --out MERGED.json
 
 Each input is the JSON one bench binary writes via --bench-json /
 PAM_BENCH_JSON.  The merged file keeps the pam-bench/v1 shape: one header
-(taken from the first section; provenance fields must agree across
-sections) plus the concatenation of all records, sorted by identity so
+(taken from the first section; provenance fields, `nproc` included, must
+agree across sections) plus the concatenation of all records, sorted by identity so
 regeneration is byte-stable.  scripts/run_benches.sh is the usual caller.
 
 Exit codes: 0 merged, 2 validation/usage error.
@@ -51,12 +51,13 @@ def main():
     seen = {}
     for path, doc in sections:
         for field in ("git_describe", "build_type", "compiler", "build_flags",
-                      "quick"):
-            if doc[field] != head[field]:
+                      "quick", "nproc"):
+            if doc.get(field) != head.get(field):
                 errors.append(
-                    f"{path}: header field {field!r} = {doc[field]!r} "
-                    f"disagrees with {head_path} ({head[field]!r}); "
-                    "sections must come from one build + one quick setting")
+                    f"{path}: header field {field!r} = {doc.get(field)!r} "
+                    f"disagrees with {head_path} ({head.get(field)!r}); "
+                    "sections must come from one build + one quick setting "
+                    "on one machine")
         for record in doc["records"]:
             key = bench_schema.record_key(record)
             if key in seen:
@@ -79,6 +80,7 @@ def main():
         "compiler": head["compiler"],
         "build_flags": head["build_flags"],
         "quick": head["quick"],
+        **({"nproc": head["nproc"]} if "nproc" in head else {}),
         "records": [{k: r[k] for k in bench_schema.RECORD_KEYS}
                     for r in records],
     }

@@ -11,6 +11,11 @@ SCHEMA = "pam-bench/v1"
 HEADER_KEYS = ("schema", "git_describe", "build_type", "compiler",
                "build_flags", "quick", "records")
 
+#: Header fields added after the first files were written: optional, so
+#: older trajectories still validate, but checked whenever present.
+#: `nproc` is the processor count the producing machine reported.
+OPTIONAL_HEADER_KEYS = ("nproc",)
+
 RECORD_KEYS = ("bench", "case", "params", "metric", "kind", "value", "unit",
                "repeats")
 
@@ -49,6 +54,10 @@ def validate(doc, source="<input>"):
             errors.append(f"{source}: missing header field {field!r}")
     if not isinstance(doc.get("quick"), bool):
         errors.append(f"{source}: header field 'quick' must be a boolean")
+    if "nproc" in doc and (not isinstance(doc["nproc"], int) or
+                           isinstance(doc["nproc"], bool) or doc["nproc"] < 0):
+        errors.append(f"{source}: header field 'nproc' must be a "
+                      "non-negative integer")
     records = doc.get("records")
     if not isinstance(records, list):
         return errors + [f"{source}: 'records' must be an array"]

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "common/json_writer.hpp"
 #include "common/strings.hpp"
@@ -100,6 +101,9 @@ void BenchReporter::write_json(std::ostream& out) const {
   w.key("compiler"); w.value(PAM_BENCH_COMPILER);
   w.key("build_flags"); w.value(PAM_BENCH_CXX_FLAGS);
   w.key("quick"); w.value(bench_quick_mode());
+  w.key("nproc");
+  // pam-lint: allow(D006) reads the processor count for the header; starts no thread
+  w.value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   w.key("records");
   w.begin_array();
   for (const auto& c : cases_) {

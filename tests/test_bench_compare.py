@@ -21,7 +21,7 @@ COMPARE = os.path.join(REPO_ROOT, "scripts", "bench_compare.py")
 MERGE = os.path.join(REPO_ROOT, "scripts", "bench_merge.py")
 
 
-def make_doc(records, quick=True):
+def make_doc(records, quick=True, nproc=4):
     return {
         "schema": "pam-bench/v1",
         "bench": "pam-bench-suite",
@@ -30,6 +30,7 @@ def make_doc(records, quick=True):
         "compiler": "GNU 12",
         "build_flags": "-O3",
         "quick": quick,
+        "nproc": nproc,
         "records": records,
     }
 
@@ -151,6 +152,27 @@ class BenchToolingTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
         self.assertIn("quick-mode mismatch", result.stderr)
 
+    def test_nproc_mismatch_warns_but_compares(self):
+        old = make_doc([make_record()], nproc=4)
+        new = make_doc([make_record()], nproc=16)
+        result = self.compare(old, new)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertIn("nproc mismatch", result.stderr)
+
+    def test_header_without_nproc_still_validates(self):
+        old = make_doc([make_record()])
+        del old["nproc"]
+        result = self.compare(old, make_doc([make_record()]))
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_bad_nproc_fails_with_2(self):
+        for bad in ("4", -1, 2.5, True):
+            new = make_doc([make_record()])
+            new["nproc"] = bad
+            result = self.compare(make_doc([make_record()]), new)
+            self.assertEqual(result.returncode, 2,
+                             f"{bad!r}: " + result.stdout + result.stderr)
+
     def test_merge_combines_and_sorts(self):
         a = make_doc([make_record(case="z"), make_record(case="a")])
         a["bench"] = "bench_a"
@@ -165,6 +187,8 @@ class BenchToolingTest(unittest.TestCase):
         with open(out, encoding="utf-8") as fh:
             merged = json.load(fh)
         self.assertEqual(merged["bench"], "pam-bench-suite")
+        self.assertEqual(merged["nproc"], 4)
+        self.assertEqual(list(merged)[-2:], ["nproc", "records"])
         self.assertEqual([r["case"] for r in merged["records"]],
                          ["a", "m", "z"])
 
@@ -177,6 +201,17 @@ class BenchToolingTest(unittest.TestCase):
              os.path.join(self.tmp.name, "merged.json")],
             capture_output=True, text=True)
         self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+
+    def test_merge_rejects_mixed_nproc(self):
+        a = make_doc([make_record()], nproc=4)
+        b = make_doc([make_record(metric="other")], nproc=8)
+        result = subprocess.run(
+            [sys.executable, MERGE, self.write("a.json", a),
+             self.write("b.json", b), "--out",
+             os.path.join(self.tmp.name, "merged.json")],
+            capture_output=True, text=True)
+        self.assertEqual(result.returncode, 2, result.stdout + result.stderr)
+        self.assertIn("'nproc'", result.stderr)
 
     def test_merge_rejects_mixed_quick_modes(self):
         a = make_doc([make_record()], quick=True)

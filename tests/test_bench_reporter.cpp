@@ -48,7 +48,8 @@ TEST(BenchReporter, HeaderAndRecordFieldOrderIsDocumented) {
   // on names, but stable order keeps baseline diffs reviewable.
   const char* ordered_keys[] = {
       "\"schema\"", "\"bench\"",  "\"git_describe\"", "\"build_type\"",
-      "\"compiler\"", "\"build_flags\"", "\"quick\"", "\"records\"",
+      "\"compiler\"", "\"build_flags\"", "\"quick\"", "\"nproc\"",
+      "\"records\"",
       // first record
       "\"case\"", "\"params\"", "\"metric\"", "\"kind\"", "\"value\"",
       "\"unit\"", "\"repeats\""};
