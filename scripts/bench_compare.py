@@ -59,10 +59,10 @@ def main():
               f"(old quick={old_doc['quick']}, new quick={new_doc['quick']}); "
               "timing deltas are not meaningful across modes",
               file=sys.stderr)
-    if old_doc.get("nproc") != new_doc.get("nproc"):
+    if "nproc" in old_doc and "nproc" in new_doc and \
+            old_doc["nproc"] != new_doc["nproc"]:
         print(f"bench_compare: WARNING: nproc mismatch "
-              f"(old nproc={old_doc.get('nproc')}, "
-              f"new nproc={new_doc.get('nproc')}); "
+              f"(old nproc={old_doc['nproc']}, new nproc={new_doc['nproc']}); "
               "the runs come from machines of a different size",
               file=sys.stderr)
 

@@ -164,6 +164,7 @@ class BenchToolingTest(unittest.TestCase):
         del old["nproc"]
         result = self.compare(old, make_doc([make_record()]))
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+        self.assertNotIn("nproc mismatch", result.stderr)
 
     def test_bad_nproc_fails_with_2(self):
         for bad in ("4", -1, 2.5, True):
