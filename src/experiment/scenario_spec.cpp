@@ -1,8 +1,13 @@
 #include "experiment/scenario_spec.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
+#include <span>
+#include <type_traits>
 #include <unordered_set>
 
 #include "chain/chain_spec.hpp"
@@ -13,7 +18,7 @@ namespace pam {
 namespace {
 
 /// Canonical shortest-round-trip rendering (common/strings.hpp), aliased to
-/// keep to_text() call sites short.
+/// keep the codecs short.
 std::string fmt_double(double v) { return format_double_shortest(v); }
 
 struct KeyValue {
@@ -31,75 +36,615 @@ struct Section {
 /// Splits on whitespace, dropping empty tokens.
 std::vector<std::string> tokens_of(std::string_view s) {
   std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == ' ' || c == '\t') {
-      if (!cur.empty()) {
-        out.push_back(std::move(cur));
-        cur.clear();
-      }
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    out.push_back(std::move(cur));
+  for (std::size_t i = 0; (i = s.find_first_not_of(" \t", i)) != std::string_view::npos;) {
+    const std::size_t end = std::min(s.find_first_of(" \t", i), s.size());
+    out.emplace_back(s.substr(i, end - i));
+    i = end;
   }
   return out;
 }
 
-bool parse_u64_strict(std::string_view s, std::uint64_t& out) {
+/// Plain decimal digits into `out`; false on anything else, or if the
+/// value does not fit.
+template <class T>
+bool parse_uint(std::string_view s, T& out) {
+  static_assert(std::is_unsigned_v<T>);
   // strtoull silently wraps negative input, so require plain digits.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string_view::npos) {
-    return false;
-  }
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string_view::npos) return false;
   const std::string buf{s};
-  char* end = nullptr;
-  out = std::strtoull(buf.c_str(), &end, 10);
-  return *end == '\0';
+  errno = 0;
+  const unsigned long long v = std::strtoull(buf.c_str(), nullptr, 10);
+  out = static_cast<T>(v);
+  return errno == 0 && out == v;
 }
 
-bool parse_size_strict(std::string_view s, std::size_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64_strict(s, v)) {
-    return false;
-  }
-  out = static_cast<std::size_t>(v);
-  return true;
+// --- value ranges -----------------------------------------------------------
+
+/// A numeric value's accepted range, inclusive.  Doubles must also be finite.
+struct Range {
+  double lo;
+  double hi;
+};
+
+constexpr double kHuge = std::numeric_limits<double>::max();
+constexpr Range kNonNeg{0.0, kHuge};  ///< rates (Gbps), loads, counts
+/// Times stop at 1e12 ms (about 32 simulated years): SimTime counts int64
+/// nanoseconds, so a time, and a sum of a few, converts without overflow.
+constexpr Range kMs{0.0, 1e12};
+constexpr Range kUs{0.0, 1e15};
+/// A period or epoch quantum is at least one simulated ns; a loop stepping
+/// by a zero-ns period never advances.
+constexpr Range kTickMs{1e-6, 1e12};
+constexpr Range kTickUs{1e-3, 1e15};
+
+bool in_range(double v, Range r) { return std::isfinite(v) && v >= r.lo && v <= r.hi; }
+
+std::string range_text(Range r) {
+  return r.hi == kHuge ? ">= " + fmt_double(r.lo)
+                       : "in [" + fmt_double(r.lo) + ", " + fmt_double(r.hi) + "]";
 }
 
-/// `prefix=NUMBER` -> NUMBER, e.g. "at_ms=40".
-bool parse_tagged_double(std::string_view token, std::string_view tag, double& out) {
-  if (token.size() <= tag.size() + 1 || token.substr(0, tag.size()) != tag ||
-      token[tag.size()] != '=') {
-    return false;
+/// A number inside a composite value, e.g. the `2.5` of `constant 2.5`.
+bool number_in(std::string_view token, Range r, double& out) {
+  return parse_double_strict(token, out) && in_range(out, r);
+}
+
+/// `TAG=NUMBER` inside a composite value, e.g. "at_ms=40".
+bool tagged_in(std::string_view token, std::string_view tag, Range r, double& out) {
+  return token.size() > tag.size() + 1 && token.starts_with(tag) && token[tag.size()] == '=' &&
+         number_in(token.substr(tag.size() + 1), r, out);
+}
+
+// --- names ------------------------------------------------------------------
+
+constexpr std::string_view kKindNames[] = {"compare", "capacity", "timeline", "deployment",
+                                           "cluster", "churn",    "failure",  "hostile"};
+constexpr std::string_view kMeasureNames[] = {"analytic", "des", "both"};
+constexpr std::string_view kArrivalNames[] = {"cbr", "poisson"};
+constexpr std::string_view kLocationNames[] = {"smartnic", "cpu"};
+
+/// A set of scenario kinds, one bit per ScenarioKind value.
+using Kinds = unsigned;
+
+constexpr Kinds bit(ScenarioKind kind) { return 1u << static_cast<unsigned>(kind); }
+
+constexpr Kinds kAll = 0xffu;
+constexpr Kinds kCompare = bit(ScenarioKind::kCompare);
+constexpr Kinds kCapacity = bit(ScenarioKind::kCapacity);
+constexpr Kinds kTimeline = bit(ScenarioKind::kTimeline);
+constexpr Kinds kDeployment = bit(ScenarioKind::kDeployment);
+constexpr Kinds kChurn = bit(ScenarioKind::kChurn);
+constexpr Kinds kFailure = bit(ScenarioKind::kFailure);
+constexpr Kinds kHostile = bit(ScenarioKind::kHostile);
+constexpr Kinds kFleet = bit(ScenarioKind::kCluster) | kChurn | kFailure | kHostile;
+
+/// Position of `word` in `names`; names.size() if absent.
+std::size_t index_of(std::span<const std::string_view> names, std::string_view word) {
+  return static_cast<std::size_t>(std::find(names.begin(), names.end(), word) - names.begin());
+}
+
+/// `names` joined with '|', keeping only the bits set in `only`.
+std::string joined(std::span<const std::string_view> names, Kinds only = kAll) {
+  std::string out;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if ((only & (1u << i)) != 0) out.append(out.empty() ? "" : "|").append(names[i]);
   }
-  return parse_double_strict(token.substr(tag.size() + 1), out);
+  return out;
+}
+
+// --- the key table: row type -----------------------------------------------
+
+struct Row;
+
+/// A codec bound to one member of the spec.  `i` picks the [variant] /
+/// [chain] element.
+struct Io {
+  std::string (*parse)(const Row&, const KeyValue&, ScenarioSpec&, std::size_t i);
+  void (*print)(const Row&, const ScenarioSpec&, std::size_t i, std::string& out);
+  bool repeats;  ///< the key may be given more than once per section
+  /// Repeated sections ([variant], [chain]) only: element count, and append.
+  std::size_t (*instances)(const ScenarioSpec&);
+  void (*open)(ScenarioSpec&);
+};
+
+/// When to_text prints an optional key (nullptr: always).
+using When = bool (*)(const ScenarioSpec&, std::size_t i);
+
+/// One `(section, key)` of the `.scn` schema; its codec owns the range.
+struct Row {
+  std::string_view section;
+  std::string_view key;  ///< a trailing '.' makes a prefix key (`param.NAME`)
+  Kinds kinds;           ///< the scenario kinds that accept the key
+  Io io;
+  When when = nullptr;
+  Kinds needed = 0;           ///< the kinds that must give the key
+  bool shard_option = false;  ///< only valid when [cluster] shards > 1
+};
+
+void put(std::string& out, std::string_view key, std::string_view value) {
+  out.append(key).append(" = ").append(value).append("\n");
+}
+
+std::string expected(const KeyValue& kv, const std::string& what) {
+  return format("key '%s': expected %s, got '%s'", kv.key.c_str(), what.c_str(),
+                kv.value.c_str());
+}
+
+std::string registered(const PolicyConfig& policy) {
+  const auto valid = PolicyRegistry::instance().validate(policy);
+  return valid ? std::string{} : valid.error().what();
+}
+
+// --- value codecs -----------------------------------------------------------
+//
+// A codec parses one entry's value into its member, returning an error
+// message (empty on success), and renders the member back.  A scalar codec
+// has text(); a repeating one (kRepeats) has print(), which writes every
+// `key = value` line it owns.
+
+struct Text {
+  static std::string parse(const Row&, const KeyValue& kv, std::string& out) {
+    out = kv.value;
+    return {};
+  }
+  static std::string text(const std::string& v) { return v; }
+};
+
+template <Range R>
+struct Number {
+  static std::string parse(const Row&, const KeyValue& kv, double& out) {
+    if (!parse_double_strict(kv.value, out)) return expected(kv, "a number");
+    return in_range(out, R) ? "" : expected(kv, "a finite number " + range_text(R));
+  }
+  static std::string text(double v) { return fmt_double(v); }
+};
+
+template <class T, Range R = kNonNeg>
+struct Integer {
+  static std::string parse(const Row&, const KeyValue& kv, T& out) {
+    std::uint64_t v = 0;
+    if (parse_uint(kv.value, v) && in_range(static_cast<double>(v), R)) {
+      out = static_cast<T>(v);
+      return {};
+    }
+    return expected(kv, R.hi == kHuge ? "an unsigned integer" : "an integer " + range_text(R));
+  }
+  static std::string text(T v) { return std::to_string(v); }
+};
+
+struct OnOff {
+  static std::string parse(const Row&, const KeyValue& kv, bool& out) {
+    out = kv.value == "on";
+    return out || kv.value == "off" ? "" : expected(kv, "on|off");
+  }
+  static std::string text(bool v) { return v ? "on" : "off"; }
+};
+
+template <class E, const auto& kNames>
+struct Enum {
+  static std::string parse(const Row&, const KeyValue& kv, E& out) {
+    const std::size_t i = index_of(kNames, kv.value);
+    out = static_cast<E>(i);
+    return i < std::size(kNames) ? "" : expected(kv, joined(kNames));
+  }
+  static std::string text(E v) { return std::string{kNames[static_cast<std::size_t>(v)]}; }
+};
+
+struct NfName {
+  static std::string parse(const Row&, const KeyValue& kv, NfType& out) {
+    const auto type = nf_type_from_string(kv.value);
+    out = type.value_or(out);
+    return type ? "" : expected(kv, "an NF type");
+  }
+  static std::string text(NfType type) { return std::string{to_string(type)}; }
+};
+
+/// A space-separated list, each word parsed by `Codec`.
+template <class Codec, class T>
+struct List {
+  static std::string parse(const Row& row, const KeyValue& kv, std::vector<T>& out) {
+    for (const auto& word : tokens_of(kv.value)) {
+      std::string error = Codec::parse(row, KeyValue{kv.line, kv.key, word}, out.emplace_back());
+      if (!error.empty()) return error;
+    }
+    return {};
+  }
+  static std::string text(const std::vector<T>& values) {
+    std::string out;
+    for (const T& value : values) {
+      out.append(out.empty() ? "" : " ").append(Codec::text(value));
+    }
+    return out;
+  }
+};
+
+struct Sizes {
+  static std::string parse(const Row&, const KeyValue& kv, SizeSpec& out) {
+    constexpr std::string_view kWords[] = {"fixed", "imix", "uniform", "sweep"};  // by Kind
+    constexpr std::size_t kTokens[] = {2, 1, 3, 1};
+    const auto tok = tokens_of(kv.value);
+    const std::size_t i = index_of(kWords, tok.empty() ? "" : tok[0]);
+    out.kind = static_cast<SizeSpec::Kind>(i);
+    bool ok = i < std::size(kWords) && tok.size() == kTokens[i];
+    if (ok && out.kind == SizeSpec::Kind::kFixed) ok = parse_uint(tok[1], out.fixed);
+    if (ok && out.kind == SizeSpec::Kind::kUniform) {
+      ok = parse_uint(tok[1], out.lo) && parse_uint(tok[2], out.hi) && out.lo <= out.hi;
+    }
+    return ok ? "" : expected(kv, "'fixed N' | 'imix' | 'uniform LO HI' (LO <= HI) | 'sweep'");
+  }
+  static std::string text(const SizeSpec& s) {
+    using K = SizeSpec::Kind;
+    return s.kind == K::kFixed     ? format("fixed %zu", s.fixed)
+           : s.kind == K::kUniform ? format("uniform %zu %zu", s.lo, s.hi)
+           : s.kind == K::kImix    ? "imix"
+                                   : "sweep";
+  }
+};
+
+/// An offered-load profile, `WORD A [B] [TAG=T ...]`: rates are Gbps >= 0,
+/// times are ms.  A [chain]'s profile (the ChainDecl overloads) also sets
+/// `has_rate`.
+struct Profile {
+  static std::string parse(const Row&, const KeyValue& kv, RateSpec& out) {
+    using K = RateSpec::Kind;
+    constexpr std::string_view kWords[] = {"constant", "step", "sinusoid", "flash"};  // by Kind
+    constexpr std::size_t kTokens[] = {2, 4, 4, 5};
+    const auto tok = tokens_of(kv.value);
+    const std::size_t i = index_of(kWords, tok.empty() ? "" : tok[0]);
+    out.kind = static_cast<K>(i);
+    bool ok = i < std::size(kWords) && tok.size() == kTokens[i] && number_in(tok[1], kNonNeg, out.a);
+    if (ok && out.kind != K::kConstant) {
+      ok = number_in(tok[2], kNonNeg, out.b) &&
+           (out.kind == K::kSinusoid ? tagged_in(tok[3], "period_ms", kTickMs, out.period_ms)
+                                     : tagged_in(tok[3], "at_ms", kMs, out.at_ms)) &&
+           (out.kind != K::kFlash || tagged_in(tok[4], "for_ms", kTickMs, out.for_ms));
+    }
+    return ok ? "" : expected(kv, "'constant G' | 'step B A at_ms=T' | "
+                                  "'sinusoid BASE AMP period_ms=P' | "
+                                  "'flash BASE PEAK at_ms=T for_ms=D' (rates >= 0, P and D > 0)");
+  }
+  static std::string parse(const Row& row, const KeyValue& kv, ChainDecl& out) {
+    out.has_rate = true;
+    return parse(row, kv, out.rate);
+  }
+  static std::string text(const ChainDecl& decl) { return text(decl.rate); }
+  static std::string text(const RateSpec& r) {
+    const std::string ab = fmt_double(r.a) + " " + fmt_double(r.b);
+    switch (r.kind) {
+      case RateSpec::Kind::kConstant: return "constant " + fmt_double(r.a);
+      case RateSpec::Kind::kStep: return "step " + ab + " at_ms=" + fmt_double(r.at_ms);
+      case RateSpec::Kind::kSinusoid: return "sinusoid " + ab + " period_ms=" + fmt_double(r.period_ms);
+      case RateSpec::Kind::kFlash:
+        return "flash " + ab + " at_ms=" + fmt_double(r.at_ms) + " for_ms=" + fmt_double(r.for_ms);
+    }
+    return "constant 1";
+  }
+};
+
+struct MeasuredAt {
+  static std::string parse(const Row&, const KeyValue& kv, MeasureRate& out) {
+    const auto tok = tokens_of(kv.value);
+    out = MeasureRate{MeasureRate::Kind::kPlanRate, 0.0};
+    if (tok.size() == 1 && tok[0] == "plan") return {};
+    out.kind = tok.size() == 1 ? MeasureRate::Kind::kGbps : MeasureRate::Kind::kCapTimes;
+    const bool ok = tok.size() == 1 || (tok.size() == 3 && tok[0] == "cap" && tok[1] == "x");
+    return ok && number_in(tok.back(), kNonNeg, out.value)
+               ? ""
+               : expected(kv, "Gbps | 'plan' | 'cap x M' (Gbps and M >= 0)");
+  }
+  static std::string text(const MeasureRate& m) {
+    using K = MeasureRate::Kind;
+    return m.kind == K::kGbps       ? fmt_double(m.value)
+           : m.kind == K::kCapTimes ? "cap x " + fmt_double(m.value)
+                                    : "plan";
+  }
+};
+
+/// A registered policy, `NAME[:key=val,...]`; unknown names and keys are
+/// strict errors listing what is registered (no silent fallback).  The
+/// [policy] section prints only the name (kWithParams false) and leaves the
+/// parameters to its `param.` rows.
+template <bool kWithParams>
+struct Policy {
+  static std::string parse(const Row&, const KeyValue& kv, PolicyConfig& out) {
+    auto parsed = PolicyConfig::parse(kv.value);
+    if (!parsed) return parsed.error().what();
+    out = std::move(parsed).value();
+    return registered(out);
+  }
+  static std::string text(const PolicyConfig& p) { return kWithParams ? p.to_string() : p.name; }
+};
+
+/// `PREFIX.NAME = NUMBER`: one parameter added to a policy.
+struct Params {
+  static constexpr bool kRepeats = true;
+  static std::string parse(const Row& row, const KeyValue& kv, PolicyConfig& policy) {
+    const std::string name = kv.key.substr(row.key.size());
+    double value = 0.0;
+    if (!parse_double_strict(kv.value, value)) return expected(kv, "a number");
+    if (policy.contains(name)) {
+      return format("policy '%s': duplicate parameter '%s'", policy.name.c_str(), name.c_str());
+    }
+    policy.params.emplace_back(name, value);
+    return registered(policy);
+  }
+  static void print(const Row& row, const PolicyConfig& policy, std::string& out) {
+    for (const auto& [name, value] : policy.params) {
+      put(out, std::string{row.key}.append(name), fmt_double(value));
+    }
+  }
+};
+
+struct Failure {
+  static std::string parse(const Row&, const KeyValue& kv, FailureEvent& event) {
+    const auto tok = tokens_of(kv.value);
+    const bool ok = (tok.size() == 2 || tok.size() == 3) && parse_uint(tok[0], event.server) &&
+                    tagged_in(tok[1], "at_ms", kMs, event.at_ms) &&
+                    (tok.size() == 2 || tagged_in(tok[2], "recover_ms", kMs, event.recover_ms));
+    return ok && (event.recover_ms < 0.0 || event.recover_ms > event.at_ms)
+               ? ""
+               : expected(kv, "'SERVER at_ms=T [recover_ms=U]' with U > T");
+  }
+  static std::string text(const FailureEvent& event) {
+    return format("%zu at_ms=", event.server) + fmt_double(event.at_ms) +
+           (event.recover_ms >= 0.0 ? " recover_ms=" + fmt_double(event.recover_ms) : "");
+  }
+};
+
+struct Fabric {
+  static std::string parse(const Row&, const KeyValue& kv, LinkTraceSpec::FabricPoint& point) {
+    const auto tok = tokens_of(kv.value);
+    return tok.size() == 2 && tagged_in(tok[0], "at_ms", kMs, point.at_ms) &&
+                   tagged_in(tok[1], "delay_us", kUs, point.delay_us)
+               ? ""
+               : expected(kv, "'at_ms=T delay_us=D' with D >= 0");
+  }
+  static std::string text(const LinkTraceSpec::FabricPoint& point) {
+    return "at_ms=" + fmt_double(point.at_ms) + " delay_us=" + fmt_double(point.delay_us);
+  }
+};
+
+struct Fade {
+  static std::string parse(const Row&, const KeyValue& kv, LinkTraceSpec::SlotFade& fade) {
+    constexpr Range kSpeed{std::numeric_limits<double>::denorm_min(), 100.0};
+    const auto tok = tokens_of(kv.value);
+    return tok.size() == 3 && parse_uint(tok[0], fade.server) &&
+                   tagged_in(tok[1], "at_ms", kMs, fade.at_ms) &&
+                   tagged_in(tok[2], "speed", kSpeed, fade.speed)
+               ? ""
+               : expected(kv, "'SERVER at_ms=T speed=F' with F in (0, 100]");
+  }
+  static std::string text(const LinkTraceSpec::SlotFade& fade) {
+    return format("%zu at_ms=", fade.server) + fmt_double(fade.at_ms) +
+           " speed=" + fmt_double(fade.speed);
+  }
+};
+
+/// A repeated key: each line adds one element.
+template <class Codec, class T>
+struct Each {
+  static constexpr bool kRepeats = true;
+  static std::string parse(const Row& row, const KeyValue& kv, std::vector<T>& out) {
+    return Codec::parse(row, kv, out.emplace_back());
+  }
+  static void print(const Row& row, const std::vector<T>& values, std::string& out) {
+    for (const T& value : values) {
+      put(out, row.key, Codec::text(value));
+    }
+  }
+};
+
+// --- the key table ----------------------------------------------------------
+
+/// Where each section struct lives in the spec (nullptr: the spec itself).
+template <class Part> constexpr auto kHome = nullptr;
+template <> constexpr auto kHome<TrafficSpec> = &ScenarioSpec::traffic;
+template <> constexpr auto kHome<VariantSpec> = &ScenarioSpec::variants;
+template <> constexpr auto kHome<CapacitySpec> = &ScenarioSpec::capacity;
+template <> constexpr auto kHome<ControllerSpec> = &ScenarioSpec::controller;
+template <> constexpr auto kHome<ChainDecl> = &ScenarioSpec::chains;
+template <> constexpr auto kHome<DeploymentSpec> = &ScenarioSpec::deployment;
+template <> constexpr auto kHome<ClusterSpec> = &ScenarioSpec::cluster;
+template <> constexpr auto kHome<LinkTraceSpec> = &ScenarioSpec::link;
+
+/// [variant] and [chain] repeat: each header opens one more element.
+template <class Part>
+constexpr bool kRepeated = std::is_same_v<Part, VariantSpec> || std::is_same_v<Part, ChainDecl>;
+
+/// `Member` of the `i`-th `Part`, or that whole `Part` when Member is nullptr.
+template <class Part, auto Member>
+auto& field(auto& spec, std::size_t i) {
+  if constexpr (!std::is_null_pointer_v<decltype(Member)>) {
+    return field<Part, nullptr>(spec, i).*Member;
+  } else if constexpr (std::is_null_pointer_v<decltype(kHome<Part>)>) {
+    return spec;
+  } else if constexpr (kRepeated<Part>) {
+    return (spec.*kHome<Part>)[i];
+  } else {
+    return spec.*kHome<Part>;
+  }
+}
+
+template <class Codec, class Part, auto Member = nullptr>
+constexpr Io bind() {
+  Io io{};
+  io.parse = [](const Row& row, const KeyValue& kv, ScenarioSpec& spec, std::size_t i) {
+    return Codec::parse(row, kv, field<Part, Member>(spec, i));
+  };
+  io.print = [](const Row& row, const ScenarioSpec& spec, std::size_t i, std::string& out) {
+    if constexpr (requires { Codec::kRepeats; }) {
+      Codec::print(row, field<Part, Member>(spec, i), out);
+    } else {
+      put(out, row.key, Codec::text(field<Part, Member>(spec, i)));
+    }
+  };
+  io.repeats = requires { Codec::kRepeats; };
+  if constexpr (kRepeated<Part>) {
+    io.instances = [](const ScenarioSpec& spec) { return (spec.*kHome<Part>).size(); };
+    io.open = [](ScenarioSpec& spec) { (spec.*kHome<Part>).emplace_back(); };
+  }
+  return io;
+}
+
+template <class C, class T>
+C class_of(T C::*);
+
+/// Binds `Codec` to a pointer to member of the spec or of a section struct.
+template <class Codec, auto Member>
+constexpr Io io() {
+  return bind<Codec, decltype(class_of(Member)), Member>();
+}
+
+using Kind = Enum<ScenarioKind, kKindNames>;
+using Measure = Enum<MeasureMode, kMeasureNames>;
+using Arrival = Enum<ArrivalProcess, kArrivalNames>;
+using Nfs = List<NfName, NfType>;
+using Locations = List<Enum<Location, kLocationNames>, Location>;
+template <Range R = kNonNeg>
+using Size = Integer<std::size_t, R>;
+using NonNeg = Number<kNonNeg>;
+using Ms = Number<kMs>;
+
+bool has_description(const ScenarioSpec& s, std::size_t) { return !s.description.empty(); }
+bool has_chain(const ScenarioSpec& s, std::size_t) { return !s.chain.empty(); }
+bool has_scale_in(const ScenarioSpec& s, std::size_t) {
+  return !(s.scale_in.name == "none" && s.scale_in.params.empty());
+}
+bool pinned(const ScenarioSpec& s, std::size_t i) { return s.chains[i].server >= 0; }
+bool own_policy(const ScenarioSpec& s, std::size_t i) { return !s.chains[i].policy.empty(); }
+bool arrives_late(const ScenarioSpec& s, std::size_t i) { return s.chains[i].arrive_ms != 0.0; }
+bool departs(const ScenarioSpec& s, std::size_t i) { return s.chains[i].depart_ms >= 0.0; }
+bool own_rate(const ScenarioSpec& s, std::size_t i) { return s.chains[i].has_rate; }
+bool sharded(const ScenarioSpec& s, std::size_t) { return s.cluster.shards > 1; }
+
+constexpr bool kNeedsShards = true;  ///< Row::shard_option
+
+/// The whole `.scn` schema, one row per `(section, key)`.  Parsing, the
+/// unknown / duplicate key checks, the kind checks, ranges and to_text() all
+/// walk this table.  Rows are grouped by section, in canonical order.
+constexpr Row kRows[] = {
+    {"scenario", "name", kAll, io<Text, &ScenarioSpec::name>(), nullptr, kAll},
+    {"scenario", "kind", kAll, io<Kind, &ScenarioSpec::kind>(), nullptr, kAll},
+    {"scenario", "description", kAll, io<Text, &ScenarioSpec::description>(), has_description},
+    {"scenario", "note", kAll, io<Each<Text, std::string>, &ScenarioSpec::notes>()},
+    {"scenario", "chain", kAll, io<Text, &ScenarioSpec::chain>(), has_chain},
+    {"scenario", "plan_rate_gbps", kAll, io<NonNeg, &ScenarioSpec::plan_rate_gbps>()},
+    {"scenario", "measure", kAll, io<Measure, &ScenarioSpec::measure>()},
+    {"scenario", "duration_ms", kAll, io<Ms, &ScenarioSpec::duration_ms>()},
+    {"scenario", "warmup_ms", kAll, io<Ms, &ScenarioSpec::warmup_ms>()},
+    {"scenario", "seed", kAll, io<Integer<std::uint64_t>, &ScenarioSpec::seed>()},
+
+    {"traffic", "arrival", kAll, io<Arrival, &TrafficSpec::arrival>()},
+    {"traffic", "sizes", kAll, io<Sizes, &TrafficSpec::sizes>()},
+    {"traffic", "rate", kTimeline, io<Profile, &TrafficSpec::rate>(), nullptr, kTimeline},
+
+    {"policy", "name", kTimeline | kFleet, io<Policy<false>, &ScenarioSpec::policy>()},
+    {"policy", "param.", kTimeline | kFleet, io<Params, &ScenarioSpec::policy>()},
+    {"policy", "scale_in", kTimeline, io<Policy<false>, &ScenarioSpec::scale_in>(), has_scale_in},
+    {"policy", "scale_in.param.", kTimeline, io<Params, &ScenarioSpec::scale_in>(), has_scale_in},
+
+    {"variant", "label", kCompare, io<Text, &VariantSpec::label>()},
+    {"variant", "policy", kCompare, io<Policy<true>, &VariantSpec::policy>()},
+    {"variant", "measure_rate", kCompare, io<MeasuredAt, &VariantSpec::measure_rate>()},
+
+    {"capacity", "nfs", kCapacity, io<Nfs, &CapacitySpec::nfs>(), nullptr, kCapacity},
+    {"capacity", "locations", kCapacity, io<Locations, &CapacitySpec::locations>()},
+    {"capacity", "loss_threshold", kCapacity,
+     io<Number<Range{0.0, 1.0}>, &CapacitySpec::loss_threshold>()},
+    {"capacity", "search_iters", kCapacity,
+     io<Integer<int, Range{1, 64}>, &CapacitySpec::search_iters>()},
+    {"capacity", "size_bytes", kCapacity, io<Size<>, &CapacitySpec::size_bytes>()},
+
+    {"controller", "trigger_utilization", kTimeline,
+     io<NonNeg, &ControllerSpec::trigger_utilization>()},
+    {"controller", "scale_in_below", kTimeline, io<NonNeg, &ControllerSpec::scale_in_below>()},
+    {"controller", "period_ms", kTimeline, io<Number<kTickMs>, &ControllerSpec::period_ms>()},
+    {"controller", "first_check_ms", kTimeline, io<Ms, &ControllerSpec::first_check_ms>()},
+    {"controller", "cooldown_ms", kTimeline, io<Ms, &ControllerSpec::cooldown_ms>()},
+
+    {"chain", "name", kDeployment | kFleet, io<Text, &ChainDecl::name>(), nullptr, kAll},
+    {"chain", "spec", kDeployment | kFleet, io<Text, &ChainDecl::spec>(), nullptr, kAll},
+    {"chain", "offered_gbps", kDeployment | kFleet, io<NonNeg, &ChainDecl::offered_gbps>()},
+    {"chain", "server", kFleet, io<Integer<std::int64_t, Range{0, 1023}>, &ChainDecl::server>(),
+     pinned},
+    {"chain", "policy", kFleet, io<Policy<true>, &ChainDecl::policy>(), own_policy},
+    {"chain", "arrive_ms", kChurn, io<Ms, &ChainDecl::arrive_ms>(), arrives_late},
+    {"chain", "depart_ms", kChurn, io<Ms, &ChainDecl::depart_ms>(), departs},
+    {"chain", "rate", kChurn, bind<Profile, ChainDecl>(), own_rate},
+
+    {"deployment", "burst_multiplier", kDeployment,
+     io<NonNeg, &DeploymentSpec::burst_multiplier>()},
+    {"deployment", "scale_out_headroom", kDeployment,
+     io<NonNeg, &DeploymentSpec::scale_out_headroom>()},
+
+    {"cluster", "servers", kFleet, io<Size<Range{1, 1024}>, &ClusterSpec::servers>()},
+    {"cluster", "rebalance", kFleet, io<OnOff, &ClusterSpec::rebalance>()},
+    {"cluster", "inter_server_us", kFleet, io<Number<kUs>, &ClusterSpec::inter_server_us>()},
+    {"cluster", "trigger_utilization", kFleet, io<NonNeg, &ClusterSpec::trigger_utilization>()},
+    {"cluster", "target_max_load", kFleet, io<NonNeg, &ClusterSpec::target_max_load>()},
+    {"cluster", "period_ms", kFleet, io<Number<kTickMs>, &ClusterSpec::period_ms>()},
+    {"cluster", "first_check_ms", kFleet, io<Ms, &ClusterSpec::first_check_ms>()},
+    {"cluster", "cooldown_ms", kFleet, io<Ms, &ClusterSpec::cooldown_ms>()},
+    {"cluster", "shards", kFleet, io<Size<Range{1, 1024}>, &ClusterSpec::shards>(), sharded},
+    {"cluster", "threads", kFleet, io<Size<Range{1, 256}>, &ClusterSpec::threads>(), sharded, 0,
+     kNeedsShards},
+    {"cluster", "cross_rack_us", kFleet, io<Number<kTickUs>, &ClusterSpec::cross_rack_us>(),
+     sharded, 0, kNeedsShards},
+    {"cluster", "orchestrate", kFleet, io<OnOff, &ClusterSpec::orchestrate>(), sharded, 0,
+     kNeedsShards},
+
+    {"failure", "fail", kFailure, io<Each<Failure, FailureEvent>, &ScenarioSpec::failures>(),
+     nullptr, kFailure},
+
+    {"link", "fabric", kHostile,
+     io<Each<Fabric, LinkTraceSpec::FabricPoint>, &LinkTraceSpec::fabric>()},
+    {"link", "fade", kHostile, io<Each<Fade, LinkTraceSpec::SlotFade>, &LinkTraceSpec::fades>()},
+};
+
+/// The rows of one section (contiguous in kRows); empty if unknown.
+std::span<const Row> rows_of(std::string_view section) {
+  const auto first = std::find_if(std::begin(kRows), std::end(kRows),
+                                  [&](const Row& row) { return row.section == section; });
+  const auto last = std::find_if(first, std::end(kRows),
+                                 [&](const Row& row) { return row.section != section; });
+  return {first, last};
+}
+
+Kinds kinds_of(std::span<const Row> rows) {
+  Kinds kinds = 0;
+  for (const Row& row : rows) {
+    kinds |= row.kinds;
+  }
+  return kinds;
+}
+
+const Row* find_row(std::span<const Row> rows, std::string_view key) {
+  const auto it = std::find_if(rows.begin(), rows.end(), [&](const Row& row) {
+    return row.key == key ||
+           (row.key.back() == '.' && key.size() > row.key.size() && key.starts_with(row.key));
+  });
+  return it == rows.end() ? nullptr : &*it;
 }
 
 /// Parser state: the spec under construction plus everything needed for
-/// good error messages and required-field checks.
+/// good error messages and the kind checks.
 class SpecParser {
  public:
   SpecParser(std::string_view text, std::string_view origin)
       : text_(text), origin_(origin) {}
 
   Result<ScenarioSpec> run() {
-    if (!lex() || !dispatch_sections() || !validate()) {
-      return Error{error_};
-    }
+    if (!lex() || !read_sections() || !validate()) return Error{error_};
     return spec_;
   }
 
  private:
+  static constexpr int kNoLine = 0;
+
   [[nodiscard]] bool fail(int line, const std::string& msg) {
-    error_ = format("%.*s:%d: %s", static_cast<int>(origin_.size()),
-                    origin_.data(), line, msg.c_str());
-    return false;
-  }
-  [[nodiscard]] bool fail_global(const std::string& msg) {
-    error_ = format("%.*s: %s", static_cast<int>(origin_.size()),
-                    origin_.data(), msg.c_str());
+    const int n = static_cast<int>(origin_.size());
+    error_ = line == kNoLine ? format("%.*s: %s", n, origin_.data(), msg.c_str())
+                             : format("%.*s:%d: %s", n, origin_.data(), line, msg.c_str());
     return false;
   }
 
@@ -148,839 +693,181 @@ class SpecParser {
     return true;
   }
 
-  /// Rejects a second occurrence of a non-repeatable section.
-  bool claim_unique(const Section& s) {
-    if (!seen_sections_.insert(s.name).second) {
-      return fail(s.line, format("duplicate [%s] section", s.name.c_str()));
-    }
-    return true;
+  /// Fails at `line` unless the scenario's kind is one of `kinds`.
+  bool allowed(Kinds kinds, int line, const std::string& section,
+               const std::string& key = "") {
+    if ((kinds & bit(spec_.kind)) != 0) return true;
+    const std::string what =
+        key.empty() ? "[" + section + "]" : format("[%s] '%s'", section.c_str(), key.c_str());
+    return fail(line, what + " is only valid for kind = " + joined(kKindNames, kinds));
   }
 
-  /// Rejects duplicate keys within one section instance (repeatable keys
-  /// such as `note` are handled by their section parser before this check).
-  bool no_duplicate_keys(const Section& s, const std::set<std::string>& repeatable = {}) {
-    std::set<std::string> seen;
-    for (const auto& kv : s.entries) {
-      if (repeatable.contains(kv.key)) {
-        continue;
-      }
-      if (!seen.insert(kv.key).second) {
-        return fail(kv.line, format("duplicate key '%s' in [%s]", kv.key.c_str(),
-                                    s.name.c_str()));
-      }
-    }
-    return true;
+  /// Fails for a key the scenario's kind needs but was not given.
+  bool missing(const Row& row, int line) {
+    const std::string section = "[" + std::string{row.section} + "]";
+    const std::string key = "'" + std::string{row.key} + "'";
+    return fail(line, row.needed == kAll ? section + " requires a " + key
+                                         : "kind = " + kind_name() + " requires " + section +
+                                               " " + key);
   }
 
-  bool dispatch_sections() {
-    for (const auto& section : sections_) {
-      if (section.name == "scenario") {
-        if (!claim_unique(section) || !parse_scenario(section)) return false;
-      } else if (section.name == "traffic") {
-        if (!claim_unique(section) || !parse_traffic(section)) return false;
-      } else if (section.name == "policy") {
-        if (!claim_unique(section) || !parse_policy_section(section)) return false;
-      } else if (section.name == "variant") {
-        if (!parse_variant(section)) return false;
-      } else if (section.name == "capacity") {
-        if (!claim_unique(section) || !parse_capacity(section)) return false;
-      } else if (section.name == "controller") {
-        if (!claim_unique(section) || !parse_controller(section)) return false;
-      } else if (section.name == "chain") {
-        if (!parse_chain_decl(section)) return false;
-      } else if (section.name == "deployment") {
-        if (!claim_unique(section) || !parse_deployment(section)) return false;
-      } else if (section.name == "cluster") {
-        if (!claim_unique(section) || !parse_cluster(section)) return false;
-      } else if (section.name == "failure") {
-        if (!claim_unique(section) || !parse_failure(section)) return false;
-      } else if (section.name == "link") {
-        if (!claim_unique(section) || !parse_link(section)) return false;
-      } else {
-        return fail(section.line, format("unknown section [%s]", section.name.c_str()));
+  bool read_sections() {
+    // [scenario] first: the kind it sets gates every other section and key.
+    const auto others = std::stable_partition(
+        sections_.begin(), sections_.end(), [](const Section& s) { return s.name == "scenario"; });
+    if (others == sections_.begin()) return fail(kNoLine, "missing required [scenario] section");
+    for (const Section& s : sections_) {
+      const std::span<const Row> rows = rows_of(s.name);
+      if (rows.empty()) return fail(s.line, format("unknown section [%s]", s.name.c_str()));
+      if (!allowed(kinds_of(rows), s.line, s.name)) return false;
+      const Io& io = rows.front().io;
+      if (io.open != nullptr) {
+        io.open(spec_);
+      } else if (!seen_sections_.insert(s.name).second) {
+        return fail(s.line, format("duplicate [%s] section", s.name.c_str()));
+      }
+      if (!read_entries(s, rows, io.open != nullptr ? io.instances(spec_) - 1 : 0)) return false;
+    }
+    // Keys a kind needs from a section that was never given.
+    for (const Row& row : kRows) {
+      if ((row.needed & bit(spec_.kind)) != 0 && row.io.open == nullptr &&
+          !seen_sections_.contains(std::string{row.section})) {
+        return missing(row, kNoLine);
       }
     }
     return true;
   }
 
-  bool need_double(const KeyValue& kv, double& out) {
-    if (!parse_double_strict(kv.value, out)) {
-      return fail(kv.line, format("key '%s': expected a number, got '%s'",
-                                  kv.key.c_str(), kv.value.c_str()));
+  bool read_entries(const Section& s, std::span<const Row> rows, std::size_t instance) {
+    std::vector<const Row*> matched;  // matched[j] is the row of s.entries[j]
+    for (const KeyValue& kv : s.entries) {
+      const Row* row = find_row(rows, kv.key);
+      if (row == nullptr) {
+        return fail(kv.line, format("unknown key '%s' in [%s]", kv.key.c_str(), s.name.c_str()));
+      }
+      if (!row->io.repeats && std::find(matched.begin(), matched.end(), row) != matched.end()) {
+        return fail(kv.line, format("duplicate key '%s' in [%s]", kv.key.c_str(), s.name.c_str()));
+      }
+      if (!allowed(row->kinds, kv.line, s.name, kv.key)) return false;
+      if (row->shard_option && shard_option_ == nullptr) shard_option_ = &kv;
+      matched.push_back(row);
     }
-    return true;
-  }
-
-  bool parse_scenario(const Section& s) {
-    if (!no_duplicate_keys(s, {"note"})) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "name") {
-        spec_.name = kv.value;
-      } else if (kv.key == "description") {
-        spec_.description = kv.value;
-      } else if (kv.key == "note") {
-        spec_.notes.push_back(kv.value);
-      } else if (kv.key == "kind") {
-        kind_seen_ = true;
-        if (kv.value == "compare") {
-          spec_.kind = ScenarioKind::kCompare;
-        } else if (kv.value == "capacity") {
-          spec_.kind = ScenarioKind::kCapacity;
-        } else if (kv.value == "timeline") {
-          spec_.kind = ScenarioKind::kTimeline;
-        } else if (kv.value == "deployment") {
-          spec_.kind = ScenarioKind::kDeployment;
-        } else if (kv.value == "cluster") {
-          spec_.kind = ScenarioKind::kCluster;
-        } else if (kv.value == "churn") {
-          spec_.kind = ScenarioKind::kChurn;
-        } else if (kv.value == "failure") {
-          spec_.kind = ScenarioKind::kFailure;
-        } else if (kv.value == "hostile") {
-          spec_.kind = ScenarioKind::kHostile;
-        } else {
-          return fail(kv.line,
-                      format("unknown scenario kind '%s' (expected "
-                             "compare|capacity|timeline|deployment|cluster|"
-                             "churn|failure|hostile)",
-                             kv.value.c_str()));
+    // Parse in table order, so keys may come in any order within a section:
+    // a [policy] name replaces the whole policy before its param.* keys add
+    // to it.
+    for (const Row& row : rows) {
+      bool given = false;
+      for (std::size_t j = 0; j < matched.size(); ++j) {
+        if (matched[j] == &row) {
+          given = given || !s.entries[j].value.empty();
+          const std::string error = row.io.parse(row, s.entries[j], spec_, instance);
+          if (!error.empty()) return fail(s.entries[j].line, error);
         }
-      } else if (kv.key == "chain") {
-        spec_.chain = kv.value;
-      } else if (kv.key == "plan_rate_gbps") {
-        if (!need_double(kv, spec_.plan_rate_gbps)) return false;
-      } else if (kv.key == "measure") {
-        if (kv.value == "analytic") {
-          spec_.measure = MeasureMode::kAnalytic;
-        } else if (kv.value == "des") {
-          spec_.measure = MeasureMode::kDes;
-        } else if (kv.value == "both") {
-          spec_.measure = MeasureMode::kBoth;
-        } else {
-          return fail(kv.line, format("unknown measure mode '%s' (expected "
-                                      "analytic|des|both)",
-                                      kv.value.c_str()));
-        }
-      } else if (kv.key == "duration_ms") {
-        if (!need_double(kv, spec_.duration_ms)) return false;
-      } else if (kv.key == "warmup_ms") {
-        if (!need_double(kv, spec_.warmup_ms)) return false;
-      } else if (kv.key == "seed") {
-        if (!parse_u64_strict(kv.value, spec_.seed)) {
-          return fail(kv.line, format("key 'seed': expected an unsigned integer, "
-                                      "got '%s'",
-                                      kv.value.c_str()));
-        }
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [scenario]", kv.key.c_str()));
       }
+      if ((row.needed & bit(spec_.kind)) != 0 && !given) return missing(row, s.line);
     }
     return true;
   }
 
-  bool parse_sizes(const KeyValue& kv, SizeSpec& out) {
-    const auto tok = tokens_of(kv.value);
-    if (tok.empty()) {
-      return fail(kv.line, "key 'sizes': empty value");
-    }
-    if (tok[0] == "imix" && tok.size() == 1) {
-      out.kind = SizeSpec::Kind::kImix;
-    } else if (tok[0] == "sweep" && tok.size() == 1) {
-      out.kind = SizeSpec::Kind::kPaperSweep;
-    } else if (tok[0] == "fixed" && tok.size() == 2) {
-      out.kind = SizeSpec::Kind::kFixed;
-      if (!parse_size_strict(tok[1], out.fixed)) {
-        return fail(kv.line, format("sizes: bad fixed size '%s'", tok[1].c_str()));
-      }
-    } else if (tok[0] == "uniform" && tok.size() == 3) {
-      out.kind = SizeSpec::Kind::kUniform;
-      if (!parse_size_strict(tok[1], out.lo) || !parse_size_strict(tok[2], out.hi) ||
-          out.lo > out.hi) {
-        return fail(kv.line, format("sizes: bad uniform range '%s %s'",
-                                    tok[1].c_str(), tok[2].c_str()));
-      }
-    } else {
-      return fail(kv.line, format("sizes: expected 'fixed N' | 'imix' | "
-                                  "'uniform LO HI' | 'sweep', got '%s'",
-                                  kv.value.c_str()));
-    }
-    return true;
-  }
-
-  bool parse_rate_profile(const KeyValue& kv, RateSpec& out) {
-    const auto tok = tokens_of(kv.value);
-    if (tok.size() == 2 && tok[0] == "constant") {
-      out.kind = RateSpec::Kind::kConstant;
-      if (!parse_double_strict(tok[1], out.a)) {
-        return fail(kv.line, format("rate: bad constant rate '%s'", tok[1].c_str()));
-      }
-      return true;
-    }
-    if (tok.size() == 4 && tok[0] == "step") {
-      out.kind = RateSpec::Kind::kStep;
-      if (!parse_double_strict(tok[1], out.a) || !parse_double_strict(tok[2], out.b) ||
-          !parse_tagged_double(tok[3], "at_ms", out.at_ms)) {
-        return fail(kv.line,
-                    format("rate: expected 'step BEFORE AFTER at_ms=T', got '%s'",
-                           kv.value.c_str()));
-      }
-      return true;
-    }
-    if (tok.size() == 4 && tok[0] == "sinusoid") {
-      out.kind = RateSpec::Kind::kSinusoid;
-      if (!parse_double_strict(tok[1], out.a) || !parse_double_strict(tok[2], out.b) ||
-          !parse_tagged_double(tok[3], "period_ms", out.period_ms)) {
-        return fail(kv.line,
-                    format("rate: expected 'sinusoid BASE AMP period_ms=P', got '%s'",
-                           kv.value.c_str()));
-      }
-      return true;
-    }
-    if (tok.size() == 5 && tok[0] == "flash") {
-      out.kind = RateSpec::Kind::kFlash;
-      if (!parse_double_strict(tok[1], out.a) || !parse_double_strict(tok[2], out.b) ||
-          !parse_tagged_double(tok[3], "at_ms", out.at_ms) ||
-          !parse_tagged_double(tok[4], "for_ms", out.for_ms) || out.for_ms <= 0.0) {
-        return fail(kv.line,
-                    format("rate: expected 'flash BASE PEAK at_ms=T for_ms=D' "
-                           "with D > 0, got '%s'",
-                           kv.value.c_str()));
-      }
-      return true;
-    }
-    return fail(kv.line, format("rate: expected 'constant G' | 'step B A at_ms=T' | "
-                                "'sinusoid BASE AMP period_ms=P' | "
-                                "'flash BASE PEAK at_ms=T for_ms=D', got '%s'",
-                                kv.value.c_str()));
-  }
-
-  bool parse_traffic(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "arrival") {
-        if (kv.value == "cbr") {
-          spec_.traffic.arrival = ArrivalProcess::kCbr;
-        } else if (kv.value == "poisson") {
-          spec_.traffic.arrival = ArrivalProcess::kPoisson;
-        } else {
-          return fail(kv.line, format("unknown arrival process '%s' (expected "
-                                      "cbr|poisson)",
-                                      kv.value.c_str()));
-        }
-      } else if (kv.key == "sizes") {
-        if (!parse_sizes(kv, spec_.traffic.sizes)) return false;
-      } else if (kv.key == "rate") {
-        rate_seen_ = true;
-        rate_line_ = kv.line;
-        if (!parse_rate_profile(kv, spec_.traffic.rate)) return false;
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [traffic]", kv.key.c_str()));
-      }
-    }
-    return true;
-  }
-
-  /// Parses an inline policy value (`NAME[:key=val,...]`) and validates it
-  /// against the registry — unknown names/keys are strict errors listing
-  /// what is registered (no silent fallback).
-  bool parse_policy(const KeyValue& kv, PolicyConfig& out) {
-    auto parsed = PolicyConfig::parse(kv.value);
-    if (!parsed) {
-      return fail(kv.line, parsed.error().what());
-    }
-    auto valid = PolicyRegistry::instance().validate(parsed.value());
-    if (!valid) {
-      return fail(kv.line, valid.error().what());
-    }
-    out = std::move(parsed).value();
-    return true;
-  }
-
-  /// One `param.KEY = NUMBER` (or `scale_in.param.KEY`) entry.
-  bool parse_policy_param(const KeyValue& kv, std::string_view key,
-                          PolicyConfig& target) {
-    double value = 0.0;
-    if (key.empty()) {
-      return fail(kv.line, format("key '%s': missing parameter name", kv.key.c_str()));
-    }
-    if (!parse_double_strict(kv.value, value)) {
-      return fail(kv.line, format("key '%s': expected a number, got '%s'",
-                                  kv.key.c_str(), kv.value.c_str()));
-    }
-    if (target.contains(key)) {
-      return fail(kv.line, format("policy '%s': duplicate parameter '%.*s'",
-                                  target.name.c_str(), static_cast<int>(key.size()),
-                                  key.data()));
-    }
-    target.params.emplace_back(std::string{key}, value);
-    return true;
-  }
-
-  bool parse_policy_section(const Section& s) {
-    policy_line_ = s.line;
-    if (!no_duplicate_keys(s)) return false;
-    // Two passes: `name`/`scale_in` first (they reset the config, inline
-    // params included), then the param.* keys in file order — so key order
-    // within the section does not matter.
-    for (const auto& kv : s.entries) {
-      if (kv.key == "name") {
-        if (!parse_policy(kv, spec_.policy)) return false;
-      } else if (kv.key == "scale_in") {
-        if (!parse_policy(kv, spec_.scale_in)) return false;
-      } else if (kv.key.rfind("param.", 0) != 0 &&
-                 kv.key.rfind("scale_in.param.", 0) != 0) {
-        return fail(kv.line, format("unknown key '%s' in [policy]", kv.key.c_str()));
-      }
-    }
-    for (const auto& kv : s.entries) {
-      if (kv.key.rfind("scale_in.param.", 0) == 0) {
-        if (!parse_policy_param(kv, std::string_view{kv.key}.substr(15),
-                                spec_.scale_in))
-          return false;
-      } else if (kv.key.rfind("param.", 0) == 0) {
-        if (!parse_policy_param(kv, std::string_view{kv.key}.substr(6), spec_.policy))
-          return false;
-      }
-    }
-    // Re-validate with the merged param.* keys.
-    auto valid = PolicyRegistry::instance().validate(spec_.policy);
-    if (!valid) {
-      return fail(s.line, valid.error().what());
-    }
-    valid = PolicyRegistry::instance().validate(spec_.scale_in);
-    if (!valid) {
-      return fail(s.line, valid.error().what());
-    }
-    return true;
-  }
-
-  bool parse_variant(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    VariantSpec v;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "label") {
-        v.label = kv.value;
-      } else if (kv.key == "policy") {
-        if (!parse_policy(kv, v.policy)) return false;
-      } else if (kv.key == "measure_rate") {
-        const auto tok = tokens_of(kv.value);
-        if (tok.size() == 1 && tok[0] == "plan") {
-          v.measure_rate.kind = MeasureRate::Kind::kPlanRate;
-          v.measure_rate.value = 0.0;
-        } else if (tok.size() == 1) {
-          v.measure_rate.kind = MeasureRate::Kind::kGbps;
-          if (!parse_double_strict(tok[0], v.measure_rate.value)) {
-            return fail(kv.line, format("measure_rate: expected Gbps | 'plan' | "
-                                        "'cap x M', got '%s'",
-                                        kv.value.c_str()));
-          }
-        } else if (tok.size() == 3 && tok[0] == "cap" && tok[1] == "x") {
-          v.measure_rate.kind = MeasureRate::Kind::kCapTimes;
-          if (!parse_double_strict(tok[2], v.measure_rate.value)) {
-            return fail(kv.line,
-                        format("measure_rate: bad capacity multiplier '%s'",
-                               tok[2].c_str()));
-          }
-        } else {
-          return fail(kv.line, format("measure_rate: expected Gbps | 'plan' | "
-                                      "'cap x M', got '%s'",
-                                      kv.value.c_str()));
-        }
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [variant]", kv.key.c_str()));
-      }
-    }
-    if (v.label.empty()) {
-      v.label = v.policy.to_string();
-    }
-    spec_.variants.push_back(std::move(v));
-    return true;
-  }
-
-  bool parse_capacity(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "nfs") {
-        for (const auto& tok : tokens_of(kv.value)) {
-          const auto type = nf_type_from_string(tok);
-          if (!type) {
-            return fail(kv.line, format("unknown NF type '%s'", tok.c_str()));
-          }
-          spec_.capacity.nfs.push_back(*type);
-        }
-      } else if (kv.key == "locations") {
-        for (const auto& tok : tokens_of(kv.value)) {
-          if (tok == "smartnic") {
-            spec_.capacity.locations.push_back(Location::kSmartNic);
-          } else if (tok == "cpu") {
-            spec_.capacity.locations.push_back(Location::kCpu);
-          } else {
-            return fail(kv.line, format("unknown location '%s' (expected "
-                                        "smartnic|cpu)",
-                                        tok.c_str()));
-          }
-        }
-      } else if (kv.key == "loss_threshold") {
-        if (!need_double(kv, spec_.capacity.loss_threshold)) return false;
-      } else if (kv.key == "search_iters") {
-        std::uint64_t v = 0;
-        if (!parse_u64_strict(kv.value, v) || v < 1 || v > 64) {
-          return fail(kv.line, "search_iters must be an integer in [1, 64]");
-        }
-        spec_.capacity.search_iters = static_cast<int>(v);
-      } else if (kv.key == "size_bytes") {
-        if (!parse_size_strict(kv.value, spec_.capacity.size_bytes)) {
-          return fail(kv.line, format("bad size_bytes '%s'", kv.value.c_str()));
-        }
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [capacity]", kv.key.c_str()));
-      }
-    }
-    return true;
-  }
-
-  bool parse_controller(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "policy" || kv.key == "scale_in_policy") {
-        return fail(kv.line,
-                    format("key '%s' moved to the [policy] section (use "
-                           "'name = ...' / 'scale_in = ...')",
-                           kv.key.c_str()));
-      } else if (kv.key == "trigger_utilization") {
-        if (!need_double(kv, spec_.controller.trigger_utilization)) return false;
-      } else if (kv.key == "scale_in_below") {
-        if (!need_double(kv, spec_.controller.scale_in_below)) return false;
-      } else if (kv.key == "period_ms") {
-        if (!need_double(kv, spec_.controller.period_ms)) return false;
-      } else if (kv.key == "first_check_ms") {
-        if (!need_double(kv, spec_.controller.first_check_ms)) return false;
-      } else if (kv.key == "cooldown_ms") {
-        if (!need_double(kv, spec_.controller.cooldown_ms)) return false;
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [controller]", kv.key.c_str()));
-      }
-    }
-    return true;
-  }
-
-  bool parse_chain_decl(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    ChainDecl decl;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "name") {
-        decl.name = kv.value;
-      } else if (kv.key == "spec") {
-        decl.spec = kv.value;
-      } else if (kv.key == "offered_gbps") {
-        if (!need_double(kv, decl.offered_gbps)) return false;
-      } else if (kv.key == "server") {
-        std::uint64_t v = 0;
-        if (!parse_u64_strict(kv.value, v)) {
-          return fail(kv.line, format("key 'server': expected an unsigned "
-                                      "integer, got '%s'",
-                                      kv.value.c_str()));
-        }
-        decl.server = static_cast<std::int64_t>(v);
-        chain_server_line_ = kv.line;
-      } else if (kv.key == "policy") {
-        if (!parse_policy(kv, decl.policy)) return false;
-        chain_policy_line_ = kv.line;
-      } else if (kv.key == "arrive_ms") {
-        if (!need_double(kv, decl.arrive_ms)) return false;
-        chain_churn_line_ = kv.line;
-      } else if (kv.key == "depart_ms") {
-        if (!need_double(kv, decl.depart_ms)) return false;
-        chain_churn_line_ = kv.line;
-      } else if (kv.key == "rate") {
-        if (!parse_rate_profile(kv, decl.rate)) return false;
-        decl.has_rate = true;
-        chain_churn_line_ = kv.line;
-      } else {
-        return fail(kv.line, format("unknown key '%s' in [chain]", kv.key.c_str()));
-      }
-    }
-    if (decl.name.empty()) {
-      return fail(s.line, "[chain] requires a 'name'");
-    }
-    if (decl.spec.empty()) {
-      return fail(s.line, "[chain] requires a 'spec'");
-    }
-    spec_.chains.push_back(std::move(decl));
-    return true;
-  }
-
-  bool parse_deployment(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "burst_multiplier") {
-        if (!need_double(kv, spec_.deployment.burst_multiplier)) return false;
-      } else if (kv.key == "scale_out_headroom") {
-        if (!need_double(kv, spec_.deployment.scale_out_headroom)) return false;
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [deployment]", kv.key.c_str()));
-      }
-    }
-    return true;
-  }
-
-  bool parse_cluster(const Section& s) {
-    if (!no_duplicate_keys(s)) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key == "servers") {
-        std::uint64_t v = 0;
-        if (!parse_u64_strict(kv.value, v) || v < 1 || v > 1024) {
-          return fail(kv.line, "servers must be an integer in [1, 1024]");
-        }
-        spec_.cluster.servers = static_cast<std::size_t>(v);
-      } else if (kv.key == "rebalance") {
-        if (kv.value == "on") {
-          spec_.cluster.rebalance = true;
-        } else if (kv.value == "off") {
-          spec_.cluster.rebalance = false;
-        } else {
-          return fail(kv.line, format("rebalance: expected on|off, got '%s'",
-                                      kv.value.c_str()));
-        }
-      } else if (kv.key == "inter_server_us") {
-        if (!need_double(kv, spec_.cluster.inter_server_us)) return false;
-      } else if (kv.key == "trigger_utilization") {
-        if (!need_double(kv, spec_.cluster.trigger_utilization)) return false;
-      } else if (kv.key == "target_max_load") {
-        if (!need_double(kv, spec_.cluster.target_max_load)) return false;
-      } else if (kv.key == "period_ms") {
-        if (!need_double(kv, spec_.cluster.period_ms)) return false;
-      } else if (kv.key == "first_check_ms") {
-        if (!need_double(kv, spec_.cluster.first_check_ms)) return false;
-      } else if (kv.key == "cooldown_ms") {
-        if (!need_double(kv, spec_.cluster.cooldown_ms)) return false;
-      } else if (kv.key == "shards") {
-        std::uint64_t v = 0;
-        if (!parse_u64_strict(kv.value, v) || v < 1 || v > 1024) {
-          return fail(kv.line, "shards must be an integer in [1, 1024]");
-        }
-        spec_.cluster.shards = static_cast<std::size_t>(v);
-      } else if (kv.key == "threads") {
-        std::uint64_t v = 0;
-        if (!parse_u64_strict(kv.value, v) || v < 1 || v > 256) {
-          return fail(kv.line, "threads must be an integer in [1, 256]");
-        }
-        spec_.cluster.threads = static_cast<std::size_t>(v);
-        cluster_sharded_line_ = kv.line;
-      } else if (kv.key == "cross_rack_us") {
-        if (!need_double(kv, spec_.cluster.cross_rack_us)) return false;
-        cluster_sharded_line_ = kv.line;
-      } else if (kv.key == "orchestrate") {
-        if (kv.value == "on") {
-          spec_.cluster.orchestrate = true;
-        } else if (kv.value == "off") {
-          spec_.cluster.orchestrate = false;
-        } else {
-          return fail(kv.line, format("orchestrate: expected on|off, got '%s'",
-                                      kv.value.c_str()));
-        }
-        cluster_sharded_line_ = kv.line;
-      } else {
-        return fail(kv.line,
-                    format("unknown key '%s' in [cluster]", kv.key.c_str()));
-      }
-    }
-    return true;
-  }
-
-  bool parse_failure(const Section& s) {
-    if (!no_duplicate_keys(s, {"fail"})) return false;
-    for (const auto& kv : s.entries) {
-      if (kv.key != "fail") {
-        return fail(kv.line,
-                    format("unknown key '%s' in [failure]", kv.key.c_str()));
-      }
-      const auto tok = tokens_of(kv.value);
-      FailureEvent event;
-      const bool shape_ok = (tok.size() == 2 || tok.size() == 3) &&
-                            parse_size_strict(tok[0], event.server) &&
-                            parse_tagged_double(tok[1], "at_ms", event.at_ms) &&
-                            (tok.size() == 2 ||
-                             parse_tagged_double(tok[2], "recover_ms",
-                                                 event.recover_ms));
-      if (!shape_ok) {
-        return fail(kv.line,
-                    format("fail: expected 'SERVER at_ms=T [recover_ms=U]', "
-                           "got '%s'",
-                           kv.value.c_str()));
-      }
-      if (event.recover_ms >= 0.0 && event.recover_ms <= event.at_ms) {
-        return fail(kv.line, "fail: recover_ms must be after at_ms");
-      }
-      spec_.failures.push_back(event);
-    }
-    if (spec_.failures.empty()) {
-      return fail(s.line, "[failure] requires at least one 'fail' event");
-    }
-    return true;
-  }
-
-  bool parse_link(const Section& s) {
-    if (!no_duplicate_keys(s, {"fabric", "fade"})) return false;
-    for (const auto& kv : s.entries) {
-      const auto tok = tokens_of(kv.value);
-      if (kv.key == "fabric") {
-        LinkTraceSpec::FabricPoint point;
-        if (tok.size() != 2 || !parse_tagged_double(tok[0], "at_ms", point.at_ms) ||
-            !parse_tagged_double(tok[1], "delay_us", point.delay_us) ||
-            point.delay_us < 0.0) {
-          return fail(kv.line,
-                      format("fabric: expected 'at_ms=T delay_us=D' with D >= 0, "
-                             "got '%s'",
-                             kv.value.c_str()));
-        }
-        spec_.link.fabric.push_back(point);
-      } else if (kv.key == "fade") {
-        LinkTraceSpec::SlotFade fade;
-        if (tok.size() != 3 || !parse_size_strict(tok[0], fade.server) ||
-            !parse_tagged_double(tok[1], "at_ms", fade.at_ms) ||
-            !parse_tagged_double(tok[2], "speed", fade.speed) ||
-            fade.speed <= 0.0 || fade.speed > 100.0) {
-          return fail(kv.line,
-                      format("fade: expected 'SERVER at_ms=T speed=F' with F in "
-                             "(0, 100], got '%s'",
-                             kv.value.c_str()));
-        }
-        spec_.link.fades.push_back(fade);
-      } else {
-        return fail(kv.line, format("unknown key '%s' in [link]", kv.key.c_str()));
-      }
-    }
-    if (spec_.link.empty()) {
-      return fail(s.line,
-                  "[link] requires at least one 'fabric' or 'fade' point");
-    }
-    return true;
-  }
+  std::string kind_name() const { return std::string{to_string(spec_.kind)}; }
 
   bool check_chain_string(const std::string& chain_spec, const std::string& who) {
     const auto parsed = parse_chain_spec(chain_spec, who);
-    if (!parsed) {
-      return fail_global(format("%s: invalid chain spec: %s", who.c_str(),
-                                parsed.error().what().c_str()));
+    return parsed || fail(kNoLine, format("%s: invalid chain spec: %s", who.c_str(),
+                                          parsed.error().what().c_str()));
+  }
+
+  // The cross-key checks: what no single row of the key table can say.
+
+  bool on_rack(std::size_t server, const std::string& who) {
+    return server < spec_.cluster.servers ||
+           fail(kNoLine, format("%s: server %zu out of range (cluster has %zu)", who.c_str(),
+                                server, spec_.cluster.servers));
+  }
+
+  bool validate() {
+    const ScenarioKind kind = spec_.kind;
+    if (spec_.traffic.sizes.kind == SizeSpec::Kind::kPaperSweep &&
+        kind != ScenarioKind::kCompare) {
+      // Only compare scenarios fan out one DES run per sweep size; elsewhere
+      // a sweep would silently degrade to a single size.
+      return fail(kNoLine, "sizes = sweep is only valid for kind = compare");
+    }
+    if (kind == ScenarioKind::kCompare || kind == ScenarioKind::kTimeline) {
+      if (spec_.chain.empty()) {
+        return fail(kNoLine, "kind = " + kind_name() + " requires [scenario] 'chain'");
+      }
+      if (!check_chain_string(spec_.chain, spec_.name)) return false;
+    }
+    if (kind == ScenarioKind::kCompare && spec_.variants.empty()) {
+      return fail(kNoLine, "kind = compare requires at least one [variant]");
+    }
+    for (auto& v : spec_.variants) {
+      if (v.label.empty()) v.label = v.policy.to_string();
+    }
+    if (kind == ScenarioKind::kCapacity && spec_.capacity.locations.empty()) {
+      spec_.capacity.locations = {Location::kSmartNic, Location::kCpu};
+    }
+    return check_chains() && check_fleet() &&
+           (spec_.warmup_ms < spec_.duration_ms ||
+            fail(kNoLine, "need duration_ms > warmup_ms >= 0"));
+  }
+
+  bool check_chains() {
+    const ScenarioKind kind = spec_.kind;
+    if ((kind == ScenarioKind::kDeployment || is_fleet_kind(kind)) && spec_.chains.empty()) {
+      return fail(kNoLine, "kind = " + kind_name() + " requires at least one [chain]");
+    }
+    std::unordered_set<std::string_view> chain_names;
+    for (const auto& decl : spec_.chains) {
+      const char* name = decl.name.c_str();
+      if (!chain_names.insert(decl.name).second) {
+        return fail(kNoLine, format("duplicate [chain] name '%s'", name));
+      }
+      if (!check_chain_string(decl.spec, decl.name)) return false;
+      if (kind == ScenarioKind::kChurn && decl.arrive_ms >= spec_.duration_ms) {
+        return fail(kNoLine, format("chain '%s': arrive_ms must be in [0, duration_ms)", name));
+      }
+      if (decl.depart_ms >= 0.0 && decl.depart_ms <= decl.arrive_ms) {
+        return fail(kNoLine, format("chain '%s': depart_ms must be after arrive_ms", name));
+      }
+      const auto server = static_cast<std::size_t>(decl.server);
+      if (decl.server >= 0 && !on_rack(server, format("chain '%s'", name))) return false;
     }
     return true;
   }
 
-  bool validate() {
-    if (!seen_sections_.contains("scenario")) {
-      return fail_global("missing required [scenario] section");
+  bool check_fleet() {
+    const ScenarioKind kind = spec_.kind;
+    const ClusterSpec& cluster = spec_.cluster;
+    if (!is_fleet_kind(kind)) return true;
+    if (!seen_sections_.contains("cluster")) {
+      return fail(kNoLine, "kind = " + kind_name() + " requires a [cluster] section");
     }
-    if (spec_.name.empty()) {
-      return fail_global("[scenario] requires a 'name'");
+    if (cluster.shards == 1 && shard_option_ != nullptr) {
+      return fail(shard_option_->line,
+                  format("[cluster] '%s' requires shards > 1", shard_option_->key.c_str()));
     }
-    if (!kind_seen_) {
-      return fail_global("[scenario] requires a 'kind'");
+    if (cluster.servers % cluster.shards != 0) {
+      return fail(kNoLine, format("[cluster] servers (%zu) must divide evenly into shards (%zu)",
+                                  cluster.servers, cluster.shards));
     }
-
-    const bool is_compare = spec_.kind == ScenarioKind::kCompare;
-    const bool is_capacity = spec_.kind == ScenarioKind::kCapacity;
-    const bool is_timeline = spec_.kind == ScenarioKind::kTimeline;
-    const bool is_deployment = spec_.kind == ScenarioKind::kDeployment;
-    // Fleet kinds share the [cluster]/[chain] rack model and run path.
-    const bool is_fleet = is_fleet_kind(spec_.kind);
-    const bool is_churn = spec_.kind == ScenarioKind::kChurn;
-    const bool is_failure = spec_.kind == ScenarioKind::kFailure;
-    const bool is_hostile = spec_.kind == ScenarioKind::kHostile;
-
-    if (!spec_.variants.empty() && !is_compare) {
-      return fail_global("[variant] sections are only valid for kind = compare");
+    if (kind == ScenarioKind::kFailure && !cluster.rebalance) {
+      // Without the fleet controller nobody evacuates a dead slot.
+      return fail(kNoLine, "kind = failure requires [cluster] rebalance = on");
     }
-    if (seen_sections_.contains("capacity") && !is_capacity) {
-      return fail_global("[capacity] is only valid for kind = capacity");
-    }
-    if (seen_sections_.contains("controller") && !is_timeline) {
-      return fail_global("[controller] is only valid for kind = timeline");
-    }
-    if (seen_sections_.contains("policy") && !is_timeline && !is_fleet) {
-      return fail(policy_line_,
-                  "[policy] is only valid for kind = timeline or cluster-family "
-                  "kinds (cluster|churn|failure|hostile); compare variants "
-                  "carry their own 'policy'");
-    }
-    if (!is_timeline &&
-        !(spec_.scale_in.name == "none" && spec_.scale_in.params.empty())) {
-      // The fleet controller has no calm direction (yet); accepting the key
-      // and ignoring it would break the strict-parsing contract.
-      return fail(policy_line_,
-                  "[policy] 'scale_in' is only used by timeline scenarios");
-    }
-    if (!spec_.chains.empty() && !is_deployment && !is_fleet) {
-      return fail_global(
-          "[chain] sections are only valid for kind = deployment or cluster-"
-          "family kinds (cluster|churn|failure|hostile)");
-    }
-    if (seen_sections_.contains("deployment") && !is_deployment) {
-      return fail_global("[deployment] is only valid for kind = deployment");
-    }
-    if (seen_sections_.contains("cluster") && !is_fleet) {
-      return fail_global(
-          "[cluster] is only valid for kind = cluster|churn|failure|hostile");
-    }
-    if (seen_sections_.contains("failure") && !is_failure) {
-      return fail_global("[failure] is only valid for kind = failure");
-    }
-    if (seen_sections_.contains("link") && !is_hostile) {
-      return fail_global("[link] is only valid for kind = hostile");
-    }
-    if (rate_seen_ && !is_timeline) {
-      return fail(rate_line_,
-                  "[traffic] rate profiles are only used by timeline scenarios");
-    }
-    if (spec_.traffic.sizes.kind == SizeSpec::Kind::kPaperSweep && !is_compare) {
-      // Only compare scenarios fan out one DES run per sweep size; elsewhere
-      // a sweep would silently degrade to a single size.
-      return fail_global("sizes = sweep is only valid for kind = compare");
-    }
-
-    if (is_compare || is_timeline) {
-      if (spec_.chain.empty()) {
-        return fail_global(format("kind = %s requires [scenario] 'chain'",
-                                  std::string{to_string(spec_.kind)}.c_str()));
-      }
-      if (!check_chain_string(spec_.chain, spec_.name)) {
-        return false;
+    for (const auto& event : spec_.failures) {
+      if (!on_rack(event.server, "[failure] fail")) return false;
+      if (event.at_ms >= spec_.duration_ms) {
+        return fail(kNoLine, "[failure] fail: at_ms must be in [0, duration_ms)");
       }
     }
-    if (is_compare && spec_.variants.empty()) {
-      return fail_global("kind = compare requires at least one [variant]");
+    if (kind == ScenarioKind::kHostile && spec_.link.empty()) {
+      return fail(kNoLine,
+                  "kind = hostile requires [link] with at least one 'fabric' or 'fade' point");
     }
-    if (is_capacity && spec_.capacity.nfs.empty()) {
-      return fail_global("kind = capacity requires [capacity] with a non-empty 'nfs'");
-    }
-    if (is_capacity && spec_.capacity.locations.empty()) {
-      spec_.capacity.locations = {Location::kSmartNic, Location::kCpu};
-    }
-    if (is_timeline && !rate_seen_) {
-      return fail_global("kind = timeline requires [traffic] with a 'rate' profile");
-    }
-    if (is_deployment || is_fleet) {
-      if (spec_.chains.empty()) {
-        return fail_global(format("kind = %s requires at least one [chain]",
-                                  std::string{to_string(spec_.kind)}.c_str()));
-      }
-      std::unordered_set<std::string> names;
-      for (const auto& decl : spec_.chains) {
-        if (!names.insert(decl.name).second) {
-          return fail_global(format("duplicate [chain] name '%s'", decl.name.c_str()));
-        }
-        if (!check_chain_string(decl.spec, decl.name)) {
-          return false;
-        }
-        if (decl.server >= 0 && !is_fleet) {
-          return fail(chain_server_line_,
-                      "[chain] 'server' is only valid for kind = "
-                      "cluster|churn|failure|hostile");
-        }
-        if (!decl.policy.empty() && !is_fleet) {
-          return fail(chain_policy_line_,
-                      "[chain] 'policy' is only valid for kind = "
-                      "cluster|churn|failure|hostile");
-        }
-        const bool has_churn_keys =
-            decl.arrive_ms != 0.0 || decl.depart_ms >= 0.0 || decl.has_rate;
-        if (has_churn_keys && !is_churn) {
-          return fail(chain_churn_line_,
-                      "[chain] 'arrive_ms'/'depart_ms'/'rate' are only valid "
-                      "for kind = churn");
-        }
-        if (is_churn) {
-          if (decl.arrive_ms < 0.0 || decl.arrive_ms >= spec_.duration_ms) {
-            return fail_global(
-                format("chain '%s': arrive_ms must be in [0, duration_ms)",
-                       decl.name.c_str()));
-          }
-          if (decl.depart_ms >= 0.0 && decl.depart_ms <= decl.arrive_ms) {
-            return fail_global(
-                format("chain '%s': depart_ms must be after arrive_ms",
-                       decl.name.c_str()));
-          }
-        }
-        if (is_fleet &&
-            decl.server >= static_cast<std::int64_t>(spec_.cluster.servers)) {
-          return fail_global(
-              format("chain '%s': server %lld out of range (cluster has %zu)",
-                     decl.name.c_str(), static_cast<long long>(decl.server),
-                     spec_.cluster.servers));
-        }
-      }
-    }
-    if (is_fleet && !seen_sections_.contains("cluster")) {
-      return fail_global(
-          format("kind = %s requires a [cluster] section",
-                 std::string{to_string(spec_.kind)}.c_str()));
-    }
-    if (is_fleet) {
-      if (spec_.cluster.shards == 1 && cluster_sharded_line_ != 0) {
-        return fail(cluster_sharded_line_,
-                    "[cluster] 'threads'/'cross_rack_us'/'orchestrate' require "
-                    "shards > 1");
-      }
-      if (spec_.cluster.servers % spec_.cluster.shards != 0) {
-        return fail_global(
-            format("[cluster] servers (%zu) must divide evenly into shards "
-                   "(%zu)",
-                   spec_.cluster.servers, spec_.cluster.shards));
-      }
-      if (!(spec_.cluster.inter_server_us >= 0.0)) {
-        return fail_global(
-            "[cluster] inter_server_us must not be negative (it is a fixed "
-            "forwarding delay)");
-      }
-      if (spec_.cluster.shards > 1 && spec_.cluster.cross_rack_us <= 0.0) {
-        return fail_global(
-            "[cluster] cross_rack_us must be positive (it is the epoch "
-            "quantum)");
-      }
-    }
-    if (is_failure) {
-      if (spec_.failures.empty()) {
-        return fail_global(
-            "kind = failure requires [failure] with at least one 'fail'");
-      }
-      if (!spec_.cluster.rebalance) {
-        // Without the fleet controller nobody evacuates a dead slot.
-        return fail_global("kind = failure requires [cluster] rebalance = on");
-      }
-      for (const auto& event : spec_.failures) {
-        if (event.server >= spec_.cluster.servers) {
-          return fail_global(
-              format("[failure] fail: server %zu out of range (cluster has %zu)",
-                     event.server, spec_.cluster.servers));
-        }
-        if (event.at_ms < 0.0 || event.at_ms >= spec_.duration_ms) {
-          return fail_global("[failure] fail: at_ms must be in [0, duration_ms)");
-        }
-      }
-    }
-    if (is_hostile) {
-      if (spec_.link.empty()) {
-        return fail_global(
-            "kind = hostile requires [link] with at least one 'fabric' or "
-            "'fade' point");
-      }
-      for (const auto& fade : spec_.link.fades) {
-        if (fade.server >= spec_.cluster.servers) {
-          return fail_global(
-              format("[link] fade: server %zu out of range (cluster has %zu)",
-                     fade.server, spec_.cluster.servers));
-        }
-      }
-    }
-    if (spec_.duration_ms <= 0.0 || spec_.warmup_ms < 0.0 ||
-        spec_.warmup_ms >= spec_.duration_ms) {
-      return fail_global("need duration_ms > warmup_ms >= 0");
+    for (const auto& fade : spec_.link.fades) {
+      if (!on_rack(fade.server, "[link] fade")) return false;
     }
     return true;
   }
@@ -988,85 +875,22 @@ class SpecParser {
   std::string_view text_;
   std::string_view origin_;
   std::vector<Section> sections_;
-  std::set<std::string> seen_sections_;
-  bool kind_seen_ = false;
-  bool rate_seen_ = false;
-  int rate_line_ = 0;
-  int chain_server_line_ = 0;
-  int chain_policy_line_ = 0;
-  int chain_churn_line_ = 0;
-  int cluster_sharded_line_ = 0;
-  int policy_line_ = 0;
+  std::set<std::string> seen_sections_;  ///< unique sections given
+  const KeyValue* shard_option_ = nullptr;  ///< first key that needs shards > 1
   ScenarioSpec spec_;
   std::string error_;
 };
 
-std::string sizes_to_text(const SizeSpec& s) {
-  switch (s.kind) {
-    case SizeSpec::Kind::kFixed:
-      return format("fixed %zu", s.fixed);
-    case SizeSpec::Kind::kImix:
-      return "imix";
-    case SizeSpec::Kind::kUniform:
-      return format("uniform %zu %zu", s.lo, s.hi);
-    case SizeSpec::Kind::kPaperSweep:
-      return "sweep";
-  }
-  return "fixed 512";
-}
-
-std::string rate_to_text(const RateSpec& r) {
-  switch (r.kind) {
-    case RateSpec::Kind::kConstant:
-      return "constant " + fmt_double(r.a);
-    case RateSpec::Kind::kStep:
-      return "step " + fmt_double(r.a) + " " + fmt_double(r.b) +
-             " at_ms=" + fmt_double(r.at_ms);
-    case RateSpec::Kind::kSinusoid:
-      return "sinusoid " + fmt_double(r.a) + " " + fmt_double(r.b) +
-             " period_ms=" + fmt_double(r.period_ms);
-    case RateSpec::Kind::kFlash:
-      return "flash " + fmt_double(r.a) + " " + fmt_double(r.b) +
-             " at_ms=" + fmt_double(r.at_ms) + " for_ms=" + fmt_double(r.for_ms);
-  }
-  return "constant 1";
-}
-
-std::string measure_rate_to_text(const MeasureRate& m) {
-  switch (m.kind) {
-    case MeasureRate::Kind::kGbps:
-      return fmt_double(m.value);
-    case MeasureRate::Kind::kPlanRate:
-      return "plan";
-    case MeasureRate::Kind::kCapTimes:
-      return "cap x " + fmt_double(m.value);
-  }
-  return "plan";
-}
-
 }  // namespace
 
 std::string_view to_string(ScenarioKind kind) noexcept {
-  switch (kind) {
-    case ScenarioKind::kCompare: return "compare";
-    case ScenarioKind::kCapacity: return "capacity";
-    case ScenarioKind::kTimeline: return "timeline";
-    case ScenarioKind::kDeployment: return "deployment";
-    case ScenarioKind::kCluster: return "cluster";
-    case ScenarioKind::kChurn: return "churn";
-    case ScenarioKind::kFailure: return "failure";
-    case ScenarioKind::kHostile: return "hostile";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKindNames) ? kKindNames[i] : "?";
 }
 
 std::string_view to_string(MeasureMode mode) noexcept {
-  switch (mode) {
-    case MeasureMode::kAnalytic: return "analytic";
-    case MeasureMode::kDes: return "des";
-    case MeasureMode::kBoth: return "both";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(mode);
+  return i < std::size(kMeasureNames) ? kMeasureNames[i] : "?";
 }
 
 Result<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
@@ -1076,159 +900,22 @@ Result<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
 
 std::string ScenarioSpec::to_text() const {
   std::string out;
-  const auto emit = [&out](const char* key, const std::string& value) {
-    out += key;
-    out += " = ";
-    out += value;
-    out += "\n";
-  };
-
-  out += "[scenario]\n";
-  emit("name", name);
-  emit("kind", std::string{pam::to_string(kind)});
-  if (!description.empty()) {
-    emit("description", description);
-  }
-  for (const auto& note : notes) {
-    emit("note", note);
-  }
-  if (!chain.empty()) {
-    emit("chain", chain);
-  }
-  emit("plan_rate_gbps", fmt_double(plan_rate_gbps));
-  emit("measure", std::string{pam::to_string(measure)});
-  emit("duration_ms", fmt_double(duration_ms));
-  emit("warmup_ms", fmt_double(warmup_ms));
-  emit("seed", format("%llu", static_cast<unsigned long long>(seed)));
-
-  out += "\n[traffic]\n";
-  emit("arrival", traffic.arrival == ArrivalProcess::kPoisson ? "poisson" : "cbr");
-  emit("sizes", sizes_to_text(traffic.sizes));
-  if (kind == ScenarioKind::kTimeline) {
-    emit("rate", rate_to_text(traffic.rate));
-  }
-
-  if (kind == ScenarioKind::kTimeline || is_fleet_kind(kind)) {
-    out += "\n[policy]\n";
-    emit("name", policy.name);
-    for (const auto& [key, value] : policy.params) {
-      emit(("param." + key).c_str(), fmt_double(value));
-    }
-    if (!(scale_in.name == "none" && scale_in.params.empty())) {
-      emit("scale_in", scale_in.name);
-      for (const auto& [key, value] : scale_in.params) {
-        emit(("scale_in.param." + key).c_str(), fmt_double(value));
+  const Kinds kind_bit = bit(kind);
+  for (const Row* first = std::begin(kRows); first != std::end(kRows);) {
+    const std::span<const Row> rows = rows_of(first->section);
+    first = rows.data() + rows.size();
+    const Io& io = rows.front().io;
+    const std::size_t instances =
+        io.instances != nullptr ? io.instances(*this) : (kinds_of(rows) & kind_bit) != 0;
+    for (std::size_t i = 0; i < instances; ++i) {
+      out.append(out.empty() ? "[" : "\n[").append(rows.front().section).append("]\n");
+      for (const Row& row : rows) {
+        if ((row.kinds & kind_bit) != 0 && (row.when == nullptr || row.when(*this, i))) {
+          row.io.print(row, *this, i, out);
+        }
       }
     }
   }
-
-  for (const auto& v : variants) {
-    out += "\n[variant]\n";
-    emit("label", v.label);
-    emit("policy", v.policy.to_string());
-    emit("measure_rate", measure_rate_to_text(v.measure_rate));
-  }
-
-  if (kind == ScenarioKind::kCapacity) {
-    out += "\n[capacity]\n";
-    std::string nfs;
-    for (const auto type : capacity.nfs) {
-      if (!nfs.empty()) nfs += " ";
-      nfs += std::string{pam::to_string(type)};
-    }
-    emit("nfs", nfs);
-    std::string locations;
-    for (const auto loc : capacity.locations) {
-      if (!locations.empty()) locations += " ";
-      locations += loc == Location::kSmartNic ? "smartnic" : "cpu";
-    }
-    emit("locations", locations);
-    emit("loss_threshold", fmt_double(capacity.loss_threshold));
-    emit("search_iters", format("%d", capacity.search_iters));
-    emit("size_bytes", format("%zu", capacity.size_bytes));
-  }
-
-  if (kind == ScenarioKind::kTimeline) {
-    out += "\n[controller]\n";
-    emit("trigger_utilization", fmt_double(controller.trigger_utilization));
-    emit("scale_in_below", fmt_double(controller.scale_in_below));
-    emit("period_ms", fmt_double(controller.period_ms));
-    emit("first_check_ms", fmt_double(controller.first_check_ms));
-    emit("cooldown_ms", fmt_double(controller.cooldown_ms));
-  }
-
-  for (const auto& decl : chains) {
-    out += "\n[chain]\n";
-    emit("name", decl.name);
-    emit("spec", decl.spec);
-    emit("offered_gbps", fmt_double(decl.offered_gbps));
-    if (decl.server >= 0) {
-      emit("server", format("%lld", static_cast<long long>(decl.server)));
-    }
-    if (!decl.policy.empty()) {
-      emit("policy", decl.policy.to_string());
-    }
-    if (decl.arrive_ms != 0.0) {
-      emit("arrive_ms", fmt_double(decl.arrive_ms));
-    }
-    if (decl.depart_ms >= 0.0) {
-      emit("depart_ms", fmt_double(decl.depart_ms));
-    }
-    if (decl.has_rate) {
-      emit("rate", rate_to_text(decl.rate));
-    }
-  }
-
-  if (kind == ScenarioKind::kDeployment) {
-    out += "\n[deployment]\n";
-    emit("burst_multiplier", fmt_double(deployment.burst_multiplier));
-    emit("scale_out_headroom", fmt_double(deployment.scale_out_headroom));
-  }
-
-  if (is_fleet_kind(kind)) {
-    out += "\n[cluster]\n";
-    emit("servers", format("%zu", cluster.servers));
-    emit("rebalance", cluster.rebalance ? "on" : "off");
-    emit("inter_server_us", fmt_double(cluster.inter_server_us));
-    emit("trigger_utilization", fmt_double(cluster.trigger_utilization));
-    emit("target_max_load", fmt_double(cluster.target_max_load));
-    emit("period_ms", fmt_double(cluster.period_ms));
-    emit("first_check_ms", fmt_double(cluster.first_check_ms));
-    emit("cooldown_ms", fmt_double(cluster.cooldown_ms));
-    if (cluster.shards > 1) {
-      // Sharded-mode keys round-trip only when present: a shards=1 spec
-      // emits exactly the classic section, so historical texts are stable.
-      emit("shards", format("%zu", cluster.shards));
-      emit("threads", format("%zu", cluster.threads));
-      emit("cross_rack_us", fmt_double(cluster.cross_rack_us));
-      emit("orchestrate", cluster.orchestrate ? "on" : "off");
-    }
-  }
-
-  if (kind == ScenarioKind::kFailure) {
-    out += "\n[failure]\n";
-    for (const auto& event : failures) {
-      std::string value =
-          format("%zu", event.server) + " at_ms=" + fmt_double(event.at_ms);
-      if (event.recover_ms >= 0.0) {
-        value += " recover_ms=" + fmt_double(event.recover_ms);
-      }
-      emit("fail", value);
-    }
-  }
-
-  if (kind == ScenarioKind::kHostile) {
-    out += "\n[link]\n";
-    for (const auto& point : link.fabric) {
-      emit("fabric", "at_ms=" + fmt_double(point.at_ms) +
-                         " delay_us=" + fmt_double(point.delay_us));
-    }
-    for (const auto& fade : link.fades) {
-      emit("fade", format("%zu", fade.server) + " at_ms=" +
-                       fmt_double(fade.at_ms) + " speed=" + fmt_double(fade.speed));
-    }
-  }
-
   return out;
 }
 

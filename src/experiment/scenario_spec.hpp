@@ -14,7 +14,9 @@
 //   key = value
 //
 // Sections and keys by scenario kind (see docs/REPRODUCING.md for the
-// worked examples):
+// worked examples).  The authoritative list is the key table `kRows` in
+// scenario_spec.cpp: one row per (section, key) with the kinds that accept
+// it, its codec and its range.
 //
 //   [scenario]   name, kind (compare|capacity|timeline|deployment|cluster|
 //                churn|failure|hostile),
@@ -40,7 +42,9 @@
 //   [deployment] burst_multiplier, scale_out_headroom
 //   [cluster]    servers, rebalance (on|off), inter_server_us,
 //                trigger_utilization, target_max_load, period_ms,
-//                first_check_ms, cooldown_ms       — all fleet kinds
+//                first_check_ms, cooldown_ms, shards,
+//                threads, cross_rack_us, orchestrate (on|off)
+//                (these three need shards > 1)    — all fleet kinds
 //   [failure]    fail = SERVER at_ms=T [recover_ms=U]   — repeatable; failure
 //   [link]       fabric = at_ms=T delay_us=D,
 //                fade = SERVER at_ms=T speed=F     — repeatable; hostile
@@ -54,8 +58,11 @@
 // never a silent fallback.
 //
 // Parsing is strict: unknown sections/keys, duplicate scalar sections,
-// duplicate keys, and missing required fields are all reported as errors
-// with the offending line.  `ScenarioSpec::to_text()` emits a canonical
+// duplicate keys, missing required fields, keys given for a kind that does
+// not use them (even at their default value), and numbers out of range are
+// all reported as errors with the offending line.  Every number must be
+// finite; rates are >= 0; times convert to SimTime without overflow, and
+// periods and the epoch quantum are at least one simulated ns.  `ScenarioSpec::to_text()` emits a canonical
 // rendering that parses back to an equal spec (round-trip property, covered
 // by tests/test_scenario_spec.cpp).
 

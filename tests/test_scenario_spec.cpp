@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 
+#include "common/rng.hpp"
 #include "experiment/scenario_library.hpp"
 #include "experiment/scenario_spec.hpp"
 
@@ -141,7 +145,8 @@ TEST(ScenarioSpecErrors, MissingKind) {
 }
 
 TEST(ScenarioSpecErrors, UnknownKind) {
-  expect_error("[scenario]\nname = x\nkind = frobnicate\n", "unknown scenario kind");
+  expect_error("[scenario]\nname = x\nkind = frobnicate\n",
+               "key 'kind': expected compare|capacity|");
 }
 
 TEST(ScenarioSpecErrors, CompareNeedsChain) {
@@ -174,7 +179,7 @@ TEST(ScenarioSpecErrors, NegativeUnsignedValuesRejected) {
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[traffic]\nsizes = fixed -64\n[variant]\npolicy = pam\n",
-      "bad fixed size");
+      "key 'sizes': expected 'fixed N'");
 }
 
 TEST(ScenarioSpecErrors, SearchItersBounded) {
@@ -220,14 +225,14 @@ TEST(ScenarioSpecErrors, ControllerPolicyKeysMovedToPolicySection) {
   expect_error(
       "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n"
       "[traffic]\nrate = constant 1\n[controller]\npolicy = pam\n",
-      "moved to the [policy] section");
+      "unknown key 'policy' in [controller]");
 }
 
 TEST(ScenarioSpecErrors, PolicySectionOnlyForTimelineAndCluster) {
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[variant]\npolicy = pam\n[policy]\nname = pam\n",
-      "[policy] is only valid for kind = timeline or cluster");
+      "[policy] is only valid for kind = timeline|cluster|churn|failure|hostile");
 }
 
 TEST(ScenarioSpec, PolicySectionParsesParamsRegardlessOfKeyOrder) {
@@ -321,7 +326,15 @@ TEST(ScenarioSpecErrors, ClusterScaleInRejected) {
       "[policy]\nname = pam\nscale_in = scale-in\n"
       "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
       "[cluster]\nservers = 2\n",
-      "'scale_in' is only used by timeline scenarios");
+      "[policy] 'scale_in' is only valid for kind = timeline");
+  // Gating checks that the key is given, not what it holds: the default
+  // value is rejected too.
+  expect_error(
+      "[scenario]\nname = c\nkind = cluster\n"
+      "[policy]\nname = pam\nscale_in = none\n"
+      "[chain]\nname = a\nspec = wire | S:Firewall | wire\n"
+      "[cluster]\nservers = 2\n",
+      "err.scn:6: [policy] 'scale_in' is only valid for kind = timeline");
 }
 
 TEST(ScenarioSpecErrors, ChainPolicyOnlyForCluster) {
@@ -335,39 +348,39 @@ TEST(ScenarioSpecErrors, BadSizes) {
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[traffic]\nsizes = jumbo\n[variant]\npolicy = pam\n",
-      "sizes: expected");
+      "key 'sizes': expected");
 }
 
 TEST(ScenarioSpecErrors, BadMeasureRate) {
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[variant]\npolicy = pam\nmeasure_rate = cap times 2\n",
-      "measure_rate: expected");
+      "key 'measure_rate': expected");
 }
 
 TEST(ScenarioSpecErrors, TimelineNeedsRate) {
   expect_error(
       "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n",
-      "requires [traffic] with a 'rate'");
+      "kind = timeline requires [traffic] 'rate'");
 }
 
 TEST(ScenarioSpecErrors, RateOnlyForTimeline) {
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[traffic]\nrate = constant 2\n[variant]\npolicy = pam\n",
-      "only used by timeline");
+      "[traffic] 'rate' is only valid for kind = timeline");
 }
 
 TEST(ScenarioSpecErrors, CapacityNeedsNfs) {
   expect_error("[scenario]\nname = x\nkind = capacity\n",
-               "requires [capacity] with a non-empty 'nfs'");
+               "kind = capacity requires [capacity] 'nfs'");
 }
 
 TEST(ScenarioSpecErrors, SectionKindMismatch) {
   expect_error(
       "[scenario]\nname = x\nkind = capacity\n[capacity]\nnfs = Monitor\n"
       "[variant]\npolicy = pam\n",
-      "[variant] sections are only valid for kind = compare");
+      "[variant] is only valid for kind = compare");
   expect_error(
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[variant]\npolicy = pam\n[controller]\nperiod_ms = 5\n",
@@ -588,8 +601,9 @@ TEST(ScenarioSpec, InterServerLatencyMustNotBeNegative) {
   text.replace(text.find(key), key.size(), "inter_server_us = -5");
   const auto result = ScenarioSpec::parse(text);
   ASSERT_FALSE(result.has_value());
-  EXPECT_NE(result.error().what().find("inter_server_us must not be negative"),
-            std::string::npos);
+  EXPECT_NE(result.error().what().find("key 'inter_server_us': expected a finite number"),
+            std::string::npos)
+      << result.error().what();
 }
 
 TEST(ScenarioSpec, ChainServerKeyRejectedOutsideCluster) {
@@ -656,6 +670,117 @@ measure_rate = cap x 1.2
   EXPECT_DOUBLE_EQ(scaled.variants[0].measure_rate.value, 3.0);
   // Capacity-relative rates follow the (scaled) capacity, not the factor.
   EXPECT_DOUBLE_EQ(scaled.variants[1].measure_rate.value, 1.2);
+}
+
+// --- ranges ---------------------------------------------------------------
+
+TEST(ScenarioSpecErrors, OutOfRangeNumbersNameTheirKey) {
+  const std::string compare =
+      "[variant]\npolicy = pam\n"
+      "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n";
+  const std::string deployment =
+      "[scenario]\nname = d\nkind = deployment\n"
+      "[chain]\nname = a\nspec = wire | S:Firewall | wire\n";
+  const std::string timeline =
+      "[scenario]\nname = t\nkind = timeline\nchain = wire | S:Monitor | wire\n"
+      "[traffic]\nrate = constant 1\n[controller]\n";
+  const std::string cluster =
+      "[scenario]\nname = c\nkind = cluster\n"
+      "[chain]\nname = a\nspec = wire | S:Firewall | wire\n[cluster]\nservers = 2\n";
+  const std::string sharded = cluster + "shards = 2\n";
+  struct Case {
+    std::string prefix;
+    const char* key;
+    const char* value;
+  };
+  const Case cases[] = {
+      // Each of these ran to an all-zero report, or never finished, when
+      // numbers carried no range.
+      {compare, "duration_ms", "nan"},
+      {compare, "warmup_ms", "nan"},
+      {deployment, "offered_gbps", "nan"},
+      {deployment, "offered_gbps", "-3"},
+      {timeline, "period_ms", "0"},
+      {timeline, "period_ms", "nan"},
+      {cluster, "period_ms", "0"},
+      {cluster, "period_ms", "nan"},
+      {timeline, "cooldown_ms", "inf"},
+      {cluster, "cooldown_ms", "inf"},
+      {timeline, "trigger_utilization", "nan"},
+      {sharded, "cross_rack_us", "nan"},
+      {sharded, "cross_rack_us", "1e-9"},  // truncates to a 0 ns epoch quantum
+  };
+  for (const Case& c : cases) {
+    const std::string text = c.prefix + c.key + " = " + c.value + "\n";
+    SCOPED_TRACE(text);
+    // The prefix parses on its own: the one added key is what fails.
+    ASSERT_TRUE(ScenarioSpec::parse(c.prefix).has_value());
+    expect_error(text, std::string{"key '"} + c.key + "': expected a finite number");
+  }
+}
+
+// --- per-entry error lines ---------------------------------------------------
+
+TEST(ScenarioSpecErrors, KindGatedKeyCitesItsOwnLine) {
+  const std::string text =
+      "[scenario]\n"                        // 1
+      "name = d\n"                          // 2
+      "kind = deployment\n"                 // 3
+      "\n"                                  // 4
+      "[chain]\n"                           // 5
+      "name = a\n"                          // 6
+      "spec = wire | S:Firewall | wire\n"   // 7
+      "arrive_ms = 3\n"                     // 8
+      "\n"                                  // 9
+      "[chain]\n"                           // 10
+      "name = b\n"                          // 11
+      "spec = wire | S:Monitor | wire\n"    // 12
+      "arrive_ms = 0\n";                    // 13
+  expect_error(text, "err.scn:8: [chain] 'arrive_ms' is only valid for kind = churn");
+  // A gated key given at its default value is still given.
+  expect_error(
+      "[scenario]\nname = d\nkind = deployment\n"
+      "[chain]\nname = a\nspec = wire | S:Firewall | wire\narrive_ms = 0\n",
+      "err.scn:7: [chain] 'arrive_ms' is only valid for kind = churn");
+}
+
+// --- parser robustness --------------------------------------------------------
+
+/// Every input either fails with a message or parses to a spec whose
+/// canonical text parses back to the same spec.
+void expect_error_or_round_trip(const std::string& text) {
+  const auto first = ScenarioSpec::parse(text, "mutant");
+  if (!first.has_value()) {
+    EXPECT_FALSE(first.error().what().empty()) << text;
+    return;
+  }
+  const auto second = ScenarioSpec::parse(first.value().to_text(), "canonical");
+  ASSERT_TRUE(second.has_value()) << second.error().what() << "\ninput:\n" << text;
+  EXPECT_TRUE(first.value() == second.value()) << "input:\n" << text;
+}
+
+TEST(ScenarioSpecRobustness, MutatedPresetsFailCleanlyOrRoundTrip) {
+  constexpr std::string_view kAlphabet = "=[]#.-0123456789abcdefghijklmnopqrstuvwxyz\n";
+  constexpr int kMutationsPerPreset = 300;
+  const std::string dir = default_scenario_dir();
+  const auto names = list_scenarios(dir);
+  ASSERT_TRUE(names.has_value()) << names.error().what();
+  Rng rng{0x5ce7a110};
+  for (const auto& name : names.value()) {
+    SCOPED_TRACE(name);
+    std::ifstream file{dir + "/" + name + ".scn"};
+    const std::string text{std::istreambuf_iterator<char>{file}, {}};
+    ASSERT_FALSE(text.empty());
+    for (int i = 0; i < kMutationsPerPreset; ++i) {
+      std::string mutant = text;
+      mutant[rng.bounded(mutant.size())] = kAlphabet[rng.bounded(kAlphabet.size())];
+      expect_error_or_round_trip(mutant);
+    }
+    for (std::size_t eol = text.find('\n'); eol != std::string::npos;
+         eol = text.find('\n', eol + 1)) {
+      expect_error_or_round_trip(text.substr(0, eol + 1));
+    }
+  }
 }
 
 }  // namespace
