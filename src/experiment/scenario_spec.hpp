@@ -62,9 +62,9 @@
 // not use them (even at their default value), and numbers out of range are
 // all reported as errors with the offending line.  Every number must be
 // finite; rates are >= 0; times convert to SimTime without overflow, and
-// periods and the epoch quantum are at least one simulated ns.  `ScenarioSpec::to_text()` emits a canonical
-// rendering that parses back to an equal spec (round-trip property, covered
-// by tests/test_scenario_spec.cpp).
+// periods and the epoch quantum are at least one simulated ns.
+// `ScenarioSpec::to_text()` emits a canonical rendering that parses back to
+// an equal spec (round-trip property, covered by tests/test_scenario_spec.cpp).
 
 #pragma once
 
