@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   // The traffic generator's per-packet build leaves the payload pending;
-  // the first payload reader (DPI, Encryptor, VXLAN) pays the fill.
+  // the first payload reader (DPI, Encryptor) pays the fill.
   for (const std::size_t bytes : {64u, 512u, 1500u}) {
     Packet pkt;
     PacketBuilder builder;

@@ -51,11 +51,6 @@ for b in "${BENCHES[@]}"; do
     exit 2
   fi
 done
-PAM_EXP="$BUILD_DIR/src/experiment/pam_exp"
-if [[ ! -x "$PAM_EXP" ]]; then
-  echo "run_benches: $PAM_EXP not found; build the pam_exp target first" >&2
-  exit 2
-fi
 
 if [[ "$QUICK" == 1 ]]; then
   export PAM_BENCH_QUICK=1
@@ -76,17 +71,5 @@ for b in "${BENCHES[@]}"; do
   fi
   SECTIONS+=("$TMPDIR_BENCH/$b.json")
 done
-
-echo "run_benches: pam_exp bench"
-QUICK_FLAG=()
-[[ "$QUICK" == 1 ]] && QUICK_FLAG=(--quick)
-if ! "$PAM_EXP" bench "${QUICK_FLAG[@]}" \
-    --json="$TMPDIR_BENCH/pam_exp_bench.json" \
-    > "$TMPDIR_BENCH/pam_exp_bench.log" 2>&1; then
-  echo "run_benches: pam_exp bench FAILED; output:" >&2
-  cat "$TMPDIR_BENCH/pam_exp_bench.log" >&2
-  exit 1
-fi
-SECTIONS+=("$TMPDIR_BENCH/pam_exp_bench.json")
 
 python3 "$SCRIPT_DIR/bench_merge.py" "${SECTIONS[@]}" --out "$OUT"

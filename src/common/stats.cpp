@@ -111,83 +111,4 @@ std::string LatencyRecorder::summary() const {
   return buf;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), bucket_width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((x - lo_) / bucket_width_);
-  ++counts_[std::min(idx, counts_.size() - 1)];
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + static_cast<double>(i) * bucket_width_;
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return bucket_lo(i) + bucket_width_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (const auto c : counts_) {
-    peak = std::max(peak, c);
-  }
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar_len = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    std::snprintf(line, sizeof line, "[%10.1f, %10.1f) %8llu |", bucket_lo(i), bucket_hi(i),
-                  static_cast<unsigned long long>(counts_[i]));
-    out += line;
-    out.append(bar_len, '#');
-    out += '\n';
-  }
-  return out;
-}
-
-ThroughputMeter::ThroughputMeter(SimTime window) : window_(window) {
-  assert(window.ns() > 0);
-}
-
-void ThroughputMeter::roll_to(SimTime now) {
-  while (now - window_start_ >= window_) {
-    window_rates_.push_back(rate_of(window_bytes_, window_));
-    window_start_ += window_;
-    window_bytes_ = Bytes{0};
-  }
-}
-
-void ThroughputMeter::record(SimTime now, Bytes size) {
-  if (!any_) {
-    first_ = now;
-    window_start_ = now;
-    any_ = true;
-  }
-  roll_to(now);
-  last_ = now;
-  total_ += size;
-  ++packets_;
-  window_bytes_ += size;
-}
-
-Gbps ThroughputMeter::average_rate() const {
-  if (!any_ || last_ <= first_) {
-    return Gbps::zero();
-  }
-  return rate_of(total_, last_ - first_);
-}
-
 }  // namespace pam

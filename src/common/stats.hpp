@@ -1,6 +1,5 @@
-// Streaming statistics used by the measurement layer: running moments,
-// exact-quantile reservoirs for latency distributions, and fixed-bucket
-// histograms for throughput-over-time reporting.
+// Streaming statistics used by the measurement layer: running moments and
+// exact-quantile reservoirs for latency distributions.
 
 #pragma once
 
@@ -89,64 +88,6 @@ class LatencyRecorder {
  private:
   RunningStats stats_;
   QuantileReservoir reservoir_;
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples land in
-/// underflow/overflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bucket_hi(std::size_t i) const noexcept;
-
-  /// ASCII rendering for example programs.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bucket_width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
-/// Windowed rate meter: count bytes over time, report Gbps per window and
-/// overall.  Used by sinks to report achieved throughput.
-class ThroughputMeter {
- public:
-  explicit ThroughputMeter(SimTime window = SimTime::milliseconds(10));
-
-  void record(SimTime now, Bytes size);
-  [[nodiscard]] Bytes total_bytes() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t total_packets() const noexcept { return packets_; }
-
-  /// Average rate between the first and last recorded packet.
-  [[nodiscard]] Gbps average_rate() const;
-
-  /// Per-window rates (for time-series plots in examples).
-  [[nodiscard]] const std::vector<Gbps>& window_rates() const noexcept { return window_rates_; }
-
- private:
-  void roll_to(SimTime now);
-
-  SimTime window_;
-  Bytes total_{0};
-  std::uint64_t packets_ = 0;
-  SimTime first_ = SimTime::zero();
-  SimTime last_ = SimTime::zero();
-  bool any_ = false;
-  SimTime window_start_ = SimTime::zero();
-  Bytes window_bytes_{0};
-  std::vector<Gbps> window_rates_;
 };
 
 }  // namespace pam

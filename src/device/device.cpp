@@ -1,46 +1,8 @@
 #include "device/device.hpp"
 
-#include <algorithm>
-#include <limits>
-
 namespace pam {
 
 using namespace pam::literals;
-
-double Device::utilization() const {
-  double sum = 0.0;
-  for (const auto& r : residents_) {
-    sum += r.utilization_on(location_);
-  }
-  return sum;
-}
-
-double Device::utilization_with(const NfSpec& candidate, Gbps offered) const {
-  return utilization() + candidate.utilization_at(location_, offered);
-}
-
-double Device::utilization_without(const std::string& nf_name) const {
-  double sum = 0.0;
-  for (const auto& r : residents_) {
-    if (r.spec.name != nf_name) {
-      sum += r.utilization_on(location_);
-    }
-  }
-  return sum;
-}
-
-Gbps Device::headroom_for(const NfSpec& candidate) const {
-  const double slack = 1.0 - utilization();
-  if (slack <= 0.0) {
-    return Gbps::zero();
-  }
-  const Gbps cap = candidate.capacity.on(location_);
-  if (cap.value() <= 0.0 || candidate.load_factor <= 0.0) {
-    return Gbps{std::numeric_limits<double>::infinity()};
-  }
-  // candidate consumes offered*load_factor/cap per Gbps offered.
-  return Gbps{slack * cap.value() / candidate.load_factor};
-}
 
 SmartNic SmartNic::agilio_cx() {
   return SmartNic{"agilio-cx", 2, 10.0_gbps};

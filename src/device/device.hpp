@@ -1,74 +1,31 @@
-// Device resource model.
-//
-// The paper models both the SmartNIC and the CPU the same way: a device has
-// a normalised resource budget of 1.0, and an NF carrying throughput θ_cur
-// consumes θ_cur/θ^D_i of it.  Device tracks which NF instances are resident
-// and answers the two questions the PAM algorithm asks:
-//   - what is your current utilisation? (Σ θ_cur/θ^D_i)
-//   - would you overload if NF b0 moved here? (Eq. 2)
+// Device identity: the SmartNIC and the CPU complex of the paper's
+// testbed.  Device load (Σ θ_cur/θ^D_i, Eqs. 2/3) is ChainAnalyzer's job;
+// these classes carry only the hardware facts it and the reports read.
 
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 #include "nf/nf_spec.hpp"
 
 namespace pam {
 
-/// One NF instance resident on a device, with the throughput it currently
-/// carries (θ_cur in the paper, already scaled by the chain's pass ratios).
-struct ResidentNf {
-  NfSpec spec;
-  Gbps offered;  ///< traffic arriving at this NF
-
-  /// Resource fraction this NF consumes on device `loc`.
-  [[nodiscard]] double utilization_on(Location loc) const {
-    return spec.utilization_at(loc, offered);
-  }
-};
-
 class Device {
  public:
   Device(std::string name, Location location)
       : name_(std::move(name)), location_(location) {}
-  virtual ~Device() = default;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Location location() const noexcept { return location_; }
 
-  void clear_residents() noexcept { residents_.clear(); }
-  void add_resident(ResidentNf nf) { residents_.push_back(std::move(nf)); }
-  [[nodiscard]] const std::vector<ResidentNf>& residents() const noexcept { return residents_; }
-
-  /// Σ θ_cur/θ^D_i over resident NFs — the paper's device load.
-  [[nodiscard]] double utilization() const;
-
-  /// Device is overloaded when utilisation >= 1 (Eq. 3's negation).
-  [[nodiscard]] bool overloaded() const { return utilization() >= 1.0; }
-
-  /// Utilisation if `candidate` carrying `offered` also ran here (Eq. 2's
-  /// left-hand side when this device is the CPU).
-  [[nodiscard]] double utilization_with(const NfSpec& candidate, Gbps offered) const;
-
-  /// Utilisation if the resident named `nf_name` left (Eq. 3's left-hand
-  /// side when this device is the SmartNIC).
-  [[nodiscard]] double utilization_without(const std::string& nf_name) const;
-
-  /// Headroom in Gbps for `candidate`: the extra throughput it could carry
-  /// here before utilisation reaches 1.
-  [[nodiscard]] Gbps headroom_for(const NfSpec& candidate) const;
-
  private:
   std::string name_;
   Location location_;
-  std::vector<ResidentNf> residents_;
 };
 
-/// The NPU-based SmartNIC.  Capacity semantics are identical to the base
-/// Device; the subclass carries NIC-specific identity (port count/speed)
-/// used by examples and reporting.
+/// The NPU-based SmartNIC: port count and speed, which give the wire
+/// capacity ChainAnalyzer checks and the server description prints.
 class SmartNic final : public Device {
  public:
   SmartNic(std::string name, std::uint32_t ports, Gbps port_speed)

@@ -75,14 +75,6 @@ class PcieLink {
     return offered.value() * static_cast<double>(crossings) / bandwidth_.value();
   }
 
-  // --- runtime counters (filled by the simulator) --------------------------
-  void note_crossing(Bytes size) noexcept {
-    ++total_crossings_;
-    total_bytes_ += size;
-  }
-  [[nodiscard]] std::uint64_t total_crossings() const noexcept { return total_crossings_; }
-  [[nodiscard]] Bytes total_bytes() const noexcept { return total_bytes_; }
-
   [[nodiscard]] std::string describe() const;
 
  private:
@@ -91,8 +83,6 @@ class PcieLink {
   Gbps host_cost_rate_;
   PcieModelKind kind_ = PcieModelKind::kSimple;
   PcieDetailedParams detailed_{};
-  std::uint64_t total_crossings_ = 0;
-  Bytes total_bytes_{0};
 };
 
 }  // namespace pam

@@ -26,15 +26,6 @@ class Server {
   [[nodiscard]] PcieLink& pcie() noexcept { return pcie_; }
   [[nodiscard]] const PcieLink& pcie() const noexcept { return pcie_; }
 
-  [[nodiscard]] Device& device(Location loc) noexcept {
-    return loc == Location::kSmartNic ? static_cast<Device&>(nic_)
-                                      : static_cast<Device&>(cpu_);
-  }
-  [[nodiscard]] const Device& device(Location loc) const noexcept {
-    return loc == Location::kSmartNic ? static_cast<const Device&>(nic_)
-                                      : static_cast<const Device&>(cpu_);
-  }
-
   [[nodiscard]] std::string describe() const;
 
  private:

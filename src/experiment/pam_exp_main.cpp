@@ -4,7 +4,6 @@
 //   pam_exp policies                      # registered migration policies
 //   pam_exp run <scenario>... [options]   # execute scenarios
 //   pam_exp sweep <scenario> --factors LO:HI:STEPS [options]
-//   pam_exp bench [--json[=FILE]] [--quick]  # in-process perf quick tier
 //   pam_exp fuzz [--seed N] [--count N] [--quick] [--dump-dir DIR]
 //                                         # invariant-checking scenario fuzzer
 //
@@ -21,9 +20,7 @@
 //                   policy: replaces the [policy] default, clears per-chain
 //                   overrides, and re-points every compare variant — same
 //                   registry path as the .scn surface, no side channel
-//   --quick         (bench) shrink iteration counts / simulated windows
-//                   (equivalent to PAM_BENCH_QUICK=1);
-//                   (fuzz) short DES horizons for CI smoke runs
+//   --quick         (fuzz) short DES horizons for CI smoke runs
 //   --check-invariants
 //                   (run) audit every executed scenario with the invariant
 //                   checker (experiment/invariants.hpp); violations fail
@@ -34,11 +31,6 @@
 //   --seed N / --count N / --dump-dir DIR
 //                   (fuzz) campaign seed, number of generated cases, and
 //                   where a shrunk failing .scn reproducer is written
-//
-// `bench` times the three gated trajectory families in-process (control-loop
-// decision latency, packet-pool recycle, shared-kernel events/s) and emits
-// one pam-bench/v1 section (docs/BENCHMARKS.md); scripts/run_benches.sh
-// merges it into BENCH_*.json alongside the bench/ binaries.
 //
 // Exit status: 0 on success, 1 on any configuration or I/O error.
 
@@ -52,19 +44,13 @@
 #include <string>
 #include <vector>
 
-#include "benchreport/bench_reporter.hpp"
-#include "chain/chain_analyzer.hpp"
-#include "chain/chain_builder.hpp"
 #include "common/strings.hpp"
 #include "control/policy_registry.hpp"
-#include "core/pam_policy.hpp"
 #include "experiment/invariants.hpp"
 #include "experiment/metrics_sink.hpp"
 #include "experiment/scenario_fuzz.hpp"
 #include "experiment/scenario_library.hpp"
 #include "experiment/scenario_runner.hpp"
-#include "packet/packet_pool.hpp"
-#include "sim/cluster_simulator.hpp"
 
 namespace {
 
@@ -80,7 +66,6 @@ int usage(std::FILE* out) {
                "       pam_exp sweep <scenario> --factors LO:HI:STEPS "
                "[--json[=FILE]] [--quiet] [--policy NAME[:key=val,...]] "
                "[--dir DIR]\n"
-               "       pam_exp bench [--json[=FILE]] [--quick]\n"
                "       pam_exp fuzz [--seed N] [--count N] [--quick] "
                "[--dump-dir DIR] [--verbose]\n"
                "\n"
@@ -100,7 +85,7 @@ struct Options {
   std::string dir;
   std::string factors;
   std::string policy;  ///< --policy NAME[:key=val,...]; empty = none
-  bool quick = false;  ///< --quick (bench/fuzz): shrink the work
+  bool quick = false;  ///< --quick (fuzz): shrink the work
   bool check_invariants = false;  ///< --check-invariants (run)
   std::size_t threads = 0;        ///< --threads (run); 0 = use the spec's
   std::uint64_t seed = 1;         ///< --seed (fuzz)
@@ -419,119 +404,6 @@ int cmd_sweep(const Options& opt) {
   return run_specs(specs, opt);
 }
 
-/// Optimizer sink for the in-process bench loops.
-volatile std::uint64_t g_bench_sink = 0;
-
-/// The in-process perf quick tier: one case per gated trajectory family so
-/// a single `pam_exp bench --json` emission exercises the whole
-/// measurement surface without building bench/.  Records land under bench
-/// name "pam_exp_bench" (see docs/BENCHMARKS.md).
-int cmd_bench(const Options& opt) {
-  if (opt.quick) {
-    setenv("PAM_BENCH_QUICK", "1", 1);
-  }
-  const bool quick = bench_quick_mode();
-  BenchReporter reporter{"pam_exp_bench"};
-  std::printf("=== pam_exp bench: in-process perf quick tier%s ===\n\n",
-              quick ? " (quick)" : "");
-
-  // Control-loop decision latency: one full PAM plan per periodic load
-  // query on the paper's Figure-1 chain.
-  {
-    Server server = Server::paper_testbed();
-    const ChainAnalyzer analyzer{server};
-    const PamPolicy policy;
-    const ServiceChain chain = paper_figure1_chain();
-    const std::size_t iters = quick ? 2000 : 10000;
-    const TimingStats stats =
-        time_runs(BenchTiming{1, quick ? 3 : 5}, [&] {
-          for (std::size_t i = 0; i < iters; ++i) {
-            g_bench_sink = g_bench_sink +
-                           policy.plan(chain, analyzer, paper_overload_rate())
-                               .steps.size();
-          }
-        });
-    const double ns = stats.best_ns / static_cast<double>(iters);
-    std::printf("pam_plan (fig1 chain):    %10.1f ns/plan\n", ns);
-    reporter.add_case("pam_plan")
-        .param("chain", "fig1")
-        .metric("ns_per_plan", MetricKind::kLatency, ns, "ns",
-                static_cast<std::uint64_t>(iters) * stats.repeats);
-  }
-
-  // Packet-pool recycle: the per-packet allocation cost on the datapath.
-  {
-    PacketPool pool{1};
-    const std::size_t iters = quick ? 250'000 : 1'000'000;
-    constexpr std::size_t kFrame = 1500;
-    { auto prime = pool.acquire(kFrame); }
-    const TimingStats stats = time_runs(BenchTiming{1, quick ? 3 : 5}, [&] {
-      for (std::size_t i = 0; i < iters; ++i) {
-        auto handle = pool.acquire(kFrame);
-        g_bench_sink = g_bench_sink + (handle ? 1 : 0);
-      }
-    });
-    const double ns = stats.best_ns / static_cast<double>(iters);
-    std::printf("pool recycle @%zuB:      %10.1f ns/acquire\n", kFrame, ns);
-    reporter.add_case("pool_recycle")
-        .param("frame_bytes", std::uint64_t{kFrame})
-        .metric("ns_per_acquire", MetricKind::kLatency, ns, "ns",
-                static_cast<std::uint64_t>(iters) * stats.repeats);
-  }
-
-  // Shared-kernel DES throughput: a small rack on one event queue.
-  {
-    constexpr std::size_t kServers = 4;
-    ClusterSimulator cluster{kServers};
-    for (std::size_t s = 0; s < kServers; ++s) {
-      TrafficSourceConfig cfg;
-      cfg.rate = RateProfile::constant(Gbps{1.2});
-      cfg.sizes = PacketSizeDistribution::fixed(512);
-      cfg.seed = 42 + s;
-      cluster.add_chain(ChainBuilder{format("tenant-%zu", s)}
-                            .add(NfType::kFirewall, format("fw%zu", s),
-                                 Location::kSmartNic)
-                            .add(NfType::kLoadBalancer, format("lb%zu", s),
-                                 Location::kCpu)
-                            .build(),
-                        std::move(cfg), s);
-    }
-    // Single-shot (warmup 0, repeat 1): cluster.run() drains the fleet, so
-    // a second repetition would time an empty queue.  time_runs keeps the
-    // wall-clock read inside benchreport (rule D002).
-    const TimingStats wall = time_runs(BenchTiming{0, 1}, [&] {
-      (void)cluster.run(SimTime::milliseconds(quick ? 5 : 15),
-                        SimTime::milliseconds(quick ? 1 : 3));
-    });
-    const double wall_ms = wall.best_ns / 1e6;
-    const double events = static_cast<double>(cluster.kernel().queue().executed());
-    const double events_per_s = wall_ms > 0.0 ? events / wall_ms * 1e3 : 0.0;
-    std::printf("cluster kernel (4 srv):   %10.2f M events/s\n",
-                events_per_s / 1e6);
-    reporter.add_case("cluster_events")
-        .param("servers", std::uint64_t{kServers})
-        .metric("events_per_s", MetricKind::kThroughput, events_per_s, "/s");
-  }
-
-  if (opt.json) {
-    const bool to_stdout = opt.json_file.empty() || opt.json_file == "-";
-    if (to_stdout) {
-      reporter.write_json(std::cout);
-    } else {
-      std::ofstream file{opt.json_file};
-      if (!file) {
-        std::fprintf(stderr, "error: cannot write '%s'\n", opt.json_file.c_str());
-        return 1;
-      }
-      reporter.write_json(file);
-      if (!opt.quiet) {
-        std::printf("\nwrote bench JSON to %s\n", opt.json_file.c_str());
-      }
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -556,9 +428,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "sweep") {
     return cmd_sweep(opt);
-  }
-  if (cmd == "bench") {
-    return cmd_bench(opt);
   }
   if (cmd == "fuzz") {
     FuzzOptions fuzz;

@@ -51,11 +51,6 @@ void MigrationEngine::run_step(std::shared_ptr<MigrationPlan> plan,
                                  ? pcie.crossing_latency(snapshot.size())
                                  : options_.min_transfer;
   transfer += std::max(state_time, options_.min_transfer);
-  if (step.to == Location::kSmartNic) {
-    // Landing on the SmartNIC may require device reconfiguration (partial
-    // bitstream load on FPGA boards).
-    transfer += options_.smartnic_reconfiguration;
-  }
 
   log_debug("migration: %s %s -> %s, state %s, transfer %s",
             step.nf_name.c_str(), std::string(to_string(step.from)).c_str(),

@@ -45,10 +45,6 @@ struct MigrationEngineOptions {
   SimTime control_overhead = SimTime::microseconds(500.0);
   /// Floor on transfer time (one DMA round trip even for empty state).
   SimTime min_transfer = SimTime::microseconds(50.0);
-  /// Device-side (re)configuration when an NF lands on the SmartNIC: ~0 for
-  /// NPU NICs (firmware dispatch), milliseconds for FPGA NICs (partial
-  /// bitstream over ICAP) — see MigrationCostModel in device/fpga.hpp.
-  SimTime smartnic_reconfiguration = SimTime::zero();
 };
 
 class MigrationEngine {

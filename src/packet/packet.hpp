@@ -57,10 +57,10 @@ class Packet {
   /// value-initialises) and clears a pending payload; payload bytes beyond
   /// the headers keep whatever the previous occupant left and MUST be
   /// overwritten by the producer (PacketBuilder defers a fill that covers
-  /// the whole payload; trace replay copies the whole frame).  This is what
-  /// PacketPool::acquire uses — recycling a 1500B frame no longer memsets
-  /// the full MTU.  The deferred fill starts at byte 42 (see payload()), so
-  /// for TCP it overwrites the last 12 header bytes the builder wrote.
+  /// the whole payload).  This is what PacketPool::acquire uses — recycling
+  /// a 1500B frame no longer memsets the full MTU.  The deferred fill starts
+  /// at byte 42 (see payload()), so for TCP it overwrites the last 12 header
+  /// bytes the builder wrote.
   void reset_headers(std::size_t wire_size);
 
   /// Marks the payload as pending: the first accessor that can expose
@@ -122,14 +122,6 @@ class Packet {
 
   [[nodiscard]] std::uint32_t hops() const noexcept { return hops_; }
   void note_hop() noexcept { ++hops_; }
-
-  /// Restores path counters after a reset().  Used by re-framing NFs
-  /// (tunnel encap/decap) that rebuild the buffer mid-chain but must not
-  /// erase the packet's travel history.
-  void restore_path_counters(std::uint32_t crossings, std::uint32_t hops) noexcept {
-    pcie_crossings_ = crossings;
-    hops_ = hops;
-  }
 
  private:
   void fill_if_pending() const noexcept {

@@ -1,6 +1,5 @@
 #include "sim/chain_simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/logging.hpp"
@@ -12,20 +11,18 @@ namespace pam {
 namespace {
 
 /// The simulator's typed events.  Payload fields per kind:
-///   kArrival        a = frame size of the packet to inject
-///   kReplayArrival  a = index of the trace record to inject
-///   kSourcePoll     (none) — re-run the traffic source
-///   kNfDone         pkt, node, a = submit time, b = NF location
-///   kAdvance        pkt, node = next position, a = rack slot, b = side
-///   kPcieDone       pkt, node = next position, a = ServerDevices*,
-///                   b = fixed delay, c = driver service
-///   kPcieFixed      pkt, node = next position, a = ServerDevices*,
-///                   c = driver service
-///   kPcieCont       pkt, node = next position (deliver past the last)
+///   kArrival     a = frame size of the packet to inject
+///   kSourcePoll  (none) — re-run the traffic source
+///   kNfDone      pkt, node, a = submit time, b = NF location
+///   kAdvance     pkt, node = next position, a = rack slot, b = side
+///   kPcieDone    pkt, node = next position, a = ServerDevices*,
+///                b = fixed delay, c = driver service
+///   kPcieFixed   pkt, node = next position, a = ServerDevices*,
+///                c = driver service
+///   kPcieCont    pkt, node = next position (deliver past the last)
 /// Times are in ns.
 enum Kind : std::uint32_t {
   kArrival,
-  kReplayArrival,
   kSourcePoll,
   kNfDone,
   kAdvance,
@@ -186,13 +183,6 @@ void ChainSimulator::on_event(const EventRecord& ev) {
       inject(ev.a);
       schedule_next_arrival();
       return;
-    case kReplayArrival:
-      if (kernel_->stopped() || kernel_->now() >= kernel_->horizon()) {
-        return;
-      }
-      inject_frame(traffic_.replay->records()[ev.a].frame);
-      schedule_next_arrival();
-      return;
     case kSourcePoll:
       schedule_next_arrival();
       return;
@@ -233,10 +223,6 @@ void ChainSimulator::schedule_next_arrival() {
   if (active_stop_.ns() >= 0 && kernel_->now() >= active_stop_) {
     return;  // tenant departed: the source dies, in-flight packets drain
   }
-  if (traffic_.replay && !traffic_.replay->empty()) {
-    schedule_replay_arrival();
-    return;
-  }
   const Gbps rate = traffic_.rate.at(kernel_->now());
   const std::size_t next_size = traffic_.sizes.sample(rng_);
   if (rate.value() <= 1e-9) {
@@ -256,45 +242,6 @@ void ChainSimulator::schedule_next_arrival() {
   kernel_->queue().schedule_after(gap, arrival);
 }
 
-void ChainSimulator::schedule_replay_arrival() {
-  const auto& records = traffic_.replay->records();
-  if (replay_pos_ >= records.size()) {
-    if (!traffic_.replay_loop) {
-      return;  // capture exhausted
-    }
-    // Repeat back-to-back: next epoch starts one mean inter-frame gap
-    // after the previous capture's last frame.
-    const SimTime span = traffic_.replay->duration();
-    const SimTime gap = SimTime::nanoseconds(
-        span.ns() / static_cast<std::int64_t>(records.size()) + 1);
-    replay_epoch_ += span + gap;
-    replay_pos_ = 0;
-  }
-  const SimTime first_ts = records.front().timestamp;
-  const SimTime at = replay_epoch_ + (records[replay_pos_].timestamp - first_ts);
-  EventRecord arrival = record(kReplayArrival, nullptr, 0);
-  arrival.a = replay_pos_;
-  ++replay_pos_;
-  kernel_->queue().schedule_at(at, arrival);
-}
-
-void ChainSimulator::account_injection(Packet* p) {
-  p->set_id(++injected_);
-  p->set_ingress_time(kernel_->now());
-  ++in_flight_;
-  if (ingress_window_.size() == kIngressWindowCap) {
-    ingress_bytes_ -= ingress_window_.front().bytes;
-    ingress_window_.pop_front();
-  }
-  ingress_window_.push_back(Arrival{kernel_->now(), p->size()});
-  ingress_bytes_ += p->size();
-  if (metering()) {
-    ++measured_injected_;
-    measured_injected_bytes_ += p->size();
-  }
-  advance(p, 0, Hop{home_.server, side_of(chain_.ingress())});
-}
-
 void ChainSimulator::inject(std::size_t size_bytes) {
   auto handle = pool().acquire(size_bytes);
   if (!handle) {
@@ -310,24 +257,20 @@ void ChainSimulator::inject(std::size_t size_bytes) {
       .flow(flowgen_.next(rng_))
       .payload_seed(rng_.next_u64());
   builder.build_into(*p);
-  account_injection(p);
-}
-
-void ChainSimulator::inject_frame(std::span<const std::uint8_t> frame) {
-  if (frame.size() < Packet::kMinSize) {
-    ++dropped_queue_nic_;  // runt frame: the NIC MAC would discard it
-    ++injected_;
-    return;
+  p->set_id(++injected_);
+  p->set_ingress_time(kernel_->now());
+  ++in_flight_;
+  if (ingress_window_.size() == kIngressWindowCap) {
+    ingress_bytes_ -= ingress_window_.front().bytes;
+    ingress_window_.pop_front();
   }
-  auto handle = pool().acquire(frame.size());
-  if (!handle) {
-    ++dropped_queue_nic_;
-    ++injected_;
-    return;
+  ingress_window_.push_back(Arrival{kernel_->now(), p->size()});
+  ingress_bytes_ += p->size();
+  if (metering()) {
+    ++measured_injected_;
+    measured_injected_bytes_ += p->size();
   }
-  Packet* p = handle.release();
-  std::copy(frame.begin(), frame.end(), p->data().begin());
-  account_injection(p);
+  advance(p, 0, Hop{home_.server, side_of(chain_.ingress())});
 }
 
 void ChainSimulator::advance(Packet* p, std::size_t idx, Hop from) {
@@ -415,7 +358,6 @@ void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
                                 std::size_t next) {
   auto& pcie = binding.hw->pcie();
   p->note_pcie_crossing();
-  pcie.note_crossing(p->wire_bytes());
   ++crossings_total_;
 
   const SimTime link_service = serialization_delay(p->wire_bytes(), pcie.bandwidth());
@@ -481,9 +423,6 @@ void ChainSimulator::nf_done(Packet* p, std::size_t idx, Location loc,
 
 void ChainSimulator::deliver(Packet* p) {
   ++delivered_;
-  if (capture_ != nullptr) {
-    capture_->append(kernel_->now(), p->data());
-  }
   if (metering()) {
     ++measured_delivered_;
     measured_delivered_bytes_ += p->size();

@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,8 +67,7 @@ namespace pam {
 class ChainSimulator final : public EventSink {
  public:
   /// Standalone mode: a private SimulationKernel and ServerDevices are
-  /// created for this chain.  `server` must outlive the simulator; its
-  /// PcieLink counters are updated during the run.
+  /// created for this chain.  `server` must outlive the simulator.
   ChainSimulator(ServiceChain chain, Server& server, TrafficSourceConfig traffic,
                  Calibration calibration = Calibration::defaults());
 
@@ -170,11 +168,6 @@ class ChainSimulator final : public EventSink {
   /// Total packets buffered across all pause windows so far.
   [[nodiscard]] std::uint64_t total_buffered() const noexcept { return total_buffered_; }
 
-  /// Capture every frame delivered at egress into `sink` (with the
-  /// simulated delivery timestamp).  Pass nullptr to stop capturing.  The
-  /// sink must outlive the run.
-  void capture_egress(PacketTrace* sink) noexcept { capture_ = sink; }
-
   // --- cross-rack leases (sharded datacenter mode) --------------------------
   //
   // A DatacenterOrchestrator can lease one of this chain's nodes to a slot
@@ -263,10 +256,7 @@ class ChainSimulator final : public EventSink {
   [[nodiscard]] EventRecord record(std::uint32_t kind, Packet* p, std::size_t node);
 
   void schedule_next_arrival();
-  void schedule_replay_arrival();
   void inject(std::size_t size_bytes);
-  void inject_frame(std::span<const std::uint8_t> frame);
-  void account_injection(Packet* p);
   void advance(Packet* p, std::size_t idx, Hop from);
   void send_to_fabric(Packet* p, std::size_t idx);
   void process_node(Packet* p, std::size_t idx);
@@ -335,11 +325,6 @@ class ChainSimulator final : public EventSink {
   };
   mutable BlockFifo<Arrival, 256> ingress_window_;
   mutable std::uint64_t ingress_bytes_ = 0;
-
-  // trace replay / capture
-  std::size_t replay_pos_ = 0;
-  SimTime replay_epoch_ = SimTime::zero();
-  PacketTrace* capture_ = nullptr;
 };
 
 }  // namespace pam

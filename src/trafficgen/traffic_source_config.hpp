@@ -4,9 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "packet/trace.hpp"
 #include "trafficgen/flow_generator.hpp"
 #include "trafficgen/packet_size_dist.hpp"
 #include "trafficgen/rate_profile.hpp"
@@ -24,13 +22,6 @@ struct TrafficSourceConfig {
   PacketSizeDistribution sizes = PacketSizeDistribution::fixed(512);
   FlowGeneratorConfig flows{};
   std::uint64_t seed = 1;
-
-  /// When set, the synthetic generator above is ignored and the capture is
-  /// replayed instead: frames injected verbatim at the recorded timestamps
-  /// (shifted so the first record lands at t=0).  With `replay_loop` the
-  /// capture repeats back-to-back until the run's horizon.
-  std::shared_ptr<const PacketTrace> replay;
-  bool replay_loop = false;
 };
 
 }  // namespace pam

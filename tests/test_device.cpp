@@ -1,4 +1,4 @@
-// Device resource model and PCIe link tests — the substrate Eq. 2/3 run on.
+// Device identity and PCIe link tests — the substrate Eq. 2/3 run on.
 
 #include <gtest/gtest.h>
 
@@ -8,85 +8,6 @@ namespace pam {
 namespace {
 
 using namespace pam::literals;
-
-NfSpec spec(const char* name, Gbps nic_cap, Gbps cpu_cap, double load_factor = 1.0) {
-  NfSpec s;
-  s.name = name;
-  s.capacity = {nic_cap, cpu_cap};
-  s.load_factor = load_factor;
-  return s;
-}
-
-TEST(Device, EmptyDeviceIdle) {
-  SmartNic nic = SmartNic::agilio_cx();
-  EXPECT_DOUBLE_EQ(nic.utilization(), 0.0);
-  EXPECT_FALSE(nic.overloaded());
-}
-
-TEST(Device, UtilizationSumsResidents) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("a", 10_gbps, 4_gbps), 2_gbps});   // 0.2
-  nic.add_resident({spec("b", 3.2_gbps, 10_gbps), 2_gbps}); // 0.625
-  EXPECT_NEAR(nic.utilization(), 0.825, 1e-9);
-  EXPECT_FALSE(nic.overloaded());
-}
-
-TEST(Device, OverloadAtOrAboveOne) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("a", 2_gbps, 4_gbps), 2_gbps});  // exactly 1.0
-  EXPECT_TRUE(nic.overloaded());
-}
-
-TEST(Device, LoadFactorScalesUtilization) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("sampler", 2_gbps, 4_gbps, 0.5), 2_gbps});
-  EXPECT_DOUBLE_EQ(nic.utilization(), 0.5);
-}
-
-TEST(Device, UtilizationUsesOwnLocation) {
-  CpuSocket cpu = CpuSocket::xeon_e5_2620_v2_pair();
-  cpu.add_resident({spec("mon", 3.2_gbps, 10_gbps), 2_gbps});
-  EXPECT_DOUBLE_EQ(cpu.utilization(), 0.2);  // uses θ^C = 10, not θ^S
-}
-
-TEST(Device, UtilizationWithCandidate) {
-  CpuSocket cpu = CpuSocket::xeon_e5_2620_v2_pair();
-  cpu.add_resident({spec("lb", 12_gbps, 4_gbps), 2_gbps});  // 0.5
-  const NfSpec candidate = spec("logger", 2_gbps, 4_gbps, 0.5);
-  // Eq. 2 LHS: 0.5 + 2*0.5/4 = 0.75.
-  EXPECT_DOUBLE_EQ(cpu.utilization_with(candidate, 2_gbps), 0.75);
-}
-
-TEST(Device, UtilizationWithoutResident) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("a", 10_gbps, 4_gbps), 2_gbps});   // 0.2
-  nic.add_resident({spec("b", 2_gbps, 4_gbps), 2_gbps});    // 1.0
-  EXPECT_DOUBLE_EQ(nic.utilization_without("b"), 0.2);
-  EXPECT_DOUBLE_EQ(nic.utilization_without("a"), 1.0);
-  EXPECT_DOUBLE_EQ(nic.utilization_without("missing"), 1.2);
-}
-
-TEST(Device, HeadroomForCandidate) {
-  CpuSocket cpu = CpuSocket::xeon_e5_2620_v2_pair();
-  cpu.add_resident({spec("lb", 12_gbps, 4_gbps), 2_gbps});  // util 0.5
-  const NfSpec candidate = spec("x", 10_gbps, 5_gbps);
-  // 0.5 slack x 5 Gbps cap = 2.5 Gbps of additional offered load.
-  EXPECT_NEAR(cpu.headroom_for(candidate).value(), 2.5, 1e-9);
-}
-
-TEST(Device, HeadroomZeroWhenOverloaded) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("a", 2_gbps, 4_gbps), 3_gbps});  // 1.5
-  EXPECT_DOUBLE_EQ(nic.headroom_for(spec("x", 1_gbps, 1_gbps)).value(), 0.0);
-}
-
-TEST(Device, ClearResidents) {
-  SmartNic nic = SmartNic::agilio_cx();
-  nic.add_resident({spec("a", 10_gbps, 4_gbps), 5_gbps});
-  nic.clear_residents();
-  EXPECT_DOUBLE_EQ(nic.utilization(), 0.0);
-  EXPECT_TRUE(nic.residents().empty());
-}
 
 TEST(SmartNic, AgilioCxMatchesPaperTestbed) {
   const SmartNic nic = SmartNic::agilio_cx();
@@ -161,18 +82,10 @@ TEST(PcieLink, LargerBatchesCutPerPacketCost) {
   EXPECT_GT(a.fixed_cost(), b.fixed_cost());
 }
 
-TEST(PcieLink, CountersAccumulate) {
-  PcieLink link = PcieLink::calibrated_default();
-  link.note_crossing(Bytes{100});
-  link.note_crossing(Bytes{200});
-  EXPECT_EQ(link.total_crossings(), 2u);
-  EXPECT_EQ(link.total_bytes().value(), 300u);
-}
-
 TEST(Server, PaperTestbedComposition) {
   Server server = Server::paper_testbed();
-  EXPECT_EQ(server.device(Location::kSmartNic).location(), Location::kSmartNic);
-  EXPECT_EQ(server.device(Location::kCpu).location(), Location::kCpu);
+  EXPECT_EQ(server.nic().location(), Location::kSmartNic);
+  EXPECT_EQ(server.cpu().location(), Location::kCpu);
   EXPECT_DOUBLE_EQ(server.pcie().bandwidth().value(), 32.0);
   EXPECT_FALSE(server.describe().empty());
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/chain_analyzer.hpp"
 #include "chain/chain_builder.hpp"
 #include "core/pam_policy.hpp"
@@ -170,6 +172,41 @@ TEST(MigrationEngine, DowntimeScalesWithStateSize) {
   const auto late = run_with_migration_at(SimTime::milliseconds(60));
   EXPECT_GT(late.state_size.value(), early.state_size.value());
   EXPECT_GT(late.downtime(), early.downtime());
+}
+
+TEST(MigrationEngine, DowntimeIsControlOverheadPlusStateTransfer) {
+  // Downtime = control-plane overhead + the state blob's PCIe crossing,
+  // floored at min_transfer (an empty blob pays min_transfer), whichever
+  // way the NF moves.  With no traffic the Logger's state cannot change
+  // while it is paused, so both directions move the same blob.  The
+  // default floor exceeds that blob's crossing; a 1 us floor does not.
+  MigrationEngineOptions low_floor;
+  low_floor.min_transfer = SimTime::microseconds(1.0);
+  for (const MigrationEngineOptions& opts : {MigrationEngineOptions{}, low_floor}) {
+    auto downtime_of = [&](Location from, Location to) {
+      Server server = Server::paper_testbed();
+      ServiceChain chain = paper_figure1_chain();
+      chain.set_location(2, from);
+      ChainSimulator sim{chain, server, traffic(Gbps::zero())};
+      MigrationEngine engine{sim, opts};
+      MigrationPlan plan = logger_plan();
+      plan.steps[0].from = from;
+      plan.steps[0].to = to;
+      sim.schedule_at(SimTime::milliseconds(5), [&] { engine.execute(plan); });
+      (void)sim.run(SimTime::milliseconds(20), SimTime::milliseconds(1));
+      const MigrationRecord record = engine.records().at(0);
+      const SimTime transfer =
+          record.state_size.value() > 0
+              ? std::max(server.pcie().crossing_latency(record.state_size),
+                         opts.min_transfer)
+              : opts.min_transfer;
+      EXPECT_EQ(record.downtime(), opts.control_overhead + transfer);
+      return record.downtime();
+    };
+    const SimTime push_aside = downtime_of(Location::kSmartNic, Location::kCpu);
+    const SimTime pull_back = downtime_of(Location::kCpu, Location::kSmartNic);
+    EXPECT_EQ(push_aside, pull_back);
+  }
 }
 
 }  // namespace

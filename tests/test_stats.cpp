@@ -1,5 +1,5 @@
 // Tests for the measurement primitives: running moments, quantile
-// reservoirs, histograms and the throughput meter.
+// reservoirs and the latency recorder.
 
 #include <gtest/gtest.h>
 
@@ -108,68 +108,6 @@ TEST(LatencyRecorder, RecordsSimTimes) {
   EXPECT_EQ(rec.max().us(), 30.0);
   EXPECT_NEAR(rec.quantile(0.5).us(), 20.0, 0.01);
   EXPECT_FALSE(rec.summary().empty());
-}
-
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h{0.0, 100.0, 10};
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bucket 0
-  h.add(9.999);  // bucket 0
-  h.add(10.0);   // bucket 1
-  h.add(99.9);   // bucket 9
-  h.add(100.0);  // overflow
-  h.add(1e9);    // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h{10.0, 20.0, 5};
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 18.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 20.0);
-}
-
-TEST(Histogram, RenderProducesOneLinePerBucket) {
-  Histogram h{0.0, 10.0, 4};
-  h.add(1.0);
-  h.add(1.5);
-  h.add(9.0);
-  const std::string render = h.render(20);
-  EXPECT_EQ(std::count(render.begin(), render.end(), '\n'), 4);
-}
-
-TEST(ThroughputMeter, AverageRateMatchesHandComputation) {
-  ThroughputMeter m{SimTime::milliseconds(1)};
-  // 1000 packets x 1250 B over 10 ms = 1 Gbps.
-  for (int i = 0; i < 1000; ++i) {
-    m.record(SimTime::microseconds(10.0 * i), Bytes{1250});
-  }
-  EXPECT_EQ(m.total_packets(), 1000u);
-  EXPECT_EQ(m.total_bytes().value(), 1'250'000u);
-  EXPECT_NEAR(m.average_rate().value(), 1.0, 0.01);
-}
-
-TEST(ThroughputMeter, EmptyIsZero) {
-  ThroughputMeter m;
-  EXPECT_DOUBLE_EQ(m.average_rate().value(), 0.0);
-}
-
-TEST(ThroughputMeter, WindowRatesRoll) {
-  ThroughputMeter m{SimTime::milliseconds(1)};
-  for (int i = 0; i < 5000; ++i) {
-    m.record(SimTime::microseconds(2.0 * i), Bytes{125});
-  }
-  // 10 ms of traffic over 1 ms windows -> ~9 completed windows.
-  EXPECT_GE(m.window_rates().size(), 8u);
-  for (const auto& rate : m.window_rates()) {
-    EXPECT_NEAR(rate.value(), 0.5, 0.05);  // 125 B / 2 us = 0.5 Gbps
-  }
 }
 
 }  // namespace
