@@ -1,5 +1,6 @@
-// Cluster scaling curve: wall-clock cost and fleet throughput of the
-// shared-kernel ClusterSimulator as the rack grows from 1 to 16 servers.
+// Cluster scaling curve: wall-clock cost and fleet throughput of one rack
+// (a one-rack DatacenterSimulator, the path of every `shards = 1`
+// scenario) as it grows from 1 to 16 servers.
 //
 // Every slot carries one moderate split chain (SmartNIC firewall + CPU
 // load balancer at 1.2 Gbps), so fleet goodput should scale linearly with
@@ -18,7 +19,7 @@
 #include "benchreport/bench_reporter.hpp"
 #include "chain/chain_builder.hpp"
 #include "common/strings.hpp"
-#include "sim/cluster_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 namespace {
 
@@ -45,21 +46,25 @@ int main(int argc, char** argv) {
   std::printf("--------+-----------+------------+-----------+------------+----------\n");
 
   for (const std::size_t servers : {1, 2, 4, 8, 16}) {
-    ClusterSimulator cluster{servers};
+    DatacenterSimulator::Options options;
+    options.shards = 1;
+    options.servers_total = servers;
+    DatacenterSimulator dc{options};
     for (std::size_t s = 0; s < servers; ++s) {
       TrafficSourceConfig cfg;
       cfg.rate = RateProfile::constant(Gbps{1.2});
       cfg.sizes = PacketSizeDistribution::fixed(512);
       cfg.seed = 42 + s;
-      cluster.add_chain(slot_chain(s), std::move(cfg), s);
+      (void)dc.add_chain(slot_chain(s), std::move(cfg), s);
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const ClusterReport report = cluster.run(duration, warmup);
+    const DatacenterReport run = dc.run(duration, warmup, /*threads=*/1);
     const auto t1 = std::chrono::steady_clock::now();
+    const ClusterReport& report = run.cluster;
     const double wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double events = static_cast<double>(cluster.kernel().queue().executed());
+    const double events = static_cast<double>(run.shards[0].events_executed);
     const double events_per_s = wall_ms > 0.0 ? events / wall_ms * 1e3 : 0.0;
 
     std::printf("%7zu | %9llu | %8.2f G | %6.0f us | %10.1f | %8.2fM\n",
@@ -77,7 +82,8 @@ int main(int argc, char** argv) {
         .metric("wall_ms", MetricKind::kInfo, wall_ms, "ms");
   }
 
-  std::printf("\n(one shared event queue + packet pool; cost per server is the\n"
-              " slope — the single-threaded DES budget for fleet scenarios)\n");
+  std::printf("\n(one shared event queue + packet pool, stepped in 100 us epochs;\n"
+              " cost per server is the slope — the single-threaded DES budget\n"
+              " for fleet scenarios)\n");
   return reporter.flush();
 }

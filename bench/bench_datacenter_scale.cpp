@@ -5,8 +5,9 @@
 // load balancer at 1.2 Gbps) — the same per-slot load bench_cluster_scale
 // uses — run two ways:
 //
-//   - single kernel: one ClusterSimulator{64}, one event queue, one pool
-//     (the pre-sharding architecture; this is the baseline row);
+//   - single kernel: one rack of 64 servers, one event queue, one pool,
+//     stepped in 100 us epochs — the path of a `shards = 1` scenario
+//     (this is the baseline row);
 //   - sharded: DatacenterSimulator with 4 shards x 16 servers advancing in
 //     lock-step epochs, at 1, 2 and 4 worker threads.
 //
@@ -27,7 +28,6 @@
 #include "benchreport/bench_reporter.hpp"
 #include "chain/chain_builder.hpp"
 #include "common/strings.hpp"
-#include "sim/cluster_simulator.hpp"
 #include "sim/datacenter_simulator.hpp"
 
 namespace {
@@ -59,6 +59,29 @@ struct Row {
   std::uint64_t delivered = 0;
 };
 
+/// Runs the workload on `shards` racks advanced by `threads` workers.
+Row run_workload(std::size_t shards, std::size_t threads, SimTime duration,
+                 SimTime warmup) {
+  DatacenterSimulator::Options opt;
+  opt.shards = shards;
+  opt.servers_total = kServers;
+  DatacenterSimulator dc{opt};
+  for (std::size_t s = 0; s < kServers; ++s) {
+    (void)dc.add_chain(slot_chain(s), slot_traffic(s), s);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const DatacenterReport report = dc.run(duration, warmup, threads);
+  const auto t1 = std::chrono::steady_clock::now();
+  Row row;
+  row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  for (const ShardSummary& shard : report.shards) {
+    row.events += static_cast<double>(shard.events_executed);
+  }
+  row.injected = report.cluster.injected;
+  row.delivered = report.cluster.delivered;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,23 +98,8 @@ int main(int argc, char** argv) {
   std::printf(
       "-----------------------+-----------+------------+-----------+---------\n");
 
-  // Single shared kernel: the pre-sharding baseline.
-  Row baseline;
-  {
-    ClusterSimulator cluster{kServers};
-    for (std::size_t s = 0; s < kServers; ++s) {
-      cluster.add_chain(slot_chain(s), slot_traffic(s), s);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const ClusterReport report = cluster.run(duration, warmup);
-    const auto t1 = std::chrono::steady_clock::now();
-    baseline.wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    baseline.events =
-        static_cast<double>(cluster.kernel().queue().executed());
-    baseline.injected = report.injected;
-    baseline.delivered = report.delivered;
-  }
+  // Single shared kernel: the one-rack baseline.
+  const Row baseline = run_workload(1, 1, duration, warmup);
   const double base_events_per_s =
       baseline.wall_ms > 0.0 ? baseline.events / baseline.wall_ms * 1e3 : 0.0;
   std::printf("%-22s | %9llu | %10.1f | %8.2fM | %7s\n", "single kernel",
@@ -106,23 +114,7 @@ int main(int argc, char** argv) {
   // Sharded kernel, identical workload, one row per thread count.
   Row first_sharded;
   for (const std::size_t threads : {1, 2, 4}) {
-    DatacenterSimulator::Options opt;
-    opt.shards = kShards;
-    opt.servers_total = kServers;
-    DatacenterSimulator dc{opt};
-    for (std::size_t s = 0; s < kServers; ++s) {
-      (void)dc.add_chain(slot_chain(s), slot_traffic(s), s);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const DatacenterReport report = dc.run(duration, warmup, threads);
-    const auto t1 = std::chrono::steady_clock::now();
-    Row row;
-    row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const ShardSummary& shard : report.shards) {
-      row.events += static_cast<double>(shard.events_executed);
-    }
-    row.injected = report.cluster.injected;
-    row.delivered = report.cluster.delivered;
+    const Row row = run_workload(kShards, threads, duration, warmup);
 
     // The determinism contract, cheaply: every thread count must produce
     // the same totals as the first sharded row (the full bit-identity gate

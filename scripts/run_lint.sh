@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the static-analysis gate: pam_lint (architecture and determinism
 # rules A001..A003/D001..D006/X001,
-# docs/STATIC_ANALYSIS.md) followed by clang-tidy over the curated check
-# set in .clang-tidy, which alone owns the copy checks.  This is exactly
-# what the `lint` CI job runs.
+# docs/STATIC_ANALYSIS.md), a check that the layer diagram in
+# docs/ARCHITECTURE.md matches `pam_lint graph --dot`, then clang-tidy over
+# the curated check set in .clang-tidy, which alone owns the copy checks.
+# This is exactly what the `lint` CI job runs.
 #
 #   scripts/run_lint.sh [--build-dir DIR] [--json FILE] [--metrics FILE]
 #                       [--dot FILE] [--changed] [--skip-tidy]
@@ -23,7 +24,7 @@
 # (exit 2) unless --skip-tidy is given, and a --skip-tidy pass says that
 # only pam_lint ran.
 #
-# Both stages always run: a pam_lint failure no longer short-circuits
+# Every stage always runs: a pam_lint failure no longer short-circuits
 # clang-tidy, so CI logs and artifacts carry the full picture even when
 # only one stage fails.
 set -euo pipefail
@@ -44,7 +45,7 @@ while [[ $# -gt 0 ]]; do
     --dot) DOT_OUT="$2"; shift 2 ;;
     --changed) CHANGED=1; shift ;;
     --skip-tidy) SKIP_TIDY=1; shift ;;
-    -h|--help) sed -n '2,28p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,29p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "run_lint: unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -103,6 +104,25 @@ fi
 "$PAM_LINT" "${LINT_ARGS[@]}" || LINT_STATUS=$?
 if [[ "$LINT_STATUS" -ne 0 ]]; then
   echo "run_lint: pam_lint FAILED" >&2
+fi
+
+# The ```dot block of docs/ARCHITECTURE.md is the linter's own graph of the
+# whole tree (also under --changed); a copy that drifted fails the gate.
+GRAPH_ARGS=(--root "$ROOT_DIR")
+GRAPH_CMD="$PAM_LINT graph --root ."
+if [[ -f "$DB" ]]; then
+  GRAPH_ARGS+=(--compile-commands "$DB")
+  GRAPH_CMD+=" --compile-commands $DB"
+fi
+DOC_STATUS=0
+if ! diff -u --label "docs/ARCHITECTURE.md (dot block)" --label "pam_lint graph --dot" \
+    <(awk '/^```dot$/ { inside = 1; next } inside && /^```$/ { exit } inside' \
+          "$ROOT_DIR/docs/ARCHITECTURE.md") \
+    <("$PAM_LINT" graph "${GRAPH_ARGS[@]}" --dot); then
+  echo "run_lint: the layer diagram in docs/ARCHITECTURE.md is stale; regenerate it with" >&2
+  echo "run_lint:   $GRAPH_CMD --dot" >&2
+  echo "run_lint: and paste the output over its \`\`\`dot block" >&2
+  DOC_STATUS=1
 fi
 
 TIDY_STATUS=0
@@ -167,6 +187,9 @@ fi
 
 if [[ "$LINT_STATUS" -ne 0 ]]; then
   exit "$LINT_STATUS"
+fi
+if [[ "$DOC_STATUS" -ne 0 ]]; then
+  exit "$DOC_STATUS"
 fi
 if [[ "$TIDY_STATUS" -ne 0 ]]; then
   exit "$TIDY_STATUS"

@@ -65,7 +65,7 @@ class FleetController final : private ControlPlane::Sensor,
   }
 
   /// Registers the periodic fleet check with the shared kernel.  Call
-  /// before ClusterSimulator::run().
+  /// before DatacenterSimulator::run().
   void arm() { plane_.arm(); }
 
   /// Failure response: evacuates every non-paused NF bound to `server` to

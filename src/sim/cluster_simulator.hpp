@@ -1,4 +1,4 @@
-// Fleet-scale simulation: N SmartNIC/CPU servers x M service chains on one
+// One rack of the fleet: N SmartNIC/CPU servers x M service chains on one
 // shared SimulationKernel.
 //
 // The paper's deployment story is a rack of SmartNIC-accelerated servers
@@ -11,9 +11,11 @@
 // cross-server scale-out (see control/fleet_controller.hpp for the policy
 // side).
 //
-// A run produces a ClusterReport: the per-chain SimReports, per-server
-// device utilisation/accounting, and a fleet aggregation (Memento-style
-// cheap fleet-wide metrics: merged latency distribution, summed packet
+// A rack does not run itself: DatacenterSimulator (one rack or many) starts
+// its chains, advances its kernel epoch by epoch and aggregates the run
+// into a ClusterReport: the per-chain SimReports, per-server device
+// utilisation/accounting, and a fleet aggregation (Memento-style cheap
+// fleet-wide metrics: merged latency distribution, summed packet
 // accounting, total goodput) — one structure instead of report stitching.
 //
 // Determinism: one kernel, one thread, seeded chains — identical inputs
@@ -24,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "chain/calibration.hpp"
@@ -78,8 +79,6 @@ struct ClusterReport {
   [[nodiscard]] bool conserved() const noexcept {
     return injected == delivered + dropped_total + in_flight_at_end;
   }
-
-  [[nodiscard]] std::string summary() const;
 };
 
 class ClusterSimulator {
@@ -92,7 +91,7 @@ class ClusterSimulator {
   ClusterSimulator& operator=(const ClusterSimulator&) = delete;
 
   /// Adds a chain homed on rack slot `home_server`.  Returns the chain
-  /// index.  Call before run().
+  /// index.  Call before the run starts.
   std::size_t add_chain(ServiceChain chain, TrafficSourceConfig traffic,
                         std::size_t home_server);
 
@@ -128,7 +127,6 @@ class ClusterSimulator {
   void fail_server(std::size_t s);
   void recover_server(std::size_t s);
   [[nodiscard]] bool server_alive(std::size_t s) const { return alive_.at(s); }
-  [[nodiscard]] std::size_t servers_alive() const;
 
   // --- hostile-link scenarios ------------------------------------------------
 
@@ -139,28 +137,12 @@ class ClusterSimulator {
   /// `speed` (1.0 = nominal) for subsequently submitted jobs.
   void set_slot_speed(std::size_t s, double speed);
 
-  /// Runs every chain to the horizon, drains, and aggregates.  Single-shot.
-  [[nodiscard]] ClusterReport run(SimTime duration,
-                                  SimTime warmup = SimTime::milliseconds(10));
-
-  // --- epoch-stepped driving (sharded datacenter mode) ----------------------
-
-  /// Schedules every chain's first arrival without running the kernel; the
-  /// DatacenterSimulator then advances this rack's kernel epoch by epoch.
-  /// run() == begin() + kernel().run() + collect().
-  void begin();
-
-  /// Aggregates the rack's ClusterReport from the current counters; valid
-  /// once the kernel has fully drained.
-  [[nodiscard]] ClusterReport collect(SimTime duration);
-
  private:
   Calibration calibration_;
   SimulationKernel kernel_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<ServerDevices>> devices_;
   std::vector<std::unique_ptr<ChainSimulator>> chains_;
-  std::vector<std::size_t> home_of_;  ///< chain index -> home server id
   std::vector<bool> alive_;           ///< per-slot liveness (failure kinds)
   SimTime inter_server_latency_;
 };

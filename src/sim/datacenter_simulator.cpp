@@ -265,7 +265,9 @@ DatacenterReport DatacenterSimulator::run(SimTime duration, SimTime warmup,
   ran_ = true;
   for (auto& rack : racks_) {
     rack->kernel().arm(duration, warmup);
-    rack->begin();
+    for (std::size_t c = 0; c < rack->num_chains(); ++c) {
+      rack->chain_sim(c).start();
+    }
   }
 
   EpochExecutor executor(std::max<std::size_t>(threads, 1), racks_.size());
@@ -328,44 +330,70 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
   DatacenterReport out;
   out.epochs = epochs_;
   out.cross_rack_frames = fabric_.frames_exchanged();
-
-  std::vector<ClusterReport> rack_reports;
-  rack_reports.reserve(racks_.size());
-  for (auto& rack : racks_) {
-    rack_reports.push_back(rack->collect(duration));
-  }
-
   ClusterReport& fleet = out.cluster;
   fleet.servers = num_servers();
   fleet.duration = duration;
   fleet.per_server.resize(num_servers());
+  out.shards.resize(racks_.size());
   for (std::size_t r = 0; r < racks_.size(); ++r) {
+    ShardSummary& shard = out.shards[r];
+    shard.shard = r;
+    shard.first_server = global_server(r, 0);
+    shard.servers = per_rack_;
+    shard.events_executed = racks_[r]->kernel().queue().executed();
+    shard.frames_out = fabric_.frames_from(r);
     for (std::size_t s = 0; s < per_rack_; ++s) {
+      const ServerDevices& devices = racks_[r]->devices(s);
       ServerSummary& sum = fleet.per_server[global_server(r, s)];
-      sum = rack_reports[r].per_server[s];
       sum.server_id = global_server(r, s);
+      sum.smartnic_utilization = devices.nic.utilization(duration);
+      sum.cpu_utilization = devices.cpu.utilization(duration);
+      sum.pcie_utilization = devices.pcie.utilization(duration);
     }
-    fleet.cross_rack_hops += rack_reports[r].cross_rack_hops;
   }
 
-  // Per-chain reports in global id order; fleet totals and the merged
-  // latency distribution accumulate in that same order, so the merge is
+  // One pass over the chains in global id order: the per-chain reports,
+  // the home slot's and home shard's sums and the fleet totals.  The
+  // merged latency distribution accumulates in that same order, so it is
   // independent of rack partitioning details like thread assignment.
   double goodput = 0.0;
   double offered = 0.0;
   fleet.per_chain.reserve(chain_map_.size());
   for (std::size_t c = 0; c < chain_map_.size(); ++c) {
     const ChainRef& ref = chain_map_[c];
-    SimReport report = std::move(rack_reports[ref.rack].per_chain[ref.local]);
+    const ChainSimulator& sim = racks_[ref.rack]->chain_sim(ref.local);
+    SimReport report = sim.build_report();
+    const std::uint64_t dropped = report.dropped_total();
+
+    ServerSummary& home = fleet.per_server[chain_home_[c]];
+    ++home.chains_homed;
+    home.injected += report.injected;
+    home.delivered += report.delivered;
+    home.dropped += dropped;
+
+    ShardSummary& shard = out.shards[ref.rack];
+    shard.injected += report.injected;
+    shard.delivered += report.delivered;
+    shard.dropped += dropped;
+    shard.in_flight_at_end += report.in_flight_at_end;
+
     fleet.injected += report.injected;
     fleet.delivered += report.delivered;
-    fleet.dropped_total += report.dropped_total();
+    fleet.dropped_total += dropped;
     fleet.in_flight_at_end += report.in_flight_at_end;
     fleet.pcie_crossings += report.pcie_crossings;
     fleet.inter_server_hops += report.inter_server_hops;
+    fleet.cross_rack_hops += sim.cross_rack_hops();
     fleet.latency.merge(report.latency);
     goodput += report.egress_goodput.value();
     offered += report.offered_rate.value();
+
+    for (std::size_t i = 0; i < sim.chain().size(); ++i) {
+      if (!sim.node_remote(i)) {  // a leased node is credited below
+        ++fleet.per_server[global_server(ref.rack, sim.node_server(i))]
+              .nodes_hosted;
+      }
+    }
     fleet.per_chain.push_back(std::move(report));
   }
   fleet.egress_goodput = Gbps{goodput};
@@ -384,21 +412,6 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
     }
     ++fleet.per_server[global_server(lease->host_rack, lease->host_slot)]
           .nodes_hosted;
-  }
-
-  out.shards.reserve(racks_.size());
-  for (std::size_t r = 0; r < racks_.size(); ++r) {
-    ShardSummary ss;
-    ss.shard = r;
-    ss.first_server = global_server(r, 0);
-    ss.servers = per_rack_;
-    ss.events_executed = racks_[r]->kernel().queue().executed();
-    ss.injected = rack_reports[r].injected;
-    ss.delivered = rack_reports[r].delivered;
-    ss.dropped = rack_reports[r].dropped_total;
-    ss.in_flight_at_end = rack_reports[r].in_flight_at_end;
-    ss.frames_out = fabric_.frames_from(r);
-    out.shards.push_back(ss);
   }
   return out;
 }

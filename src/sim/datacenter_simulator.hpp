@@ -71,9 +71,9 @@ struct ShardSummary {
 };
 
 struct DatacenterReport {
-  /// Fleet-merged view with global server and chain ids — same shape a
-  /// single-rack ClusterSimulator produces, so downstream consumers are
-  /// agnostic to sharding.
+  /// Fleet-merged view with global server and chain ids, built in one
+  /// pass over the chains; the same shape for one rack or many, so
+  /// downstream consumers are agnostic to sharding.
   ClusterReport cluster;
   std::vector<ShardSummary> shards;
   std::uint64_t cross_rack_frames = 0;
@@ -169,7 +169,6 @@ class DatacenterSimulator final : public EventSink {
   /// changed) when the target slot is dead.  Leases are permanent for the
   /// remainder of the run.
   bool commit_lease(std::size_t c, std::size_t node, std::size_t target);
-  [[nodiscard]] std::size_t lease_count() const noexcept { return leases_.size(); }
   /// Host slot (global id) of the lease for (c, node); only valid when the
   /// node is remote.
   [[nodiscard]] std::size_t lease_host(std::size_t c, std::size_t node) const;

@@ -41,14 +41,12 @@ class FcfsServer final : public EventSink {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t queue_length() const noexcept { return waiting_.size(); }
-  [[nodiscard]] std::size_t queue_capacity() const noexcept { return capacity_; }
   [[nodiscard]] bool busy() const noexcept { return busy_; }
 
   /// Service-rate multiplier for capacity fades (hostile-link scenarios):
   /// every subsequently submitted job's service time is divided by `speed`.
   /// 1.0 restores nominal capacity; values in (0, 1) slow the device down.
   void set_speed(double speed) noexcept;
-  [[nodiscard]] double speed() const noexcept { return speed_; }
 
   [[nodiscard]] std::uint64_t jobs_completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t jobs_rejected() const noexcept { return rejected_; }

@@ -55,13 +55,4 @@ void ShardFabric::release(std::size_t shard, FabricFrame frame) {
   arenas_[shard].push_back(std::move(frame));
 }
 
-bool ShardFabric::idle() const noexcept {
-  for (const Mailbox& mb : boxes_) {
-    if (!mb.frames.empty()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace pam

@@ -93,9 +93,6 @@ class ShardFabric {
     }
   }
 
-  /// True when no mailbox holds a frame (used by the drain loop).
-  [[nodiscard]] bool idle() const noexcept;
-
   [[nodiscard]] std::uint64_t frames_exchanged() const noexcept {
     return frames_exchanged_;
   }

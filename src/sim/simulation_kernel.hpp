@@ -8,10 +8,12 @@
 // used by the per-server controller loop and the fleet controller alike.
 //
 // Frontends:
-//   - ChainSimulator      owns a private kernel (standalone mode) or embeds
-//                         into a shared one (cluster mode);
-//   - ClusterSimulator    one kernel, N servers x M chains advancing on the
-//                         same queue and drawing from the same pool.
+//   - ChainSimulator      owns a private kernel and runs it to the end
+//                         (standalone mode), or embeds into a rack's;
+//   - ClusterSimulator    one rack: one kernel, N servers x M chains on
+//                         the same queue and pool.  DatacenterSimulator
+//                         alone advances a rack's kernel, epoch by epoch
+//                         (arm + advance_until + begin_drain).
 //
 // Determinism: the kernel adds no randomness of its own; with seeded
 // frontends, identical inputs give bit-identical runs.

@@ -1,6 +1,8 @@
-// ClusterSimulator + FleetController integration tests: fleet-wide packet
+// One-rack fleet + FleetController integration tests: fleet-wide packet
 // conservation and pool drain, cross-server scale-out mechanics, fleet
 // aggregation, and bit-identical JSON across identical cluster runs.
+// Every rack runs on a one-rack DatacenterSimulator, the path every
+// `shards = 1` scenario takes.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,7 @@
 #include "core/pam_policy.hpp"
 #include "experiment/metrics_sink.hpp"
 #include "experiment/scenario_runner.hpp"
-#include "sim/cluster_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 namespace pam {
 namespace {
@@ -26,6 +28,14 @@ TrafficSourceConfig traffic(double gbps, std::uint64_t seed) {
   return cfg;
 }
 
+/// One rack of `servers` slots.
+DatacenterSimulator::Options one_rack(std::size_t servers) {
+  DatacenterSimulator::Options options;
+  options.shards = 1;
+  options.servers_total = servers;
+  return options;
+}
+
 ServiceChain hot_chain() {
   // SmartNIC past saturation at 2.8 Gbps while the DPI pins the CPU:
   // push-aside migration is infeasible, forcing the cross-server path.
@@ -37,13 +47,14 @@ ServiceChain hot_chain() {
 }
 
 TEST(Cluster, ConservationAndPoolDrainAcrossServers) {
-  ClusterSimulator cluster{3};
-  cluster.add_chain(paper_figure1_chain(), traffic(1.3, 1), 0);
-  cluster.add_chain(paper_figure1_chain(), traffic(1.0, 2), 1);
-  cluster.add_chain(paper_figure1_chain(), traffic(0.7, 3), 2);
+  DatacenterSimulator dc{one_rack(3)};
+  ClusterSimulator& cluster = dc.rack(0);
+  dc.add_chain(paper_figure1_chain(), traffic(1.3, 1), 0);
+  dc.add_chain(paper_figure1_chain(), traffic(1.0, 2), 1);
+  dc.add_chain(paper_figure1_chain(), traffic(0.7, 3), 2);
 
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1).cluster;
 
   EXPECT_GT(report.injected, 0u);
   EXPECT_TRUE(report.conserved());
@@ -56,11 +67,11 @@ TEST(Cluster, ConservationAndPoolDrainAcrossServers) {
 }
 
 TEST(Cluster, FleetTotalsAreTheSumOfChains) {
-  ClusterSimulator cluster{2};
-  cluster.add_chain(paper_figure1_chain(), traffic(1.2, 7), 0);
-  cluster.add_chain(paper_figure1_chain(), traffic(0.9, 8), 1);
+  DatacenterSimulator dc{one_rack(2)};
+  dc.add_chain(paper_figure1_chain(), traffic(1.2, 7), 0);
+  dc.add_chain(paper_figure1_chain(), traffic(0.9, 8), 1);
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(25), SimTime::milliseconds(5));
+      dc.run(SimTime::milliseconds(25), SimTime::milliseconds(5), /*threads=*/1).cluster;
 
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
@@ -79,8 +90,9 @@ TEST(Cluster, FleetTotalsAreTheSumOfChains) {
 }
 
 TEST(Cluster, FleetControllerMovesBorderNfAcrossServers) {
-  ClusterSimulator cluster{2};
-  const std::size_t hot = cluster.add_chain(hot_chain(), traffic(2.8, 11), 0);
+  DatacenterSimulator dc{one_rack(2)};
+  ClusterSimulator& cluster = dc.rack(0);
+  const std::size_t hot = dc.add_chain(hot_chain(), traffic(2.8, 11), 0);
   FleetControllerOptions opts;
   opts.first_check = SimTime::milliseconds(5);
   opts.period = SimTime::milliseconds(5);
@@ -88,7 +100,7 @@ TEST(Cluster, FleetControllerMovesBorderNfAcrossServers) {
   fleet.arm();
 
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
+      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1).cluster;
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 1u);
@@ -106,14 +118,15 @@ TEST(Cluster, CoHomedChainsSaturatingASlotTriggerScaleOut) {
   // Two chains each at ~0.56 analytic SmartNIC utilisation share slot 0:
   // no single chain crosses the trigger, but the shared NIC saturates.
   // The live-slot-load signal must still drive a cross-server move.
-  ClusterSimulator cluster{2};
+  DatacenterSimulator dc{one_rack(2)};
+  ClusterSimulator& cluster = dc.rack(0);
   const auto monitor_chain = [](const char* name, const char* nf) {
     return ChainBuilder{name}
         .add(NfType::kMonitor, nf, Location::kSmartNic)
         .build();
   };
-  cluster.add_chain(monitor_chain("a", "monA"), traffic(1.8, 21), 0);
-  cluster.add_chain(monitor_chain("b", "monB"), traffic(1.8, 22), 0);
+  dc.add_chain(monitor_chain("a", "monA"), traffic(1.8, 21), 0);
+  dc.add_chain(monitor_chain("b", "monB"), traffic(1.8, 22), 0);
 
   FleetControllerOptions opts;
   opts.first_check = SimTime::milliseconds(5);
@@ -123,7 +136,7 @@ TEST(Cluster, CoHomedChainsSaturatingASlotTriggerScaleOut) {
   fleet.arm();
 
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
+      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1).cluster;
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
   EXPECT_TRUE(report.conserved());
@@ -134,10 +147,11 @@ TEST(Cluster, CoHomedChainsSaturatingASlotTriggerScaleOut) {
 }
 
 TEST(Cluster, NoRebalanceWithoutController) {
-  ClusterSimulator cluster{2};
-  const std::size_t hot = cluster.add_chain(hot_chain(), traffic(2.8, 11), 0);
+  DatacenterSimulator dc{one_rack(2)};
+  ClusterSimulator& cluster = dc.rack(0);
+  const std::size_t hot = dc.add_chain(hot_chain(), traffic(2.8, 11), 0);
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1).cluster;
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 0u);
   EXPECT_EQ(report.inter_server_hops, 0u);
   EXPECT_TRUE(report.conserved());
@@ -148,17 +162,18 @@ TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
   // slot dies mid-run the fleet controller must move both NFs to the
   // least-loaded surviving slot without losing a packet, keeping each NF's
   // device placement (evacuation relocates, it does not re-place).
-  ClusterSimulator cluster{3};
-  cluster.add_chain(ChainBuilder{"busy"}
-                        .add(NfType::kFirewall, "fw0", Location::kSmartNic)
-                        .build(),
-                    traffic(1.0, 31), 0);
+  DatacenterSimulator dc{one_rack(3)};
+  ClusterSimulator& cluster = dc.rack(0);
+  dc.add_chain(ChainBuilder{"busy"}
+                   .add(NfType::kFirewall, "fw0", Location::kSmartNic)
+                   .build(),
+               traffic(1.0, 31), 0);
   const std::size_t app =
-      cluster.add_chain(ChainBuilder{"app"}
-                            .add(NfType::kFirewall, "fw1", Location::kSmartNic)
-                            .add(NfType::kDpi, "dpi1", Location::kCpu)
-                            .build(),
-                        traffic(1.0, 32), 1);
+      dc.add_chain(ChainBuilder{"app"}
+                       .add(NfType::kFirewall, "fw1", Location::kSmartNic)
+                       .add(NfType::kDpi, "dpi1", Location::kCpu)
+                       .build(),
+                   traffic(1.0, 32), 1);
 
   FleetControllerOptions opts;
   opts.first_check = SimTime::milliseconds(5);
@@ -166,13 +181,13 @@ TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
   opts.trigger_utilization = 2.0;  // quiet loop: failure handling only
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
-  cluster.kernel().schedule_at(SimTime::milliseconds(10), [&] {
+  dc.schedule_on_rack(0, SimTime::milliseconds(10), [&] {
     cluster.fail_server(1);
     fleet.on_server_failed(1);
   });
 
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(30), SimTime::milliseconds(2));
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1).cluster;
 
   EXPECT_EQ(fleet.evacuations(), 2u);
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
@@ -197,20 +212,21 @@ TEST(Cluster, DeadTargetAbortsInFlightMoveLossFree) {
   // The hot chain's scale-out decides on server 1 at the 5 ms check and the
   // transfer is in flight for 1 ms.  Killing server 1 at 5.5 ms forces the
   // abort path: resume in place, flush the buffered packets, no move.
-  ClusterSimulator cluster{2};
-  const std::size_t hot = cluster.add_chain(hot_chain(), traffic(2.8, 11), 0);
+  DatacenterSimulator dc{one_rack(2)};
+  ClusterSimulator& cluster = dc.rack(0);
+  const std::size_t hot = dc.add_chain(hot_chain(), traffic(2.8, 11), 0);
   FleetControllerOptions opts;
   opts.first_check = SimTime::milliseconds(5);
   opts.period = SimTime::milliseconds(5);
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
-  cluster.kernel().schedule_at(SimTime::milliseconds(5.5), [&] {
+  dc.schedule_on_rack(0, SimTime::milliseconds(5.5), [&] {
     cluster.fail_server(1);
     fleet.on_server_failed(1);
   });
 
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(30), SimTime::milliseconds(2));
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1).cluster;
 
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
   EXPECT_EQ(fleet.evacuations(), 0u);
@@ -235,20 +251,20 @@ TEST(Cluster, ChurnWindowBoundsInjectionAndConserves) {
   // cleanly (no packets stranded in flight).
   std::uint64_t full_injected = 0;
   {
-    ClusterSimulator cluster{1};
-    cluster.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
+    DatacenterSimulator dc{one_rack(1)};
+    dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
     const ClusterReport report =
-        cluster.run(SimTime::milliseconds(30), SimTime::zero());
+        dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1).cluster;
     full_injected = report.injected;
     EXPECT_TRUE(report.conserved());
   }
-  ClusterSimulator cluster{1};
-  const std::size_t c =
-      cluster.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
+  DatacenterSimulator dc{one_rack(1)};
+  ClusterSimulator& cluster = dc.rack(0);
+  const std::size_t c = dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
   cluster.chain_sim(c).set_active_window(SimTime::milliseconds(10),
                                          SimTime::milliseconds(20));
   const ClusterReport report =
-      cluster.run(SimTime::milliseconds(30), SimTime::zero());
+      dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1).cluster;
   EXPECT_GT(report.injected, 0u);
   EXPECT_LT(report.injected, full_injected);
   EXPECT_TRUE(report.conserved());

@@ -14,14 +14,12 @@ TEST(SmartNic, AgilioCxMatchesPaperTestbed) {
   EXPECT_EQ(nic.ports(), 2u);
   EXPECT_DOUBLE_EQ(nic.port_speed().value(), 10.0);
   EXPECT_DOUBLE_EQ(nic.wire_capacity().value(), 20.0);
-  EXPECT_EQ(nic.location(), Location::kSmartNic);
 }
 
 TEST(CpuSocket, XeonPairMatchesPaperTestbed) {
   const CpuSocket cpu = CpuSocket::xeon_e5_2620_v2_pair();
   EXPECT_EQ(cpu.cores(), 12u);  // 2 sockets x 6 physical cores
   EXPECT_DOUBLE_EQ(cpu.base_ghz(), 2.10);
-  EXPECT_EQ(cpu.location(), Location::kCpu);
 }
 
 TEST(PcieLink, SimpleCrossingLatency) {
@@ -84,8 +82,6 @@ TEST(PcieLink, LargerBatchesCutPerPacketCost) {
 
 TEST(Server, PaperTestbedComposition) {
   Server server = Server::paper_testbed();
-  EXPECT_EQ(server.nic().location(), Location::kSmartNic);
-  EXPECT_EQ(server.cpu().location(), Location::kCpu);
   EXPECT_DOUBLE_EQ(server.pcie().bandwidth().value(), 32.0);
   EXPECT_FALSE(server.describe().empty());
 }

@@ -110,6 +110,36 @@ std::string to_json(const RunResult& result) {
   return out.str();
 }
 
+/// The per-slot view partitions the fleet: the slots' packet sums are the
+/// fleet totals, every chain is homed on one slot and every node, leased
+/// ones included, is hosted on one slot.
+void expect_slots_partition_fleet(const ScenarioSpec& spec,
+                                  const ClusterResult& cr) {
+  std::uint64_t injected = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::size_t homed = 0;
+  std::size_t hosted = 0;
+  for (const ClusterServerResult& slot : cr.per_server) {
+    injected += slot.injected;
+    delivered += slot.delivered;
+    dropped += slot.dropped;
+    homed += slot.chains_homed;
+    hosted += slot.nodes_hosted;
+  }
+  std::size_t nodes = 0;
+  for (const ChainDecl& decl : spec.chains) {
+    auto chain = parse_chain_spec(decl.spec, decl.name);
+    ASSERT_TRUE(chain) << chain.error().what();
+    nodes += chain.value().size();
+  }
+  EXPECT_EQ(injected, cr.fleet.injected);
+  EXPECT_EQ(delivered, cr.fleet.delivered);
+  EXPECT_EQ(dropped, cr.fleet.dropped_total());
+  EXPECT_EQ(homed, spec.chains.size());
+  EXPECT_EQ(hosted, nodes);
+}
+
 TEST(ShardDeterminism, BitIdenticalJsonAcrossThreadCounts) {
   auto spec = ScenarioSpec::parse(kDatacenterScn, "shard-determinism");
   ASSERT_TRUE(spec) << spec.error().what();
@@ -160,6 +190,9 @@ TEST(ShardDeterminism, ShardTotalsPartitionTheFleet) {
   EXPECT_EQ(delivered, cr.fleet.delivered);
   EXPECT_EQ(dropped, cr.fleet.dropped_total());
   EXPECT_EQ(in_flight, cr.fleet.in_flight_at_end);
+  // The run must hold a lease, so the node count covers a leased node.
+  EXPECT_GE(cr.cross_rack_moves, 1u);
+  expect_slots_partition_fleet(spec.value(), cr);
 }
 
 TEST(ShardDeterminism, ThreadsFlagRejectedOnUnshardedSpec) {
@@ -194,6 +227,7 @@ TEST(ShardDeterminism, UnshardedJsonCarriesNoShardFields) {
   EXPECT_EQ(shard.in_flight_at_end, cr.fleet.in_flight_at_end);
   EXPECT_EQ(cr.cross_rack_moves, 0u);
   EXPECT_GT(cr.epochs, 0u);
+  expect_slots_partition_fleet(single, cr);
 
   // shards == 1 must stay byte-compatible with the pre-sharding schema.
   const std::string json = to_json(result);
@@ -358,7 +392,10 @@ TEST(ShardFabric, ExchangeDrainsInDstSrcSeqOrder) {
       {2, 120}, {2, 121}, {2, 122},
   };
   EXPECT_EQ(seen, expect);
-  EXPECT_TRUE(fabric.idle());
+  // Every mailbox is empty: a second exchange delivers nothing.
+  std::size_t redelivered = 0;
+  fabric.exchange([&](std::size_t, std::size_t, FabricFrame&&) { ++redelivered; });
+  EXPECT_EQ(redelivered, 0u);
   EXPECT_EQ(fabric.frames_exchanged(), 9u);
   EXPECT_EQ(fabric.frames_from(1), 6u);
   EXPECT_EQ(fabric.frames_from(2), 3u);
