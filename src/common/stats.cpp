@@ -42,13 +42,11 @@ double RunningStats::variance() const noexcept {
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 QuantileReservoir::QuantileReservoir(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_state_(seed ? seed : 1) {
-  samples_.reserve(std::min<std::size_t>(capacity_, 4096));
-}
+    : capacity_(capacity), rng_state_(seed ? seed : 1) {}
 
 void QuantileReservoir::add(double x) {
   ++total_;
-  sorted_dirty_ = true;
+  selection_dirty_ = true;
   if (samples_.size() < capacity_) {
     samples_.push_back(x);
     return;
@@ -77,16 +75,24 @@ double QuantileReservoir::quantile(double q) const {
   if (samples_.empty()) {
     return 0.0;
   }
-  if (sorted_dirty_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_dirty_ = false;
+  if (selection_dirty_) {
+    selection_ = samples_;
+    selection_dirty_ = false;
   }
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
+  // Selection instead of a full sort: nth_element puts the lo-th order
+  // statistic at `lo` with nothing smaller after it, so the (lo+1)-th is
+  // the minimum of the tail.  Both values equal those of a sorted copy.
+  // Each call only permutes the cached copy, so later calls stay correct.
+  const double pos = q * static_cast<double>(selection_.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  const auto lo_it = selection_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(selection_.begin(), lo_it, selection_.end());
+  const double lo_value = *lo_it;
+  const double hi_value = lo_it + 1 == selection_.end()
+                              ? lo_value
+                              : *std::min_element(lo_it + 1, selection_.end());
   const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 void LatencyRecorder::record(SimTime latency) {

@@ -65,8 +65,9 @@ class QuantileReservoir {
   std::uint64_t rng_state_;
   std::size_t total_ = 0;
   std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_dirty_ = true;
+  /// Copy of samples_ that quantile() partially orders; refreshed after add.
+  mutable std::vector<double> selection_;
+  mutable bool selection_dirty_ = true;
 };
 
 /// Latency recorder combining moments + quantiles, in SimTime.

@@ -29,6 +29,8 @@ PacketPtr PacketPool::acquire(std::size_t wire_size) {
       return {};
     }
     all_.push_back(std::make_unique<Packet>());
+    // Room for every packet on the freelist, so release() never allocates.
+    free_.reserve(all_.capacity());
     free_.push_back(all_.back().get());
   }
   Packet* p = free_.back();

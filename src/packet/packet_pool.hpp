@@ -1,7 +1,9 @@
 // Freelist packet pool, analogous to a DPDK mempool: packets are recycled
 // rather than heap-allocated per arrival, which keeps long simulator runs
 // allocation-free in steady state and makes leaks (packets never returned)
-// observable via in_use().
+// observable via in_use().  A pool may start empty: it then grows one
+// packet per acquire that finds the freelist empty, up to the run's
+// in-flight high-water mark, and never shrinks.
 
 #pragma once
 
@@ -15,9 +17,9 @@ namespace pam {
 
 class PacketPool {
  public:
-  /// `initial_capacity` packets are pre-allocated; the pool grows on demand
-  /// (hard cap at `max_capacity` — acquire beyond it reports exhaustion,
-  /// mimicking mempool depletion).
+  /// `initial_capacity` packets are pre-allocated (0 is valid); the pool
+  /// grows on demand (hard cap at `max_capacity` — acquire beyond it reports
+  /// exhaustion, mimicking mempool depletion).
   explicit PacketPool(std::size_t initial_capacity = 1024,
                       std::size_t max_capacity = 1 << 20);
   ~PacketPool();
@@ -32,6 +34,7 @@ class PacketPool {
   [[nodiscard]] PacketPtr acquire(std::size_t wire_size);
 
   /// Return a packet to the freelist.  Called by PacketPtr's destructor.
+  /// Never allocates: the freelist always has room for every packet.
   void release(Packet* p) noexcept;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return all_.size(); }

@@ -53,9 +53,6 @@ struct ServerSummary {
 /// Fleet aggregation of one cluster run: per-chain reports, per-server
 /// summaries, and merged totals.
 struct ClusterReport {
-  std::size_t servers = 0;
-  SimTime duration = SimTime::zero();
-
   std::vector<SimReport> per_chain;       ///< in add_chain order
   std::vector<ServerSummary> per_server;  ///< indexed by server id
 
@@ -64,7 +61,6 @@ struct ClusterReport {
   std::uint64_t delivered = 0;
   std::uint64_t dropped_total = 0;
   std::uint64_t in_flight_at_end = 0;
-  std::uint64_t pcie_crossings = 0;
   std::uint64_t inter_server_hops = 0;
   /// Packets sent over the cross-rack fabric (datacenter mode; 0 for
   /// a single-rack run).

@@ -74,24 +74,11 @@ void DatacenterSimulator::schedule_fabric_latency(SimTime at, SimTime latency) {
   }
 }
 
-DatacenterSimulator::Lease* DatacenterSimulator::find_lease(std::size_t c,
-                                                            std::size_t node) {
-  for (const auto& lease : leases_) {
-    if (lease->chain == c && lease->node == node) {
-      return lease.get();
-    }
-  }
-  return nullptr;
-}
-
-std::size_t DatacenterSimulator::lease_host(std::size_t c, std::size_t node) const {
-  for (const auto& lease : leases_) {
-    if (lease->chain == c && lease->node == node) {
-      return global_server(lease->host_rack, lease->host_slot);
-    }
-  }
-  assert(false && "lease_host queried for a node that is not leased");
-  return 0;
+DatacenterSimulator::Lease& DatacenterSimulator::find_lease(std::size_t c,
+                                                            std::size_t node) const {
+  assert(c < lease_index_.size() && node < lease_index_[c].size() &&
+         lease_index_[c][node] != nullptr && "remote node without a lease");
+  return *lease_index_[c][node];
 }
 
 bool DatacenterSimulator::commit_lease(std::size_t c, std::size_t node,
@@ -114,14 +101,18 @@ bool DatacenterSimulator::commit_lease(std::size_t c, std::size_t node,
   lease->nf = sim.take_nf(node);
   lease->rng = Rng{Rng::derive(kLeaseSeedBase, (c << 16) | node)};
   assert(lease->nf != nullptr);
+  // Rows are sized on a chain's first lease; only this barrier-time call
+  // writes the index.
+  lease_index_.resize(num_chains());
+  lease_index_[c].resize(sim.chain().size(), nullptr);
+  lease_index_[c][node] = lease.get();
   leases_.push_back(std::move(lease));
   sim.set_node_remote(node, true);
   return true;
 }
 
 void DatacenterSimulator::send_visit(std::size_t c, std::size_t node, Packet* p) {
-  const Lease* lease = find_lease(c, node);
-  assert(lease != nullptr && "remote node without a lease");
+  const Lease& lease = find_lease(c, node);
   const std::size_t home = home_rack_of(c);
   FabricFrame frame;
   frame.kind = FabricFrame::Kind::kVisit;
@@ -129,7 +120,7 @@ void DatacenterSimulator::send_visit(std::size_t c, std::size_t node, Packet* p)
   frame.node = node;
   frame.sent_at = racks_[home]->kernel().now();
   frame.packet = p;
-  fabric_.send(home, lease->host_rack, std::move(frame));
+  fabric_.send(home, lease.host_rack, std::move(frame));
 }
 
 void DatacenterSimulator::deliver_frame(std::size_t dst, const FabricFrame& frame) {
@@ -167,17 +158,17 @@ void DatacenterSimulator::host_visit(std::size_t host, std::size_t c,
   // the packet, the host rack's devices/kernel, the lease, the host's own
   // mailbox row — is owned by this shard for the epoch.  The packet never
   // enters the host's pool: every outcome, drops included, goes home.
-  const Lease* lease = find_lease(c, node);
-  assert(lease != nullptr && lease->host_rack == host);
+  const Lease& lease = find_lease(c, node);
+  assert(lease.host_rack == host);
   ClusterSimulator& rack = *racks_[host];
 
   // Leased NFs always execute on the host SmartNIC: same occupancy rule as
   // ChainSimulator::process_node, against the host slot's shared NIC.
-  FcfsServer& nic = rack.devices(lease->host_slot).nic;
+  FcfsServer& nic = rack.devices(lease.host_slot).nic;
   const SimTime service =
       serialization_delay(p->wire_bytes(),
-                          lease->spec.capacity.on(Location::kSmartNic)) *
-      lease->spec.load_factor;
+                          lease.spec.capacity.on(Location::kSmartNic)) *
+      lease.spec.load_factor;
   EventRecord done;
   done.sink = this;
   done.kind = kLeaseNfDone;
@@ -222,17 +213,17 @@ void DatacenterSimulator::on_event(const EventRecord& ev) {
 void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
                                         std::size_t node, Packet* p,
                                         SimTime submitted_at) {
-  Lease* lease = find_lease(c, node);
+  Lease& lease = find_lease(c, node);
   SimulationKernel& kernel = racks_[host]->kernel();
   if (kernel.metering()) {
-    ++lease->packets;
-    lease->residence.record(kernel.now() - submitted_at);
+    ++lease.packets;
+    lease.residence.record(kernel.now() - submitted_at);
   }
   p->note_hop();
-  const Verdict verdict = lease->nf->handle(*p, kernel.now());
+  const Verdict verdict = lease.nf->handle(*p, kernel.now());
   bool nf_drop = verdict == Verdict::kDrop;
-  if (!nf_drop && lease->spec.pass_ratio < 1.0 &&
-      lease->rng.chance(1.0 - lease->spec.pass_ratio)) {
+  if (!nf_drop && lease.spec.pass_ratio < 1.0 &&
+      lease.rng.chance(1.0 - lease.spec.pass_ratio)) {
     nf_drop = true;
   }
   if (nf_drop) {
@@ -331,8 +322,6 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
   out.epochs = epochs_;
   out.cross_rack_frames = fabric_.frames_exchanged();
   ClusterReport& fleet = out.cluster;
-  fleet.servers = num_servers();
-  fleet.duration = duration;
   fleet.per_server.resize(num_servers());
   out.shards.resize(racks_.size());
   for (std::size_t r = 0; r < racks_.size(); ++r) {
@@ -381,7 +370,6 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
     fleet.delivered += report.delivered;
     fleet.dropped_total += dropped;
     fleet.in_flight_at_end += report.in_flight_at_end;
-    fleet.pcie_crossings += report.pcie_crossings;
     fleet.inter_server_hops += report.inter_server_hops;
     fleet.cross_rack_hops += sim.cross_rack_hops();
     fleet.latency.merge(report.latency);

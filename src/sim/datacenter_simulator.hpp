@@ -169,9 +169,6 @@ class DatacenterSimulator final : public EventSink {
   /// changed) when the target slot is dead.  Leases are permanent for the
   /// remainder of the run.
   bool commit_lease(std::size_t c, std::size_t node, std::size_t target);
-  /// Host slot (global id) of the lease for (c, node); only valid when the
-  /// node is remote.
-  [[nodiscard]] std::size_t lease_host(std::size_t c, std::size_t node) const;
 
   // --- epoch loop hooks -----------------------------------------------------
 
@@ -212,7 +209,9 @@ class DatacenterSimulator final : public EventSink {
     LatencyRecorder residence;
   };
 
-  [[nodiscard]] Lease* find_lease(std::size_t c, std::size_t node);
+  /// The lease of remote node (c, node): one index lookup, read-only
+  /// mid-epoch (the index changes only in commit_lease, at a barrier).
+  [[nodiscard]] Lease& find_lease(std::size_t c, std::size_t node) const;
 
   void send_visit(std::size_t c, std::size_t node, Packet* p);
   void deliver_frame(std::size_t dst, const FabricFrame& frame);
@@ -235,7 +234,9 @@ class DatacenterSimulator final : public EventSink {
   ShardFabric fabric_;
   std::vector<ChainRef> chain_map_;     ///< global chain -> (rack, local)
   std::vector<std::size_t> chain_home_; ///< global chain -> global home slot
-  std::vector<std::unique_ptr<Lease>> leases_;
+  std::vector<std::unique_ptr<Lease>> leases_;  ///< in commit order
+  /// [global chain][node] -> its lease, or null; rows grow in commit_lease.
+  std::vector<std::vector<Lease*>> lease_index_;
   std::function<void(SimTime, bool)> barrier_hook_;
   std::function<bool()> drain_gate_;
   std::uint64_t epochs_ = 0;

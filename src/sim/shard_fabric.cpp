@@ -5,26 +5,17 @@
 
 namespace pam {
 
-namespace {
-// Pre-sized so the steady state of a busy mailbox never reallocates; a
-// frame burst beyond this merely grows the vector once and keeps the larger
-// capacity (amortised, not per-packet).
-constexpr std::size_t kMailboxReserve = 64;
-constexpr std::size_t kArenaReserve = 128;
-}  // namespace
-
+// Mailboxes and arenas start empty: with R racks there are R x R
+// mailboxes, and most (src, dst) pairs never carry a frame.  A mailbox's
+// vector grows on its first sends and keeps its capacity across exchanges
+// (exchange() clears without shrinking), so a busy lane stops allocating
+// once it has held its largest per-epoch burst.
 ShardFabric::ShardFabric(std::size_t shards)
     : shards_(shards),
       boxes_(shards * shards),
       arenas_(shards),
       frames_from_(shards, 0) {
   assert(shards > 0);
-  for (Mailbox& mb : boxes_) {
-    mb.frames.reserve(kMailboxReserve);
-  }
-  for (auto& arena : arenas_) {
-    arena.reserve(kArenaReserve);
-  }
 }
 
 FabricFrame ShardFabric::acquire(std::size_t src) {

@@ -61,9 +61,9 @@ class ShardFabric {
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_; }
 
-  /// Pops a recycled frame from `src`'s arena (or grows it once); its
-  /// `bytes` keep their capacity.  Callable only from the shard's own
-  /// thread mid-epoch.
+  /// Pops a recycled frame from `src`'s arena, or returns a blank one when
+  /// the arena is empty; a recycled frame's `bytes` keep their capacity.
+  /// Callable only from the shard's own thread mid-epoch.
   [[nodiscard]] FabricFrame acquire(std::size_t src);
 
   /// Buffers `frame` into mailbox (src, dst), stamping its sequence number.

@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <cstddef>
 #include <deque>
 #include <functional>
 
@@ -35,11 +34,6 @@ struct Calibration;
 
 class SimulationKernel final : public EventSink {
  public:
-  /// Packets pre-allocated per kernel.  The pool grows on demand beyond
-  /// this (up to PacketPool's max capacity), so it bounds set-up memory,
-  /// not the packets a run may hold in flight.
-  static constexpr std::size_t kPoolPrealloc = 4096;
-
   SimulationKernel() = default;
 
   SimulationKernel(const SimulationKernel&) = delete;
@@ -111,7 +105,9 @@ class SimulationKernel final : public EventSink {
   void on_event(const EventRecord& ev) override;
 
   EventQueue queue_;
-  PacketPool pool_{kPoolPrealloc};
+  /// Starts empty and grows on acquire to the run's in-flight high-water
+  /// mark, so a rack whose chains never inject holds no packets at all.
+  PacketPool pool_{0};
   /// A deque, so a task that registers another keeps its address.
   std::deque<PeriodicTask> periodic_tasks_;
   SimTime warmup_ = SimTime::zero();

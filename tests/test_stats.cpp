@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -79,6 +82,38 @@ TEST(QuantileReservoir, ExactBelowCapacity) {
   EXPECT_DOUBLE_EQ(q.quantile(1.0), 100.0);
   EXPECT_NEAR(q.median(), 50.5, 0.5);
   EXPECT_NEAR(q.quantile(0.99), 99.0, 1.1);
+}
+
+// The interpolated quantile of a sorted copy, as the reservoir defines it.
+double sorted_quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(QuantileReservoir, SelectionMatchesSortedReference) {
+  // Mixed query order (repeats included) over few distinct values, so many
+  // order statistics tie; queries between adds must see the new samples.
+  const std::vector<double> qs = {0.99, 0.0, 0.5, 1.0, 0.25, 0.9, 0.5,
+                                  0.001, 0.75, 0.999, 0.1, 0.0};
+  QuantileReservoir reservoir;
+  std::vector<double> added;
+  std::uint64_t state = 7;
+  for (const std::size_t batch : {1, 1, 5, 200, 3000}) {
+    for (std::size_t i = 0; i < batch; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double x = static_cast<double>((state >> 33) % 40) * 1.5;
+      reservoir.add(x);
+      added.push_back(x);
+    }
+    for (const double q : qs) {
+      EXPECT_EQ(reservoir.quantile(q), sorted_quantile(added, q))
+          << "q=" << q << " over " << added.size() << " samples";
+    }
+  }
 }
 
 TEST(QuantileReservoir, EmptyReturnsZero) {

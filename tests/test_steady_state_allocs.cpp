@@ -13,6 +13,10 @@
 // window there is a run of whole epochs, opened and closed from the
 // barrier hook.
 //
+// A third case checks that buffers follow the traffic, not the fleet: a
+// 64-rack datacenter with its chains on rack 0 pays a few allocations per
+// rack to set up, and racks that home no chain never grow a packet pool.
+//
 // Frames have one fixed size.  A pooled packet's buffer grows the first
 // time it carries a frame larger than any it carried before, so under a
 // size mix the pool keeps a trickle of such growth until every pooled
@@ -171,6 +175,43 @@ TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
   EXPECT_TRUE(report.cluster.conserved());
   for (std::size_t r = 0; r < dc.num_racks(); ++r) {
     EXPECT_EQ(dc.rack(r).kernel().pool().in_use(), 0u) << "rack " << r;
+  }
+}
+
+TEST(SteadyStateAllocs, IdleRacksCostNothing) {
+  constexpr std::size_t kRacks = 64;
+  DatacenterSimulator::Options options;
+  options.shards = kRacks;
+  options.servers_total = 2 * kRacks;
+  TrafficSourceConfig traffic;
+  traffic.rate = RateProfile::constant(Gbps{1.0});
+  traffic.sizes = PacketSizeDistribution::fixed(512);
+  traffic.seed = 2018;
+  constexpr std::size_t kMonitor = 1;
+  const std::size_t host = options.servers_total - 1;  // a slot on the last rack
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  DatacenterSimulator dc{options};
+  const std::size_t chain = dc.add_chain(paper_figure1_chain(), traffic, 0);
+  dc.add_chain(paper_figure1_chain(), traffic, 1);
+  const bool leased = dc.commit_lease(chain, kMonitor, host);
+  g_counting.store(false);
+  const std::uint64_t setup_allocations = g_allocations.load();
+  ASSERT_TRUE(leased);
+
+  // Each rack's own objects (its servers, device queues and kernel) take
+  // about twenty allocations here; nothing per rack may scale with a pool
+  // or mailbox reservation.
+  EXPECT_LT(setup_allocations, 32 * kRacks);
+
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(20), SimTime::milliseconds(2), /*threads=*/2);
+  EXPECT_TRUE(report.cluster.conserved());
+  EXPECT_GT(report.cross_rack_frames, 0u);
+  EXPECT_GT(dc.rack(0).kernel().pool().capacity(), 0u);
+  for (std::size_t r = 1; r < dc.num_racks(); ++r) {
+    EXPECT_EQ(dc.rack(r).kernel().pool().capacity(), 0u) << "rack " << r;
   }
 }
 
