@@ -25,6 +25,10 @@
 // here.  Every decision is recorded as a typed ControlEvent — machine-
 // readable telemetry serialised into the `control_events` JSON section by
 // the experiment layer (docs/REPRODUCING.md documents the schema).
+//
+// The datacenter tier above them (DatacenterOrchestrator) is not a client:
+// it has no policy to plan with, only a barrier-time check that leases a
+// border NF to another rack through the rack tier's target scan.
 
 #pragma once
 
@@ -184,30 +188,25 @@ class ControlPlane {
   /// Registers the periodic check with the kernel.  Call before the run.
   void arm();
 
-  /// One immediate sweep over all chains (what the periodic tick runs);
-  /// exposed so harnesses can drive the loop without a traffic source.
-  void check_all();
-
   [[nodiscard]] const std::vector<ControlEvent>& events() const noexcept {
     return events_;
   }
   [[nodiscard]] const ControlPlaneOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::size_t num_chains() const noexcept { return chains_.size(); }
-  [[nodiscard]] SimTime now() const noexcept { return kernel_.now(); }
 
   /// Appends `event` stamped with the current simulated time.  Public so
   /// Actuator implementations can record their asynchronous outcomes.
   void emit(ControlEvent event);
 
-  /// Marks chain `c`'s action finished: anchors the cooldown at now().
-  /// Actuators call this from completion callbacks of asynchronous moves.
+  /// Marks chain `c`'s action finished: anchors the cooldown at the current
+  /// simulated time.  Actuators call this from completion callbacks of
+  /// asynchronous moves.
   void complete_action(std::size_t c);
 
   /// True while chain `c` has an action in flight or its cooldown running —
-  /// the mutual-exclusion signal a co-managing control tier (the datacenter
-  /// orchestrator above, the rack controller below) checks before acting on
-  /// the same chain.  Safe only when this plane's kernel is quiescent
-  /// (single-kernel mode, or at an epoch barrier).
+  /// what the datacenter orchestrator checks on a rack's plane before
+  /// leasing the same chain.  Safe only when this plane's kernel is
+  /// quiescent (single-kernel mode, or at an epoch barrier).
   [[nodiscard]] bool chain_busy_or_cooling(std::size_t c) const;
 
  private:
@@ -215,6 +214,8 @@ class ControlPlane {
     SimTime last_action_done = SimTime::nanoseconds(-1);  ///< <0: never acted
   };
 
+  /// One sweep over all chains: what the periodic tick runs.
+  void check_all();
   void check(std::size_t c);
 
   SimulationKernel& kernel_;

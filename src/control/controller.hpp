@@ -56,8 +56,6 @@ class Controller final : private ControlPlane::Sensor,
   }
   [[nodiscard]] const MigrationEngine& engine() const noexcept { return engine_; }
   [[nodiscard]] bool scale_out_requested() const noexcept { return scale_out_requested_; }
-  /// The shared loop (options, per-chain policies, event emission).
-  [[nodiscard]] ControlPlane& plane() noexcept { return plane_; }
 
  private:
   // ControlPlane::Sensor

@@ -9,6 +9,38 @@
 
 namespace pam {
 
+std::optional<BorderMove> pick_border_move(
+    const ServiceChain& chain, const std::vector<std::size_t>& candidates,
+    Gbps offered, double target_max_load, std::size_t slots,
+    const std::function<std::optional<UtilizationReport>(std::size_t)>& load) {
+  for (const std::size_t node : candidates) {
+    const double nf_capacity =
+        chain.node(node).spec.capacity.on(Location::kSmartNic).value();
+    if (nf_capacity <= 0.0) {
+      continue;
+    }
+    const double contribution = chain.offered_at(node, offered).value() / nf_capacity;
+    std::optional<BorderMove> best;
+    double best_load = std::numeric_limits<double>::infinity();
+    for (std::size_t s = 0; s < slots; ++s) {
+      const std::optional<UtilizationReport> util = load(s);
+      if (!util) {
+        continue;
+      }
+      const double fit = std::max(util->smartnic + contribution, util->cpu);
+      const double current = std::max(util->smartnic, util->cpu);
+      if (fit <= target_max_load && current < best_load) {
+        best_load = current;
+        best = BorderMove{node, s, fit};
+      }
+    }
+    if (best) {
+      return best;
+    }
+  }
+  return std::nullopt;
+}
+
 FleetController::FleetController(ClusterSimulator& cluster,
                                  std::unique_ptr<MigrationPolicy> policy,
                                  FleetControllerOptions options)
@@ -152,42 +184,19 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
     return;
   }
 
-  // Fit-aware least-loaded target: project the candidate NF's SmartNIC
-  // demand onto each slot and require the slot's hottest device to stay
-  // below target_max_load after the move — a slot that cannot absorb the
-  // NF would just trade one hot spot for another.
-  std::size_t idx = 0;
-  std::size_t target = home;
-  double projected = 0.0;
-  for (const std::size_t candidate : candidates) {
-    const Gbps nf_capacity =
-        sim.chain().node(candidate).spec.capacity.on(Location::kSmartNic);
-    if (nf_capacity.value() <= 0.0) {
-      continue;
-    }
-    const double contribution =
-        sim.chain().offered_at(candidate, offered).value() / nf_capacity.value();
-    double best_load = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-      if (s == home || !cluster_.server_alive(s)) {
-        continue;
-      }
-      const double nic = cluster_.server_nic_load(s);
-      const double cpu = cluster_.server_cpu_load(s);
-      const double fit = std::max(nic + contribution, cpu);
-      const double load = std::max(nic, cpu);
-      if (fit <= options_.target_max_load && load < best_load) {
-        best_load = load;
-        target = s;
-        projected = fit;
-      }
-    }
-    if (target != home) {
-      idx = candidate;
-      break;
-    }
-  }
-  if (target == home) {
+  // Fit-aware least-loaded target: a slot that cannot absorb the NF would
+  // just trade one hot spot for another.
+  const std::optional<BorderMove> move = pick_border_move(
+      sim.chain(), candidates, offered, options_.target_max_load,
+      cluster_.num_servers(),
+      [&](std::size_t s) -> std::optional<UtilizationReport> {
+        if (s == home || !cluster_.server_alive(s)) {
+          return std::nullopt;
+        }
+        return UtilizationReport{cluster_.server_nic_load(s),
+                                 cluster_.server_cpu_load(s)};
+      });
+  if (!move) {
     ControlEvent event;
     event.kind = ControlEvent::Kind::kInfeasible;
     event.chain = c;
@@ -198,6 +207,7 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
     plane_.emit(std::move(event));
     return;
   }
+  const auto [idx, target, projected] = *move;
 
   const std::string nf_name = sim.chain().node(idx).spec.name;
   ControlEvent decided;

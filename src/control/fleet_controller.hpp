@@ -15,8 +15,9 @@
 //   Actuator  — feasible plans run on the chain's own loss-free
 //               MigrationEngine; infeasible ones trigger cross-server
 //               scale-out: pick a crossing-safe SmartNIC border NF (Step 1
-//               of PAM), pick the least-loaded target slot that can absorb
-//               it below `target_max_load`, and move it there loss-free
+//               of PAM) and the least-loaded target slot that can absorb
+//               it below `target_max_load` (pick_border_move, shared with
+//               the datacenter tier), and move it there loss-free
 //               (pause -> transfer over the rack fabric -> re-bind ->
 //               resume)
 //
@@ -29,6 +30,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,27 @@ struct FleetControllerOptions : ControlPlaneOptions {
   /// single-server engine uses).
   SimTime remote_migration_cost = SimTime::milliseconds(1.0);
 };
+
+/// A border NF chosen to be pushed aside to another slot.
+struct BorderMove {
+  std::size_t node = 0;    ///< chain node index
+  std::size_t slot = 0;    ///< target slot, in the caller's numbering
+  double projected = 0.0;  ///< target's hottest-device load after the move
+};
+
+/// PAM's push-aside at fleet scale, the one target scan both scale-out
+/// tiers share.  For each `candidates` node in order (SmartNIC border NFs;
+/// one with no SmartNIC capacity is skipped), projects its SmartNIC demand
+/// at `offered` onto every slot in [0, slots) and takes the least-loaded
+/// slot whose hottest device stays at or below `target_max_load` after
+/// absorbing it — ties go to the lowest slot, so the choice is
+/// deterministic.  `load(s)` is slot s's device utilisation, or nullopt for
+/// a slot the caller excludes (home, dead).  The first candidate that fits
+/// anywhere wins; nullopt when none does.
+[[nodiscard]] std::optional<BorderMove> pick_border_move(
+    const ServiceChain& chain, const std::vector<std::size_t>& candidates,
+    Gbps offered, double target_max_load, std::size_t slots,
+    const std::function<std::optional<UtilizationReport>(std::size_t)>& load);
 
 class FleetController final : private ControlPlane::Sensor,
                               private ControlPlane::Actuator {
@@ -96,7 +119,7 @@ class FleetController final : private ControlPlane::Sensor,
   void set_external_hold(std::function<bool(std::size_t)> hold) {
     external_hold_ = std::move(hold);
   }
-  /// The shared loop (options, per-chain policies, event emission).
+  /// The shared loop; the orchestrator asks it chain_busy_or_cooling.
   [[nodiscard]] ControlPlane& plane() noexcept { return plane_; }
 
  private:

@@ -1,8 +1,7 @@
 #include "control/orchestrator.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
+#include <optional>
 #include <utility>
 
 #include "chain/border.hpp"
@@ -11,26 +10,10 @@
 namespace pam {
 
 namespace {
-
-/// The orchestrator's ControlPlane needs *a* policy object (the shared loop
-/// plans before falling back to scale-out), but cross-rack placement is not
-/// a push-aside problem: every plan is reported infeasible so the loop
-/// always routes into Actuator::scale_out, where the lease logic lives.
-class CrossRackOnlyPolicy final : public MigrationPolicy {
- public:
-  [[nodiscard]] std::string name() const override { return "CrossRackLease"; }
-  [[nodiscard]] MigrationPlan plan(const ServiceChain& /*chain*/,
-                                   const ChainAnalyzer& /*analyzer*/,
-                                   Gbps /*ingress_rate*/) const override {
-    MigrationPlan out;
-    out.policy_name = name();
-    out.feasible = false;
-    out.infeasibility_reason =
-        "home rack saturated; intra-rack placement cannot relieve it";
-    return out;
-  }
-};
-
+/// Why a chain is leased: its home rack has no slot left for the rack
+/// tier's own scale-out.
+constexpr const char* kSaturated =
+    "home rack saturated; intra-rack placement cannot relieve it";
 }  // namespace
 
 DatacenterOrchestrator::DatacenterOrchestrator(
@@ -40,25 +23,14 @@ DatacenterOrchestrator::DatacenterOrchestrator(
       racks_(std::move(racks)),
       options_(options),
       cooling_until_(dc.num_chains(), SimTime::zero()),
-      next_check_(options.first_check),
-      plane_(dc.rack(0).kernel(), *this, *this, dc.num_chains(),
-             std::make_unique<CrossRackOnlyPolicy>(), options) {
+      next_check_(options.first_check) {
   for (std::size_t r = 0; r < racks_.size(); ++r) {
-    FleetController* controller = racks_[r];
-    if (controller == nullptr) {
-      continue;
+    if (racks_[r] != nullptr) {
+      // Called from the rack's shard thread: the chain map is fixed before
+      // the run and holds() reads only barrier-published state.
+      racks_[r]->set_external_hold(
+          [this, r](std::size_t local) { return holds(dc_.global_chain(r, local)); });
     }
-    controller->set_external_hold([this, r](std::size_t local) {
-      // Rack-local chain id -> global id: rack r's chains were added in
-      // order, so scan the global map for the local index.  Called from the
-      // rack's shard thread; holds() reads only barrier-published state.
-      for (std::size_t c = 0; c < dc_.num_chains(); ++c) {
-        if (dc_.home_rack_of(c) == r && dc_.local_chain_of(c) == local) {
-          return holds(c);
-        }
-      }
-      return false;
-    });
   }
 }
 
@@ -94,72 +66,47 @@ void DatacenterOrchestrator::on_barrier(SimTime t, bool draining) {
     return;  // no new decisions after the horizon; only commits above
   }
   if (t >= next_check_) {
-    plane_.check_all();
+    check_all(t);
     while (next_check_ <= t) {
       next_check_ = next_check_ + options_.period;
     }
   }
 }
 
-ControlPlane::Sample DatacenterOrchestrator::sense(std::size_t c) const {
-  ControlPlane::Sample sample;
-  sample.server = dc_.home_server_of(c);
-  const std::size_t r = dc_.home_rack_of(c);
-  FleetController* rack_controller = r < racks_.size() ? racks_[r] : nullptr;
-  if (rack_controller != nullptr &&
-      rack_controller->plane().chain_busy_or_cooling(dc_.local_chain_of(c))) {
-    sample.has_resident = false;  // the rack tier owns this chain right now
-    return sample;
-  }
-  if (!rack_pressured(r)) {
-    sample.has_resident = false;  // intra-rack placement can still help
-    return sample;
-  }
-  sample.offered = dc_.chain_sim(c).observed_ingress_rate(options_.rate_window);
-  sample.util.smartnic = dc_.server_nic_load(sample.server);
-  sample.util.cpu = dc_.server_cpu_load(sample.server);
-  sample.slot_hot = true;  // rack-wide pressure is the trigger
-  return sample;
+void DatacenterOrchestrator::emit(SimTime t, ControlEvent event) {
+  event.at = t;
+  events_.push_back(std::move(event));
 }
 
-std::string DatacenterOrchestrator::describe_overload(
-    std::size_t c, const ControlPlane::Sample& sample) const {
-  return format(
-      "rack %zu saturated (every alive slot >= %.2f); chain %zu home slot %zu "
-      "at nic %.2f / cpu %.2f, offered %s",
-      dc_.home_rack_of(c), options_.target_max_load, c, sample.server,
-      sample.util.smartnic, sample.util.cpu, sample.offered.to_string().c_str());
-}
-
-ControlPlane::Planned DatacenterOrchestrator::plan(std::size_t /*c*/,
-                                                   const MigrationPolicy& policy,
-                                                   Gbps /*offered*/) const {
-  // Always infeasible (CrossRackOnlyPolicy): the shared loop falls through
-  // to scale_out, which is where cross-rack leases are decided.
-  ControlPlane::Planned out;
-  out.plan = policy.plan(ServiceChain{""}, ChainAnalyzer{dc_.rack(0).server(0),
-                                                         dc_.rack(0).calibration()},
-                         Gbps{0.0});
-  return out;
-}
-
-bool DatacenterOrchestrator::in_flight(std::size_t c) const {
-  for (const PendingLease& p : pending_) {
-    if (p.chain == c) {
-      return true;
+void DatacenterOrchestrator::check_all(SimTime t) {
+  for (std::size_t c = 0; c < dc_.num_chains(); ++c) {
+    const std::size_t r = dc_.home_rack_of(c);
+    FleetController* rack_controller = r < racks_.size() ? racks_[r] : nullptr;
+    if (holds(c) ||
+        (rack_controller != nullptr &&
+         rack_controller->plane().chain_busy_or_cooling(dc_.local_chain_of(c))) ||
+        !rack_pressured(r)) {
+      continue;  // ours in flight, the rack tier's, or intra-rack can help
     }
+    const std::size_t home = dc_.home_server_of(c);
+    const Gbps offered = dc_.chain_sim(c).observed_ingress_rate(options_.rate_window);
+    ControlEvent triggered;
+    triggered.kind = ControlEvent::Kind::kTriggered;
+    triggered.chain = c;
+    triggered.server = home;
+    triggered.smartnic_utilization = dc_.server_nic_load(home);
+    triggered.cpu_utilization = dc_.server_cpu_load(home);
+    triggered.detail = format(
+        "rack %zu saturated (every alive slot >= %.2f); chain %zu home slot %zu "
+        "at nic %.2f / cpu %.2f, offered %s",
+        r, options_.target_max_load, c, home, triggered.smartnic_utilization,
+        triggered.cpu_utilization, offered.to_string().c_str());
+    emit(t, std::move(triggered));
+    lease(c, offered, t);
   }
-  return false;
 }
 
-void DatacenterOrchestrator::execute(std::size_t /*c*/,
-                                     const MigrationPlan& /*plan*/,
-                                     std::function<void()> /*done*/) {
-  assert(false && "orchestrator plans are always infeasible");
-}
-
-void DatacenterOrchestrator::scale_out(std::size_t c, const std::string& reason,
-                                       Gbps offered) {
+void DatacenterOrchestrator::lease(std::size_t c, Gbps offered, SimTime t) {
   ChainSimulator& sim = dc_.chain_sim(c);
   const std::size_t home_rack = dc_.home_rack_of(c);
 
@@ -172,88 +119,54 @@ void DatacenterOrchestrator::scale_out(std::size_t c, const std::string& reason,
       candidates.push_back(idx);
     }
   }
+  ControlEvent event;  // infeasible, on the home slot, until a target fits
+  event.kind = ControlEvent::Kind::kInfeasible;
+  event.chain = c;
+  event.server = dc_.home_server_of(c);
   if (candidates.empty()) {
-    ControlEvent event;
-    event.kind = ControlEvent::Kind::kInfeasible;
-    event.chain = c;
-    event.server = dc_.home_server_of(c);
     event.detail = format("cross-rack lease needed but no movable border NF: %s",
-                          reason.c_str());
-    plane_.emit(std::move(event));
+                          kSaturated);
+    emit(t, std::move(event));
     return;
   }
 
-  // Fit-aware target scan over every slot outside the home rack, in global
-  // slot order: qualify when the slot's hottest device stays below
-  // target_max_load after absorbing the NF, prefer (load, slot)
-  // lexicographically — a total order, so the choice is deterministic.
-  std::size_t node = 0;
-  std::size_t target = dc_.num_servers();
-  double projected = 0.0;
-  for (const std::size_t candidate : candidates) {
-    const Gbps nf_capacity =
-        sim.chain().node(candidate).spec.capacity.on(Location::kSmartNic);
-    if (nf_capacity.value() <= 0.0) {
-      continue;
-    }
-    const double contribution =
-        sim.chain().offered_at(candidate, offered).value() / nf_capacity.value();
-    double best_load = std::numeric_limits<double>::infinity();
-    for (std::size_t gs = 0; gs < dc_.num_servers(); ++gs) {
-      if (dc_.rack_of(gs) == home_rack || !dc_.server_alive(gs)) {
-        continue;
-      }
-      const double nic = dc_.server_nic_load(gs);
-      const double cpu = dc_.server_cpu_load(gs);
-      const double fit = std::max(nic + contribution, cpu);
-      const double load = std::max(nic, cpu);
-      if (fit <= options_.target_max_load && load < best_load) {
-        best_load = load;
-        target = gs;
-        projected = fit;
-      }
-    }
-    if (target != dc_.num_servers()) {
-      node = candidate;
-      break;
-    }
-  }
-  if (target == dc_.num_servers()) {
-    ControlEvent event;
-    event.kind = ControlEvent::Kind::kInfeasible;
-    event.chain = c;
-    event.server = dc_.home_server_of(c);
+  // The rack tier's target scan, over every alive slot outside the home
+  // rack in global slot order.
+  const std::optional<BorderMove> move = pick_border_move(
+      sim.chain(), candidates, offered, options_.target_max_load,
+      dc_.num_servers(), [&](std::size_t gs) -> std::optional<UtilizationReport> {
+        if (dc_.rack_of(gs) == home_rack || !dc_.server_alive(gs)) {
+          return std::nullopt;
+        }
+        return UtilizationReport{dc_.server_nic_load(gs), dc_.server_cpu_load(gs)};
+      });
+  if (!move) {
     event.detail = format(
         "cross-rack lease needed but no slot outside rack %zu can absorb a "
         "border NF under %.2f load: %s",
-        home_rack, options_.target_max_load, reason.c_str());
-    plane_.emit(std::move(event));
+        home_rack, options_.target_max_load, kSaturated);
+    emit(t, std::move(event));
     return;
   }
 
-  const std::string nf_name = sim.chain().node(node).spec.name;
-  ControlEvent decided;
-  decided.kind = ControlEvent::Kind::kScaleOut;
-  decided.chain = c;
-  decided.server = target;
-  decided.moved_nfs.push_back(nf_name);
-  decided.smartnic_utilization = projected;
-  decided.detail = format(
+  const std::string nf_name = sim.chain().node(move->node).spec.name;
+  event.kind = ControlEvent::Kind::kScaleOut;
+  event.server = move->slot;
+  event.moved_nfs.push_back(nf_name);
+  event.smartnic_utilization = move->projected;
+  event.detail = format(
       "%s -> cross-rack lease: moving %s to server %zu (rack %zu, projected "
       "load %.2f)",
-      reason.c_str(), nf_name.c_str(), target, dc_.rack_of(target), projected);
-  plane_.emit(std::move(decided));
+      kSaturated, nf_name.c_str(), move->slot, dc_.rack_of(move->slot),
+      move->projected);
+  emit(t, std::move(event));
 
   // Pause now; the lease commits at the first barrier after the migration
   // cost (at least one epoch), so no shard ever sees a mid-epoch rebind.
-  sim.pause_node(node);
-  PendingLease pending;
-  pending.chain = c;
-  pending.node = node;
-  pending.target = target;
-  pending.commit_at =
-      plane_.now() + std::max(options_.lease_migration_cost, dc_.quantum());
-  pending_.push_back(pending);
+  sim.pause_node(move->node);
+  pending_.push_back(PendingLease{
+      c, move->node, move->slot,
+      t + std::max(options_.lease_migration_cost, dc_.quantum())});
 }
 
 void DatacenterOrchestrator::commit_due(SimTime t) {
@@ -267,41 +180,31 @@ void DatacenterOrchestrator::commit_due(SimTime t) {
     ChainSimulator& sim = dc_.chain_sim(p.chain);
     const std::string nf_name = sim.chain().node(p.node).spec.name;
     const std::size_t buffered = sim.buffered_at(p.node);
-    if (!dc_.server_alive(p.target)) {
-      // Target died while the lease was in flight: abort in place,
-      // loss-free — buffered packets flush through the home binding.
-      sim.resume_node(p.node);
-      plane_.complete_action(p.chain);
-      cooling_until_[p.chain] = t + options_.cooldown;
-      ControlEvent aborted;
-      aborted.kind = ControlEvent::Kind::kInfeasible;
-      aborted.chain = p.chain;
-      aborted.server = p.target;
-      aborted.moved_nfs.push_back(nf_name);
-      aborted.detail = format(
+    // A target that died while the lease was in flight refuses the commit:
+    // the lease aborts in place, loss-free — buffered packets flush through
+    // the home binding.
+    const bool committed = dc_.commit_lease(p.chain, p.node, p.target);
+    sim.resume_node(p.node);
+    cooling_until_[p.chain] = t + options_.cooldown;
+    ControlEvent event;
+    event.kind = committed ? ControlEvent::Kind::kCrossRackMove
+                           : ControlEvent::Kind::kInfeasible;
+    event.chain = p.chain;
+    event.server = p.target;
+    event.moved_nfs.push_back(nf_name);
+    if (committed) {
+      ++cross_rack_moves_;
+      event.detail = format(
+          "cross-rack lease committed: %s now on server %zu (rack %zu, %zu "
+          "buffered flushed over the fabric)",
+          nf_name.c_str(), p.target, dc_.rack_of(p.target), buffered);
+    } else {
+      event.detail = format(
           "in-flight cross-rack lease of %s aborted: target server %zu died "
           "(%zu buffered flushed in place)",
           nf_name.c_str(), p.target, buffered);
-      plane_.emit(std::move(aborted));
-      continue;
     }
-    const bool committed = dc_.commit_lease(p.chain, p.node, p.target);
-    assert(committed);
-    (void)committed;
-    sim.resume_node(p.node);
-    plane_.complete_action(p.chain);
-    cooling_until_[p.chain] = t + options_.cooldown;
-    ++cross_rack_moves_;
-    ControlEvent done;
-    done.kind = ControlEvent::Kind::kCrossRackMove;
-    done.chain = p.chain;
-    done.server = p.target;
-    done.moved_nfs.push_back(nf_name);
-    done.detail = format(
-        "cross-rack lease committed: %s now on server %zu (rack %zu, %zu "
-        "buffered flushed over the fabric)",
-        nf_name.c_str(), p.target, dc_.rack_of(p.target), buffered);
-    plane_.emit(std::move(done));
+    emit(t, std::move(event));
   }
   pending_ = std::move(remaining);
 }

@@ -1,36 +1,32 @@
 // The datacenter tier of the control hierarchy.
 //
 // FleetController closes the scaling loop inside one rack; the
-// DatacenterOrchestrator closes it across racks.  It reuses the SAME
-// ControlPlane loop the per-server and per-rack controllers run — sense,
-// trigger, plan, act — but its "act" is a cross-rack lease: a border NF of
-// a chain homed on a saturated rack moves to the least-loaded slot of
-// another rack (ControlEvent kind `cross_rack_move`), where packets reach
-// it over the epoch-synchronized shard fabric.
+// DatacenterOrchestrator closes it across racks.  It makes the rack tier's
+// push-aside decision — pick_border_move, the one fit-aware target scan —
+// but over every slot outside the home rack, and its act is a cross-rack
+// lease: a border NF of a chain homed on a saturated rack moves to the
+// least-loaded slot of another rack (ControlEvent kind `cross_rack_move`),
+// where packets reach it over the epoch-synchronized shard fabric.
 //
 // Determinism contract: the orchestrator runs only at epoch barriers (the
 // DatacenterSimulator's barrier hook), when every shard kernel is parked at
-// the same simulated time.  Decisions ride on lexicographically ordered
-// (load, slot) scans of barrier-time state, so a run's lease history is
-// identical for threads=1 and threads=N.  Lease commits are deferred by the
-// migration cost, rounded up to at least one epoch, and applied at a later
-// barrier — never mid-epoch, so no shard observes a placement change while
-// running.
+// the same simulated time.  Every `period` it visits the chains in global
+// order; decisions ride on lexicographically ordered (load, slot) scans of
+// barrier-time state, so a run's lease history is identical for threads=1
+// and threads=N.  Lease commits are deferred by the migration cost, rounded
+// up to at least one epoch, and applied at a later barrier — never
+// mid-epoch, so no shard observes a placement change while running.
 //
 // Hierarchy etiquette: the orchestrator never races a rack controller on a
-// chain.  Before sensing a chain it checks the home rack's control plane
-// (busy or cooling → skip), and while one of its own leases is pending or
-// cooling it holds the rack controller off through
-// FleetController::set_external_hold — using only barrier-published state,
-// so rack threads can evaluate the hold mid-epoch without ever touching
-// another shard's clock.
+// chain.  It skips a chain whose home rack's control plane is busy or
+// cooling on it, and while one of its own leases is pending or cooling it
+// holds the rack controller off through FleetController::set_external_hold
+// — using only barrier-published state, so rack threads can evaluate the
+// hold mid-epoch without ever touching another shard's clock.
 
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "control/fleet_controller.hpp"
@@ -38,7 +34,13 @@
 
 namespace pam {
 
-struct DatacenterOrchestratorOptions : ControlPlaneOptions {
+struct DatacenterOrchestratorOptions {
+  SimTime period = SimTime::milliseconds(10.0);
+  SimTime first_check = SimTime::milliseconds(10.0);
+  /// Quiet time per chain after a lease commits (or aborts).
+  SimTime cooldown = SimTime::milliseconds(20.0);
+  /// Trailing window used to estimate a chain's offered load.
+  SimTime rate_window = SimTime::milliseconds(5.0);
   /// A lease target qualifies only while its hottest device stays below
   /// this after absorbing the NF (same semantics as the rack controller's
   /// knob, applied fleet-wide).
@@ -49,8 +51,7 @@ struct DatacenterOrchestratorOptions : ControlPlaneOptions {
   SimTime lease_migration_cost = SimTime::milliseconds(1.0);
 };
 
-class DatacenterOrchestrator final : private ControlPlane::Sensor,
-                                     private ControlPlane::Actuator {
+class DatacenterOrchestrator final {
  public:
   /// `racks[r]` is rack r's FleetController (may hold fewer entries than
   /// racks; missing ones mean the rack runs uncontrolled).  Installs the
@@ -77,14 +78,14 @@ class DatacenterOrchestrator final : private ControlPlane::Sensor,
   /// barrier-published state; callable from shard threads mid-epoch.
   [[nodiscard]] bool holds(std::size_t c) const;
 
+  /// Every decision, stamped with its barrier time.
   [[nodiscard]] const std::vector<ControlEvent>& events() const noexcept {
-    return plane_.events();
+    return events_;
   }
   /// Committed cross-rack leases.
   [[nodiscard]] std::size_t cross_rack_moves() const noexcept {
     return cross_rack_moves_;
   }
-  [[nodiscard]] ControlPlane& plane() noexcept { return plane_; }
 
  private:
   struct PendingLease {
@@ -94,36 +95,30 @@ class DatacenterOrchestrator final : private ControlPlane::Sensor,
     SimTime commit_at;
   };
 
-  // ControlPlane::Sensor
-  [[nodiscard]] ControlPlane::Sample sense(std::size_t c) const override;
-  [[nodiscard]] std::string describe_overload(
-      std::size_t c, const ControlPlane::Sample& sample) const override;
-  [[nodiscard]] ControlPlane::Planned plan(std::size_t c,
-                                           const MigrationPolicy& policy,
-                                           Gbps offered) const override;
-
-  // ControlPlane::Actuator
-  [[nodiscard]] bool in_flight(std::size_t c) const override;
-  void execute(std::size_t c, const MigrationPlan& plan,
-               std::function<void()> done) override;
-  void scale_out(std::size_t c, const std::string& reason, Gbps offered) override;
-
   /// True when every alive slot of rack `r` has its hottest device at or
   /// above target_max_load — intra-rack scale-out can no longer relieve the
   /// rack, which is the orchestrator's trigger.
   [[nodiscard]] bool rack_pressured(std::size_t r) const;
 
+  /// One sweep over the chains in global order: triggers and leases for
+  /// every chain that is not held, not owned by its rack controller, and
+  /// homed on a pressured rack.
+  void check_all(SimTime t);
+  /// Picks a border NF of chain `c` and a slot outside its home rack, and
+  /// pauses the NF until the lease commits.
+  void lease(std::size_t c, Gbps offered, SimTime t);
   void commit_due(SimTime t);
+  void emit(SimTime t, ControlEvent event);
 
   DatacenterSimulator& dc_;
   std::vector<FleetController*> racks_;
   DatacenterOrchestratorOptions options_;
   std::vector<PendingLease> pending_;     ///< barrier-mutated, in decide order
   std::vector<SimTime> cooling_until_;    ///< per chain; barrier-mutated
+  std::vector<ControlEvent> events_;
   SimTime last_barrier_ = SimTime::zero();
   SimTime next_check_;
   std::size_t cross_rack_moves_ = 0;
-  ControlPlane plane_;  ///< last member: its Sensor/Actuator are *this
 };
 
 }  // namespace pam

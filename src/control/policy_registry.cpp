@@ -1,7 +1,6 @@
 #include "control/policy_registry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -80,120 +79,86 @@ Result<PolicyConfig> PolicyConfig::parse(std::string_view text) {
   return out;
 }
 
-bool register_policy_or_report(PolicyInfo info) {
-  auto result = PolicyRegistry::instance().add(std::move(info));
-  if (!result) {
-    std::fprintf(stderr, "pam: policy registration failed: %s\n",
-                 result.error().what().c_str());
-    return false;
-  }
-  return true;
-}
-
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry registry;
+const PolicyRegistry& PolicyRegistry::instance() {
+  static const PolicyRegistry registry;
   return registry;
 }
 
-PolicyRegistry::PolicyRegistry() {
-  // The built-ins live here — the same TU as instance() — so a static-lib
-  // link can never strip them.  Out-of-tree policies use
-  // PAM_REGISTER_MIGRATION_POLICY from their own .cpp.
-  (void)add({"none",
-             "never migrate (the paper's 'Original' configuration)",
-             {},
-             [](const PolicyConfig&) -> std::unique_ptr<MigrationPolicy> {
-               return std::make_unique<NoMigrationPolicy>();
-             }});
-  (void)add({"pam",
-             "Push Aside Migration: move border vNFs, never add a crossing",
-             {{"utilization_limit", 1.0, "device utilisation treated as full (Eq. 2/3)",
-               0.01, 2.0},
-              {"max_migrations", 64.0, "safety bound on moves per invocation",
-               0.0, 4096.0}},
-             [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-               PamOptions options;
-               options.utilization_limit = cfg.get("utilization_limit", 1.0);
-               options.max_migrations =
-                   static_cast<std::size_t>(cfg.get("max_migrations", 64.0));
-               return std::make_unique<PamPolicy>(options);
-             }});
-  (void)add({"naive",
-             "UNO-style baseline: migrate the bottleneck vNF",
-             {{"utilization_limit", 1.0, "device utilisation treated as full",
-               0.01, 2.0}},
-             [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-               return std::make_unique<NaiveBottleneckPolicy>(
-                   cfg.get("utilization_limit", 1.0));
-             }});
-  (void)add({"naive-min",
-             "poster-wording baseline: migrate the min-capacity vNF",
-             {{"utilization_limit", 1.0, "device utilisation treated as full",
-               0.01, 2.0}},
-             [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-               return std::make_unique<NaiveMinCapacityPolicy>(
-                   cfg.get("utilization_limit", 1.0));
-             }});
-  (void)add({"scale-in",
-             "PAM in reverse: pull pushed-aside vNFs back to the SmartNIC",
-             {{"smartnic_ceiling", 0.8, "post-pull SmartNIC ceiling (hysteresis)",
-               0.0, 1.0},
-              {"max_migrations", 64.0, "safety bound on moves per invocation",
-               0.0, 4096.0}},
-             [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-               ScaleInOptions options;
-               options.smartnic_ceiling = cfg.get("smartnic_ceiling", 0.8);
-               options.max_migrations =
-                   static_cast<std::size_t>(cfg.get("max_migrations", 64.0));
-               return std::make_unique<ScaleInPolicy>(options);
-             }});
-}
-
-Result<bool> PolicyRegistry::add(PolicyInfo info) {
-  if (info.name.empty()) {
-    return Error{"policy registration: empty name"};
-  }
-  if (info.factory == nullptr) {
-    return Error{format("policy '%s': registration without a factory",
-                        info.name.c_str())};
-  }
-  const auto [it, inserted] = entries_.try_emplace(info.name, std::move(info));
-  if (!inserted) {
-    return Error{format("policy '%s' is already registered", it->first.c_str())};
-  }
-  return true;
-}
-
-bool PolicyRegistry::remove(std::string_view name) {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return false;
-  }
-  entries_.erase(it);
-  return true;
-}
+PolicyRegistry::PolicyRegistry()
+    // The built-in table, sorted by name: names() lists it in this order.
+    : entries_{
+          {"naive",
+           "UNO-style baseline: migrate the bottleneck vNF",
+           {{"utilization_limit", 1.0, "device utilisation treated as full",
+             0.01, 2.0}},
+           [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
+             return std::make_unique<NaiveBottleneckPolicy>(
+                 cfg.get("utilization_limit", 1.0));
+           }},
+          {"naive-min",
+           "poster-wording baseline: migrate the min-capacity vNF",
+           {{"utilization_limit", 1.0, "device utilisation treated as full",
+             0.01, 2.0}},
+           [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
+             return std::make_unique<NaiveMinCapacityPolicy>(
+                 cfg.get("utilization_limit", 1.0));
+           }},
+          {"none",
+           "never migrate (the paper's 'Original' configuration)",
+           {},
+           [](const PolicyConfig&) -> std::unique_ptr<MigrationPolicy> {
+             return std::make_unique<NoMigrationPolicy>();
+           }},
+          {"pam",
+           "Push Aside Migration: move border vNFs, never add a crossing",
+           {{"utilization_limit", 1.0, "device utilisation treated as full (Eq. 2/3)",
+             0.01, 2.0},
+            {"max_migrations", 64.0, "safety bound on moves per invocation",
+             0.0, 4096.0}},
+           [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
+             PamOptions options;
+             options.utilization_limit = cfg.get("utilization_limit", 1.0);
+             options.max_migrations =
+                 static_cast<std::size_t>(cfg.get("max_migrations", 64.0));
+             return std::make_unique<PamPolicy>(options);
+           }},
+          {"scale-in",
+           "PAM in reverse: pull pushed-aside vNFs back to the SmartNIC",
+           {{"smartnic_ceiling", 0.8, "post-pull SmartNIC ceiling (hysteresis)",
+             0.0, 1.0},
+            {"max_migrations", 64.0, "safety bound on moves per invocation",
+             0.0, 4096.0}},
+           [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
+             ScaleInOptions options;
+             options.smartnic_ceiling = cfg.get("smartnic_ceiling", 0.8);
+             options.max_migrations =
+                 static_cast<std::size_t>(cfg.get("max_migrations", 64.0));
+             return std::make_unique<ScaleInPolicy>(options);
+           }},
+      } {}
 
 const PolicyInfo* PolicyRegistry::find(std::string_view name) const {
-  const auto it = entries_.find(name);
-  return it == entries_.end() ? nullptr : &it->second;
+  const auto it = std::find_if(entries_.begin(), entries_.end(),
+                               [name](const PolicyInfo& info) { return info.name == name; });
+  return it == entries_.end() ? nullptr : &*it;
 }
 
 std::vector<std::string> PolicyRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
-  for (const auto& [name, info] : entries_) {
-    out.push_back(name);
+  for (const PolicyInfo& info : entries_) {
+    out.push_back(info.name);
   }
-  return out;  // std::map iterates sorted
+  return out;
 }
 
 std::string PolicyRegistry::names_joined(std::string_view separator) const {
   std::string out;
-  for (const auto& [name, info] : entries_) {
+  for (const PolicyInfo& info : entries_) {
     if (!out.empty()) {
       out += separator;
     }
-    out += name;
+    out += info.name;
   }
   return out;
 }

@@ -2,34 +2,18 @@
 // migration policy the control plane can run.
 //
 // Scenario files, the pam_exp CLI and the experiment runner all select
-// policies by name (`pam`, `naive`, `naive-min`, `none`, `scale-in`, or
-// anything registered later) and tune them with key=value parameters — no
-// recompile, no string switch.  Unknown names and unknown parameter keys
-// are strict errors that list what IS registered, replacing the old silent
-// fall-back to NoMigrationPolicy.
+// policies by name (`pam`, `naive`, `naive-min`, `none`, `scale-in`) and
+// tune them with key=value parameters — no recompile, no string switch.
+// Unknown names and unknown parameter keys are strict errors that list what
+// IS registered, replacing the old silent fall-back to NoMigrationPolicy.
 //
-// Adding a policy is a one-file change (docs/ARCHITECTURE.md has the full
-// recipe): implement MigrationPolicy, then register a PolicyInfo from the
-// same .cpp —
-//
-//   PAM_REGISTER_MIGRATION_POLICY(my_policy, (PolicyInfo{
-//       "my-policy",
-//       "one-line summary",
-//       {{"knob", 1.0, "what the knob does"}},
-//       [](const PolicyConfig& cfg) -> std::unique_ptr<MigrationPolicy> {
-//         return std::make_unique<MyPolicy>(cfg.get("knob", 1.0));
-//       }}))
-//
-// (Keep the registration in a translation unit that is certainly linked —
-// e.g. next to code the binary already calls; a static library may drop an
-// otherwise-unreferenced TU together with its registrar.)
-//
-// The registry is process-wide and single-threaded, like the simulator.
+// The registry is a fixed table of the built-in policies.  Adding a policy
+// is one row: implement MigrationPolicy, then add its PolicyInfo to the
+// table in policy_registry.cpp (docs/ARCHITECTURE.md has the recipe).
 
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -90,20 +74,10 @@ struct PolicyInfo {
 
 class PolicyRegistry {
  public:
-  /// The process-wide registry; built-ins are registered on first use.
-  [[nodiscard]] static PolicyRegistry& instance();
-
-  /// Registers `info`.  Empty names, missing factories and duplicate names
-  /// are rejected (the error names the clash).
-  Result<bool> add(PolicyInfo info);
-
-  /// Removes a registration (test isolation for throwaway policies).
-  bool remove(std::string_view name);
+  /// The process-wide registry of built-in policies.
+  [[nodiscard]] static const PolicyRegistry& instance();
 
   [[nodiscard]] const PolicyInfo* find(std::string_view name) const;
-  [[nodiscard]] bool contains(std::string_view name) const {
-    return find(name) != nullptr;
-  }
 
   /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
@@ -121,25 +95,9 @@ class PolicyRegistry {
   Result<std::unique_ptr<MigrationPolicy>> create(const PolicyConfig& config) const;
 
  private:
-  PolicyRegistry();  ///< registers the built-in policies
+  PolicyRegistry();  ///< fills the built-in table
 
-  std::map<std::string, PolicyInfo, std::less<>> entries_;
+  std::vector<PolicyInfo> entries_;  ///< sorted by name
 };
-
-/// add() for static registrars: a failure (duplicate name, missing
-/// factory) is printed to stderr so a clashing registration can never
-/// vanish silently.  Returns whether the registration took effect.
-bool register_policy_or_report(PolicyInfo info);
-
-/// Registers a policy at static-initialisation time from the defining
-/// translation unit.  `ident` must be unique within the TU; `...` is a
-/// parenthesised `PolicyInfo{...}` initialiser (see the file comment for a
-/// worked example and the linker caveat).  Name clashes are reported on
-/// stderr at process start.
-#define PAM_REGISTER_MIGRATION_POLICY(ident, ...)            \
-  namespace {                                                \
-  const bool pam_policy_registrar_##ident =                  \
-      ::pam::register_policy_or_report(__VA_ARGS__);         \
-  }
 
 }  // namespace pam

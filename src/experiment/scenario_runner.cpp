@@ -362,29 +362,14 @@ Result<RunResult> run_deployment(const ScenarioSpec& spec) {
   return result;
 }
 
-/// The [cluster] control knobs, shared by the rack controllers and the
-/// orchestrator.
-template <typename Options>
-Options control_options(const ClusterSpec& cs) {
-  Options opts;
-  opts.trigger_utilization = cs.trigger_utilization;
-  opts.target_max_load = cs.target_max_load;
-  opts.period = SimTime::milliseconds(cs.period_ms);
-  opts.first_check = SimTime::milliseconds(cs.first_check_ms);
-  opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
-  return opts;
-}
-
 /// A fleet scenario wired for its run: the racks, one fleet controller per
 /// rack, and the orchestrator leasing chains across racks.  Heap-held by
 /// build_fleet so the hooks the wiring installs keep pointing at it.
 struct Fleet {
-  explicit Fleet(const DatacenterSimulator::Options& options)
-      : dc{options}, local_to_global(dc.num_racks()) {}
+  explicit Fleet(const DatacenterSimulator::Options& options) : dc{options} {}
 
   DatacenterSimulator dc;
   std::vector<std::string> before;  ///< chain descriptions before the run
-  std::vector<std::vector<std::size_t>> local_to_global;  ///< per rack
   std::vector<std::unique_ptr<FleetController>> controllers;  ///< per rack
   std::optional<DatacenterOrchestrator> orchestrator;
 };
@@ -473,7 +458,6 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
     cfg.seed = Rng::derive(spec.seed, i);
     fleet->before.push_back(parsed.value().describe());
     dc.add_chain(std::move(parsed).value(), std::move(cfg), home);
-    fleet->local_to_global[dc.home_rack_of(i)].push_back(i);
     if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
       dc.chain_sim(i).set_active_window(
           SimTime::milliseconds(decl.arrive_ms),
@@ -482,8 +466,15 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
     }
   }
 
+  // The [cluster] control knobs, shared by the rack controllers and the
+  // orchestrator.
+  FleetControllerOptions opts;
+  opts.trigger_utilization = cs.trigger_utilization;
+  opts.target_max_load = cs.target_max_load;
+  opts.period = SimTime::milliseconds(cs.period_ms);
+  opts.first_check = SimTime::milliseconds(cs.first_check_ms);
+  opts.cooldown = SimTime::milliseconds(cs.cooldown_ms);
   if (cs.rebalance) {
-    const auto opts = control_options<FleetControllerOptions>(cs);
     fleet->controllers.reserve(dc.num_racks());
     for (std::size_t r = 0; r < dc.num_racks(); ++r) {
       auto policy = make_policy(spec.policy);
@@ -511,14 +502,18 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
   }
 
   if (cs.rebalance && cs.orchestrate && dc.num_racks() > 1) {
-    const auto opts = control_options<DatacenterOrchestratorOptions>(cs);
+    DatacenterOrchestratorOptions dc_opts;
+    dc_opts.period = opts.period;
+    dc_opts.first_check = opts.first_check;
+    dc_opts.cooldown = opts.cooldown;
+    dc_opts.target_max_load = opts.target_max_load;
     std::vector<FleetController*> racks;
     racks.reserve(fleet->controllers.size());
     for (auto& controller : fleet->controllers) {
       racks.push_back(controller.get());
     }
     DatacenterOrchestrator* orchestrator =
-        &fleet->orchestrator.emplace(dc, std::move(racks), opts);
+        &fleet->orchestrator.emplace(dc, std::move(racks), dc_opts);
     dc.set_barrier_hook([orchestrator](SimTime t, bool draining) {
       orchestrator->on_barrier(t, draining);
     });
@@ -548,7 +543,7 @@ ClusterResult collect_fleet(const ScenarioSpec& spec, Fleet& fleet,
   for (std::size_t r = 0; r < fleet.controllers.size(); ++r) {
     const FleetController& controller = *fleet.controllers[r];
     for (ControlEvent ev : controller.events()) {
-      ev.chain = fleet.local_to_global[r].at(ev.chain);
+      ev.chain = dc.global_chain(r, ev.chain);
       ev.server = dc.global_server(r, ev.server);
       cr.events.push_back(std::move(ev));
     }

@@ -41,6 +41,7 @@ DatacenterSimulator::DatacenterSimulator(const Options& options)
   assert(options.cross_rack_latency.ns() > 0 &&
          "the epoch quantum (cross-rack latency) must be positive");
   racks_.reserve(options.shards);
+  rack_chains_.resize(options.shards);
   for (std::size_t r = 0; r < options.shards; ++r) {
     racks_.push_back(std::make_unique<ClusterSimulator>(
         per_rack_, options.calibration, options.intra_rack_latency));
@@ -57,6 +58,7 @@ std::size_t DatacenterSimulator::add_chain(ServiceChain chain,
   const std::size_t global_c = chain_map_.size();
   chain_map_.push_back(ChainRef{r, local});
   chain_home_.push_back(home);
+  rack_chains_[r].push_back(global_c);
   racks_[r]->chain_sim(local).set_fabric_egress(this, kFabricEgress, global_c);
   return global_c;
 }

@@ -130,6 +130,11 @@ class DatacenterSimulator final : public EventSink {
   [[nodiscard]] std::size_t local_chain_of(std::size_t c) const {
     return chain_map_.at(c).local;
   }
+  /// Inverse of (home_rack_of, local_chain_of).  Written only by add_chain,
+  /// so shard threads may read it mid-run.
+  [[nodiscard]] std::size_t global_chain(std::size_t r, std::size_t local) const {
+    return rack_chains_.at(r).at(local);
+  }
   [[nodiscard]] std::size_t home_server_of(std::size_t c) const {
     return chain_home_.at(c);
   }
@@ -234,6 +239,7 @@ class DatacenterSimulator final : public EventSink {
   ShardFabric fabric_;
   std::vector<ChainRef> chain_map_;     ///< global chain -> (rack, local)
   std::vector<std::size_t> chain_home_; ///< global chain -> global home slot
+  std::vector<std::vector<std::size_t>> rack_chains_;  ///< [rack][local] -> global
   std::vector<std::unique_ptr<Lease>> leases_;  ///< in commit order
   /// [global chain][node] -> its lease, or null; rows grow in commit_lease.
   std::vector<std::vector<Lease*>> lease_index_;

@@ -2,11 +2,17 @@
 // conservation and pool drain, cross-server scale-out mechanics, fleet
 // aggregation, and bit-identical JSON across identical cluster runs.
 // Every rack runs on a one-rack DatacenterSimulator, the path every
-// `shards = 1` scenario takes.
+// `shards = 1` scenario takes.  pick_border_move, the target scan the rack
+// and datacenter tiers share, is tested directly at the end.
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "chain/chain_builder.hpp"
 #include "control/fleet_controller.hpp"
@@ -323,6 +329,86 @@ TEST(Cluster, IdenticalRunsProduceBitIdenticalJson) {
   // The scale-out event must be visible in the metrics.
   EXPECT_NE(a.find("\"scale_out_moves\": 1"), std::string::npos) << a;
   EXPECT_NE(a.find("\"conserved\": true"), std::string::npos);
+}
+
+// --- pick_border_move: the target scan both scale-out tiers share --------
+
+/// A chain of SmartNIC NFs with 10 Gbps CPU capacity and the given SmartNIC
+/// capacities, so at 1 Gbps offered node i adds 1/nic_gbps[i] to a slot.
+ServiceChain border_chain(std::initializer_list<double> nic_gbps) {
+  ServiceChain chain{"borders"};
+  for (const double nic : nic_gbps) {
+    NfSpec spec;
+    spec.name = "nf" + std::to_string(chain.size());
+    spec.capacity = CapacityProfile{Gbps{nic}, Gbps{10.0}};
+    chain.add_node(std::move(spec), Location::kSmartNic);
+  }
+  return chain;
+}
+
+/// pick_border_move at 1 Gbps under a `ceiling` (default 0.9), over a fixed
+/// table of slot loads (nullopt: the caller excludes that slot).
+std::optional<BorderMove> pick(const ServiceChain& chain,
+                               const std::vector<std::size_t>& candidates,
+                               const std::vector<std::optional<UtilizationReport>>& slots,
+                               double ceiling = 0.9) {
+  return pick_border_move(chain, candidates, Gbps{1.0}, ceiling, slots.size(),
+                          [&](std::size_t s) { return slots.at(s); });
+}
+
+TEST(PickBorderMove, LeastLoadedFittingSlotWins) {
+  const ServiceChain chain = border_chain({2.0});  // adds 0.5
+  // Slot 1 is the least loaded but 0.42 + 0.5 overshoots the ceiling; slot
+  // 2 (load 0.5) beats slot 0 (load 0.6) and both fit.
+  const auto move = pick(chain, {0}, {UtilizationReport{0.1, 0.6}, UtilizationReport{0.42, 0.0},
+                                      UtilizationReport{0.1, 0.5}});
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->node, 0u);
+  EXPECT_EQ(move->slot, 2u);
+  EXPECT_DOUBLE_EQ(move->projected, 0.6);
+}
+
+TEST(PickBorderMove, ExcludedSlotsAreSkipped) {
+  const ServiceChain chain = border_chain({10.0});
+  const auto move =
+      pick(chain, {0}, {std::nullopt, UtilizationReport{0.3, 0.0}, std::nullopt});
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->slot, 1u);
+}
+
+TEST(PickBorderMove, EqualLoadGoesToTheLowestSlot) {
+  const ServiceChain chain = border_chain({10.0});
+  const auto move = pick(chain, {0}, {UtilizationReport{0.5, 0.0}, UtilizationReport{0.2, 0.1},
+                                      UtilizationReport{0.1, 0.2}});
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->slot, 1u);
+}
+
+TEST(PickBorderMove, CandidateWithNoFittingSlotFallsThrough) {
+  const ServiceChain chain = border_chain({2.0, 10.0});  // adds 0.5, 0.1
+  const auto move = pick(chain, {0, 1}, {UtilizationReport{0.5, 0.0}});
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->node, 1u);
+  EXPECT_EQ(move->slot, 0u);
+  EXPECT_DOUBLE_EQ(move->projected, 0.6);
+}
+
+TEST(PickBorderMove, CandidateWithoutSmartNicCapacityIsSkipped) {
+  // Even with no ceiling, where a zero-capacity NF's infinite demand would
+  // "fit", it is never chosen.
+  const ServiceChain chain = border_chain({0.0, 10.0});
+  const auto move = pick(chain, {0, 1}, {UtilizationReport{0.0, 0.0}},
+                         std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->node, 1u);
+}
+
+TEST(PickBorderMove, NothingFits) {
+  const ServiceChain chain = border_chain({2.0});
+  EXPECT_FALSE(pick(chain, {0}, {UtilizationReport{0.5, 0.0}, std::nullopt,
+                                 UtilizationReport{0.1, 0.95}})
+                   .has_value());
+  EXPECT_FALSE(pick(chain, {}, {UtilizationReport{0.0, 0.0}}).has_value());
 }
 
 }  // namespace
