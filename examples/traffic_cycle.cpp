@@ -38,9 +38,9 @@ int main() {
   opts.period = SimTime::milliseconds(5);
   opts.first_check = SimTime::milliseconds(5);
   opts.cooldown = SimTime::milliseconds(30);
-  opts.scale_in_below_utilization = 0.55;  // hysteresis band under the trigger
   Controller controller{sim, std::make_unique<PamPolicy>(), opts};
-  controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>());
+  // 0.55: a hysteresis band under the trigger.
+  controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>(), 0.55);
   controller.arm();
 
   std::printf("chain: %s\nload:  %s\n\n", chain.describe().c_str(),

@@ -105,13 +105,8 @@ bool ControlPlane::chain_busy_or_cooling(std::size_t c) const {
 }
 
 void ControlPlane::check(std::size_t c) {
-  if (actuator_.in_flight(c)) {
-    return;  // one action at a time per chain
-  }
-  const ChainState& state = chains_.at(c);
-  if (state.last_action_done.ns() >= 0 &&
-      kernel_.now() - state.last_action_done < options_.cooldown) {
-    return;
+  if (chain_busy_or_cooling(c)) {
+    return;  // one action at a time per chain, then a quiet cooldown
   }
 
   const Sample sample = sensor_.sense(c);
@@ -123,7 +118,7 @@ void ControlPlane::check(std::size_t c) {
     // Calm direction: pull pushed-aside vNFs back when well under the
     // trigger and a scale-in policy is installed.
     if (scale_in_policy_ != nullptr &&
-        sample.util.smartnic < options_.scale_in_below_utilization) {
+        sample.util.smartnic < scale_in_below_) {
       Planned back = sensor_.plan(c, *scale_in_policy_, sample.offered);
       if (back.plan.feasible && !back.plan.empty()) {
         ControlEvent planned;

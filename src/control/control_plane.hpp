@@ -16,8 +16,9 @@
 //       infeasible     — Actuator::scale_out (record the OpenNF request on
 //                        one box; actually move a border NF cross-server in
 //                        a rack)
-//     calm?            — optionally run the scale-in policy (pull pushed-
-//                        aside vNFs back to the SmartNIC)
+//     calm?            — when a scale-in policy is installed and the
+//                        SmartNIC sits below its threshold, run it (pull
+//                        pushed-aside vNFs back to the SmartNIC)
 //
 // Controller and FleetController are thin specialisations: they implement
 // the Sensor (what "load" and "the chain" mean locally) and the Actuator
@@ -28,7 +29,10 @@
 //
 // The datacenter tier above them (DatacenterOrchestrator) is not a client:
 // it has no policy to plan with, only a barrier-time check that leases a
-// border NF to another rack through the rack tier's target scan.
+// border NF to another rack through the rack tier's target scan.  All three
+// tiers share one knob set: ControlPlaneOptions (extended by the racks'
+// FleetControllerOptions, which the orchestrator reads too) and the
+// kRateWindow constant below.
 
 #pragma once
 
@@ -85,9 +89,12 @@ struct ControlEvent {
 /// Every kind, in declaration order — for docs, CLIs and CI validators.
 [[nodiscard]] const std::vector<ControlEvent::Kind>& all_control_event_kinds();
 
+/// Trailing window every control tier (box, rack, datacenter) uses to
+/// estimate a chain's offered load.
+inline constexpr SimTime kRateWindow = SimTime::milliseconds(5.0);
+
 /// The shared loop's knobs.  Identical semantics on one box and on a rack;
-/// rack-only knobs (target slot ceiling, fabric cost) live with
-/// FleetController.
+/// the rack-only target slot ceiling lives with FleetController.
 struct ControlPlaneOptions {
   SimTime period = SimTime::milliseconds(10.0);
   SimTime first_check = SimTime::milliseconds(10.0);
@@ -95,14 +102,6 @@ struct ControlPlaneOptions {
   double trigger_utilization = 1.0;
   /// Quiet time per chain after a completed action before re-triggering.
   SimTime cooldown = SimTime::milliseconds(20.0);
-  /// Trailing window used to estimate the offered load.
-  SimTime rate_window = SimTime::milliseconds(5.0);
-
-  /// Bidirectional placement: when set, the scale-in policy (see
-  /// ControlPlane::set_scale_in_policy) runs whenever the SmartNIC sits
-  /// *below* this threshold, returning pushed-aside vNFs.  Keep it well
-  /// under the overload trigger to avoid migration ping-pong.
-  double scale_in_below_utilization = 0.0;  ///< 0 disables scale-in
 };
 
 class ControlPlane {
@@ -172,10 +171,13 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  /// Installs the calm-direction policy (see
-  /// ControlPlaneOptions::scale_in_below_utilization).
-  void set_scale_in_policy(std::unique_ptr<MigrationPolicy> policy) {
+  /// Bidirectional placement: installs the calm-direction policy, which
+  /// runs whenever a chain's SmartNIC sits *below* `below`, returning
+  /// pushed-aside vNFs.  Keep `below` well under the overload trigger to
+  /// avoid migration ping-pong.
+  void set_scale_in_policy(std::unique_ptr<MigrationPolicy> policy, double below) {
     scale_in_policy_ = std::move(policy);
+    scale_in_below_ = below;
   }
 
   /// Per-chain policy override (heterogeneous fleets); nullptr restores the
@@ -191,7 +193,6 @@ class ControlPlane {
   [[nodiscard]] const std::vector<ControlEvent>& events() const noexcept {
     return events_;
   }
-  [[nodiscard]] const ControlPlaneOptions& options() const noexcept { return options_; }
   [[nodiscard]] std::size_t num_chains() const noexcept { return chains_.size(); }
 
   /// Appends `event` stamped with the current simulated time.  Public so
@@ -223,6 +224,7 @@ class ControlPlane {
   Actuator& actuator_;
   std::unique_ptr<MigrationPolicy> policy_;
   std::unique_ptr<MigrationPolicy> scale_in_policy_;
+  double scale_in_below_ = 0.0;  ///< SmartNIC level the scale-in policy runs under
   std::vector<std::unique_ptr<MigrationPolicy>> chain_policies_;  ///< overrides
   ControlPlaneOptions options_;
   std::vector<ChainState> chains_;

@@ -14,7 +14,7 @@ Controller::Controller(ChainSimulator& sim, std::unique_ptr<MigrationPolicy> pol
 
 ControlPlane::Sample Controller::sense(std::size_t /*c*/) const {
   ControlPlane::Sample sample;
-  sample.offered = sim_.observed_ingress_rate(plane_.options().rate_window);
+  sample.offered = sim_.observed_ingress_rate(kRateWindow);
   sample.util = analyzer_.utilization(sim_.chain(), sample.offered);
   return sample;
 }

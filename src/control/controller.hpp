@@ -39,10 +39,10 @@ class Controller final : private ControlPlane::Sensor,
   Controller(ChainSimulator& sim, std::unique_ptr<MigrationPolicy> policy,
              ControllerOptions options = {});
 
-  /// Installs the calm-direction policy (see
-  /// ControlPlaneOptions::scale_in_below_utilization).
-  void set_scale_in_policy(std::unique_ptr<MigrationPolicy> policy) {
-    plane_.set_scale_in_policy(std::move(policy));
+  /// Installs the calm-direction policy, run while the SmartNIC sits below
+  /// `below` (see ControlPlane::set_scale_in_policy).
+  void set_scale_in_policy(std::unique_ptr<MigrationPolicy> policy, double below) {
+    plane_.set_scale_in_policy(std::move(policy), below);
   }
 
   /// Registers the periodic check with the simulator.  Call before run().

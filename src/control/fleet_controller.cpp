@@ -50,7 +50,7 @@ FleetController::FleetController(ClusterSimulator& cluster,
              std::move(policy), options) {
   analyzers_.reserve(cluster_.num_servers());
   for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-    analyzers_.emplace_back(cluster_.server(s), cluster_.calibration());
+    analyzers_.emplace_back(cluster_.server(s));
   }
   chains_.resize(cluster_.num_chains());
   views_.resize(cluster_.num_chains());
@@ -65,6 +65,14 @@ std::size_t FleetController::migrations_executed() const noexcept {
     n += state.engine->records().size();
   }
   return n;
+}
+
+std::optional<UtilizationReport> FleetController::target_load(std::size_t s,
+                                                             std::size_t away) const {
+  if (s == away || !cluster_.server_alive(s)) {
+    return std::nullopt;
+  }
+  return UtilizationReport{cluster_.server_nic_load(s), cluster_.server_cpu_load(s)};
 }
 
 const FleetController::HomeView& FleetController::home_view(std::size_t c) const {
@@ -99,7 +107,7 @@ ControlPlane::Sample FleetController::sense(std::size_t c) const {
 
   ControlPlane::Sample sample;
   sample.server = home;
-  sample.offered = sim.observed_ingress_rate(options_.rate_window);
+  sample.offered = sim.observed_ingress_rate(kRateWindow);
 
   const ServiceChain& resident = home_view(c).chain;
   if (resident.empty()) {
@@ -188,14 +196,7 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
   // just trade one hot spot for another.
   const std::optional<BorderMove> move = pick_border_move(
       sim.chain(), candidates, offered, options_.target_max_load,
-      cluster_.num_servers(),
-      [&](std::size_t s) -> std::optional<UtilizationReport> {
-        if (s == home || !cluster_.server_alive(s)) {
-          return std::nullopt;
-        }
-        return UtilizationReport{cluster_.server_nic_load(s),
-                                 cluster_.server_cpu_load(s)};
-      });
+      cluster_.num_servers(), [&](std::size_t s) { return target_load(s, home); });
   if (!move) {
     ControlEvent event;
     event.kind = ControlEvent::Kind::kInfeasible;
@@ -226,11 +227,9 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
   // rack granularity.
   ++chains_.at(c).remote_moves_in_flight;
   sim.pause_node(idx);
-  cluster_.kernel().schedule_after(
-      options_.remote_migration_cost, [this, c, idx, target] {
-        complete_remote_move(c, idx, target,
-                             ControlEvent::Kind::kCrossServerMove);
-      });
+  cluster_.kernel().schedule_after(kRemoteMoveCost, [this, c, idx, target] {
+    complete_remote_move(c, idx, target, ControlEvent::Kind::kCrossServerMove);
+  });
 }
 
 void FleetController::complete_remote_move(std::size_t c, std::size_t node,
@@ -292,21 +291,12 @@ void FleetController::on_server_failed(std::size_t server) {
         continue;  // paused: an in-flight move owns this node; remote: the
                    // node lives on another rack, untouched by this failure
       }
-      // Least-loaded surviving slot.  No target_max_load fit check here —
-      // getting off the dead slot outranks the load SLO.
-      std::size_t target = server;
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-        if (s == server || !cluster_.server_alive(s)) {
-          continue;
-        }
-        const double load = cluster_.server_load(s);
-        if (load < best) {
-          best = load;
-          target = s;
-        }
-      }
-      if (target == server) {
+      // Least-loaded surviving slot: the shared scan with no load to add and
+      // no ceiling — getting off the dead slot outranks the load SLO.
+      const std::optional<BorderMove> move = pick_border_move(
+          sim.chain(), {i}, Gbps{0.0}, std::numeric_limits<double>::infinity(),
+          cluster_.num_servers(), [&](std::size_t s) { return target_load(s, server); });
+      if (!move) {
         ControlEvent event;
         event.kind = ControlEvent::Kind::kInfeasible;
         event.chain = c;
@@ -320,10 +310,9 @@ void FleetController::on_server_failed(std::size_t server) {
       }
       ++chains_.at(c).remote_moves_in_flight;
       sim.pause_node(i);
-      cluster_.kernel().schedule_after(
-          options_.remote_migration_cost, [this, c, i, target] {
-            complete_remote_move(c, i, target, ControlEvent::Kind::kEvacuated);
-          });
+      cluster_.kernel().schedule_after(kRemoteMoveCost, [this, c, i, target = move->slot] {
+        complete_remote_move(c, i, target, ControlEvent::Kind::kEvacuated);
+      });
     }
   }
 }

@@ -41,14 +41,17 @@
 
 namespace pam {
 
-/// The shared loop's knobs plus the rack-only ones.
+/// Pause-to-resume cost of one NF move off its home slot: a cross-server
+/// move or evacuation over the rack fabric, or a cross-rack lease over the
+/// datacenter fabric (state transfer + control-plane setup; coarser than
+/// the per-blob PCIe model the single-server engine uses).
+inline constexpr SimTime kRemoteMoveCost = SimTime::milliseconds(1.0);
+
+/// The shared loop's knobs plus the target ceiling, for the rack tier and
+/// the datacenter orchestrator above it alike.
 struct FleetControllerOptions : ControlPlaneOptions {
   /// A target slot qualifies only while its hottest device is below this.
   double target_max_load = 0.9;
-  /// Pause-to-resume cost of one cross-server NF move (state over the rack
-  /// fabric + control-plane setup; coarser than the per-blob PCIe model the
-  /// single-server engine uses).
-  SimTime remote_migration_cost = SimTime::milliseconds(1.0);
 };
 
 /// A border NF chosen to be pushed aside to another slot.
@@ -59,14 +62,16 @@ struct BorderMove {
 };
 
 /// PAM's push-aside at fleet scale, the one target scan both scale-out
-/// tiers share.  For each `candidates` node in order (SmartNIC border NFs;
-/// one with no SmartNIC capacity is skipped), projects its SmartNIC demand
-/// at `offered` onto every slot in [0, slots) and takes the least-loaded
-/// slot whose hottest device stays at or below `target_max_load` after
+/// tiers and failure evacuation share.  For each `candidates` node in
+/// order (SmartNIC border NFs; one with no SmartNIC capacity is skipped,
+/// which no chain spec can build), projects its SmartNIC demand at
+/// `offered` onto every slot in [0, slots) and takes the least-loaded slot
+/// whose hottest device stays at or below `target_max_load` after
 /// absorbing it — ties go to the lowest slot, so the choice is
 /// deterministic.  `load(s)` is slot s's device utilisation, or nullopt for
 /// a slot the caller excludes (home, dead).  The first candidate that fits
-/// anywhere wins; nullopt when none does.
+/// anywhere wins; nullopt when none does.  At 0 Gbps with an infinite
+/// ceiling this is the plain least-loaded scan evacuation needs.
 [[nodiscard]] std::optional<BorderMove> pick_border_move(
     const ServiceChain& chain, const std::vector<std::size_t>& candidates,
     Gbps offered, double target_max_load, std::size_t slots,
@@ -92,11 +97,12 @@ class FleetController final : private ControlPlane::Sensor,
   void arm() { plane_.arm(); }
 
   /// Failure response: evacuates every non-paused NF bound to `server` to
-  /// the least-loaded surviving slot, loss-free (pause -> fabric transfer ->
-  /// re-bind -> flush), emitting one kEvacuated event per NF.  Survival
-  /// outranks the SLO, so evacuation ignores target_max_load.  Call after
-  /// ClusterSimulator::fail_server(server); NFs already paused by an
-  /// in-flight move are handled by that move's own dead-target abort.
+  /// the least-loaded surviving slot (pick_border_move with no ceiling),
+  /// loss-free (pause -> fabric transfer -> re-bind -> flush), emitting one
+  /// kEvacuated event per NF.  Survival outranks the SLO, so evacuation
+  /// ignores target_max_load.  Call after ClusterSimulator::fail_server(
+  /// server); NFs already paused by an in-flight move are handled by that
+  /// move's own dead-target abort.
   void on_server_failed(std::size_t server);
 
   [[nodiscard]] const std::vector<ControlEvent>& events() const noexcept {
@@ -158,6 +164,11 @@ class FleetController final : private ControlPlane::Sensor,
   /// instant with no placement change in between, so a view built "now" is
   /// valid for the whole tick.
   [[nodiscard]] const HomeView& home_view(std::size_t c) const;
+
+  /// Slot `s`'s device loads as a move target for pick_border_move:
+  /// nullopt for `away` (the slot the NF leaves) and for a dead slot.
+  [[nodiscard]] std::optional<UtilizationReport> target_load(std::size_t s,
+                                                             std::size_t away) const;
 
   ClusterSimulator& cluster_;
   FleetControllerOptions options_;

@@ -1,6 +1,7 @@
 #include "control/orchestrator.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <optional>
 #include <utility>
 
@@ -18,19 +19,18 @@ constexpr const char* kSaturated =
 
 DatacenterOrchestrator::DatacenterOrchestrator(
     DatacenterSimulator& dc, std::vector<FleetController*> racks,
-    DatacenterOrchestratorOptions options)
+    const FleetControllerOptions& options)
     : dc_(dc),
       racks_(std::move(racks)),
       options_(options),
       cooling_until_(dc.num_chains(), SimTime::zero()),
       next_check_(options.first_check) {
+  assert(racks_.size() == dc.num_racks() && "one controller per rack");
   for (std::size_t r = 0; r < racks_.size(); ++r) {
-    if (racks_[r] != nullptr) {
-      // Called from the rack's shard thread: the chain map is fixed before
-      // the run and holds() reads only barrier-published state.
-      racks_[r]->set_external_hold(
-          [this, r](std::size_t local) { return holds(dc_.global_chain(r, local)); });
-    }
+    // Called from the rack's shard thread: the chain map is fixed before
+    // the run and holds() reads only barrier-published state.
+    racks_[r]->set_external_hold(
+        [this, r](std::size_t local) { return holds(dc_.global_chain(r, local)); });
   }
 }
 
@@ -81,15 +81,12 @@ void DatacenterOrchestrator::emit(SimTime t, ControlEvent event) {
 void DatacenterOrchestrator::check_all(SimTime t) {
   for (std::size_t c = 0; c < dc_.num_chains(); ++c) {
     const std::size_t r = dc_.home_rack_of(c);
-    FleetController* rack_controller = r < racks_.size() ? racks_[r] : nullptr;
-    if (holds(c) ||
-        (rack_controller != nullptr &&
-         rack_controller->plane().chain_busy_or_cooling(dc_.local_chain_of(c))) ||
+    if (holds(c) || racks_[r]->plane().chain_busy_or_cooling(dc_.local_chain_of(c)) ||
         !rack_pressured(r)) {
       continue;  // ours in flight, the rack tier's, or intra-rack can help
     }
     const std::size_t home = dc_.home_server_of(c);
-    const Gbps offered = dc_.chain_sim(c).observed_ingress_rate(options_.rate_window);
+    const Gbps offered = dc_.chain_sim(c).observed_ingress_rate(kRateWindow);
     ControlEvent triggered;
     triggered.kind = ControlEvent::Kind::kTriggered;
     triggered.chain = c;
@@ -166,7 +163,7 @@ void DatacenterOrchestrator::lease(std::size_t c, Gbps offered, SimTime t) {
   sim.pause_node(move->node);
   pending_.push_back(PendingLease{
       c, move->node, move->slot,
-      t + std::max(options_.lease_migration_cost, dc_.quantum())});
+      t + std::max(kRemoteMoveCost, dc_.quantum())});
 }
 
 void DatacenterOrchestrator::commit_due(SimTime t) {

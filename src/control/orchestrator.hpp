@@ -6,7 +6,10 @@
 // but over every slot outside the home rack, and its act is a cross-rack
 // lease: a border NF of a chain homed on a saturated rack moves to the
 // least-loaded slot of another rack (ControlEvent kind `cross_rack_move`),
-// where packets reach it over the epoch-synchronized shard fabric.
+// where packets reach it over the epoch-synchronized shard fabric.  It has
+// no knobs of its own: it reads the racks' FleetControllerOptions (period,
+// first check, cooldown, target ceiling) and the shared kRateWindow and
+// kRemoteMoveCost constants.
 //
 // Determinism contract: the orchestrator runs only at epoch barriers (the
 // DatacenterSimulator's barrier hook), when every shard kernel is parked at
@@ -34,31 +37,16 @@
 
 namespace pam {
 
-struct DatacenterOrchestratorOptions {
-  SimTime period = SimTime::milliseconds(10.0);
-  SimTime first_check = SimTime::milliseconds(10.0);
-  /// Quiet time per chain after a lease commits (or aborts).
-  SimTime cooldown = SimTime::milliseconds(20.0);
-  /// Trailing window used to estimate a chain's offered load.
-  SimTime rate_window = SimTime::milliseconds(5.0);
-  /// A lease target qualifies only while its hottest device stays below
-  /// this after absorbing the NF (same semantics as the rack controller's
-  /// knob, applied fleet-wide).
-  double target_max_load = 0.9;
-  /// Pause-to-commit cost of one cross-rack lease (state transfer over the
-  /// datacenter fabric); rounded up to at least one epoch so the commit
-  /// always lands on a barrier after the decision.
-  SimTime lease_migration_cost = SimTime::milliseconds(1.0);
-};
-
 class DatacenterOrchestrator final {
  public:
-  /// `racks[r]` is rack r's FleetController (may hold fewer entries than
-  /// racks; missing ones mean the rack runs uncontrolled).  Installs the
-  /// mutual-hold predicate into every provided controller.
+  /// `racks[r]` is rack r's FleetController, one per rack, built with
+  /// `options`; the orchestrator checks every `period` and holds a chain
+  /// for `cooldown` after a lease, and a lease target must stay at or
+  /// below `target_max_load` after absorbing the NF.  Installs the
+  /// mutual-hold predicate into every controller.
   DatacenterOrchestrator(DatacenterSimulator& dc,
                          std::vector<FleetController*> racks,
-                         DatacenterOrchestratorOptions options = {});
+                         const FleetControllerOptions& options);
 
   DatacenterOrchestrator(const DatacenterOrchestrator&) = delete;
   DatacenterOrchestrator& operator=(const DatacenterOrchestrator&) = delete;
@@ -112,7 +100,7 @@ class DatacenterOrchestrator final {
 
   DatacenterSimulator& dc_;
   std::vector<FleetController*> racks_;
-  DatacenterOrchestratorOptions options_;
+  FleetControllerOptions options_;
   std::vector<PendingLease> pending_;     ///< barrier-mutated, in decide order
   std::vector<SimTime> cooling_until_;    ///< per chain; barrier-mutated
   std::vector<ControlEvent> events_;

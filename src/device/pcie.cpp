@@ -19,11 +19,6 @@ PcieLink PcieLink::calibrated_default() {
   return PcieLink{32.0_gbps, SimTime::microseconds(32.0), 40.0_gbps};
 }
 
-void PcieLink::use_simple_model(SimTime fixed_latency) noexcept {
-  kind_ = PcieModelKind::kSimple;
-  simple_fixed_latency_ = fixed_latency;
-}
-
 void PcieLink::use_detailed_model(const PcieDetailedParams& params) noexcept {
   kind_ = PcieModelKind::kDetailed;
   detailed_ = params;

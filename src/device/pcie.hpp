@@ -53,9 +53,7 @@ class PcieLink {
   [[nodiscard]] Gbps host_cost_rate() const noexcept { return host_cost_rate_; }
   [[nodiscard]] PcieModelKind kind() const noexcept { return kind_; }
 
-  void use_simple_model(SimTime fixed_latency) noexcept;
   void use_detailed_model(const PcieDetailedParams& params) noexcept;
-  [[nodiscard]] const PcieDetailedParams& detailed_params() const noexcept { return detailed_; }
 
   /// One-way latency for a frame of `size`: fixed cost + serialisation.
   [[nodiscard]] SimTime crossing_latency(Bytes size) const noexcept;

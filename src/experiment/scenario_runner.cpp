@@ -269,7 +269,6 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
 
   ControllerOptions opts;
   opts.trigger_utilization = spec.controller.trigger_utilization;
-  opts.scale_in_below_utilization = spec.controller.scale_in_below;
   opts.period = SimTime::milliseconds(spec.controller.period_ms);
   opts.first_check = SimTime::milliseconds(spec.controller.first_check_ms);
   opts.cooldown = SimTime::milliseconds(spec.controller.cooldown_ms);
@@ -284,7 +283,8 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
     if (!scale_in) {
       return scale_in.error();
     }
-    controller.set_scale_in_policy(std::move(scale_in).value());
+    controller.set_scale_in_policy(std::move(scale_in).value(),
+                                   spec.controller.scale_in_below);
   }
   controller.arm();
 
@@ -386,14 +386,13 @@ void schedule_perturbations(const ScenarioSpec& spec, Fleet& fleet) {
     const std::size_t r = dc.rack_of(ev.server);
     const std::size_t slot = dc.slot_of(ev.server);
     ClusterSimulator* rack = &dc.rack(r);
-    FleetController* controller =
-        r < fleet.controllers.size() ? fleet.controllers[r].get() : nullptr;
+    // validate() requires rebalance = on for the failure kind, so every
+    // rack has a controller.
+    FleetController* controller = fleet.controllers.at(r).get();
     dc.schedule_on_rack(r, SimTime::milliseconds(ev.at_ms),
                         [rack, controller, slot] {
                           rack->fail_server(slot);
-                          if (controller != nullptr) {
-                            controller->on_server_failed(slot);
-                          }
+                          controller->on_server_failed(slot);
                         });
     if (ev.recover_ms >= 0.0) {
       dc.schedule_on_rack(r, SimTime::milliseconds(ev.recover_ms),
@@ -429,7 +428,6 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
   DatacenterSimulator::Options options;
   options.shards = cs.shards;
   options.servers_total = cs.servers;
-  options.calibration = Calibration::defaults();
   options.intra_rack_latency = SimTime::microseconds(cs.inter_server_us);
   options.cross_rack_latency = SimTime::microseconds(cs.cross_rack_us);
   auto fleet = std::make_unique<Fleet>(options);
@@ -502,18 +500,13 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
   }
 
   if (cs.rebalance && cs.orchestrate && dc.num_racks() > 1) {
-    DatacenterOrchestratorOptions dc_opts;
-    dc_opts.period = opts.period;
-    dc_opts.first_check = opts.first_check;
-    dc_opts.cooldown = opts.cooldown;
-    dc_opts.target_max_load = opts.target_max_load;
     std::vector<FleetController*> racks;
     racks.reserve(fleet->controllers.size());
     for (auto& controller : fleet->controllers) {
       racks.push_back(controller.get());
     }
     DatacenterOrchestrator* orchestrator =
-        &fleet->orchestrator.emplace(dc, std::move(racks), dc_opts);
+        &fleet->orchestrator.emplace(dc, std::move(racks), opts);
     dc.set_barrier_hook([orchestrator](SimTime t, bool draining) {
       orchestrator->on_barrier(t, draining);
     });

@@ -184,7 +184,9 @@ struct CapacitySpec {
 };
 
 /// Controller loop parameters (timeline scenarios); mirrors
-/// ControlPlaneOptions.  The policies themselves come from [policy].
+/// ControlPlaneOptions, plus `scale_in_below`, the threshold handed to
+/// Controller::set_scale_in_policy with the `scale_in` policy.  The
+/// policies themselves come from [policy].
 struct ControllerSpec {
   double trigger_utilization = 1.0;
   double scale_in_below = 0.0;  ///< 0 disables the calm direction
@@ -261,7 +263,8 @@ struct DeploymentSpec {
   [[nodiscard]] bool operator==(const DeploymentSpec&) const = default;
 };
 
-/// Cluster-scenario parameters; mirrors FleetControllerOptions where named.
+/// Cluster-scenario parameters; mirrors FleetControllerOptions where named,
+/// which both the rack controllers and the datacenter orchestrator read.
 struct ClusterSpec {
   std::size_t servers = 2;          ///< rack slots simulated
   bool rebalance = true;            ///< arm the fleet controller

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <memory>
 
-#include "common/logging.hpp"
 #include "nf/nf_factory.hpp"
 
 namespace pam {
@@ -51,11 +50,6 @@ void MigrationEngine::run_step(std::shared_ptr<MigrationPlan> plan,
                                  ? pcie.crossing_latency(snapshot.size())
                                  : options_.min_transfer;
   transfer += std::max(state_time, options_.min_transfer);
-
-  log_debug("migration: %s %s -> %s, state %s, transfer %s",
-            step.nf_name.c_str(), std::string(to_string(step.from)).c_str(),
-            std::string(to_string(step.to)).c_str(),
-            snapshot.size().to_string().c_str(), transfer.to_string().c_str());
 
   sim_.schedule_after(transfer, [this, plan, step_index, idx, step, started,
                                  on_done = std::move(on_done)]() mutable {

@@ -20,7 +20,6 @@ class RateLimiter final : public NetworkFunction {
   [[nodiscard]] Gbps rate() const noexcept { return rate_; }
   [[nodiscard]] Bytes burst() const noexcept { return burst_; }
   [[nodiscard]] double tokens() const noexcept { return tokens_; }
-  void set_rate(Gbps rate) noexcept { rate_ = rate; }
 
   [[nodiscard]] NfState export_state() const override;
   void import_state(const NfState& state) override;

@@ -25,8 +25,6 @@ class PacketBuilder {
     tuple_ = t;
     return *this;
   }
-  PacketBuilder& src_mac(const MacAddress& m) noexcept { src_mac_ = m; return *this; }
-  PacketBuilder& dst_mac(const MacAddress& m) noexcept { dst_mac_ = m; return *this; }
   PacketBuilder& ttl(std::uint8_t v) noexcept { ttl_ = v; return *this; }
   PacketBuilder& dscp(std::uint8_t v) noexcept { dscp_ = v; return *this; }
   PacketBuilder& tcp_flags(std::uint8_t flags) noexcept { tcp_flags_ = flags; return *this; }

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "nf/nf_factory.hpp"
 #include "packet/packet_builder.hpp"
 

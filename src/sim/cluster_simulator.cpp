@@ -1,23 +1,22 @@
 #include "sim/cluster_simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 
+#include "chain/calibration.hpp"
 #include "common/strings.hpp"
 
 namespace pam {
 
-ClusterSimulator::ClusterSimulator(std::size_t num_servers, Calibration calibration,
+ClusterSimulator::ClusterSimulator(std::size_t num_servers,
                                    SimTime inter_server_latency)
-    : calibration_(calibration),
-      inter_server_latency_(inter_server_latency) {
+    : inter_server_latency_(inter_server_latency) {
   assert(num_servers > 0);
   servers_.reserve(num_servers);
   devices_.reserve(num_servers);
   for (std::size_t s = 0; s < num_servers; ++s) {
     servers_.push_back(std::make_unique<Server>(Server::paper_testbed()));
     devices_.push_back(std::make_unique<ServerDevices>(
-        kernel_.queue(), calibration_, format("[%zu]", s)));
+        kernel_.queue(), Calibration::defaults(), format("[%zu]", s)));
   }
   alive_.assign(num_servers, true);
 }
@@ -28,7 +27,7 @@ std::size_t ClusterSimulator::add_chain(ServiceChain chain,
   assert(home_server < servers_.size());
   auto sim = std::make_unique<ChainSimulator>(
       kernel_, *devices_.at(home_server), home_server, std::move(chain),
-      *servers_.at(home_server), std::move(traffic), calibration_);
+      *servers_.at(home_server), std::move(traffic));
   sim->set_inter_server_latency(inter_server_latency_);
   chains_.push_back(std::move(sim));
   return chains_.size() - 1;
@@ -47,10 +46,6 @@ double ClusterSimulator::server_nic_load(std::size_t s) const {
 
 double ClusterSimulator::server_cpu_load(std::size_t s) const {
   return devices_.at(s)->cpu.utilization(kernel_.now());
-}
-
-double ClusterSimulator::server_load(std::size_t s) const {
-  return std::max(server_nic_load(s), server_cpu_load(s));
 }
 
 void ClusterSimulator::fail_server(std::size_t s) { alive_.at(s) = false; }

@@ -28,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "chain/calibration.hpp"
 #include "device/server.hpp"
 #include "sim/chain_simulator.hpp"
 #include "sim/sim_report.hpp"
@@ -80,7 +79,6 @@ struct ClusterReport {
 class ClusterSimulator {
  public:
   explicit ClusterSimulator(std::size_t num_servers,
-                            Calibration calibration = Calibration::defaults(),
                             SimTime inter_server_latency = SimTime::microseconds(50.0));
 
   ClusterSimulator(const ClusterSimulator&) = delete;
@@ -101,7 +99,6 @@ class ClusterSimulator {
   }
   [[nodiscard]] Server& server(std::size_t s) { return *servers_.at(s); }
   [[nodiscard]] ServerDevices& devices(std::size_t s) { return *devices_.at(s); }
-  [[nodiscard]] const Calibration& calibration() const noexcept { return calibration_; }
 
   /// Re-binds node `node` of chain `c` to rack slot `target` at `loc`
   /// (cross-server scale-out; effective for packets not yet routed there).
@@ -111,8 +108,6 @@ class ClusterSimulator {
   /// fleet controller's least-loaded and fit signals.
   [[nodiscard]] double server_nic_load(std::size_t s) const;
   [[nodiscard]] double server_cpu_load(std::size_t s) const;
-  /// The hottest of the two.
-  [[nodiscard]] double server_load(std::size_t s) const;
 
   // --- failure scenarios -----------------------------------------------------
 
@@ -134,7 +129,6 @@ class ClusterSimulator {
   void set_slot_speed(std::size_t s, double speed);
 
  private:
-  Calibration calibration_;
   SimulationKernel kernel_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<ServerDevices>> devices_;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <utility>
 
+#include "chain/calibration.hpp"
 #include "sim/epoch_executor.hpp"
 
 namespace pam {
@@ -44,7 +45,7 @@ DatacenterSimulator::DatacenterSimulator(const Options& options)
   rack_chains_.resize(options.shards);
   for (std::size_t r = 0; r < options.shards; ++r) {
     racks_.push_back(std::make_unique<ClusterSimulator>(
-        per_rack_, options.calibration, options.intra_rack_latency));
+        per_rack_, options.intra_rack_latency));
   }
 }
 
@@ -242,7 +243,7 @@ void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
   back.a = host;
   back.b = c;
   kernel.queue().schedule_delayed(
-      racks_[host]->calibration().nf_overhead(Location::kSmartNic), back);
+      Calibration::defaults().nf_overhead(Location::kSmartNic), back);
 }
 
 void DatacenterSimulator::exchange() {

@@ -49,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "chain/calibration.hpp"
 #include "common/rng.hpp"
 #include "nf/network_function.hpp"
 #include "sim/cluster_simulator.hpp"
@@ -85,7 +84,6 @@ class DatacenterSimulator final : public EventSink {
   struct Options {
     std::size_t shards = 2;
     std::size_t servers_total = 2;  ///< must be divisible by shards
-    Calibration calibration = Calibration::defaults();
     SimTime intra_rack_latency = SimTime::microseconds(50.0);
     /// One-way cross-rack fabric latency == the epoch quantum (lookahead).
     SimTime cross_rack_latency = SimTime::microseconds(100.0);
@@ -145,9 +143,6 @@ class DatacenterSimulator final : public EventSink {
 
   // --- global-id signals (orchestrator + experiment layer) ------------------
 
-  [[nodiscard]] double server_load(std::size_t gs) const {
-    return racks_[rack_of(gs)]->server_load(slot_of(gs));
-  }
   [[nodiscard]] double server_nic_load(std::size_t gs) const {
     return racks_[rack_of(gs)]->server_nic_load(slot_of(gs));
   }

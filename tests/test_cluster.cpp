@@ -331,7 +331,7 @@ TEST(Cluster, IdenticalRunsProduceBitIdenticalJson) {
   EXPECT_NE(a.find("\"conserved\": true"), std::string::npos);
 }
 
-// --- pick_border_move: the target scan both scale-out tiers share --------
+// --- pick_border_move: the target scan scale-out and evacuation share ----
 
 /// A chain of SmartNIC NFs with 10 Gbps CPU capacity and the given SmartNIC
 /// capacities, so at 1 Gbps offered node i adds 1/nic_gbps[i] to a slot.
@@ -346,13 +346,14 @@ ServiceChain border_chain(std::initializer_list<double> nic_gbps) {
   return chain;
 }
 
-/// pick_border_move at 1 Gbps under a `ceiling` (default 0.9), over a fixed
-/// table of slot loads (nullopt: the caller excludes that slot).
+/// pick_border_move at `offered` (default 1 Gbps) under a `ceiling` (default
+/// 0.9), over a fixed table of slot loads (nullopt: the caller excludes that
+/// slot).
 std::optional<BorderMove> pick(const ServiceChain& chain,
                                const std::vector<std::size_t>& candidates,
                                const std::vector<std::optional<UtilizationReport>>& slots,
-                               double ceiling = 0.9) {
-  return pick_border_move(chain, candidates, Gbps{1.0}, ceiling, slots.size(),
+                               double ceiling = 0.9, Gbps offered = Gbps{1.0}) {
+  return pick_border_move(chain, candidates, offered, ceiling, slots.size(),
                           [&](std::size_t s) { return slots.at(s); });
 }
 
@@ -401,6 +402,29 @@ TEST(PickBorderMove, CandidateWithoutSmartNicCapacityIsSkipped) {
                          std::numeric_limits<double>::infinity());
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->node, 1u);
+}
+
+TEST(PickBorderMove, NoCeilingPicksTheLeastLoadedSlot) {
+  // The evacuation form: nothing to add (0 Gbps) and no ceiling, so the
+  // scan is plain least max(nic, cpu) over the slots the caller allows.
+  const ServiceChain chain = border_chain({2.0});
+  const auto evacuate = [&](const std::vector<std::optional<UtilizationReport>>& slots) {
+    return pick(chain, {0}, slots, std::numeric_limits<double>::infinity(), Gbps{0.0});
+  };
+  // Slots 2 and 3 tie at 0.7: the lower one wins; excluded slots never do.
+  const auto move = evacuate({std::nullopt, UtilizationReport{0.95, 0.3},
+                              UtilizationReport{0.2, 0.7}, UtilizationReport{0.7, 0.1},
+                              std::nullopt});
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->slot, 2u);
+  EXPECT_DOUBLE_EQ(move->projected, 0.7);
+  // Overloaded slots still qualify: the least loaded of them wins.
+  const auto hot =
+      evacuate({UtilizationReport{1.5, 0.0}, std::nullopt, UtilizationReport{1.2, 1.3}});
+  ASSERT_TRUE(hot.has_value());
+  EXPECT_EQ(hot->slot, 2u);
+  // Every slot excluded: nowhere to go.
+  EXPECT_FALSE(evacuate({std::nullopt, std::nullopt}).has_value());
 }
 
 TEST(PickBorderMove, NothingFits) {

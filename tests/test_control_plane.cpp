@@ -202,12 +202,11 @@ TEST(ControlPlane, ScaleInArmsOnlyBelowThresholdWithPolicyInstalled) {
 
   ControlPlaneOptions opts = fast_loop();
   opts.cooldown = SimTime::seconds(10);
-  opts.scale_in_below_utilization = 0.5;
   auto scale_in = std::make_unique<NoMigrationPolicy>();
   sensor.scale_in_marker = scale_in.get();
   ControlPlane plane{kernel, sensor, actuator, 1,
                      std::make_unique<NoMigrationPolicy>(), opts};
-  plane.set_scale_in_policy(std::move(scale_in));
+  plane.set_scale_in_policy(std::move(scale_in), 0.5);
   plane.arm();
   kernel.run(SimTime::milliseconds(100), SimTime::zero());
 
@@ -219,17 +218,15 @@ TEST(ControlPlane, ScaleInArmsOnlyBelowThresholdWithPolicyInstalled) {
 }
 
 TEST(ControlPlane, NoScaleInWithoutPolicyOrAboveThreshold) {
-  // No policy installed: armed threshold alone must not act.
+  // No policy installed: a calm chain alone must not act.
   {
     SimulationKernel kernel;
     ScriptedSensor sensor;
     ScriptedActuator actuator;
     sensor.smartnic = 0.2;
     sensor.scale_in_plan = feasible_plan();
-    ControlPlaneOptions opts = fast_loop();
-    opts.scale_in_below_utilization = 0.5;
     ControlPlane plane{kernel, sensor, actuator, 1,
-                       std::make_unique<NoMigrationPolicy>(), opts};
+                       std::make_unique<NoMigrationPolicy>(), fast_loop()};
     plane.arm();
     kernel.run(SimTime::milliseconds(60), SimTime::zero());
     EXPECT_EQ(actuator.executes, 0);
@@ -243,13 +240,11 @@ TEST(ControlPlane, NoScaleInWithoutPolicyOrAboveThreshold) {
     ScriptedActuator actuator;
     sensor.smartnic = 0.7;
     sensor.scale_in_plan = feasible_plan();
-    ControlPlaneOptions opts = fast_loop();
-    opts.scale_in_below_utilization = 0.5;
     auto scale_in = std::make_unique<NoMigrationPolicy>();
     sensor.scale_in_marker = scale_in.get();
     ControlPlane plane{kernel, sensor, actuator, 1,
-                       std::make_unique<NoMigrationPolicy>(), opts};
-    plane.set_scale_in_policy(std::move(scale_in));
+                       std::make_unique<NoMigrationPolicy>(), fast_loop()};
+    plane.set_scale_in_policy(std::move(scale_in), 0.5);
     plane.arm();
     kernel.run(SimTime::milliseconds(60), SimTime::zero());
     EXPECT_EQ(actuator.executes, 0);
@@ -381,13 +376,11 @@ TEST(ControlPlane, DepartedChainDoesNotArmScaleIn) {
   sensor.has_resident = false;
   sensor.scale_in_plan = feasible_plan();
 
-  ControlPlaneOptions opts = fast_loop();
-  opts.scale_in_below_utilization = 0.5;
   auto scale_in = std::make_unique<NoMigrationPolicy>();
   sensor.scale_in_marker = scale_in.get();
   ControlPlane plane{kernel, sensor, actuator, 1,
-                     std::make_unique<NoMigrationPolicy>(), opts};
-  plane.set_scale_in_policy(std::move(scale_in));
+                     std::make_unique<NoMigrationPolicy>(), fast_loop()};
+  plane.set_scale_in_policy(std::move(scale_in), 0.5);
   plane.arm();
   kernel.run(SimTime::milliseconds(60), SimTime::zero());
 

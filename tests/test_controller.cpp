@@ -28,7 +28,6 @@ ControllerOptions fast_controller() {
   ControllerOptions opts;
   opts.period = SimTime::milliseconds(5);
   opts.first_check = SimTime::milliseconds(5);
-  opts.rate_window = SimTime::milliseconds(4);
   return opts;
 }
 
@@ -130,9 +129,8 @@ TEST(Controller, ScaleInReturnsNfAfterSpike) {
   ChainSimulator sim{paper_figure1_chain(), server, cfg};
   ControllerOptions opts = fast_controller();
   opts.cooldown = SimTime::milliseconds(10);
-  opts.scale_in_below_utilization = 0.4;
   Controller controller{sim, std::make_unique<PamPolicy>(), opts};
-  controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>());
+  controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>(), 0.4);
   controller.arm();
   (void)sim.run(SimTime::milliseconds(150), SimTime::milliseconds(5));
 
@@ -159,9 +157,8 @@ TEST(Controller, NoScaleInWithoutPolicy) {
   auto chain = paper_figure1_chain();
   chain.set_location(2, Location::kCpu);
   ChainSimulator sim{chain, server, cfg};
-  ControllerOptions opts = fast_controller();
-  opts.scale_in_below_utilization = 0.9;  // armed, but no policy installed
-  Controller controller{sim, std::make_unique<PamPolicy>(), opts};
+  // Far below the trigger, but no scale-in policy installed.
+  Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
   (void)sim.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
   EXPECT_EQ(controller.migrations_executed(), 0u);
