@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     const DatacenterReport run = dc.run(duration, warmup, /*threads=*/1);
     const auto t1 = std::chrono::steady_clock::now();
-    const ClusterReport& report = run.cluster;
+    const SimReport& report = run.fleet;
     const double wall_ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     const double events = static_cast<double>(run.shards[0].events_executed);

@@ -77,8 +77,8 @@ Row run_workload(std::size_t shards, std::size_t threads, SimTime duration,
   for (const ShardSummary& shard : report.shards) {
     row.events += static_cast<double>(shard.events_executed);
   }
-  row.injected = report.cluster.injected;
-  row.delivered = report.cluster.delivered;
+  row.injected = report.fleet.injected;
+  row.delivered = report.fleet.delivered;
   return row;
 }
 

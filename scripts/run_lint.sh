@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the static-analysis gate: pam_lint (architecture and determinism
-# rules A001..A003/D001..D006/X001,
+# rules A001..A003/D001..D004/D006/X001,
 # docs/STATIC_ANALYSIS.md), a check that the layer diagram in
 # docs/ARCHITECTURE.md matches `pam_lint graph --dot`, then clang-tidy over
 # the curated check set in .clang-tidy, which alone owns the copy checks.
@@ -15,14 +15,13 @@
 #   --metrics FILE   also write the advisory pam-lint-metrics/v1 JSON
 #   --dot FILE       also write the layer graph (`pam_lint graph --dot`)
 #   --changed        fast path: lint only files changed vs origin/main
-#                    (full compile_commands set stays the CI default)
+#                    (all of src/ stays the CI default)
 #   --skip-tidy      run only pam_lint (needed where clang-tidy is absent)
 #
-# pam_lint scans the compile_commands.json file set (plus companion
-# headers, closed over project includes) when the database exists, falling
-# back to everything under src/.  With no clang-tidy binary the gate fails
-# (exit 2) unless --skip-tidy is given, and a --skip-tidy pass says that
-# only pam_lint ran.
+# pam_lint scans every source file under src/; clang-tidy reads the
+# translation units of compile_commands.json.  With no clang-tidy binary
+# the gate fails (exit 2) unless --skip-tidy is given, and a --skip-tidy
+# pass says that only pam_lint ran.
 #
 # Every stage always runs: a pam_lint failure no longer short-circuits
 # clang-tidy, so CI logs and artifacts carry the full picture even when
@@ -45,7 +44,7 @@ while [[ $# -gt 0 ]]; do
     --dot) DOT_OUT="$2"; shift 2 ;;
     --changed) CHANGED=1; shift ;;
     --skip-tidy) SKIP_TIDY=1; shift ;;
-    -h|--help) sed -n '2,29p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,28p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "run_lint: unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -78,10 +77,6 @@ if [[ "$CHANGED" == 1 ]]; then
   fi
   echo "run_lint: --changed: ${#CHANGED_FILES[@]} file(s) vs $BASE"
   LINT_ARGS+=("${CHANGED_FILES[@]}")
-elif [[ -f "$DB" ]]; then
-  LINT_ARGS+=(--compile-commands "$DB")
-else
-  echo "run_lint: no $DB; scanning all of src/ instead"
 fi
 
 # Every requested artifact and the human report are emitted before any
@@ -108,19 +103,13 @@ fi
 
 # The ```dot block of docs/ARCHITECTURE.md is the linter's own graph of the
 # whole tree (also under --changed); a copy that drifted fails the gate.
-GRAPH_ARGS=(--root "$ROOT_DIR")
-GRAPH_CMD="$PAM_LINT graph --root ."
-if [[ -f "$DB" ]]; then
-  GRAPH_ARGS+=(--compile-commands "$DB")
-  GRAPH_CMD+=" --compile-commands $DB"
-fi
 DOC_STATUS=0
 if ! diff -u --label "docs/ARCHITECTURE.md (dot block)" --label "pam_lint graph --dot" \
     <(awk '/^```dot$/ { inside = 1; next } inside && /^```$/ { exit } inside' \
           "$ROOT_DIR/docs/ARCHITECTURE.md") \
-    <("$PAM_LINT" graph "${GRAPH_ARGS[@]}" --dot); then
+    <("$PAM_LINT" graph --root "$ROOT_DIR" --dot); then
   echo "run_lint: the layer diagram in docs/ARCHITECTURE.md is stale; regenerate it with" >&2
-  echo "run_lint:   $GRAPH_CMD --dot" >&2
+  echo "run_lint:   $PAM_LINT graph --root . --dot" >&2
   echo "run_lint: and paste the output over its \`\`\`dot block" >&2
   DOC_STATUS=1
 fi

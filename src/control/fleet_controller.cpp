@@ -46,12 +46,9 @@ FleetController::FleetController(ClusterSimulator& cluster,
                                  FleetControllerOptions options)
     : cluster_(cluster),
       options_(options),
+      analyzer_(cluster.server()),
       plane_(cluster.kernel(), *this, *this, cluster.num_chains(),
              std::move(policy), options) {
-  analyzers_.reserve(cluster_.num_servers());
-  for (std::size_t s = 0; s < cluster_.num_servers(); ++s) {
-    analyzers_.emplace_back(cluster_.server(s));
-  }
   chains_.resize(cluster_.num_chains());
   views_.resize(cluster_.num_chains());
   for (std::size_t c = 0; c < cluster_.num_chains(); ++c) {
@@ -114,7 +111,7 @@ ControlPlane::Sample FleetController::sense(std::size_t c) const {
     sample.has_resident = false;
     return sample;
   }
-  sample.util = analyzers_[home].utilization(resident, sample.offered);
+  sample.util = analyzer_.utilization(resident, sample.offered);
   // Second overload signal beyond the chain's own analytic demand: the
   // slot's live device load — co-homed chains can saturate a shared
   // SmartNIC while every individual chain sits below the trigger.
@@ -134,14 +131,13 @@ std::string FleetController::describe_overload(
 ControlPlane::Planned FleetController::plan(std::size_t c,
                                             const MigrationPolicy& policy,
                                             Gbps offered) const {
-  const std::size_t home = cluster_.chain_sim(c).home_server();
   const HomeView& view = home_view(c);
 
   ControlPlane::Planned out;
-  out.plan = policy.plan(view.chain, analyzers_[home], offered);
+  out.plan = policy.plan(view.chain, analyzer_, offered);
   if (out.plan.feasible && !out.plan.empty()) {
     const auto projected =
-        analyzers_[home].utilization(out.plan.apply_to(view.chain), offered);
+        analyzer_.utilization(out.plan.apply_to(view.chain), offered);
     out.projected_smartnic = projected.smartnic;
     out.projected_cpu = projected.cpu;
     for (auto& step : out.plan.steps) {

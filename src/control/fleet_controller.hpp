@@ -7,7 +7,7 @@
 // tracking, typed ControlEvent log — is ControlPlane's; this class is the
 // rack specialisation:
 //
-//   Sensor    — per chain: trailing-window ingress rate + the home slot's
+//   Sensor    — per chain: trailing-window ingress rate + the rack's
 //               ChainAnalyzer over the chain's *resident* view (off-loaded
 //               nodes no longer burn home capacity), plus the slot's live
 //               device load (co-homed chains can saturate a shared SmartNIC
@@ -172,7 +172,7 @@ class FleetController final : private ControlPlane::Sensor,
 
   ClusterSimulator& cluster_;
   FleetControllerOptions options_;
-  std::vector<ChainAnalyzer> analyzers_;  ///< one per rack slot
+  ChainAnalyzer analyzer_;  ///< every slot has the rack's one Server model
   std::vector<ChainState> chains_;
   /// Finishes one remote transfer of chain `c`: re-bind (unless the target
   /// died mid-flight), resume, anchor the cooldown, emit `kind`.

@@ -522,7 +522,6 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
 ClusterResult collect_fleet(const ScenarioSpec& spec, Fleet& fleet,
                             const DatacenterReport& dr) {
   DatacenterSimulator& dc = fleet.dc;
-  const ClusterReport& report = dr.cluster;
   ClusterResult cr;
   cr.servers = spec.cluster.servers;
   cr.rebalance = spec.cluster.rebalance;
@@ -557,13 +556,9 @@ ClusterResult collect_fleet(const ScenarioSpec& spec, Fleet& fleet,
   const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
                                 ? spec.traffic.sizes.fixed
                                 : 0;
-  MeasuredRun fleet_run;
-  fleet_run.size_bytes = point;
-  double crossings_weighted = 0.0;
-  std::uint64_t crossings_weight = 0;
-  cr.chains.reserve(report.per_chain.size());
-  for (std::size_t i = 0; i < report.per_chain.size(); ++i) {
-    const SimReport& chain_report = report.per_chain[i];
+  cr.chains.reserve(dr.per_chain.size());
+  for (std::size_t i = 0; i < dr.per_chain.size(); ++i) {
+    const SimReport& chain_report = dr.per_chain[i];
     ClusterChainResult chain_result;
     chain_result.name = spec.chains[i].name;
     chain_result.home_server = dc.home_server_of(i);
@@ -574,39 +569,13 @@ ClusterResult collect_fleet(const ScenarioSpec& spec, Fleet& fleet,
     chain_result.inter_server_hops = chain_report.inter_server_hops;
     chain_result.metrics = to_measured(chain_report, point);
     cr.chains.push_back(std::move(chain_result));
-
-    fleet_run.injected += chain_report.injected;
-    fleet_run.delivered += chain_report.delivered;
-    fleet_run.dropped_queue_nic += chain_report.dropped_queue_nic;
-    fleet_run.dropped_queue_cpu += chain_report.dropped_queue_cpu;
-    fleet_run.dropped_queue_pcie += chain_report.dropped_queue_pcie;
-    fleet_run.dropped_by_nf += chain_report.dropped_by_nf;
-    fleet_run.in_flight_at_end += chain_report.in_flight_at_end;
-    crossings_weighted += chain_report.mean_crossings_per_packet *
-                          static_cast<double>(chain_report.measured_delivered);
-    crossings_weight += chain_report.measured_delivered;
   }
-  cr.per_server = report.per_server;
-  for (const ServerSummary& sum : report.per_server) {
-    // Fleet utilisation = the hottest slot (bottleneck view).
-    fleet_run.smartnic_utilization =
-        std::max(fleet_run.smartnic_utilization, sum.smartnic_utilization);
-    fleet_run.cpu_utilization =
-        std::max(fleet_run.cpu_utilization, sum.cpu_utilization);
-    fleet_run.pcie_utilization =
-        std::max(fleet_run.pcie_utilization, sum.pcie_utilization);
-  }
-  fleet_run.offered_gbps = report.offered_rate.value();
-  fleet_run.goodput_gbps = report.egress_goodput.value();
-  fleet_run.latency = summarize(report.latency);
-  fleet_run.mean_crossings_per_packet =
-      crossings_weight > 0 ? crossings_weighted / static_cast<double>(crossings_weight)
-                           : 0.0;
-  cr.fleet = fleet_run;
-  cr.inter_server_hops = report.inter_server_hops;
-  cr.conserved = report.conserved();
+  cr.per_server = dr.per_server;
+  cr.fleet = to_measured(dr.fleet, point);
+  cr.inter_server_hops = dr.fleet.inter_server_hops;
+  cr.conserved = dr.fleet.conserved();
 
-  cr.cross_rack_hops = report.cross_rack_hops;
+  cr.cross_rack_hops = dr.cross_rack_hops;
   cr.cross_rack_frames = dr.cross_rack_frames;
   cr.epochs = dr.epochs;
   cr.shard_totals = dr.shards;

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -48,9 +49,6 @@ const std::vector<RuleInfo> kRules = {
     {"D004", "rng-lineage",
      "every Rng must descend from the scenario seed via Rng::derive; a "
      "literal reseed forks an untracked stream"},
-    {"D005", "no-raw-alloc-on-hot-path",
-     "new/delete/malloc on packet/event hot paths (src/packet, src/sim) "
-     "bypass PacketPool/arena recycling and wreck tail latency"},
     {"D006", "no-ad-hoc-threading",
      "std::thread/mutex/atomic/... outside the kernel's shard-execution "
      "unit (src/sim/epoch_executor.*) forks concurrency that the epoch "
@@ -127,8 +125,8 @@ struct PendingSuppression {
 /// Recognition (rule X001): on a comment-only line the directive must
 /// START the comment, so prose documenting the syntax (this file, docs)
 /// is never parsed as one; on a line carrying code, the marker may sit
-/// anywhere in the trailing comment — `stat;  // freed below; pam-lint:
-/// allow(D005) arena-owned` is a directive.
+/// anywhere in the trailing comment — `for (x : m_) {  // keys only;
+/// pam-lint: allow(D003) sorted below` is a directive.
 void collect_suppressions(const std::vector<SourceLine>& lines,
                           const std::string& file,
                           std::vector<PendingSuppression>& out,
@@ -204,14 +202,61 @@ const std::string& snippet_line(const FileCtx& f, std::size_t line_1based) {
              : kEmpty;
 }
 
-/// All per-file findings (D001..D006) before suppression filtering.
+/// How a banned token is matched on a code line.
+enum class Match {
+  kWord,     ///< the bare identifier
+  kCall,     ///< the identifier followed by `(`
+  kStdWord,  ///< the identifier spelled `std::token`
+};
+
+/// One row of the banned-token rules (D001, D002, D006): any token of the
+/// row found on a code line of a file outside `exempt` is a finding whose
+/// message is `message` with the token spliced in at `%s`.
+struct BannedTokens {
+  std::string rule;
+  Match match;
+  std::string exempt;  ///< path prefix the row does not apply to; "" = none
+  std::vector<std::string> tokens;
+  std::string message;
+};
+
+const std::vector<BannedTokens> kBanned = {
+    {"D001", Match::kWord, "", {"random_device"},
+     "std::%s is nondeterministic; derive a pam::Rng from the scenario seed"},
+    {"D001", Match::kCall, "", {"rand", "srand", "rand_r", "drand48"},
+     "%s() uses hidden global state; use the scenario-seeded pam::Rng"},
+    {"D002", Match::kWord, "",
+     {"system_clock", "high_resolution_clock", "gettimeofday", "clock_gettime",
+      "localtime", "gmtime", "timespec_get"},
+     "%s reads the wall clock; sim time must come from the kernel, never the "
+     "host"},
+    {"D002", Match::kCall, "", {"time"},
+     "%s() reads the wall clock; sim time must come from the kernel, never "
+     "the host"},
+    {"D002", Match::kWord, "src/benchreport/", {"steady_clock"},
+     "%s is allowlisted only in src/benchreport/ (timing helpers); route "
+     "measurement through benchreport instead"},
+    // Only the std::-qualified spellings are matched, so ordinary
+    // identifiers like `barrier_hook_` or a parameter named `threads` never
+    // trip the rule.
+    {"D006", Match::kStdWord, "src/sim/epoch_executor.",
+     {"thread", "jthread", "mutex", "shared_mutex", "recursive_mutex",
+      "timed_mutex", "condition_variable", "condition_variable_any", "atomic",
+      "atomic_flag", "atomic_ref", "async", "future", "promise", "barrier",
+      "latch", "counting_semaphore", "binary_semaphore", "stop_token"},
+     "std::%s outside src/sim/epoch_executor.*; shard parallelism must flow "
+     "through EpochExecutor so the epoch barrier can order it"},
+    {"D006", Match::kCall, "src/sim/epoch_executor.",
+     {"pthread_create", "pthread_mutex_init", "pthread_cond_init",
+      "pthread_mutex_lock"},
+     "%s() outside src/sim/epoch_executor.*; shard parallelism must flow "
+     "through EpochExecutor"},
+};
+
+/// All per-file findings (D001..D004, D006) before suppression filtering.
 std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
                                  const ContainerRegistry& reg) {
   std::vector<Violation> v;
-  const bool benchreport = starts_with(file, "src/benchreport/");
-  const bool alloc_hot_path =
-      starts_with(file, "src/packet/") || starts_with(file, "src/sim/");
-  const bool shard_executor = starts_with(file, "src/sim/epoch_executor.");
 
   const std::vector<SourceLine>& lines = f.lines;
   const JoinedCode& joined = f.joined;
@@ -244,41 +289,22 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
     const std::string& code = lines[n].code;
     const std::size_t ln = n + 1;
 
-    // D001 — ambient randomness.
-    for (const std::size_t col : find_word(code, "random_device")) {
-      add_violation(v, "D001", file, ln, col, code,
-                    "std::random_device is nondeterministic; derive a "
-                    "pam::Rng from the scenario seed");
-    }
-    for (const char* fn : {"rand", "srand", "rand_r", "drand48"}) {
-      for (const std::size_t col : find_call(code, fn)) {
-        add_violation(v, "D001", file, ln, col, code,
-                      std::string(fn) + "() uses hidden global state; use "
-                      "the scenario-seeded pam::Rng");
+    // D001, D002, D006 — banned tokens.
+    for (const BannedTokens& row : kBanned) {
+      if (!row.exempt.empty() && starts_with(file, row.exempt)) {
+        continue;
       }
-    }
-
-    // D002 — wall clock.
-    for (const char* tok :
-         {"system_clock", "high_resolution_clock", "gettimeofday",
-          "clock_gettime", "localtime", "gmtime", "timespec_get"}) {
-      for (const std::size_t col : find_word(code, tok)) {
-        add_violation(v, "D002", file, ln, col, code,
-                      std::string(tok) + " reads the wall clock; sim time "
-                      "must come from the kernel, never the host");
-      }
-    }
-    for (const std::size_t col : find_call(code, "time")) {
-      add_violation(v, "D002", file, ln, col, code,
-                    "time() reads the wall clock; sim time must come from "
-                    "the kernel, never the host");
-    }
-    if (!benchreport) {
-      for (const std::size_t col : find_word(code, "steady_clock")) {
-        add_violation(v, "D002", file, ln, col, code,
-                      "steady_clock is allowlisted only in src/benchreport/ "
-                      "(timing helpers); route measurement through "
-                      "benchreport instead");
+      for (const std::string& tok : row.tokens) {
+        const std::vector<std::size_t> cols =
+            row.match == Match::kCall ? find_call(code, tok) : find_word(code, tok);
+        for (const std::size_t col : cols) {
+          if (row.match == Match::kStdWord && !std_qualified(code, col)) {
+            continue;
+          }
+          std::string message = row.message;
+          message.replace(message.find("%s"), 2, tok);
+          add_violation(v, row.rule, file, ln, col, code, message);
+        }
       }
     }
 
@@ -324,63 +350,6 @@ std::vector<Violation> scan_file(const std::string& file, const FileCtx& f,
         add_violation(v, "D004", file, ln, col, code,
                       "Rng seeded with a literal forks an untracked stream; "
                       "derive the seed via Rng::derive(parent, stream)");
-      }
-    }
-
-    // D005 — raw allocation on hot paths.
-    if (alloc_hot_path) {
-      for (const std::size_t col : find_word(code, "new")) {
-        add_violation(v, "D005", file, ln, col, code,
-                      "raw `new` on a packet/event hot path; allocate "
-                      "through PacketPool/arena");
-      }
-      for (const std::size_t col : find_word(code, "delete")) {
-        if (prev_nonspace(code, col) == '=') {
-          continue;  // `= delete;` declarations
-        }
-        add_violation(v, "D005", file, ln, col, code,
-                      "raw `delete` on a packet/event hot path; return "
-                      "storage to PacketPool/arena");
-      }
-      for (const char* fn :
-           {"malloc", "calloc", "realloc", "free", "aligned_alloc", "strdup"}) {
-        for (const std::size_t col : find_call(code, fn)) {
-          add_violation(v, "D005", file, ln, col, code,
-                        std::string(fn) + "() on a packet/event hot path; "
-                        "allocate through PacketPool/arena");
-        }
-      }
-    }
-
-    // D006 — ad-hoc threading outside the shard-execution unit.  Only the
-    // std::-qualified spellings are matched so ordinary identifiers like
-    // `barrier_hook_` or a parameter named `threads` never trip the rule.
-    if (!shard_executor) {
-      for (const char* tok :
-           {"thread", "jthread", "mutex", "shared_mutex", "recursive_mutex",
-            "timed_mutex", "condition_variable", "condition_variable_any",
-            "atomic", "atomic_flag", "atomic_ref", "async", "future",
-            "promise", "barrier", "latch", "counting_semaphore",
-            "binary_semaphore", "stop_token"}) {
-        for (const std::size_t col : find_word(code, tok)) {
-          if (!std_qualified(code, col)) {
-            continue;
-          }
-          add_violation(v, "D006", file, ln, col, code,
-                        "std::" + std::string(tok) +
-                            " outside src/sim/epoch_executor.*; shard "
-                            "parallelism must flow through EpochExecutor so "
-                            "the epoch barrier can order it");
-        }
-      }
-      for (const char* fn : {"pthread_create", "pthread_mutex_init",
-                             "pthread_cond_init", "pthread_mutex_lock"}) {
-        for (const std::size_t col : find_call(code, fn)) {
-          add_violation(v, "D006", file, ln, col, code,
-                        std::string(fn) + "() outside src/sim/"
-                        "epoch_executor.*; shard parallelism must flow "
-                        "through EpochExecutor");
-        }
       }
     }
   }
@@ -522,18 +491,6 @@ void check_unused_includes(const std::string& file, const FileCtx& f,
 
 // --- the cross-TU pipeline ---------------------------------------------------
 
-std::string read_file(const std::filesystem::path& p, bool& ok) {
-  std::ifstream in{p, std::ios::binary};
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
-}
-
 /// The full pass over an in-memory file set.  `context_raw` holds
 /// companions of linted files that are not part of the set themselves:
 /// they feed the D003 container registry but are not linted.  `pre` carries violations discovered
@@ -638,17 +595,26 @@ LintReport lint_set(const std::map<std::string, std::string>& raw,
 
 const std::vector<RuleInfo>& rules() { return kRules; }
 
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 LintReport run_lint(const LintOptions& options) {
   std::map<std::string, std::string> raw;
   std::vector<Violation> pre;
   for (const auto& rel : options.files) {
-    bool ok = false;
-    auto content = read_file(std::filesystem::path(options.root) / rel, ok);
-    if (!ok) {
+    auto content = read_file(std::filesystem::path(options.root) / rel);
+    if (!content) {
       pre.push_back({"X001", rel, 0, 0, "", "file could not be read"});
       continue;
     }
-    raw.emplace(rel, std::move(content));
+    raw.emplace(rel, std::move(*content));
   }
   // Companions of linted files that are not themselves in the set are
   // loaded as context only.
@@ -658,10 +624,8 @@ LintReport run_lint(const LintOptions& options) {
     if (comp.empty() || raw.count(comp) > 0) {
       continue;
     }
-    bool ok = false;
-    auto text = read_file(std::filesystem::path(options.root) / comp, ok);
-    if (ok) {
-      context.emplace(comp, std::move(text));
+    if (auto text = read_file(std::filesystem::path(options.root) / comp)) {
+      context.emplace(comp, std::move(*text));
     }
   }
   return lint_set(raw, context, std::move(pre));
@@ -699,76 +663,6 @@ std::vector<std::string> files_under(const std::string& dir,
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<std::string> files_from_compile_commands(const std::string& db_path,
-                                                     const std::string& root) {
-  namespace fs = std::filesystem;
-  bool ok = false;
-  const std::string text = read_file(fs::path(db_path), ok);
-  if (!ok) {
-    return {};
-  }
-  std::set<std::string> uniq;
-  const std::string key = "\"file\"";
-  std::size_t pos = 0;
-  while ((pos = text.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    const std::size_t colon = text.find(':', pos);
-    if (colon == std::string::npos) break;
-    const std::size_t open = text.find('"', colon);
-    if (open == std::string::npos) break;
-    std::string value;
-    std::size_t i = open + 1;
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\' && i + 1 < text.size()) {
-        value += text[i + 1];
-        i += 2;
-      } else {
-        value += text[i++];
-      }
-    }
-    pos = i;
-    std::error_code ec;
-    const auto rel = fs::relative(fs::path(value), fs::path(root), ec);
-    if (ec) continue;
-    const std::string rel_str = rel.generic_string();
-    if (starts_with(rel_str, "..") || !starts_with(rel_str, "src/")) {
-      continue;  // third_party, tests, generated files
-    }
-    uniq.insert(rel_str);
-    const std::string companion = companion_of(rel_str);
-    if (!companion.empty() &&
-        fs::exists(fs::path(root) / companion, ec)) {
-      uniq.insert(companion);
-    }
-  }
-  // Close the set over quoted project includes so header-only headers
-  // (no TU of their own) enter the cross-TU passes too.
-  std::vector<std::string> work(uniq.begin(), uniq.end());
-  while (!work.empty()) {
-    const std::string rel = work.back();
-    work.pop_back();
-    bool read_ok = false;
-    const std::string content = read_file(fs::path(root) / rel, read_ok);
-    if (!read_ok) {
-      continue;
-    }
-    for (const auto& d : extract_includes(content)) {
-      if (!d.quoted) {
-        continue;
-      }
-      const std::string target = "src/" + d.target;
-      std::error_code ec;
-      if (!fs::exists(fs::path(root) / target, ec)) {
-        continue;
-      }
-      if (uniq.insert(target).second) {
-        work.push_back(target);
-      }
-    }
-  }
-  return {uniq.begin(), uniq.end()};
 }
 
 void write_json(const LintReport& report, std::ostream& out) {

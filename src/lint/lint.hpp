@@ -1,5 +1,4 @@
-// pam_lint: the project-specific determinism, architecture & hot-path
-// performance analyzer.
+// pam_lint: the project-specific determinism and architecture analyzer.
 //
 // Everything this reproduction promises rests on bit-determinism: the
 // fig1-walkthrough preset is the behaviour-preservation oracle, the fuzzer
@@ -11,12 +10,14 @@
 //   A001..A003  architecture — the include graph against the layer DAG
 //               (src/lint/include_graph.hpp is the machine-readable single
 //               source of truth), include cycles, unused includes.
-//   D001..D006  determinism & race-safety — per-file token scans.
+//   D001..D004, D006
+//               determinism & race-safety — per-file token scans; D001,
+//               D002 and D006 are one table of banned tokens.
 //   X001        suppression hygiene.
 //
 // Copy checks are clang-tidy's (performance-unnecessary-value-param,
-// -for-range-copy); the per-packet allocation cost is gated by
-// tests/test_steady_state_allocs.cpp.
+// -for-range-copy); heap allocation on the per-packet path is counted and
+// gated by tests/test_steady_state_allocs.cpp.
 //
 // Scanning is token-based ("AST-lite", src/lint/source_view.hpp): block
 // comments, line comments and string/char literals are blanked before
@@ -26,12 +27,13 @@
 //
 // Output is machine-readable JSON (`pam-lint/v1`, mirroring pam-bench/v1;
 // schema in docs/REPRODUCING.md) or a human report.  The `lint` CI job
-// runs it hard over the compile_commands file set (closed over project
-// includes, so header-only headers are covered too).
+// runs it hard over every source file under src/.
 
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -41,7 +43,7 @@ namespace pam::lint {
 
 /// One rule of the catalogue (docs/STATIC_ANALYSIS.md has the rationale).
 struct RuleInfo {
-  std::string id;           ///< "A001".."A003", "D001".."D006", "X001"
+  std::string id;           ///< "A001".."A003", "D001".."D004", "D006", "X001"
   std::string name;         ///< kebab-case short name
   std::string description;  ///< one-line summary
 };
@@ -81,9 +83,9 @@ struct LintReport {
 };
 
 /// Input file set.  Paths are root-relative; rule scoping (src/, the
-/// benchreport/ steady-clock allowlist, packet/sim hot paths, the layer
-/// DAG) keys off these relative paths, so keep them repo-shaped even in
-/// tests.
+/// benchreport/ steady-clock allowlist, the epoch-executor threading
+/// allowlist, the layer DAG) keys off these relative paths, so keep them
+/// repo-shaped even in tests.
 struct LintOptions {
   std::string root;                 ///< absolute repo root
   std::vector<std::string> files;   ///< root-relative source paths
@@ -112,14 +114,9 @@ struct LintOptions {
 [[nodiscard]] std::vector<std::string> files_under(const std::string& dir,
                                                    const std::string& root);
 
-/// Extracts the distinct "file" entries of a compile_commands.json that
-/// live under `root`, as sorted root-relative paths.  Headers are added by
-/// pairing (foo.cpp → sibling foo.hpp when present) and the set is then
-/// closed over quoted project includes, so header-only headers reachable
-/// from any TU are scanned too.  Returns empty on a missing/unparsable
-/// database.
-[[nodiscard]] std::vector<std::string> files_from_compile_commands(
-    const std::string& db_path, const std::string& root);
+/// The whole of the file at `path`, or nullopt when it cannot be read.
+[[nodiscard]] std::optional<std::string> read_file(
+    const std::filesystem::path& path);
 
 /// Serialises the `pam-lint/v1` JSON document (docs/REPRODUCING.md).
 void write_json(const LintReport& report, std::ostream& out);

@@ -1,9 +1,8 @@
-// pam_lint CLI — the determinism, architecture & hot-path performance gate
+// pam_lint CLI — the determinism and architecture gate
 // (docs/STATIC_ANALYSIS.md).
 //
 //   pam_lint                          # lint src/ under the cwd, human report
 //   pam_lint --json=lint.json        # machine-readable pam-lint/v1
-//   pam_lint --compile-commands build/compile_commands.json
 //   pam_lint --root /path/to/repo src/nf src/sim/fcfs_server.cpp
 //   pam_lint --list-rules
 //   pam_lint graph --dot             # layer DAG + observed include edges
@@ -20,7 +19,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,7 +34,7 @@ void usage(std::FILE* out) {
       "usage: pam_lint [graph|metrics] [options] [path...]\n"
       "\n"
       "Lints PAM sources for determinism and layering hazards\n"
-      "(rules A001..A003, D001..D006, X001; docs/STATIC_ANALYSIS.md).\n"
+      "(rules A001..A003, D001..D004, D006, X001; docs/STATIC_ANALYSIS.md).\n"
       "Copy checks live in clang-tidy.\n"
       "\n"
       "subcommands:\n"
@@ -49,8 +47,6 @@ void usage(std::FILE* out) {
       "\n"
       "options:\n"
       "  --root DIR             repo root (default: current directory)\n"
-      "  --compile-commands F   file list from a compile database\n"
-      "                         (headers paired in, closed over includes)\n"
       "  --json[=FILE]          emit JSON (default: stdout)\n"
       "  --dot[=FILE]           graph only: Graphviz output\n"
       "  --list-rules           print the rule catalogue and exit\n"
@@ -59,18 +55,6 @@ void usage(std::FILE* out) {
       "paths are root-relative files or directories; the default file set\n"
       "is everything under src/.\n",
       out);
-}
-
-std::string read_all(const std::filesystem::path& p, bool& ok) {
-  std::ifstream in{p, std::ios::binary};
-  if (!in) {
-    ok = false;
-    return {};
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
 }
 
 /// Writes `emit(stream)` to stdout when `file` is empty/"-", else to file.
@@ -94,7 +78,6 @@ int write_to(const std::string& file, Emit emit) {
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   std::string root = fs::current_path().string();
-  std::string compile_commands;
   std::vector<std::string> paths;
   bool json = false;
   std::string json_file;
@@ -117,10 +100,6 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
-    } else if (arg == "--compile-commands" && i + 1 < argc) {
-      compile_commands = argv[++i];
-    } else if (arg.rfind("--compile-commands=", 0) == 0) {
-      compile_commands = arg.substr(19);
     } else if (arg == "--json") {
       json = true;
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -157,30 +136,17 @@ int main(int argc, char** argv) {
 
   pam::lint::LintOptions options;
   options.root = root;
-  if (!compile_commands.empty()) {
-    options.files =
-        pam::lint::files_from_compile_commands(compile_commands, root);
-    if (options.files.empty()) {
-      std::fprintf(stderr,
-                   "pam_lint: no project sources found in '%s' "
-                   "(missing or unparsable compile database?)\n",
-                   compile_commands.c_str());
+  for (const auto& p : paths) {
+    const fs::path abs = fs::path(root) / p;
+    if (fs::is_directory(abs, ec)) {
+      const auto batch = pam::lint::files_under(abs.string(), root);
+      options.files.insert(options.files.end(), batch.begin(), batch.end());
+    } else if (fs::is_regular_file(abs, ec)) {
+      options.files.push_back(p);
+    } else {
+      std::fprintf(stderr, "pam_lint: no such file or directory: %s\n",
+                   p.c_str());
       return 2;
-    }
-  }
-  if (!paths.empty()) {
-    for (const auto& p : paths) {
-      const fs::path abs = fs::path(root) / p;
-      if (fs::is_directory(abs, ec)) {
-        const auto batch = pam::lint::files_under(abs.string(), root);
-        options.files.insert(options.files.end(), batch.begin(), batch.end());
-      } else if (fs::is_regular_file(abs, ec)) {
-        options.files.push_back(p);
-      } else {
-        std::fprintf(stderr, "pam_lint: no such file or directory: %s\n",
-                     p.c_str());
-        return 2;
-      }
     }
   }
   if (options.files.empty()) {
@@ -193,14 +159,13 @@ int main(int argc, char** argv) {
     std::map<std::string, std::vector<pam::lint::IncludeDirective>> per_file;
     std::map<std::string, std::string> raw;
     for (const auto& rel : options.files) {
-      bool ok = false;
-      auto content = read_all(fs::path(root) / rel, ok);
-      if (!ok) {
+      auto content = pam::lint::read_file(fs::path(root) / rel);
+      if (!content) {
         std::fprintf(stderr, "pam_lint: cannot read %s\n", rel.c_str());
         return 2;
       }
-      per_file.emplace(rel, pam::lint::extract_includes(content));
-      raw.emplace(rel, std::move(content));
+      per_file.emplace(rel, pam::lint::extract_includes(*content));
+      raw.emplace(rel, std::move(*content));
     }
     const pam::lint::IncludeGraph graph =
         pam::lint::build_include_graph(per_file);

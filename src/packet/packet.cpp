@@ -149,7 +149,6 @@ PacketPtr::~PacketPtr() {
   if (p_ != nullptr && pool_ != nullptr) {
     pool_->release(p_);
   } else {
-    // pam-lint: allow(D005) unpooled-owner fallback (tests, standalone builders); pooled packets take the release() branch
     delete p_;
   }
 }
@@ -159,7 +158,6 @@ PacketPtr& PacketPtr::operator=(PacketPtr&& o) noexcept {
     if (p_ != nullptr && pool_ != nullptr) {
       pool_->release(p_);
     } else {
-      // pam-lint: allow(D005) unpooled-owner fallback, same as the destructor
       delete p_;
     }
     p_ = o.p_;

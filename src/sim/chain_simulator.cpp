@@ -71,7 +71,7 @@ ChainSimulator::ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
       owned_devices_(devices == nullptr
                          ? std::make_unique<ServerDevices>(kernel_->queue(), calibration)
                          : nullptr),
-      home_{home_server_id, devices == nullptr ? owned_devices_.get() : devices, &server},
+      home_{home_server_id, devices == nullptr ? owned_devices_.get() : devices},
       flowgen_(traffic_.flows, traffic_.seed),
       rng_(traffic_.seed ^ 0xabcdef0123456789ull) {
   assert((kernel == nullptr) == (devices == nullptr));
@@ -117,8 +117,8 @@ void ChainSimulator::set_node_location(std::size_t i, Location loc) {
 }
 
 void ChainSimulator::set_node_server(std::size_t i, std::size_t server_id,
-                                     ServerDevices& devices, Server& hw) {
-  nodes_.at(i).binding = NodeBinding{server_id, &devices, &hw};
+                                     ServerDevices& devices) {
+  nodes_.at(i).binding = NodeBinding{server_id, &devices};
 }
 
 std::size_t ChainSimulator::nodes_off_home() const noexcept {
@@ -355,7 +355,7 @@ void ChainSimulator::forward_to_server(Packet* p, std::size_t to_server,
 
 void ChainSimulator::cross_pcie(Packet* p, const NodeBinding& binding,
                                 std::size_t next) {
-  auto& pcie = binding.hw->pcie();
+  const PcieLink& pcie = server_->pcie();
   p->note_pcie_crossing();
   ++crossings_total_;
 

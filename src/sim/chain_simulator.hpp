@@ -128,10 +128,10 @@ class ChainSimulator final : public EventSink {
   // --- cross-server placement (cluster mode) -------------------------------
 
   /// Re-bind node i to another rack slot (cross-server scale-out).  Takes
-  /// effect for packets not yet routed to it; `devices`/`hw` must outlive
-  /// the simulator.
+  /// effect for packets not yet routed to it; `devices` must outlive the
+  /// simulator.  Every slot of a rack has this chain's hardware model.
   void set_node_server(std::size_t i, std::size_t server_id,
-                       ServerDevices& devices, Server& hw);
+                       ServerDevices& devices);
   [[nodiscard]] std::size_t node_server(std::size_t i) const {
     return nodes_.at(i).binding.server;
   }
@@ -217,7 +217,6 @@ class ChainSimulator final : public EventSink {
   struct NodeBinding {
     std::size_t server = 0;
     ServerDevices* devices = nullptr;
-    Server* hw = nullptr;
   };
 
   /// A packet's current position between hops: rack slot + device side.
@@ -261,8 +260,9 @@ class ChainSimulator final : public EventSink {
   void send_to_fabric(Packet* p, std::size_t idx);
   void process_node(Packet* p, std::size_t idx);
   void nf_done(Packet* p, std::size_t idx, Location loc, SimTime submitted_at);
-  /// Crosses PCIe on `binding`'s slot, then continues at chain position
-  /// `next`: process that node, or deliver when it is past the last one.
+  /// Crosses the PCIe link of `binding`'s slot (this chain's PCIe model
+  /// on that slot's link queue), then continues at chain position `next`:
+  /// process that node, or deliver when it is past the last one.
   void cross_pcie(Packet* p, const NodeBinding& binding, std::size_t next);
   /// Forwards to rack slot `to_server`, then advances to position `idx`.
   void forward_to_server(Packet* p, std::size_t to_server, std::size_t idx);

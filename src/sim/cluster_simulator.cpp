@@ -11,10 +11,8 @@ ClusterSimulator::ClusterSimulator(std::size_t num_servers,
                                    SimTime inter_server_latency)
     : inter_server_latency_(inter_server_latency) {
   assert(num_servers > 0);
-  servers_.reserve(num_servers);
   devices_.reserve(num_servers);
   for (std::size_t s = 0; s < num_servers; ++s) {
-    servers_.push_back(std::make_unique<Server>(Server::paper_testbed()));
     devices_.push_back(std::make_unique<ServerDevices>(
         kernel_.queue(), Calibration::defaults(), format("[%zu]", s)));
   }
@@ -24,10 +22,10 @@ ClusterSimulator::ClusterSimulator(std::size_t num_servers,
 std::size_t ClusterSimulator::add_chain(ServiceChain chain,
                                         TrafficSourceConfig traffic,
                                         std::size_t home_server) {
-  assert(home_server < servers_.size());
+  assert(home_server < devices_.size());
   auto sim = std::make_unique<ChainSimulator>(
       kernel_, *devices_.at(home_server), home_server, std::move(chain),
-      *servers_.at(home_server), std::move(traffic));
+      server_, std::move(traffic));
   sim->set_inter_server_latency(inter_server_latency_);
   chains_.push_back(std::move(sim));
   return chains_.size() - 1;
@@ -36,7 +34,7 @@ std::size_t ClusterSimulator::add_chain(ServiceChain chain,
 void ClusterSimulator::move_node(std::size_t c, std::size_t node,
                                  std::size_t target, Location loc) {
   ChainSimulator& sim = *chains_.at(c);
-  sim.set_node_server(node, target, *devices_.at(target), *servers_.at(target));
+  sim.set_node_server(node, target, *devices_.at(target));
   sim.set_node_location(node, loc);
 }
 

@@ -11,12 +11,14 @@
 // cross-server scale-out (see control/fleet_controller.hpp for the policy
 // side).
 //
+// Every slot has the same hardware: the rack holds one Server model
+// (Server::paper_testbed()), which its chains and its controller's
+// ChainAnalyzer share, and one ServerDevices queue set per slot.
+//
 // A rack does not run itself: DatacenterSimulator (one rack or many) starts
-// its chains, advances its kernel epoch by epoch and aggregates the run
-// into a ClusterReport: the per-chain SimReports, per-server device
-// utilisation/accounting, and a fleet aggregation (Memento-style cheap
-// fleet-wide metrics: merged latency distribution, summed packet
-// accounting, total goodput) — one structure instead of report stitching.
+// its chains, advances its kernel epoch by epoch and assembles the run's
+// DatacenterReport: the per-chain SimReports, per-server device
+// utilisation/accounting and the fleet total, summed in one pass.
 //
 // Determinism: one kernel, one thread, seeded chains — identical inputs
 // give bit-identical reports.
@@ -24,57 +26,14 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "device/server.hpp"
 #include "sim/chain_simulator.hpp"
-#include "sim/sim_report.hpp"
 #include "sim/simulation_kernel.hpp"
 
 namespace pam {
-
-/// Device-level view of one rack slot over the whole run.
-struct ServerSummary {
-  std::size_t server_id = 0;
-  std::size_t chains_homed = 0;    ///< chains whose ingress/egress live here
-  std::size_t nodes_hosted = 0;    ///< chain nodes bound here at run end
-  double smartnic_utilization = 0.0;
-  double cpu_utilization = 0.0;
-  double pcie_utilization = 0.0;
-  /// Packet accounting summed over the chains homed on this slot.
-  std::uint64_t injected = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-};
-
-/// Fleet aggregation of one cluster run: per-chain reports, per-server
-/// summaries, and merged totals.
-struct ClusterReport {
-  std::vector<SimReport> per_chain;       ///< in add_chain order
-  std::vector<ServerSummary> per_server;  ///< indexed by server id
-
-  // --- fleet totals (whole run) --------------------------------------------
-  std::uint64_t injected = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped_total = 0;
-  std::uint64_t in_flight_at_end = 0;
-  std::uint64_t inter_server_hops = 0;
-  /// Packets sent over the cross-rack fabric (datacenter mode; 0 for
-  /// a single-rack run).
-  std::uint64_t cross_rack_hops = 0;
-
-  // --- fleet measurement window --------------------------------------------
-  LatencyRecorder latency;  ///< merged across all chains
-  Gbps egress_goodput;      ///< summed over chains
-  Gbps offered_rate;        ///< summed over chains
-
-  /// Conservation across the whole fleet.
-  [[nodiscard]] bool conserved() const noexcept {
-    return injected == delivered + dropped_total + in_flight_at_end;
-  }
-};
 
 class ClusterSimulator {
  public:
@@ -89,7 +48,7 @@ class ClusterSimulator {
   std::size_t add_chain(ServiceChain chain, TrafficSourceConfig traffic,
                         std::size_t home_server);
 
-  [[nodiscard]] std::size_t num_servers() const noexcept { return servers_.size(); }
+  [[nodiscard]] std::size_t num_servers() const noexcept { return devices_.size(); }
   [[nodiscard]] std::size_t num_chains() const noexcept { return chains_.size(); }
 
   [[nodiscard]] SimulationKernel& kernel() noexcept { return kernel_; }
@@ -97,7 +56,8 @@ class ClusterSimulator {
   [[nodiscard]] const ChainSimulator& chain_sim(std::size_t i) const {
     return *chains_.at(i);
   }
-  [[nodiscard]] Server& server(std::size_t s) { return *servers_.at(s); }
+  /// The hardware model of every slot.
+  [[nodiscard]] const Server& server() const noexcept { return server_; }
   [[nodiscard]] ServerDevices& devices(std::size_t s) { return *devices_.at(s); }
 
   /// Re-binds node `node` of chain `c` to rack slot `target` at `loc`
@@ -130,7 +90,7 @@ class ClusterSimulator {
 
  private:
   SimulationKernel kernel_;
-  std::vector<std::unique_ptr<Server>> servers_;
+  Server server_ = Server::paper_testbed();
   std::vector<std::unique_ptr<ServerDevices>> devices_;
   std::vector<std::unique_ptr<ChainSimulator>> chains_;
   std::vector<bool> alive_;           ///< per-slot liveness (failure kinds)

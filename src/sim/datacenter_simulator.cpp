@@ -324,8 +324,8 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
   DatacenterReport out;
   out.epochs = epochs_;
   out.cross_rack_frames = fabric_.frames_exchanged();
-  ClusterReport& fleet = out.cluster;
-  fleet.per_server.resize(num_servers());
+  SimReport& fleet = out.fleet;
+  out.per_server.resize(num_servers());
   out.shards.resize(racks_.size());
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     ShardSummary& shard = out.shards[r];
@@ -336,28 +336,34 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
     shard.frames_out = fabric_.frames_from(r);
     for (std::size_t s = 0; s < per_rack_; ++s) {
       const ServerDevices& devices = racks_[r]->devices(s);
-      ServerSummary& sum = fleet.per_server[global_server(r, s)];
+      ServerSummary& sum = out.per_server[global_server(r, s)];
       sum.server_id = global_server(r, s);
       sum.smartnic_utilization = devices.nic.utilization(duration);
       sum.cpu_utilization = devices.cpu.utilization(duration);
       sum.pcie_utilization = devices.pcie.utilization(duration);
+      // Fleet utilisation is the hottest slot's (the bottleneck view).
+      fleet.smartnic_utilization =
+          std::max(fleet.smartnic_utilization, sum.smartnic_utilization);
+      fleet.cpu_utilization = std::max(fleet.cpu_utilization, sum.cpu_utilization);
+      fleet.pcie_utilization = std::max(fleet.pcie_utilization, sum.pcie_utilization);
     }
   }
 
   // One pass over the chains in global id order: the per-chain reports,
-  // the home slot's and home shard's sums and the fleet totals.  The
+  // the home slot's and home shard's sums and the fleet total.  The
   // merged latency distribution accumulates in that same order, so it is
   // independent of rack partitioning details like thread assignment.
   double goodput = 0.0;
   double offered = 0.0;
-  fleet.per_chain.reserve(chain_map_.size());
+  double crossings = 0.0;  ///< Σ crossings per packet x measured deliveries
+  out.per_chain.reserve(chain_map_.size());
   for (std::size_t c = 0; c < chain_map_.size(); ++c) {
     const ChainRef& ref = chain_map_[c];
     const ChainSimulator& sim = racks_[ref.rack]->chain_sim(ref.local);
     SimReport report = sim.build_report();
     const std::uint64_t dropped = report.dropped_total();
 
-    ServerSummary& home = fleet.per_server[chain_home_[c]];
+    ServerSummary& home = out.per_server[chain_home_[c]];
     ++home.chains_homed;
     home.injected += report.injected;
     home.delivered += report.delivered;
@@ -371,29 +377,39 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
 
     fleet.injected += report.injected;
     fleet.delivered += report.delivered;
-    fleet.dropped_total += dropped;
+    fleet.dropped_queue_nic += report.dropped_queue_nic;
+    fleet.dropped_queue_cpu += report.dropped_queue_cpu;
+    fleet.dropped_queue_pcie += report.dropped_queue_pcie;
+    fleet.dropped_by_nf += report.dropped_by_nf;
     fleet.in_flight_at_end += report.in_flight_at_end;
     fleet.inter_server_hops += report.inter_server_hops;
-    fleet.cross_rack_hops += sim.cross_rack_hops();
+    fleet.measured_delivered += report.measured_delivered;
     fleet.latency.merge(report.latency);
     goodput += report.egress_goodput.value();
     offered += report.offered_rate.value();
+    crossings += report.mean_crossings_per_packet *
+                 static_cast<double>(report.measured_delivered);
+    out.cross_rack_hops += sim.cross_rack_hops();
 
     for (std::size_t i = 0; i < sim.chain().size(); ++i) {
       if (!sim.node_remote(i)) {  // a leased node is credited below
-        ++fleet.per_server[global_server(ref.rack, sim.node_server(i))]
+        ++out.per_server[global_server(ref.rack, sim.node_server(i))]
               .nodes_hosted;
       }
     }
-    fleet.per_chain.push_back(std::move(report));
+    out.per_chain.push_back(std::move(report));
   }
   fleet.egress_goodput = Gbps{goodput};
   fleet.offered_rate = Gbps{offered};
+  fleet.mean_crossings_per_packet =
+      fleet.measured_delivered > 0
+          ? crossings / static_cast<double>(fleet.measured_delivered)
+          : 0.0;
 
   // Leased nodes: their visit stats live host-side; patch them into the
   // home chain's per-node view and credit the host slot with the node.
   for (const auto& lease : leases_) {
-    SimReport& report = fleet.per_chain[lease->chain];
+    SimReport& report = out.per_chain[lease->chain];
     NodeSummary& node = report.per_node.at(lease->node);
     node.location = Location::kSmartNic;
     node.packets = lease->packets;
@@ -401,7 +417,7 @@ DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
       node.mean_residence = lease->residence.mean();
       node.p99_residence = lease->residence.quantile(0.99);
     }
-    ++fleet.per_server[global_server(lease->host_rack, lease->host_slot)]
+    ++out.per_server[global_server(lease->host_rack, lease->host_slot)]
           .nodes_hosted;
   }
   return out;

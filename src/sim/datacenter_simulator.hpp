@@ -53,8 +53,23 @@
 #include "nf/network_function.hpp"
 #include "sim/cluster_simulator.hpp"
 #include "sim/shard_fabric.hpp"
+#include "sim/sim_report.hpp"
 
 namespace pam {
+
+/// Device-level view of one server slot over the whole run.
+struct ServerSummary {
+  std::size_t server_id = 0;
+  std::size_t chains_homed = 0;    ///< chains whose ingress/egress live here
+  std::size_t nodes_hosted = 0;    ///< chain nodes bound here at run end
+  double smartnic_utilization = 0.0;
+  double cpu_utilization = 0.0;
+  double pcie_utilization = 0.0;
+  /// Packet accounting summed over the chains homed on this slot.
+  std::uint64_t injected = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+};
 
 /// Per-shard totals of one datacenter run (report + invariant surface).
 struct ShardSummary {
@@ -69,12 +84,18 @@ struct ShardSummary {
   std::uint64_t frames_out = 0;  ///< fabric frames this shard sent
 };
 
+/// One datacenter run with global server and chain ids, built in one pass
+/// over the chains; the same shape for one rack or many, so downstream
+/// consumers are agnostic to sharding.
 struct DatacenterReport {
-  /// Fleet-merged view with global server and chain ids, built in one
-  /// pass over the chains; the same shape for one rack or many, so
-  /// downstream consumers are agnostic to sharding.
-  ClusterReport cluster;
+  std::vector<SimReport> per_chain;       ///< by global chain id
+  std::vector<ServerSummary> per_server;  ///< by global server id
+  /// The fleet total: counts, drops and rates summed over the chains,
+  /// latency merged in chain order, crossings per packet weighted by each
+  /// chain's measured deliveries, utilisation of the hottest slot.
+  SimReport fleet;
   std::vector<ShardSummary> shards;
+  std::uint64_t cross_rack_hops = 0;  ///< packets the chains sent to a lease
   std::uint64_t cross_rack_frames = 0;
   std::uint64_t epochs = 0;
 };

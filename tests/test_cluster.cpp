@@ -59,12 +59,12 @@ TEST(Cluster, ConservationAndPoolDrainAcrossServers) {
   dc.add_chain(paper_figure1_chain(), traffic(1.0, 2), 1);
   dc.add_chain(paper_figure1_chain(), traffic(0.7, 3), 2);
 
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
 
-  EXPECT_GT(report.injected, 0u);
-  EXPECT_TRUE(report.conserved());
-  EXPECT_EQ(report.in_flight_at_end, 0u);
+  EXPECT_GT(report.fleet.injected, 0u);
+  EXPECT_TRUE(report.fleet.conserved());
+  EXPECT_EQ(report.fleet.in_flight_at_end, 0u);
   for (const SimReport& chain : report.per_chain) {
     EXPECT_TRUE(chain.conserved());
   }
@@ -76,8 +76,8 @@ TEST(Cluster, FleetTotalsAreTheSumOfChains) {
   DatacenterSimulator dc{one_rack(2)};
   dc.add_chain(paper_figure1_chain(), traffic(1.2, 7), 0);
   dc.add_chain(paper_figure1_chain(), traffic(0.9, 8), 1);
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(25), SimTime::milliseconds(5), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(25), SimTime::milliseconds(5), /*threads=*/1);
 
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
@@ -87,9 +87,9 @@ TEST(Cluster, FleetTotalsAreTheSumOfChains) {
     delivered += chain.delivered;
     latency_samples += chain.latency.count();
   }
-  EXPECT_EQ(report.injected, injected);
-  EXPECT_EQ(report.delivered, delivered);
-  EXPECT_EQ(report.latency.count(), latency_samples);
+  EXPECT_EQ(report.fleet.injected, injected);
+  EXPECT_EQ(report.fleet.delivered, delivered);
+  EXPECT_EQ(report.fleet.latency.count(), latency_samples);
   EXPECT_EQ(report.per_server.size(), 2u);
   EXPECT_EQ(report.per_server[0].chains_homed, 1u);
   EXPECT_EQ(report.per_server[1].chains_homed, 1u);
@@ -105,17 +105,17 @@ TEST(Cluster, FleetControllerMovesBorderNfAcrossServers) {
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
 
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 1u);
   // The moved Monitor is the middle node: packets hop to server 1 and back.
   EXPECT_EQ(cluster.chain_sim(hot).node_server(1), 1u);
-  EXPECT_GT(report.inter_server_hops, 0u);
+  EXPECT_GT(report.fleet.inter_server_hops, 0u);
   EXPECT_GT(report.per_server[1].smartnic_utilization, 0.2);
   // Loss-freedom of the move itself: everything still accounted for.
-  EXPECT_TRUE(report.conserved());
+  EXPECT_TRUE(report.fleet.conserved());
   EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
   EXPECT_FALSE(fleet.events().empty());
 }
@@ -141,11 +141,11 @@ TEST(Cluster, CoHomedChainsSaturatingASlotTriggerScaleOut) {
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
 
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
-  EXPECT_TRUE(report.conserved());
+  EXPECT_TRUE(report.fleet.conserved());
   // One of the two Monitors now runs on the spare slot.
   const std::size_t off_home = cluster.chain_sim(0).nodes_off_home() +
                                cluster.chain_sim(1).nodes_off_home();
@@ -156,11 +156,11 @@ TEST(Cluster, NoRebalanceWithoutController) {
   DatacenterSimulator dc{one_rack(2)};
   ClusterSimulator& cluster = dc.rack(0);
   const std::size_t hot = dc.add_chain(hot_chain(), traffic(2.8, 11), 0);
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 0u);
-  EXPECT_EQ(report.inter_server_hops, 0u);
-  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.fleet.inter_server_hops, 0u);
+  EXPECT_TRUE(report.fleet.conserved());
 }
 
 TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
@@ -192,8 +192,8 @@ TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
     fleet.on_server_failed(1);
   });
 
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
 
   EXPECT_EQ(fleet.evacuations(), 2u);
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
@@ -210,7 +210,7 @@ TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
   EXPECT_EQ(sim.chain().location_of(0), Location::kSmartNic);
   EXPECT_EQ(sim.chain().location_of(1), Location::kCpu);
   // Loss-freedom across the failure episode.
-  EXPECT_TRUE(report.conserved());
+  EXPECT_TRUE(report.fleet.conserved());
   EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
 }
 
@@ -231,8 +231,8 @@ TEST(Cluster, DeadTargetAbortsInFlightMoveLossFree) {
     fleet.on_server_failed(1);
   });
 
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1).cluster;
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
 
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
   EXPECT_EQ(fleet.evacuations(), 0u);
@@ -247,7 +247,7 @@ TEST(Cluster, DeadTargetAbortsInFlightMoveLossFree) {
     }
   }
   EXPECT_TRUE(aborted);
-  EXPECT_TRUE(report.conserved());
+  EXPECT_TRUE(report.fleet.conserved());
   EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
 }
 
@@ -259,22 +259,22 @@ TEST(Cluster, ChurnWindowBoundsInjectionAndConserves) {
   {
     DatacenterSimulator dc{one_rack(1)};
     dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
-    const ClusterReport report =
-        dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1).cluster;
-    full_injected = report.injected;
-    EXPECT_TRUE(report.conserved());
+    const DatacenterReport report =
+        dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+    full_injected = report.fleet.injected;
+    EXPECT_TRUE(report.fleet.conserved());
   }
   DatacenterSimulator dc{one_rack(1)};
   ClusterSimulator& cluster = dc.rack(0);
   const std::size_t c = dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
   cluster.chain_sim(c).set_active_window(SimTime::milliseconds(10),
                                          SimTime::milliseconds(20));
-  const ClusterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1).cluster;
-  EXPECT_GT(report.injected, 0u);
-  EXPECT_LT(report.injected, full_injected);
-  EXPECT_TRUE(report.conserved());
-  EXPECT_EQ(report.in_flight_at_end, 0u);
+  const DatacenterReport report =
+      dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+  EXPECT_GT(report.fleet.injected, 0u);
+  EXPECT_LT(report.fleet.injected, full_injected);
+  EXPECT_TRUE(report.fleet.conserved());
+  EXPECT_EQ(report.fleet.in_flight_at_end, 0u);
   EXPECT_EQ(cluster.kernel().pool().in_use(), 0u);
 }
 

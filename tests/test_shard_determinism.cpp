@@ -315,7 +315,7 @@ TEST(CrossRackLease, HeaderOnlyNfLeavesPayloadPending) {
   ASSERT_GT(leased.pending.size(), 1'000u);
   EXPECT_EQ(std::count(leased.pending.begin(), leased.pending.end(), false), 0);
   EXPECT_EQ(leased.frames, local.frames);
-  EXPECT_TRUE(leased.report.cluster.conserved());
+  EXPECT_TRUE(leased.report.fleet.conserved());
 }
 
 TEST(CrossRackLease, LeasedDpiFillsPayloadAndMatches) {

@@ -8,12 +8,13 @@
 // thousands of packet hops, metered, with drop-tail losses in the overload
 // case — must make zero heap allocations.
 //
-// A second case runs the same chain on two racks with its Monitor leased
-// across them, so every packet also crosses the shard fabric twice; the
-// window there is a run of whole epochs, opened and closed from the
+// Two more cases move the same chain's Monitor off its home slot, so every
+// packet also makes two extra hops: to another slot of the same rack over
+// the rack fabric, or to a lease on another rack over the shard fabric.
+// The window there is a run of whole epochs, opened and closed from the
 // barrier hook.
 //
-// A third case checks that buffers follow the traffic, not the fleet: a
+// A last case checks that buffers follow the traffic, not the fleet: a
 // 64-rack datacenter with its chains on rack 0 pays a few allocations per
 // rack to set up, and racks that home no chain never grow a packet pool.
 //
@@ -121,32 +122,32 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string{info.param > 2.0 ? "overload" : "underload"};
     });
 
-TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
-  DatacenterSimulator::Options options;
-  options.shards = 2;
-  options.servers_total = 2;
-  DatacenterSimulator dc{options};
-  TrafficSourceConfig traffic;
-  traffic.rate = RateProfile::constant(Gbps{1.0});
-  traffic.sizes = PacketSizeDistribution::fixed(512);
-  traffic.seed = 2018;
-  const std::size_t chain = dc.add_chain(paper_figure1_chain(), traffic, 0);
-  constexpr std::size_t kMonitor = 1;
-  ASSERT_TRUE(dc.commit_lease(chain, kMonitor, 1));
+/// A datacenter run whose steady-state window is counted from the barrier
+/// hook: allocations, events on every rack and packets `chain` injected
+/// over the epochs in [300 ms, 350 ms) of a 400 ms run.  Same warm-up
+/// reasoning as above: by 300 ms every reservoir, ring and mailbox has
+/// reached its high-water mark.
+struct WindowedRun {
+  DatacenterReport report;
+  std::uint64_t allocations = 0;
+  std::uint64_t events = 0;
+  std::uint64_t injected = 0;
+};
 
-  // Same warm-up reasoning as above: by 300 ms every reservoir, ring and
-  // mailbox has reached its high-water mark.
+WindowedRun run_with_window(DatacenterSimulator& dc, std::size_t chain,
+                            std::size_t threads) {
   const SimTime window_start = SimTime::milliseconds(300);
   const SimTime window_end = SimTime::milliseconds(350);
   const auto executed = [&dc] {
-    return dc.rack(0).kernel().queue().executed() +
-           dc.rack(1).kernel().queue().executed();
+    std::uint64_t n = 0;
+    for (std::size_t r = 0; r < dc.num_racks(); ++r) {
+      n += dc.rack(r).kernel().queue().executed();
+    }
+    return n;
   };
+  WindowedRun out;
   std::uint64_t injected_before = 0;
   std::uint64_t executed_before = 0;
-  std::uint64_t injected = 0;
-  std::uint64_t events = 0;
-  std::uint64_t allocations = 0;
   dc.set_barrier_hook([&](SimTime t, bool draining) {
     const bool in_window = !draining && t >= window_start && t < window_end;
     if (in_window == g_counting.load()) {
@@ -160,22 +161,62 @@ TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
       return;
     }
     g_counting.store(false);
-    allocations = g_allocations.load();
-    events = executed() - executed_before;
-    injected = dc.chain_sim(chain).build_report().injected - injected_before;
+    out.allocations = g_allocations.load();
+    out.events = executed() - executed_before;
+    out.injected = dc.chain_sim(chain).build_report().injected - injected_before;
   });
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), /*threads=*/2);
+  out.report = dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), threads);
+  return out;
+}
 
-  EXPECT_EQ(allocations, 0u) << "over " << events << " events, " << injected
-                             << " packets";
-  EXPECT_GT(injected, 10'000u);
-  EXPECT_GT(events, 100'000u);
-  EXPECT_GE(report.cross_rack_frames, 2 * injected);
-  EXPECT_TRUE(report.cluster.conserved());
+TrafficSourceConfig steady_traffic() {
+  TrafficSourceConfig traffic;
+  traffic.rate = RateProfile::constant(Gbps{1.0});
+  traffic.sizes = PacketSizeDistribution::fixed(512);
+  traffic.seed = 2018;
+  return traffic;
+}
+
+constexpr std::size_t kMonitor = 1;  ///< the Figure-1 chain's second node
+
+TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
+  DatacenterSimulator::Options options;
+  options.shards = 2;
+  options.servers_total = 2;
+  DatacenterSimulator dc{options};
+  const std::size_t chain = dc.add_chain(paper_figure1_chain(), steady_traffic(), 0);
+  ASSERT_TRUE(dc.commit_lease(chain, kMonitor, 1));
+
+  const WindowedRun run = run_with_window(dc, chain, /*threads=*/2);
+  EXPECT_EQ(run.allocations, 0u) << "over " << run.events << " events, "
+                                 << run.injected << " packets";
+  EXPECT_GT(run.injected, 10'000u);
+  EXPECT_GT(run.events, 100'000u);
+  EXPECT_GE(run.report.cross_rack_frames, 2 * run.injected);
+  EXPECT_TRUE(run.report.fleet.conserved());
   for (std::size_t r = 0; r < dc.num_racks(); ++r) {
     EXPECT_EQ(dc.rack(r).kernel().pool().in_use(), 0u) << "rack " << r;
   }
+}
+
+TEST(SteadyStateAllocs, CrossServerHopDoesNotAllocate) {
+  // One rack, two slots: the chain is homed on slot 0 and its Monitor runs
+  // on slot 1, so every packet crosses the rack fabric there and back.
+  DatacenterSimulator::Options options;
+  options.shards = 1;
+  options.servers_total = 2;
+  DatacenterSimulator dc{options};
+  const std::size_t chain = dc.add_chain(paper_figure1_chain(), steady_traffic(), 0);
+  const Location monitor_at = dc.chain_sim(chain).chain().location_of(kMonitor);
+  dc.rack(0).move_node(dc.local_chain_of(chain), kMonitor, 1, monitor_at);
+
+  const WindowedRun run = run_with_window(dc, chain, /*threads=*/1);
+  EXPECT_EQ(run.allocations, 0u) << "over " << run.events << " events, "
+                                 << run.injected << " packets";
+  EXPECT_GT(run.injected, 10'000u);
+  EXPECT_GT(run.events, 100'000u);
+  EXPECT_GE(run.report.fleet.inter_server_hops, 2 * run.injected);
+  EXPECT_TRUE(run.report.fleet.conserved());
 }
 
 TEST(SteadyStateAllocs, IdleRacksCostNothing) {
@@ -183,11 +224,7 @@ TEST(SteadyStateAllocs, IdleRacksCostNothing) {
   DatacenterSimulator::Options options;
   options.shards = kRacks;
   options.servers_total = 2 * kRacks;
-  TrafficSourceConfig traffic;
-  traffic.rate = RateProfile::constant(Gbps{1.0});
-  traffic.sizes = PacketSizeDistribution::fixed(512);
-  traffic.seed = 2018;
-  constexpr std::size_t kMonitor = 1;
+  const TrafficSourceConfig traffic = steady_traffic();
   const std::size_t host = options.servers_total - 1;  // a slot on the last rack
 
   g_allocations.store(0);
@@ -200,14 +237,14 @@ TEST(SteadyStateAllocs, IdleRacksCostNothing) {
   const std::uint64_t setup_allocations = g_allocations.load();
   ASSERT_TRUE(leased);
 
-  // Each rack's own objects (its servers, device queues and kernel) take
-  // about twenty allocations here; nothing per rack may scale with a pool
+  // Each rack's own objects (its device queues and kernel) take fewer
+  // than twenty allocations here; nothing per rack may scale with a pool
   // or mailbox reservation.
   EXPECT_LT(setup_allocations, 32 * kRacks);
 
   const DatacenterReport report =
       dc.run(SimTime::milliseconds(20), SimTime::milliseconds(2), /*threads=*/2);
-  EXPECT_TRUE(report.cluster.conserved());
+  EXPECT_TRUE(report.fleet.conserved());
   EXPECT_GT(report.cross_rack_frames, 0u);
   EXPECT_GT(dc.rack(0).kernel().pool().capacity(), 0u);
   for (std::size_t r = 1; r < dc.num_racks(); ++r) {
