@@ -62,7 +62,7 @@ int usage(std::FILE* out) {
                "       pam_exp policies\n"
                "       pam_exp run <scenario>... [--json[=FILE]] [--quiet] "
                "[--verbose] [--policy NAME[:key=val,...]] [--threads N] "
-               "[--dir DIR]\n"
+               "[--check-invariants] [--dir DIR]\n"
                "       pam_exp sweep <scenario> --factors LO:HI:STEPS "
                "[--json[=FILE]] [--quiet] [--policy NAME[:key=val,...]] "
                "[--dir DIR]\n"

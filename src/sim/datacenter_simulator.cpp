@@ -128,7 +128,10 @@ void DatacenterSimulator::send_visit(std::size_t c, std::size_t node, Packet* p)
 
 void DatacenterSimulator::deliver_frame(std::size_t dst, const FabricFrame& frame) {
   // Lookahead: sent_at lies inside the epoch that just ended, so the
-  // arrival is always at or after the barrier the destination sits at.
+  // arrival is always at or after the barrier the destination sits at,
+  // and at or after every arrival an earlier barrier delivered.  Within
+  // one barrier the fabric hands a destination its frames by sent_at, so
+  // its arrival times never go back: they ride the arrival line.
   EventRecord arrive;
   arrive.sink = this;
   arrive.kind =
@@ -138,7 +141,7 @@ void DatacenterSimulator::deliver_frame(std::size_t dst, const FabricFrame& fram
   arrive.a = dst;
   arrive.b = frame.chain;
   arrive.c = static_cast<std::uint64_t>(frame.outcome);
-  racks_[dst]->kernel().queue().schedule_at(
+  racks_[dst]->kernel().queue().schedule_arrival(
       frame.sent_at + options_.cross_rack_latency, arrive);
 }
 
@@ -247,7 +250,8 @@ void DatacenterSimulator::lease_nf_done(std::size_t host, std::size_t c,
 }
 
 void DatacenterSimulator::exchange() {
-  // Mailbox order already encodes (dst, src, seq).
+  // The fabric delivers in (dst, sent_at, src, seq) order, which depends
+  // on the mailboxes' contents alone, never on which thread filled them.
   fabric_.exchange([this](std::size_t, std::size_t dst, const FabricFrame& frame) {
     deliver_frame(dst, frame);
   });

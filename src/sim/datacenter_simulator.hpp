@@ -20,9 +20,9 @@
 //   1. every shard runs `advance_until(k * quantum)` — in parallel when a
 //      thread pool is configured (sim/epoch_executor.hpp), shards touching
 //      only their own state plus their own mailbox row of the ShardFabric;
-//   2. barrier: the main thread alone drains all mailboxes in (dst, src,
-//      seq) order, scheduling each frame's arrival at sent_at + latency on
-//      the destination shard;
+//   2. barrier: the main thread alone drains all mailboxes in (dst,
+//      arrival time, src, seq) order, putting each frame's arrival at
+//      sent_at + latency on the destination shard's arrival line;
 //   3. the barrier hook fires (the DatacenterOrchestrator's control tier:
 //      sensing rack pressure, committing cross-rack leases);
 //   4. repeat to the horizon, then keep epoch-cycling with stopped sources

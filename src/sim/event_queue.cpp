@@ -28,6 +28,13 @@ void EventQueue::schedule_delayed(SimTime delay, const EventRecord& rec) {
   ++line_events_;
 }
 
+void EventQueue::schedule_arrival(SimTime at, const EventRecord& rec) {
+  assert(at >= now_);
+  assert(arrivals_.empty() || at >= arrivals_[arrivals_.size() - 1].at);
+  arrivals_.push_back(Event{at, next_seq_++, rec});
+  ++line_events_;
+}
+
 EventRecord EventQueue::park(Action action) {
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
@@ -65,6 +72,9 @@ EventQueue::Next EventQueue::earliest() const noexcept {
     return next;
   }
   const Later later;
+  if (!arrivals_.empty() && (next.ev == nullptr || later(*next.ev, arrivals_.front()))) {
+    next = Next{&arrivals_.front(), kArrival};
+  }
   for (std::size_t i = 0; i < lines_.size(); ++i) {
     const FifoRing<Event>& events = lines_[i].events;
     if (!events.empty() && (next.ev == nullptr || later(*next.ev, events.front()))) {
@@ -79,7 +89,11 @@ void EventQueue::run(Next next) {
   if (next.line == kHeap) {
     heap_.pop();
   } else {
-    lines_[next.line].events.pop_front();
+    if (next.line == kArrival) {
+      arrivals_.pop_front();
+    } else {
+      lines_[next.line].events.pop_front();
+    }
     --line_events_;
   }
   now_ = ev.at;

@@ -11,19 +11,24 @@
 //   - erased actions (EventQueue::Action): any callable, parked in a slab
 //     with a free list.  Control-plane, periodic and test code uses them.
 //
-// Pending events live in two kinds of store:
+// Pending events live in three kinds of store:
 //   - a binary heap, for anything scheduled at an arbitrary time;
 //   - delay lines: one FIFO per distinct fixed delay d, fed by
 //     schedule_delayed(d, rec).  Each entry is {now + d, next seq}; since
 //     the clock never goes back and the sequence only grows, a line is
-//     already sorted by (time, sequence) and needs no heap.
+//     already sorted by (time, sequence) and needs no heap;
+//   - the arrival line: one FIFO fed by schedule_arrival(at, rec), whose
+//     callers promise that `at` never goes back.  The datacenter kernel
+//     delivers each epoch's cross-rack frames on it, merged by arrival
+//     time at the barrier (sim/shard_fabric.hpp).
 // run_one pops the earliest of the heap top and the line fronts under the
 // same (time, sequence) comparison, so the execution order is exactly the
 // one a heap alone would give.  The datapath's pure pipeline delays use
-// the lines — ChainSimulator's per-NF nf_overhead, the PCIe fixed delay
-// and the inter-server hop, and a cross-rack lease's nf_overhead — which
-// is where most in-flight packets wait.  A simulation has a handful of
-// such delays, so the lines sit in a small vector scanned linearly.
+// the delay lines — ChainSimulator's per-NF nf_overhead, the PCIe fixed
+// delay and the inter-server hop, and a cross-rack lease's nf_overhead —
+// which is where most in-flight packets wait.  A simulation has a handful
+// of such delays, so the lines sit in a small vector scanned linearly.
+// A queue whose lines and arrival line are empty looks at the heap alone.
 
 #pragma once
 
@@ -100,6 +105,10 @@ class EventQueue {
   /// the same (time, sequence) slot as schedule_after, without a heap
   /// push.  Meant for delays every packet pays unchanged.
   void schedule_delayed(SimTime delay, const EventRecord& rec);
+  /// Schedules `rec` at `at` on the arrival line: the same (time,
+  /// sequence) slot as schedule_at, without a heap push.  `at` must be
+  /// >= now and >= every earlier arrival's time.
+  void schedule_arrival(SimTime at, const EventRecord& rec);
 
   /// Schedules the erased `action` at `at` / after `delay`.
   void schedule_at(SimTime at, Action action) {
@@ -144,12 +153,14 @@ class EventQueue {
     FifoRing<Event> events;
   };
   /// The earliest pending event and where it waits: `line` indexes lines_,
-  /// or is kHeap for the heap top.  `ev` is null when nothing is pending.
+  /// or is kHeap for the heap top or kArrival for the arrival line's
+  /// front.  `ev` is null when nothing is pending.
   struct Next {
     const Event* ev = nullptr;
     std::size_t line = 0;
   };
   static constexpr std::size_t kHeap = ~std::size_t{0};
+  static constexpr std::size_t kArrival = kHeap - 1;
 
   [[nodiscard]] Next earliest() const noexcept;
   /// Pops `next` from its store, advances the clock to it and runs it.
@@ -157,7 +168,8 @@ class EventQueue {
 
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::vector<DelayLine> lines_;
-  std::size_t line_events_ = 0;  ///< events waiting on all lines
+  FifoRing<Event> arrivals_;  ///< the arrival line, in (time, sequence) order
+  std::size_t line_events_ = 0;  ///< events on the delay and arrival lines
   std::vector<Action> actions_;            ///< slab of parked actions
   std::vector<std::uint32_t> free_slots_;  ///< reusable slab slots
   SimTime now_ = SimTime::zero();

@@ -9,13 +9,15 @@ namespace pam {
 // mailboxes, and most (src, dst) pairs never carry a frame.  A mailbox's
 // vector grows on its first sends and keeps its capacity across exchanges
 // (exchange() clears without shrinking), so a busy lane stops allocating
-// once it has held its largest per-epoch burst.
+// once it has held its largest per-epoch burst.  The merge cursors are
+// the one reservation: a slot per source, so exchange() never allocates.
 ShardFabric::ShardFabric(std::size_t shards)
     : shards_(shards),
       boxes_(shards * shards),
       arenas_(shards),
       frames_from_(shards, 0) {
   assert(shards > 0);
+  lanes_.reserve(shards);
 }
 
 FabricFrame ShardFabric::acquire(std::size_t src) {
@@ -31,6 +33,7 @@ FabricFrame ShardFabric::acquire(std::size_t src) {
 void ShardFabric::send(std::size_t src, std::size_t dst, FabricFrame frame) {
   assert(src != dst);
   Mailbox& mb = box(src, dst);
+  assert(mb.frames.empty() || mb.frames.back().sent_at <= frame.sent_at);
   frame.seq = mb.next_seq++;
   mb.frames.push_back(std::move(frame));
   ++frames_from_[src];

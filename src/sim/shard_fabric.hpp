@@ -6,8 +6,11 @@
 // owned by its home rack's PacketPool, whose packets never move, and only
 // one shard touches it while it is in flight.  Frames are buffered into
 // the per-(src,dst) mailbox of the sending shard and drained only at epoch
-// barriers, in deterministic (dst, src, seq) order, which is what makes the
-// parallel run bit-identical to the single-threaded one.
+// barriers, in deterministic (dst, sent_at, src, seq) order, which is what
+// makes the parallel run bit-identical to the single-threaded one.  A
+// mailbox is a lane already sorted by send time, so the drain is a k-way
+// merge of each destination's lanes, and a destination's arrival times
+// never go back: it can take them on its EventQueue's arrival line.
 //
 // Ownership protocol (this is what keeps the exchange lock-free and
 // TSan-clean): between two barriers, mailbox row `src` is written only by
@@ -67,28 +70,46 @@ class ShardFabric {
   [[nodiscard]] FabricFrame acquire(std::size_t src);
 
   /// Buffers `frame` into mailbox (src, dst), stamping its sequence number.
-  /// Callable only from shard `src`'s thread mid-epoch.
+  /// A lane's `sent_at` must never go back.  Callable only from shard
+  /// `src`'s thread mid-epoch.
   void send(std::size_t src, std::size_t dst, FabricFrame frame);
 
   /// Returns a consumed frame's storage to `shard`'s arena.  Callable only
   /// from the shard's own thread (or at a barrier).
   void release(std::size_t shard, FabricFrame frame);
 
-  /// Drains every mailbox in (dst, src, seq) order, invoking
-  /// `deliver(src, dst, frame)` for each frame.  Mailbox vectors are
-  /// cleared but keep their capacity.  Barrier-only: every shard thread
-  /// must be parked.
+  /// Drains every mailbox in (dst, sent_at, src, seq) order, invoking
+  /// `deliver(src, dst, frame)` for each frame: destination by
+  /// destination, a merge of its (src -> dst) lanes by `sent_at`, equal
+  /// times going to the lower src.  Mailbox vectors are cleared but keep
+  /// their capacity, and the merge allocates nothing.  Barrier-only: every
+  /// shard thread must be parked.
   template <typename Deliver>
   void exchange(Deliver&& deliver) {
     for (std::size_t dst = 0; dst < shards_; ++dst) {
+      lanes_.clear();  // capacity reserved for every src
       for (std::size_t src = 0; src < shards_; ++src) {
-        // Frames sit in push order, which is seq order.
-        Mailbox& mb = box(src, dst);
-        for (FabricFrame& frame : mb.frames) {
-          ++frames_exchanged_;
-          deliver(src, dst, std::move(frame));
+        if (!box(src, dst).frames.empty()) {
+          lanes_.push_back(Lane{src, 0});
         }
-        mb.frames.clear();  // capacity retained
+      }
+      while (!lanes_.empty()) {
+        // lanes_ stays in src order, so the strict < keeps ties on the
+        // lower src.
+        std::size_t pick = 0;
+        for (std::size_t i = 1; i < lanes_.size(); ++i) {
+          if (head(lanes_[i], dst).sent_at < head(lanes_[pick], dst).sent_at) {
+            pick = i;
+          }
+        }
+        Lane& lane = lanes_[pick];
+        Mailbox& mb = box(lane.src, dst);
+        ++frames_exchanged_;
+        deliver(lane.src, dst, std::move(mb.frames[lane.next]));
+        if (++lane.next == mb.frames.size()) {
+          mb.frames.clear();  // capacity retained
+          lanes_.erase(lanes_.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
       }
     }
   }
@@ -107,13 +128,23 @@ class ShardFabric {
     std::uint64_t next_seq = 0;
   };
 
+  /// A (src -> dst) mailbox being merged: its next frame is frames[next].
+  struct Lane {
+    std::size_t src = 0;
+    std::size_t next = 0;
+  };
+
   [[nodiscard]] Mailbox& box(std::size_t src, std::size_t dst) {
     return boxes_[src * shards_ + dst];
+  }
+  [[nodiscard]] const FabricFrame& head(const Lane& lane, std::size_t dst) {
+    return box(lane.src, dst).frames[lane.next];
   }
 
   std::size_t shards_;
   std::vector<Mailbox> boxes_;                   ///< src-major (src, dst) grid
   std::vector<std::vector<FabricFrame>> arenas_; ///< per-shard recycle stacks
+  std::vector<Lane> lanes_;  ///< exchange's merge cursors, one per busy src
   std::vector<std::uint64_t> frames_from_;
   std::uint64_t frames_exchanged_ = 0;
 };

@@ -1,7 +1,7 @@
 // Deterministic event scheduler tests: ordering, tie-breaking, clamping,
 // the run_until horizon semantics the simulator depends on, typed records
-// sharing one order with erased actions, and delay lines sharing it with
-// the heap.
+// sharing one order with erased actions, and delay lines and the arrival
+// line sharing it with the heap.
 
 #include <gtest/gtest.h>
 
@@ -271,6 +271,31 @@ TEST(EventQueue, LineOnlyQueueIsSeenByEveryQuery) {
   EXPECT_FALSE(q.run_one());
 }
 
+TEST(EventQueue, ArrivalOnlyQueueIsSeenByEveryQuery) {
+  EventQueue q;
+  std::vector<int> order;
+  Recorder sink;
+  sink.seen = &order;
+  q.schedule_arrival(SimTime::microseconds(3), tagged(&sink, 1));
+  q.schedule_arrival(SimTime::microseconds(3), tagged(&sink, 2));
+  q.schedule_arrival(SimTime::microseconds(5), tagged(&sink, 3));
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.next_at().us(), 3.0);
+
+  q.run_until(SimTime::microseconds(4));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_at().us(), 5.0);
+
+  q.schedule_at(SimTime::microseconds(5), tagged(&sink, 4));  // ties after 3
+  q.run_until(SimTime::microseconds(10));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_FALSE(q.run_one());
+}
+
 TEST(EventQueue, ZeroDelayLineRunsAfterEarlierScheduledEventsAtNow) {
   EventQueue q;
   std::vector<int> order;
@@ -288,13 +313,25 @@ TEST(EventQueue, ZeroDelayLineRunsAfterEarlierScheduledEventsAtNow) {
   EXPECT_EQ(q.now().us(), 2.0);
 }
 
+/// How Differential schedules its events whose times never go back.
+enum class Arrivals {
+  kNone,    ///< it schedules none
+  kOnHeap,  ///< through schedule_at
+  kOnLine,  ///< through schedule_arrival
+};
+
 /// Drives a queue with a seeded mix of schedule_at (past times included),
 /// schedule_after and schedule_delayed calls, records and actions, from
 /// the top level and from inside handlers, and records what was expected
-/// of each event and what actually ran.
+/// of each event and what actually ran.  With arrivals, it also schedules
+/// records at times that never go back, and every time falls on a 1 us
+/// grid so that many events tie.
 class Differential final : public EventSink {
  public:
-  explicit Differential(std::uint64_t seed) : rng_(seed) {}
+  explicit Differential(std::uint64_t seed, Arrivals arrivals = Arrivals::kNone)
+      : rng_(seed),
+        arrivals_(arrivals),
+        grain_(arrivals == Arrivals::kNone ? 1 : 1'000) {}
 
   void run(std::size_t total) {
     total_ = total;
@@ -303,8 +340,7 @@ class Differential final : public EventSink {
       for (std::uint64_t i = 0; i < burst && expected_.size() < total_; ++i) {
         schedule_one();
       }
-      q_.run_until(q_.now() + SimTime::nanoseconds(static_cast<std::int64_t>(
-                                  rng_.uniform_u64(0, 60'000))));
+      q_.run_until(q_.now() + random_ns(60'000));
     }
     while (q_.run_one()) {
     }
@@ -319,9 +355,18 @@ class Differential final : public EventSink {
     return ran_;
   }
 
+  /// Events scheduled at times that never go back.
+  [[nodiscard]] std::size_t monotone() const noexcept { return monotone_; }
+
   void on_event(const EventRecord& ev) override { fired(ev.a); }
 
  private:
+  /// Uniform in [0, max_ns], on the grid.
+  SimTime random_ns(std::uint64_t max_ns) {
+    const std::uint64_t ns = rng_.uniform_u64(0, max_ns);
+    return SimTime::nanoseconds(static_cast<std::int64_t>(ns - ns % grain_));
+  }
+
   void fired(std::uint64_t id) {
     ran_.emplace_back(q_.now(), id);
     const std::uint64_t children = rng_.uniform_u64(0, 2);
@@ -339,11 +384,10 @@ class Differential final : public EventSink {
     rec.sink = this;
     rec.a = id;
     SimTime at;
-    switch (rng_.bounded(3)) {
+    switch (rng_.bounded(arrivals_ == Arrivals::kNone ? 3 : 4)) {
       case 0: {
         // Absolute time up to 20 us in the past (clamped to now) or 80 us ahead.
-        at = now + SimTime::nanoseconds(
-                       static_cast<std::int64_t>(rng_.uniform_u64(0, 100'000)) - 20'000);
+        at = now + random_ns(100'000) - SimTime::microseconds(20);
         if (action) {
           q_.schedule_at(at, [this, id] { fired(id); });
         } else {
@@ -353,8 +397,7 @@ class Differential final : public EventSink {
         break;
       }
       case 1: {
-        const SimTime delay =
-            SimTime::nanoseconds(static_cast<std::int64_t>(rng_.uniform_u64(0, 80'000)));
+        const SimTime delay = random_ns(80'000);
         at = now + delay;
         if (action) {
           q_.schedule_after(delay, [this, id] { fired(id); });
@@ -363,10 +406,23 @@ class Differential final : public EventSink {
         }
         break;
       }
-      default: {
+      case 2: {
         const SimTime delay = SimTime::nanoseconds(kLines[rng_.bounded(std::size(kLines))]);
         at = now + delay;
         q_.schedule_delayed(delay, rec);
+        break;
+      }
+      default: {
+        // At or up to 2 us after both now and the previous such event.
+        at = std::max(last_monotone_, now) +
+             SimTime::nanoseconds(static_cast<std::int64_t>(grain_ * rng_.bounded(3)));
+        last_monotone_ = at;
+        ++monotone_;
+        if (arrivals_ == Arrivals::kOnLine) {
+          q_.schedule_arrival(at, rec);
+        } else {
+          q_.schedule_at(at, rec);
+        }
         break;
       }
     }
@@ -375,6 +431,10 @@ class Differential final : public EventSink {
 
   EventQueue q_;
   Rng rng_;
+  Arrivals arrivals_;
+  std::uint64_t grain_;  ///< ns; every time is a multiple of it
+  SimTime last_monotone_;
+  std::size_t monotone_ = 0;
   std::size_t total_ = 0;
   std::vector<std::pair<SimTime, std::uint64_t>> expected_;
   std::vector<std::pair<SimTime, std::uint64_t>> ran_;
@@ -389,6 +449,30 @@ TEST(EventQueue, MixedSchedulingMatchesSortByTimeThenSequence) {
     ASSERT_EQ(sorted.size(), 4000u);
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(diff.ran(), sorted);
+  }
+}
+
+TEST(EventQueue, ArrivalLineDispatchesLikeTheHeap) {
+  // The same seeded schedule twice: once with every event through the
+  // heap and the delay lines, once with the monotone ones on the arrival
+  // line.  Both must dispatch in one order, the sort by (time, sequence).
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Differential on_heap(seed, Arrivals::kOnHeap);
+    on_heap.run(4000);
+    Differential on_line(seed, Arrivals::kOnLine);
+    on_line.run(4000);
+    EXPECT_GT(on_line.monotone(), 500u);
+    EXPECT_EQ(on_line.ran(), on_heap.ran());
+    auto sorted = on_heap.expected();
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(on_line.ran(), sorted);
+    // The grid makes equal-time ties common.
+    std::size_t ties = 0;
+    for (std::size_t i = 1; i < sorted.size(); ++i) {
+      ties += sorted[i].first == sorted[i - 1].first ? 1 : 0;
+    }
+    EXPECT_GT(ties, 1000u);
   }
 }
 

@@ -5,7 +5,8 @@
 // equality covers the fabric path, the orchestrator and the report
 // assembly, not just independent racks.  Unit tests for the two pieces
 // the contract rests on — EpochExecutor's slice/barrier protocol and
-// ShardFabric's (dst, src, seq) exchange order — ride along, as do checks
+// ShardFabric's (dst, sent_at, src, seq) exchange order — ride along, as
+// do checks
 // that a leased visit hands over the packet itself, pending payload and
 // all.
 
@@ -16,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chain/chain_spec.hpp"
@@ -369,8 +371,9 @@ TEST(EpochExecutor, SingleShardDegeneratesToInline) {
 
 TEST(ShardFabric, ExchangeDrainsInDstSrcSeqOrder) {
   ShardFabric fabric(3);
-  // Interleave sends from several sources; per (src, dst) lane order must
-  // survive, and the exchange must visit lanes dst-major, src-minor.
+  // Interleave sends from several sources, all at one send time; per
+  // (src, dst) lane order must survive, and equal send times must drain
+  // dst-major, src-minor.
   for (int i = 0; i < 3; ++i) {
     FabricFrame f20 = fabric.acquire(2);
     f20.packet_id = 200 + i;
@@ -399,6 +402,49 @@ TEST(ShardFabric, ExchangeDrainsInDstSrcSeqOrder) {
   EXPECT_EQ(fabric.frames_exchanged(), 9u);
   EXPECT_EQ(fabric.frames_from(1), 6u);
   EXPECT_EQ(fabric.frames_from(2), 3u);
+}
+
+TEST(ShardFabric, ExchangeMergesLanesByArrivalTime) {
+  ShardFabric fabric(4);
+  // Three sources send to shard 0 with interleaved and equal send times
+  // (in us); shard 0 sends one early frame to shard 1.  Each lane is in
+  // send order, as a shard's clock gives it.
+  const std::vector<std::pair<std::size_t, std::vector<int>>> lanes = {
+      {1, {10, 20, 20, 40}},
+      {2, {5, 20, 30}},
+      {3, {10, 10, 50}},
+  };
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (const auto& [src, times] : lanes) {
+      if (i < times.size()) {
+        FabricFrame frame = fabric.acquire(src);
+        frame.sent_at = SimTime::microseconds(times[i]);
+        fabric.send(src, 0, std::move(frame));
+      }
+    }
+  }
+  FabricFrame early = fabric.acquire(0);
+  early.sent_at = SimTime::microseconds(1);
+  fabric.send(0, 1, std::move(early));
+
+  // (dst, sent_at in us, src, seq) of each delivery.
+  using Delivery = std::tuple<std::size_t, double, std::size_t, std::uint64_t>;
+  std::vector<Delivery> seen;
+  fabric.exchange([&](std::size_t src, std::size_t dst, FabricFrame&& frame) {
+    seen.emplace_back(dst, frame.sent_at.us(), src, frame.seq);
+    fabric.release(dst, std::move(frame));
+  });
+  const std::vector<Delivery> expect = {
+      {0, 5, 2, 0},  {0, 10, 1, 0}, {0, 10, 3, 0}, {0, 10, 3, 1},
+      {0, 20, 1, 1}, {0, 20, 1, 2}, {0, 20, 2, 1}, {0, 30, 2, 2},
+      {0, 40, 1, 3}, {0, 50, 3, 2}, {1, 1, 0, 0},
+  };
+  EXPECT_EQ(seen, expect);
+  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+  EXPECT_EQ(fabric.frames_exchanged(), 11u);
+  std::size_t redelivered = 0;
+  fabric.exchange([&](std::size_t, std::size_t, FabricFrame&&) { ++redelivered; });
+  EXPECT_EQ(redelivered, 0u);
 }
 
 TEST(ShardFabric, RecyclesFrameStorage) {
