@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const DatacenterReport run = dc.run(duration, warmup, /*threads=*/1);
+    dc.run(duration, warmup, /*threads=*/1);
+    const DatacenterReport run = dc.report();
     const auto t1 = std::chrono::steady_clock::now();
     const SimReport& report = run.fleet;
     const double wall_ms =

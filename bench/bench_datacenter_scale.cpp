@@ -70,7 +70,8 @@ Row run_workload(std::size_t shards, std::size_t threads, SimTime duration,
     (void)dc.add_chain(slot_chain(s), slot_traffic(s), s);
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const DatacenterReport report = dc.run(duration, warmup, threads);
+  dc.run(duration, warmup, threads);
+  const DatacenterReport report = dc.report();
   const auto t1 = std::chrono::steady_clock::now();
   Row row;
   row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();

@@ -24,7 +24,7 @@
 #include "chain/chain_builder.hpp"
 #include "core/naive_policy.hpp"
 #include "core/pam_policy.hpp"
-#include "sim/chain_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -43,16 +43,22 @@ struct Point {
 std::uint64_t g_total_packets = 0;
 double g_total_wall_ms = 0.0;
 
+/// One run of `chain` on a one-rack, one-slot datacenter, as the scenario
+/// runner makes it for a compare point.
 Point measure(const ServiceChain& chain, Gbps rate, SimTime duration,
               SimTime warmup) {
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = RateProfile::constant(rate);
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = 5150;
-  ChainSimulator sim{chain, server, cfg};
+  DatacenterSimulator::Options one_slot;
+  one_slot.shards = 1;
+  one_slot.servers_total = 1;
+  DatacenterSimulator dc{one_slot};
+  dc.add_chain(chain, cfg, 0);
   const auto t0 = std::chrono::steady_clock::now();
-  const SimReport report = sim.run(duration, warmup);
+  dc.run(duration, warmup, /*threads=*/1);
+  const SimReport report = dc.chain_sim(0).build_report();
   const auto t1 = std::chrono::steady_clock::now();
   g_total_wall_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
   g_total_packets += report.injected;

@@ -13,7 +13,7 @@
 #include "control/scale_out.hpp"
 #include "core/pam_policy.hpp"
 #include "device/server.hpp"
-#include "sim/chain_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 int main() {
   using namespace pam;
@@ -31,7 +31,13 @@ int main() {
   traffic.flows.flow_count = 512;
   traffic.seed = 2024;
 
-  ChainSimulator sim{chain, server, traffic};
+  // One rack with one slot: the chain runs as chain 0.
+  DatacenterSimulator::Options one_slot;
+  one_slot.shards = 1;
+  one_slot.servers_total = 1;
+  DatacenterSimulator dc{one_slot};
+  dc.add_chain(chain, traffic, 0);
+  ChainSimulator& sim = dc.chain_sim(0);
 
   ControllerOptions copts;
   copts.period = SimTime::milliseconds(5);
@@ -43,7 +49,8 @@ int main() {
   std::printf("chain: %s\n", chain.describe().c_str());
   std::printf("load:  %s\n\n", traffic.rate.describe().c_str());
 
-  const SimReport report = sim.run(SimTime::milliseconds(200), SimTime::milliseconds(10));
+  dc.run(SimTime::milliseconds(200), SimTime::milliseconds(10), /*threads=*/1);
+  const SimReport report = sim.build_report();
 
   std::printf("--- controller timeline ---\n");
   for (const auto& event : controller.events()) {

@@ -22,7 +22,7 @@
 #include "core/naive_policy.hpp"
 #include "core/pam_policy.hpp"
 #include "core/scale_in_policy.hpp"
-#include "sim/chain_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 namespace {
 
@@ -70,8 +70,13 @@ void analyse(const ServiceChain& chain, Gbps rate, MigrationPolicy& policy,
     cfg.rate = RateProfile::constant(rate);
     cfg.sizes = PacketSizeDistribution::imix();
     cfg.process = ArrivalProcess::kPoisson;
-    ChainSimulator sim{after, server, cfg};
-    const SimReport report = sim.run(simulate, simulate * 0.15);
+    DatacenterSimulator::Options one_slot;  // one rack with one slot
+    one_slot.shards = 1;
+    one_slot.servers_total = 1;
+    DatacenterSimulator dc{one_slot};
+    dc.add_chain(after, cfg, 0);
+    dc.run(simulate, simulate * 0.15, /*threads=*/1);
+    const SimReport report = dc.chain_sim(0).build_report();
     std::printf("\nsimulated %s:\n%s\n", simulate.to_string().c_str(),
                 report.summary().c_str());
   }

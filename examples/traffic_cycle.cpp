@@ -12,13 +12,12 @@
 #include "control/controller.hpp"
 #include "core/pam_policy.hpp"
 #include "core/scale_in_policy.hpp"
-#include "sim/chain_simulator.hpp"
+#include "sim/datacenter_simulator.hpp"
 
 int main() {
   using namespace pam;
   using namespace pam::literals;
 
-  Server server = Server::paper_testbed();
   const ServiceChain chain = paper_figure1_chain();
 
   TrafficSourceConfig traffic;
@@ -32,7 +31,13 @@ int main() {
   traffic.sizes = PacketSizeDistribution::imix();
   traffic.seed = 77;
 
-  ChainSimulator sim{chain, server, traffic};
+  // One rack with one slot: the chain runs as chain 0.
+  DatacenterSimulator::Options one_slot;
+  one_slot.shards = 1;
+  one_slot.servers_total = 1;
+  DatacenterSimulator dc{one_slot};
+  dc.add_chain(chain, traffic, 0);
+  ChainSimulator& sim = dc.chain_sim(0);
 
   ControllerOptions opts;
   opts.period = SimTime::milliseconds(5);
@@ -46,7 +51,8 @@ int main() {
   std::printf("chain: %s\nload:  %s\n\n", chain.describe().c_str(),
               traffic.rate.describe().c_str());
 
-  const SimReport report = sim.run(SimTime::milliseconds(400), SimTime::milliseconds(10));
+  dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), /*threads=*/1);
+  const SimReport report = sim.build_report();
 
   std::printf("--- controller timeline ---\n");
   for (const auto& event : controller.events()) {

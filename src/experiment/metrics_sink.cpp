@@ -117,6 +117,233 @@ void write_variant(JsonWriter& w, const VariantResult& vr) {
   w.end_object();
 }
 
+void write_compare(JsonWriter& w, const RunResult& result) {
+  w.key("chain"); w.value(result.spec.chain);
+  w.key("plan_rate_gbps"); w.value(result.spec.plan_rate_gbps);
+  w.key("variants");
+  w.begin_array();
+  for (const auto& vr : result.variants) {
+    write_variant(w, vr);
+  }
+  w.end_array();
+}
+
+void write_capacity(JsonWriter& w, const RunResult& result) {
+  w.key("loss_threshold"); w.value(result.spec.capacity.loss_threshold);
+  w.key("size_bytes"); w.value(result.spec.capacity.size_bytes);
+  w.key("capacities");
+  w.begin_array();
+  for (const auto& row : result.capacities) {
+    w.begin_object();
+    w.key("nf"); w.value(row.nf);
+    w.key("device"); w.value(row.device);
+    w.key("configured_gbps"); w.value(row.configured_gbps);
+    w.key("analytic_gbps"); w.value(row.analytic_gbps);
+    w.key("realized_gbps"); w.value(row.realized_gbps);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+void write_timeline(JsonWriter& w, const RunResult& result) {
+  const TimelineResult& tl = *result.timeline;
+  w.key("chain"); w.value(result.spec.chain);
+  w.key("policy"); w.value(result.spec.policy.to_string());
+  if (result.spec.scale_in.name != "none") {
+    w.key("scale_in_policy"); w.value(result.spec.scale_in.to_string());
+  }
+  w.key("chain_before"); w.value(tl.chain_before);
+  w.key("chain_after"); w.value(tl.chain_after);
+  w.key("migrations_executed"); w.value(tl.migrations_executed);
+  w.key("scale_out_requested"); w.value(tl.scale_out_requested);
+  w.key("control_events"); write_control_events(w, tl.events, result.spec);
+  w.key("metrics"); write_run(w, tl.metrics);
+}
+
+/// Sharded datacenter mode only: classic shards=1 output is byte-identical
+/// to what it was before sharding existed.  Note the deliberate absence of
+/// any thread count — the report must be bit-identical for threads=1 and
+/// threads=N.
+void write_shards(JsonWriter& w, const ClusterResult& cr) {
+  w.key("shards"); w.value(static_cast<std::uint64_t>(cr.shards));
+  w.key("epochs"); w.value(cr.epochs);
+  w.key("cross_rack_moves");
+  w.value(static_cast<std::uint64_t>(cr.cross_rack_moves));
+  w.key("cross_rack_hops"); w.value(cr.cross_rack_hops);
+  w.key("cross_rack_frames"); w.value(cr.cross_rack_frames);
+  w.key("shard_totals");
+  w.begin_array();
+  for (const auto& shard : cr.shard_totals) {
+    w.begin_object();
+    w.key("shard"); w.value(static_cast<std::uint64_t>(shard.shard));
+    w.key("first_server");
+    w.value(static_cast<std::uint64_t>(shard.first_server));
+    w.key("servers"); w.value(static_cast<std::uint64_t>(shard.servers));
+    w.key("events_executed"); w.value(shard.events_executed);
+    w.key("injected"); w.value(shard.injected);
+    w.key("delivered"); w.value(shard.delivered);
+    w.key("dropped"); w.value(shard.dropped);
+    w.key("in_flight_at_end"); w.value(shard.in_flight_at_end);
+    w.key("frames_out"); w.value(shard.frames_out);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+/// The failure and hostile kinds' scheduled perturbations, when present.
+void write_perturbations(JsonWriter& w, const ScenarioSpec& spec) {
+  if (!spec.failures.empty()) {
+    w.key("failures");
+    w.begin_array();
+    for (const auto& ev : spec.failures) {
+      w.begin_object();
+      w.key("server"); w.value(static_cast<std::uint64_t>(ev.server));
+      w.key("at_ms"); w.value(ev.at_ms);
+      if (ev.recover_ms >= 0.0) {
+        w.key("recover_ms"); w.value(ev.recover_ms);
+      }
+      w.end_object();
+    }
+    w.end_array();
+  }
+  if (!spec.link.empty()) {
+    w.key("link_trace");
+    w.begin_object();
+    w.key("fabric");
+    w.begin_array();
+    for (const auto& point : spec.link.fabric) {
+      w.begin_object();
+      w.key("at_ms"); w.value(point.at_ms);
+      w.key("delay_us"); w.value(point.delay_us);
+      w.end_object();
+    }
+    w.end_array();
+    w.key("fades");
+    w.begin_array();
+    for (const auto& fade : spec.link.fades) {
+      w.begin_object();
+      w.key("server"); w.value(static_cast<std::uint64_t>(fade.server));
+      w.key("at_ms"); w.value(fade.at_ms);
+      w.key("speed"); w.value(fade.speed);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+}
+
+void write_per_server(JsonWriter& w, const std::vector<ServerSummary>& servers) {
+  w.begin_array();
+  for (const auto& server : servers) {
+    w.begin_object();
+    w.key("server"); w.value(static_cast<std::uint64_t>(server.server_id));
+    w.key("chains_homed");
+    w.value(static_cast<std::uint64_t>(server.chains_homed));
+    w.key("nodes_hosted");
+    w.value(static_cast<std::uint64_t>(server.nodes_hosted));
+    w.key("smartnic_utilization"); w.value(server.smartnic_utilization);
+    w.key("cpu_utilization"); w.value(server.cpu_utilization);
+    w.key("pcie_utilization"); w.value(server.pcie_utilization);
+    w.key("injected"); w.value(server.injected);
+    w.key("delivered"); w.value(server.delivered);
+    w.key("dropped"); w.value(server.dropped);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+void write_fleet_chains(JsonWriter& w, const RunResult& result) {
+  const ClusterResult& cr = *result.cluster;
+  w.begin_array();
+  for (std::size_t i = 0; i < cr.chains.size(); ++i) {
+    const auto& chain = cr.chains[i];
+    w.begin_object();
+    w.key("name"); w.value(chain.name);
+    w.key("home_server");
+    w.value(static_cast<std::uint64_t>(chain.home_server));
+    if (i < result.spec.chains.size() && !result.spec.chains[i].policy.empty()) {
+      w.key("policy"); w.value(result.spec.chains[i].policy.to_string());
+    }
+    if (i < result.spec.chains.size()) {
+      const ChainDecl& decl = result.spec.chains[i];
+      if (decl.arrive_ms > 0.0) {
+        w.key("arrive_ms"); w.value(decl.arrive_ms);
+      }
+      if (decl.depart_ms >= 0.0) {
+        w.key("depart_ms"); w.value(decl.depart_ms);
+      }
+    }
+    w.key("chain_before"); w.value(chain.chain_before);
+    w.key("chain_after"); w.value(chain.chain_after);
+    w.key("nodes_off_home");
+    w.value(static_cast<std::uint64_t>(chain.nodes_off_home));
+    if (cr.shards > 1) {
+      w.key("nodes_remote");
+      w.value(static_cast<std::uint64_t>(chain.nodes_remote));
+    }
+    w.key("inter_server_hops"); w.value(chain.inter_server_hops);
+    w.key("metrics"); write_run(w, chain.metrics);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+/// The cluster, churn, failure and hostile kinds.
+void write_fleet(JsonWriter& w, const RunResult& result) {
+  const ClusterResult& cr = *result.cluster;
+  w.key("servers"); w.value(static_cast<std::uint64_t>(cr.servers));
+  w.key("rebalance"); w.value(cr.rebalance);
+  w.key("policy"); w.value(result.spec.policy.to_string());
+  w.key("migrations_executed");
+  w.value(static_cast<std::uint64_t>(cr.migrations_executed));
+  w.key("scale_out_moves");
+  w.value(static_cast<std::uint64_t>(cr.scale_out_moves));
+  w.key("evacuations");
+  w.value(static_cast<std::uint64_t>(cr.evacuations));
+  if (cr.shards > 1) {
+    write_shards(w, cr);
+  }
+  write_perturbations(w, result.spec);
+  w.key("inter_server_hops"); w.value(cr.inter_server_hops);
+  w.key("conserved"); w.value(cr.conserved);
+  w.key("fleet"); write_run(w, cr.fleet);
+  w.key("per_server"); write_per_server(w, cr.per_server);
+  w.key("chains"); write_fleet_chains(w, result);
+  w.key("control_events"); write_control_events(w, cr.events, result.spec);
+}
+
+void write_deployment(JsonWriter& w, const RunResult& result) {
+  const DeploymentResult& dr = *result.deployment;
+  w.key("aggregate");
+  w.begin_object();
+  w.key("smartnic_before"); w.value(dr.smartnic_before);
+  w.key("cpu_before"); w.value(dr.cpu_before);
+  w.key("smartnic_after"); w.value(dr.smartnic_after);
+  w.key("cpu_after"); w.value(dr.cpu_after);
+  w.key("weighted_crossings_before"); w.value(dr.weighted_crossings_before);
+  w.key("weighted_crossings_after"); w.value(dr.weighted_crossings_after);
+  w.key("feasible"); w.value(dr.feasible);
+  if (!dr.feasible) {
+    w.key("infeasibility_reason"); w.value(dr.infeasibility_reason);
+  }
+  w.key("total_crossing_delta"); w.value(dr.total_crossing_delta);
+  w.end_object();
+  w.key("chains");
+  w.begin_array();
+  for (const auto& cr : dr.chains) {
+    w.begin_object();
+    w.key("name"); w.value(cr.name);
+    w.key("chain_before"); w.value(cr.chain_before);
+    w.key("chain_after"); w.value(cr.chain_after);
+    w.key("offered_gbps"); w.value(cr.offered_gbps);
+    w.key("burst_gbps"); w.value(cr.burst_gbps);
+    w.key("replicas"); w.value(cr.replicas);
+    w.key("scale_out_rationale"); w.value(cr.scale_out_rationale);
+    w.end_object();
+  }
+  w.end_array();
+}
+
 }  // namespace
 
 void write_metrics_json(const RunResult& result, std::ostream& out) {
@@ -130,221 +357,25 @@ void write_metrics_json(const RunResult& result, std::ostream& out) {
   w.key("seed"); w.value(result.spec.seed);
   w.key("duration_ms"); w.value(result.spec.duration_ms);
   w.key("warmup_ms"); w.value(result.spec.warmup_ms);
-
   switch (result.spec.kind) {
-    case ScenarioKind::kCompare: {
-      w.key("chain"); w.value(result.spec.chain);
-      w.key("plan_rate_gbps"); w.value(result.spec.plan_rate_gbps);
-      w.key("variants");
-      w.begin_array();
-      for (const auto& vr : result.variants) {
-        write_variant(w, vr);
-      }
-      w.end_array();
+    case ScenarioKind::kCompare:
+      write_compare(w, result);
       break;
-    }
-    case ScenarioKind::kCapacity: {
-      w.key("loss_threshold"); w.value(result.spec.capacity.loss_threshold);
-      w.key("size_bytes"); w.value(result.spec.capacity.size_bytes);
-      w.key("capacities");
-      w.begin_array();
-      for (const auto& row : result.capacities) {
-        w.begin_object();
-        w.key("nf"); w.value(row.nf);
-        w.key("device"); w.value(row.device);
-        w.key("configured_gbps"); w.value(row.configured_gbps);
-        w.key("analytic_gbps"); w.value(row.analytic_gbps);
-        w.key("realized_gbps"); w.value(row.realized_gbps);
-        w.end_object();
-      }
-      w.end_array();
+    case ScenarioKind::kCapacity:
+      write_capacity(w, result);
       break;
-    }
-    case ScenarioKind::kTimeline: {
-      const TimelineResult& tl = *result.timeline;
-      w.key("chain"); w.value(result.spec.chain);
-      w.key("policy"); w.value(result.spec.policy.to_string());
-      if (result.spec.scale_in.name != "none") {
-        w.key("scale_in_policy"); w.value(result.spec.scale_in.to_string());
-      }
-      w.key("chain_before"); w.value(tl.chain_before);
-      w.key("chain_after"); w.value(tl.chain_after);
-      w.key("migrations_executed"); w.value(tl.migrations_executed);
-      w.key("scale_out_requested"); w.value(tl.scale_out_requested);
-      w.key("control_events"); write_control_events(w, tl.events, result.spec);
-      w.key("metrics"); write_run(w, tl.metrics);
+    case ScenarioKind::kTimeline:
+      write_timeline(w, result);
       break;
-    }
     case ScenarioKind::kCluster:
     case ScenarioKind::kChurn:
     case ScenarioKind::kFailure:
-    case ScenarioKind::kHostile: {
-      const ClusterResult& cr = *result.cluster;
-      w.key("servers"); w.value(static_cast<std::uint64_t>(cr.servers));
-      w.key("rebalance"); w.value(cr.rebalance);
-      w.key("policy"); w.value(result.spec.policy.to_string());
-      w.key("migrations_executed");
-      w.value(static_cast<std::uint64_t>(cr.migrations_executed));
-      w.key("scale_out_moves");
-      w.value(static_cast<std::uint64_t>(cr.scale_out_moves));
-      w.key("evacuations");
-      w.value(static_cast<std::uint64_t>(cr.evacuations));
-      if (cr.shards > 1) {
-        // Sharded datacenter mode only: classic shards=1 output is
-        // byte-identical to what it was before sharding existed.  Note the
-        // deliberate absence of any thread count — the report must be
-        // bit-identical for threads=1 and threads=N.
-        w.key("shards"); w.value(static_cast<std::uint64_t>(cr.shards));
-        w.key("epochs"); w.value(cr.epochs);
-        w.key("cross_rack_moves");
-        w.value(static_cast<std::uint64_t>(cr.cross_rack_moves));
-        w.key("cross_rack_hops"); w.value(cr.cross_rack_hops);
-        w.key("cross_rack_frames"); w.value(cr.cross_rack_frames);
-        w.key("shard_totals");
-        w.begin_array();
-        for (const auto& shard : cr.shard_totals) {
-          w.begin_object();
-          w.key("shard"); w.value(static_cast<std::uint64_t>(shard.shard));
-          w.key("first_server");
-          w.value(static_cast<std::uint64_t>(shard.first_server));
-          w.key("servers"); w.value(static_cast<std::uint64_t>(shard.servers));
-          w.key("events_executed"); w.value(shard.events_executed);
-          w.key("injected"); w.value(shard.injected);
-          w.key("delivered"); w.value(shard.delivered);
-          w.key("dropped"); w.value(shard.dropped);
-          w.key("in_flight_at_end"); w.value(shard.in_flight_at_end);
-          w.key("frames_out"); w.value(shard.frames_out);
-          w.end_object();
-        }
-        w.end_array();
-      }
-      if (!result.spec.failures.empty()) {
-        w.key("failures");
-        w.begin_array();
-        for (const auto& ev : result.spec.failures) {
-          w.begin_object();
-          w.key("server"); w.value(static_cast<std::uint64_t>(ev.server));
-          w.key("at_ms"); w.value(ev.at_ms);
-          if (ev.recover_ms >= 0.0) {
-            w.key("recover_ms"); w.value(ev.recover_ms);
-          }
-          w.end_object();
-        }
-        w.end_array();
-      }
-      if (!result.spec.link.empty()) {
-        w.key("link_trace");
-        w.begin_object();
-        w.key("fabric");
-        w.begin_array();
-        for (const auto& point : result.spec.link.fabric) {
-          w.begin_object();
-          w.key("at_ms"); w.value(point.at_ms);
-          w.key("delay_us"); w.value(point.delay_us);
-          w.end_object();
-        }
-        w.end_array();
-        w.key("fades");
-        w.begin_array();
-        for (const auto& fade : result.spec.link.fades) {
-          w.begin_object();
-          w.key("server"); w.value(static_cast<std::uint64_t>(fade.server));
-          w.key("at_ms"); w.value(fade.at_ms);
-          w.key("speed"); w.value(fade.speed);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.key("inter_server_hops"); w.value(cr.inter_server_hops);
-      w.key("conserved"); w.value(cr.conserved);
-      w.key("fleet"); write_run(w, cr.fleet);
-      w.key("per_server");
-      w.begin_array();
-      for (const auto& server : cr.per_server) {
-        w.begin_object();
-        w.key("server"); w.value(static_cast<std::uint64_t>(server.server_id));
-        w.key("chains_homed");
-        w.value(static_cast<std::uint64_t>(server.chains_homed));
-        w.key("nodes_hosted");
-        w.value(static_cast<std::uint64_t>(server.nodes_hosted));
-        w.key("smartnic_utilization"); w.value(server.smartnic_utilization);
-        w.key("cpu_utilization"); w.value(server.cpu_utilization);
-        w.key("pcie_utilization"); w.value(server.pcie_utilization);
-        w.key("injected"); w.value(server.injected);
-        w.key("delivered"); w.value(server.delivered);
-        w.key("dropped"); w.value(server.dropped);
-        w.end_object();
-      }
-      w.end_array();
-      w.key("chains");
-      w.begin_array();
-      for (std::size_t i = 0; i < cr.chains.size(); ++i) {
-        const auto& chain = cr.chains[i];
-        w.begin_object();
-        w.key("name"); w.value(chain.name);
-        w.key("home_server");
-        w.value(static_cast<std::uint64_t>(chain.home_server));
-        if (i < result.spec.chains.size() && !result.spec.chains[i].policy.empty()) {
-          w.key("policy"); w.value(result.spec.chains[i].policy.to_string());
-        }
-        if (i < result.spec.chains.size()) {
-          const ChainDecl& decl = result.spec.chains[i];
-          if (decl.arrive_ms > 0.0) {
-            w.key("arrive_ms"); w.value(decl.arrive_ms);
-          }
-          if (decl.depart_ms >= 0.0) {
-            w.key("depart_ms"); w.value(decl.depart_ms);
-          }
-        }
-        w.key("chain_before"); w.value(chain.chain_before);
-        w.key("chain_after"); w.value(chain.chain_after);
-        w.key("nodes_off_home");
-        w.value(static_cast<std::uint64_t>(chain.nodes_off_home));
-        if (cr.shards > 1) {
-          w.key("nodes_remote");
-          w.value(static_cast<std::uint64_t>(chain.nodes_remote));
-        }
-        w.key("inter_server_hops"); w.value(chain.inter_server_hops);
-        w.key("metrics"); write_run(w, chain.metrics);
-        w.end_object();
-      }
-      w.end_array();
-      w.key("control_events"); write_control_events(w, cr.events, result.spec);
+    case ScenarioKind::kHostile:
+      write_fleet(w, result);
       break;
-    }
-    case ScenarioKind::kDeployment: {
-      const DeploymentResult& dr = *result.deployment;
-      w.key("aggregate");
-      w.begin_object();
-      w.key("smartnic_before"); w.value(dr.smartnic_before);
-      w.key("cpu_before"); w.value(dr.cpu_before);
-      w.key("smartnic_after"); w.value(dr.smartnic_after);
-      w.key("cpu_after"); w.value(dr.cpu_after);
-      w.key("weighted_crossings_before"); w.value(dr.weighted_crossings_before);
-      w.key("weighted_crossings_after"); w.value(dr.weighted_crossings_after);
-      w.key("feasible"); w.value(dr.feasible);
-      if (!dr.feasible) {
-        w.key("infeasibility_reason"); w.value(dr.infeasibility_reason);
-      }
-      w.key("total_crossing_delta"); w.value(dr.total_crossing_delta);
-      w.end_object();
-      w.key("chains");
-      w.begin_array();
-      for (const auto& cr : dr.chains) {
-        w.begin_object();
-        w.key("name"); w.value(cr.name);
-        w.key("chain_before"); w.value(cr.chain_before);
-        w.key("chain_after"); w.value(cr.chain_after);
-        w.key("offered_gbps"); w.value(cr.offered_gbps);
-        w.key("burst_gbps"); w.value(cr.burst_gbps);
-        w.key("replicas"); w.value(cr.replicas);
-        w.key("scale_out_rationale"); w.value(cr.scale_out_rationale);
-        w.end_object();
-      }
-      w.end_array();
+    case ScenarioKind::kDeployment:
+      write_deployment(w, result);
       break;
-    }
   }
   w.end_object();
 }

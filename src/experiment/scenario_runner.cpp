@@ -117,21 +117,29 @@ RateProfile profile_of(const RateSpec& rate) {
   return RateProfile::constant(Gbps{rate.a});
 }
 
+/// A one-rack, one-slot datacenter: how a single chain runs (chain 0).
+DatacenterSimulator::Options one_slot() {
+  DatacenterSimulator::Options options;
+  options.shards = 1;
+  options.servers_total = 1;
+  return options;
+}
+
 /// One DES execution of `chain` at constant `rate` with the scenario's
 /// arrival process and the given size distribution.
 MeasuredRun simulate_once(const ScenarioSpec& spec, const ServiceChain& chain,
                           Gbps rate, const PacketSizeDistribution& sizes,
                           std::size_t size_point) {
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = RateProfile::constant(rate);
   cfg.process = spec.traffic.arrival;
   cfg.sizes = sizes;
   cfg.seed = spec.seed;
-  ChainSimulator sim{chain, server, cfg};
-  const SimReport report = sim.run(SimTime::milliseconds(spec.duration_ms),
-                                   SimTime::milliseconds(spec.warmup_ms));
-  return to_measured(report, size_point);
+  DatacenterSimulator dc{one_slot()};
+  dc.add_chain(chain, std::move(cfg), 0);
+  dc.run(SimTime::milliseconds(spec.duration_ms),
+         SimTime::milliseconds(spec.warmup_ms), /*threads=*/1);
+  return to_measured(dc.chain_sim(0).build_report(), size_point);
 }
 
 Result<RunResult> run_compare(const ScenarioSpec& spec, const ServiceChain& chain) {
@@ -258,14 +266,15 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
   TimelineResult tl;
   tl.chain_before = chain.describe();
 
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = profile_of(spec.traffic.rate);
   cfg.process = spec.traffic.arrival;
   cfg.sizes = dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
   cfg.seed = spec.seed;
 
-  ChainSimulator sim{chain, server, cfg};
+  DatacenterSimulator dc{one_slot()};
+  dc.add_chain(chain, std::move(cfg), 0);
+  ChainSimulator& sim = dc.chain_sim(0);
 
   ControllerOptions opts;
   opts.trigger_utilization = spec.controller.trigger_utilization;
@@ -287,9 +296,8 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
                                    spec.controller.scale_in_below);
   }
   controller.arm();
-
-  const SimReport report = sim.run(SimTime::milliseconds(spec.duration_ms),
-                                   SimTime::milliseconds(spec.warmup_ms));
+  dc.run(SimTime::milliseconds(spec.duration_ms),
+         SimTime::milliseconds(spec.warmup_ms), /*threads=*/1);
 
   tl.chain_after = sim.chain().describe();
   tl.events = controller.events();
@@ -298,7 +306,7 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
   const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
                                 ? spec.traffic.sizes.fixed
                                 : 0;
-  tl.metrics = to_measured(report, point);
+  tl.metrics = to_measured(sim.build_report(), point);
 
   result.timeline = std::move(tl);
   return result;
@@ -589,13 +597,13 @@ Result<RunResult> run_fleet(const ScenarioSpec& spec, std::size_t threads) {
   if (!fleet) {
     return fleet.error();
   }
-  const DatacenterReport report = fleet.value()->dc.run(
-      SimTime::milliseconds(spec.duration_ms),
-      SimTime::milliseconds(spec.warmup_ms),
-      threads > 0 ? threads : spec.cluster.threads);
+  DatacenterSimulator& dc = fleet.value()->dc;
+  dc.run(SimTime::milliseconds(spec.duration_ms),
+         SimTime::milliseconds(spec.warmup_ms),
+         threads > 0 ? threads : spec.cluster.threads);
   RunResult result;
   result.spec = spec;
-  result.cluster = collect_fleet(spec, *fleet.value(), report);
+  result.cluster = collect_fleet(spec, *fleet.value(), dc.report());
   return result;
 }
 

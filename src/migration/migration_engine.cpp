@@ -51,8 +51,8 @@ void MigrationEngine::run_step(std::shared_ptr<MigrationPlan> plan,
                                  : options_.min_transfer;
   transfer += std::max(state_time, options_.min_transfer);
 
-  sim_.schedule_after(transfer, [this, plan, step_index, idx, step, started,
-                                 on_done = std::move(on_done)]() mutable {
+  sim_.kernel().schedule_after(transfer, [this, plan, step_index, idx, step, started,
+                                          on_done = std::move(on_done)]() mutable {
     // 4. restore: fresh instance at the destination gets a *fresh* snapshot
     // (packets already queued at the old device may have updated state
     // during the transfer window; re-exporting at switch-over keeps the

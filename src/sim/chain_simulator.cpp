@@ -46,19 +46,7 @@ ServerDevices* devices_of(std::uint64_t w) {
 
 }  // namespace
 
-ChainSimulator::ChainSimulator(ServiceChain chain, Server& server,
-                               TrafficSourceConfig traffic, Calibration calibration)
-    : ChainSimulator(nullptr, nullptr, 0, std::move(chain), server,
-                     std::move(traffic), calibration) {}
-
 ChainSimulator::ChainSimulator(SimulationKernel& kernel, ServerDevices& devices,
-                               std::size_t home_server_id, ServiceChain chain,
-                               Server& server, TrafficSourceConfig traffic,
-                               Calibration calibration)
-    : ChainSimulator(&kernel, &devices, home_server_id, std::move(chain), server,
-                     std::move(traffic), calibration) {}
-
-ChainSimulator::ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
                                std::size_t home_server_id, ServiceChain chain,
                                Server& server, TrafficSourceConfig traffic,
                                Calibration calibration)
@@ -66,15 +54,10 @@ ChainSimulator::ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
       server_(&server),
       calibration_(calibration),
       traffic_(std::move(traffic)),
-      owned_kernel_(kernel == nullptr ? std::make_unique<SimulationKernel>() : nullptr),
-      kernel_(kernel == nullptr ? owned_kernel_.get() : kernel),
-      owned_devices_(devices == nullptr
-                         ? std::make_unique<ServerDevices>(kernel_->queue(), calibration)
-                         : nullptr),
-      home_{home_server_id, devices == nullptr ? owned_devices_.get() : devices},
+      kernel_(&kernel),
+      home_{home_server_id, &devices},
       flowgen_(traffic_.flows, traffic_.seed),
       rng_(traffic_.seed ^ 0xabcdef0123456789ull) {
-  assert((kernel == nullptr) == (devices == nullptr));
   chain_.validate();
   nodes_.resize(chain_.size());
   for (std::size_t i = 0; i < chain_.size(); ++i) {
@@ -92,19 +75,6 @@ ChainSimulator::~ChainSimulator() {
     }
     node.buffer.clear();
   }
-}
-
-void ChainSimulator::schedule_at(SimTime at, std::function<void()> fn) {
-  kernel_->schedule_at(at, std::move(fn));
-}
-
-void ChainSimulator::schedule_after(SimTime delay, std::function<void()> fn) {
-  kernel_->schedule_after(delay, std::move(fn));
-}
-
-void ChainSimulator::schedule_periodic(SimTime start, SimTime period,
-                                       std::function<void()> fn) {
-  kernel_->schedule_periodic(start, period, std::move(fn));
 }
 
 void ChainSimulator::replace_nf(std::size_t i, std::unique_ptr<NetworkFunction> fresh) {
@@ -494,16 +464,6 @@ SimReport ChainSimulator::build_report() const {
                 static_cast<double>(measured_delivered_)
           : 0.0;
   return report;
-}
-
-SimReport ChainSimulator::run(SimTime duration, SimTime warmup) {
-  assert(owned_kernel_ != nullptr &&
-         "run() is standalone-mode only; embedded simulators are driven by "
-         "their shared kernel (start/build_report)");
-  assert(warmup < duration);
-  start();
-  kernel_->run(duration, warmup);
-  return build_report();
 }
 
 }  // namespace pam

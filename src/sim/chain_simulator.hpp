@@ -29,14 +29,14 @@
 // hop) go on EventQueue delay lines rather than its heap.
 //
 // The engine guts (event queue, packet pool, warmup/horizon/drain, periodic
-// scheduling) live in SimulationKernel.  A ChainSimulator either owns a
-// private kernel (standalone mode — the historical behaviour, public API
-// unchanged) or embeds into a shared kernel + per-rack-slot ServerDevices
-// (cluster mode, see sim/cluster_simulator.hpp).  In cluster mode individual
-// nodes can be re-bound to *other* rack slots at runtime (cross-server
-// scale-out); a packet whose next hop lives on a different server pays a
-// fixed inter-server forwarding latency and re-enters at that server's
-// SmartNIC side.
+// scheduling) live in SimulationKernel.  A ChainSimulator always advances
+// on a kernel it is handed and contends for a rack slot's ServerDevices it
+// is handed: it is one chain of a ClusterSimulator rack, and
+// DatacenterSimulator drives every run, a single chain included (one rack,
+// one slot).  Individual nodes can be re-bound to *other* rack slots at
+// runtime (cross-server scale-out); a packet whose next hop lives on a
+// different server pays a fixed inter-server forwarding latency and
+// re-enters at that server's SmartNIC side.
 //
 // Determinism: single-threaded, seeded, stable event ordering — identical
 // inputs give bit-identical reports.
@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -66,16 +65,10 @@ namespace pam {
 
 class ChainSimulator final : public EventSink {
  public:
-  /// Standalone mode: a private SimulationKernel and ServerDevices are
-  /// created for this chain.  `server` must outlive the simulator.
-  ChainSimulator(ServiceChain chain, Server& server, TrafficSourceConfig traffic,
-                 Calibration calibration = Calibration::defaults());
-
-  /// Embedded (cluster) mode: advance on a shared `kernel` and contend for
-  /// a shared rack slot's `devices`.  `home_server_id` names the slot for
-  /// reporting and cross-server routing.  All referenced objects must
-  /// outlive the simulator.  Drive with start() + kernel.run() +
-  /// build_report() instead of run().
+  /// Advances on `kernel` and contends for the rack slot `devices`.
+  /// `home_server_id` names the slot for reporting and cross-server
+  /// routing.  All referenced objects must outlive the simulator.  Drive
+  /// with start(), then the kernel, then build_report().
   ChainSimulator(SimulationKernel& kernel, ServerDevices& devices,
                  std::size_t home_server_id, ServiceChain chain, Server& server,
                  TrafficSourceConfig traffic,
@@ -86,20 +79,15 @@ class ChainSimulator final : public EventSink {
   ChainSimulator(const ChainSimulator&) = delete;
   ChainSimulator& operator=(const ChainSimulator&) = delete;
 
-  /// Runs for `duration` of simulated time; metrics cover [warmup, duration].
-  /// In-flight packets are drained (unmetered) after the horizon so packet
-  /// conservation is exact.  Call once per simulator instance.  Standalone
-  /// mode only — embedded simulators are driven by their shared kernel.
-  [[nodiscard]] SimReport run(SimTime duration, SimTime warmup = SimTime::milliseconds(20));
+  // --- driving ---------------------------------------------------------------
 
-  // --- embedded-mode driving (cluster) -------------------------------------
-
-  /// Schedules the first traffic arrival.  Called by ClusterSimulator before
-  /// the shared kernel runs (standalone run() does this itself).
+  /// Schedules the first traffic arrival.  Call once, before the kernel
+  /// runs (DatacenterSimulator::run does).
   void start();
 
-  /// Assembles the SimReport from the current counters; valid after the
-  /// kernel's run completed.  run() == start() + kernel.run() + this.
+  /// Assembles the SimReport from the current counters: metrics cover
+  /// [warmup, horizon], and after the kernel's drain every packet is
+  /// delivered, dropped or parked, so conservation is exact.
   [[nodiscard]] SimReport build_report() const;
 
   // --- controller / migration-engine API -----------------------------------
@@ -108,14 +96,8 @@ class ChainSimulator final : public EventSink {
   [[nodiscard]] const ServiceChain& chain() const noexcept { return chain_; }
   [[nodiscard]] Server& server() noexcept { return *server_; }
   [[nodiscard]] const Calibration& calibration() const noexcept { return calibration_; }
+  /// The kernel this chain advances on; schedule perturbations here.
   [[nodiscard]] SimulationKernel& kernel() noexcept { return *kernel_; }
-
-  void schedule_at(SimTime at, std::function<void()> fn);
-  void schedule_after(SimTime delay, std::function<void()> fn);
-  /// Periodic callback every `period` starting at `start`; stops when the
-  /// run's horizon is reached.  One shared implementation for all callers:
-  /// SimulationKernel::schedule_periodic.
-  void schedule_periodic(SimTime start, SimTime period, std::function<void()> fn);
 
   /// The functional NF instance at chain position i.
   [[nodiscard]] NetworkFunction& nf(std::size_t i) { return *nodes_.at(i).nf; }
@@ -125,7 +107,7 @@ class ChainSimulator final : public EventSink {
   /// Re-place node i (takes effect for packets not yet routed to it).
   void set_node_location(std::size_t i, Location loc);
 
-  // --- cross-server placement (cluster mode) -------------------------------
+  // --- cross-server placement ----------------------------------------------
 
   /// Re-bind node i to another rack slot (cross-server scale-out).  Takes
   /// effect for packets not yet routed to it; `devices` must outlive the
@@ -163,7 +145,7 @@ class ChainSimulator final : public EventSink {
   }
 
   /// Ingress rate observed over the trailing window (controller input).
-  [[nodiscard]] Gbps observed_ingress_rate(SimTime window = SimTime::milliseconds(10)) const;
+  [[nodiscard]] Gbps observed_ingress_rate(SimTime window) const;
 
   /// Total packets buffered across all pause windows so far.
   [[nodiscard]] std::uint64_t total_buffered() const noexcept { return total_buffered_; }
@@ -241,12 +223,6 @@ class ChainSimulator final : public EventSink {
     LatencyRecorder residence;   ///< queue wait + service per metered visit
   };
 
-  /// Both public constructors land here.  Null `kernel` and `devices`
-  /// mean standalone mode: the simulator creates and owns them.
-  ChainSimulator(SimulationKernel* kernel, ServerDevices* devices,
-                 std::size_t home_server_id, ServiceChain chain, Server& server,
-                 TrafficSourceConfig traffic, Calibration calibration);
-
   /// Dispatches one of this simulator's typed events (traffic source and
   /// packet hops).
   void on_event(const EventRecord& ev) override;
@@ -277,10 +253,7 @@ class ChainSimulator final : public EventSink {
   Calibration calibration_;
   TrafficSourceConfig traffic_;
 
-  /// Standalone mode owns its engine and rack slot; embedded mode borrows.
-  std::unique_ptr<SimulationKernel> owned_kernel_;
   SimulationKernel* kernel_;
-  std::unique_ptr<ServerDevices> owned_devices_;
   NodeBinding home_;         ///< home rack slot (ingress/egress side)
   std::vector<Node> nodes_;  ///< per chain position
   SimTime inter_server_latency_ = SimTime::microseconds(50.0);

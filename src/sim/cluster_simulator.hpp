@@ -16,9 +16,10 @@
 // ChainAnalyzer share, and one ServerDevices queue set per slot.
 //
 // A rack does not run itself: DatacenterSimulator (one rack or many) starts
-// its chains, advances its kernel epoch by epoch and assembles the run's
-// DatacenterReport: the per-chain SimReports, per-server device
-// utilisation/accounting and the fleet total, summed in one pass.
+// its chains and advances its kernel epoch by epoch, and its report()
+// assembles the run's DatacenterReport: the per-chain SimReports,
+// per-server device utilisation/accounting and the fleet total, summed in
+// one pass.
 //
 // Determinism: one kernel, one thread, seeded chains — identical inputs
 // give bit-identical reports.

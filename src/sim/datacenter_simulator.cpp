@@ -257,8 +257,8 @@ void DatacenterSimulator::exchange() {
   });
 }
 
-DatacenterReport DatacenterSimulator::run(SimTime duration, SimTime warmup,
-                                          std::size_t threads) {
+void DatacenterSimulator::run(SimTime duration, SimTime warmup,
+                              std::size_t threads) {
   assert(!ran_ && "DatacenterSimulator::run is single-shot");
   ran_ = true;
   for (auto& rack : racks_) {
@@ -320,11 +320,11 @@ DatacenterReport DatacenterSimulator::run(SimTime duration, SimTime warmup,
       barrier_hook_(t, /*draining=*/true);
     }
   }
-
-  return assemble(duration);
 }
 
-DatacenterReport DatacenterSimulator::assemble(SimTime duration) {
+DatacenterReport DatacenterSimulator::report() const {
+  assert(ran_ && "report() reads a finished run");
+  const SimTime duration = racks_.front()->kernel().horizon();
   DatacenterReport out;
   out.epochs = epochs_;
   out.cross_rack_frames = fabric_.frames_exchanged();

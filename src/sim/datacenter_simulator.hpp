@@ -10,10 +10,13 @@
 // barrier that ends epoch k, so every shard can run a full epoch without
 // observing any other shard.
 //
-// One rack is how every `[cluster] shards = 1` scenario runs: a lease must
-// cross racks, so no frame ever enters the fabric and the epochs only cut
-// one kernel's run at quantum boundaries, which leaves its event order
-// unchanged.
+// One rack is how every `[cluster] shards = 1` scenario runs, and a rack of
+// one slot is how a single chain runs (compare, capacity and timeline
+// scenarios): a lease must cross racks, so no frame ever enters the fabric
+// and the epochs only cut one kernel's run at quantum boundaries, which
+// leaves its event order unchanged.  run() advances the epochs; report()
+// then assembles the DatacenterReport, which a one-chain caller skips in
+// favour of its chain's own build_report().
 //
 // The epoch loop:
 //
@@ -206,8 +209,12 @@ class DatacenterSimulator final : public EventSink {
   /// Runs the whole datacenter to the horizon and drains.  Single-shot.
   /// `threads` sets the epoch executor's pool size; results are
   /// bit-identical for any value.
-  [[nodiscard]] DatacenterReport run(SimTime duration, SimTime warmup,
-                                     std::size_t threads);
+  void run(SimTime duration, SimTime warmup, std::size_t threads);
+
+  /// The run's DatacenterReport, assembled in one pass over the chains;
+  /// valid after run().  A caller that reads one chain reads
+  /// chain_sim(c).build_report() instead and never pays for the fleet total.
+  [[nodiscard]] DatacenterReport report() const;
 
  private:
   struct ChainRef {
@@ -246,8 +253,6 @@ class DatacenterSimulator final : public EventSink {
   void send_return(std::size_t host, std::size_t c, std::size_t node,
                    FabricFrame::Outcome outcome, Packet* p);
   void exchange();
-
-  [[nodiscard]] DatacenterReport assemble(SimTime duration);
 
   Options options_;
   std::size_t per_rack_;

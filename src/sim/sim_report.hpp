@@ -51,8 +51,8 @@ struct SimReport {
   double cpu_utilization = 0.0;
   double pcie_utilization = 0.0;
   std::uint64_t pcie_crossings = 0;
-  /// Rack-fabric forwardings to/from other servers (cluster mode; 0 for a
-  /// standalone single-server run).
+  /// Rack-fabric forwardings to/from other slots of the rack (0 for a
+  /// chain whose nodes all stay on its home slot).
   std::uint64_t inter_server_hops = 0;
   double mean_crossings_per_packet = 0.0;
 

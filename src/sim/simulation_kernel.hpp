@@ -1,19 +1,19 @@
 // The reusable discrete-event engine shared by every simulator frontend.
 //
-// SimulationKernel bundles what used to live inside ChainSimulator and is
-// not specific to "one chain on one server": the deterministic EventQueue,
-// the mempool-style PacketPool, the measurement-window bookkeeping
-// (warmup/horizon), the end-of-run drain that makes packet conservation
-// exact, and the single horizon-bounded `schedule_periodic` implementation
-// used by the per-server controller loop and the fleet controller alike.
+// SimulationKernel holds what is not specific to "one chain on one
+// server": the deterministic EventQueue, the mempool-style PacketPool, the
+// measurement-window bookkeeping (warmup/horizon), the end-of-run drain
+// that makes packet conservation exact, and the single horizon-bounded
+// `schedule_periodic` implementation used by the per-server controller
+// loop and the fleet controller alike.
 //
 // Frontends:
-//   - ChainSimulator      owns a private kernel and runs it to the end
-//                         (standalone mode), or embeds into a rack's;
+//   - ChainSimulator      one chain, advancing on the kernel it is handed;
 //   - ClusterSimulator    one rack: one kernel, N servers x M chains on
 //                         the same queue and pool.  DatacenterSimulator
 //                         alone advances a rack's kernel, epoch by epoch
-//                         (arm + advance_until + begin_drain).
+//                         (arm + advance_until + begin_drain), and every
+//                         chain runs in a rack, a single chain included.
 //
 // Determinism: the kernel adds no randomness of its own; with seeded
 // frontends, identical inputs give bit-identical runs.
@@ -117,13 +117,13 @@ class SimulationKernel final : public EventSink {
 };
 
 /// The three FCFS queueing contexts of one physical server — NPU complex,
-/// CPU complex, PCIe link — bound to a kernel's event queue.  In standalone
-/// mode each ChainSimulator owns one; in cluster mode every chain homed on
-/// (or offloaded to) the same rack slot shares the slot's instance, so
-/// co-located chains contend for the same hardware.
+/// CPU complex, PCIe link — bound to a kernel's event queue.  Every chain
+/// homed on (or offloaded to) the same rack slot shares the slot's
+/// instance, so co-located chains contend for the same hardware.  `tag`
+/// suffixes the device names (the rack names its slots "[s]").
 struct ServerDevices {
   ServerDevices(EventQueue& queue, const Calibration& calibration,
-                const std::string& tag = "");
+                const std::string& tag);
 
   FcfsServer nic;
   FcfsServer cpu;

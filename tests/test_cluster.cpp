@@ -59,8 +59,8 @@ TEST(Cluster, ConservationAndPoolDrainAcrossServers) {
   dc.add_chain(paper_figure1_chain(), traffic(1.0, 2), 1);
   dc.add_chain(paper_figure1_chain(), traffic(0.7, 3), 2);
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
+  dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   EXPECT_GT(report.fleet.injected, 0u);
   EXPECT_TRUE(report.fleet.conserved());
@@ -76,8 +76,8 @@ TEST(Cluster, FleetTotalsAreTheSumOfChains) {
   DatacenterSimulator dc{one_rack(2)};
   dc.add_chain(paper_figure1_chain(), traffic(1.2, 7), 0);
   dc.add_chain(paper_figure1_chain(), traffic(0.9, 8), 1);
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(25), SimTime::milliseconds(5), /*threads=*/1);
+  dc.run(SimTime::milliseconds(25), SimTime::milliseconds(5), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
@@ -105,8 +105,8 @@ TEST(Cluster, FleetControllerMovesBorderNfAcrossServers) {
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
+  dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 1u);
@@ -141,8 +141,8 @@ TEST(Cluster, CoHomedChainsSaturatingASlotTriggerScaleOut) {
   FleetController fleet{cluster, std::make_unique<PamPolicy>(), opts};
   fleet.arm();
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
+  dc.run(SimTime::milliseconds(40), SimTime::milliseconds(5), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   EXPECT_GE(fleet.scale_out_moves(), 1u);
   EXPECT_TRUE(report.fleet.conserved());
@@ -156,8 +156,8 @@ TEST(Cluster, NoRebalanceWithoutController) {
   DatacenterSimulator dc{one_rack(2)};
   ClusterSimulator& cluster = dc.rack(0);
   const std::size_t hot = dc.add_chain(hot_chain(), traffic(2.8, 11), 0);
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
+  dc.run(SimTime::milliseconds(30), SimTime::milliseconds(5), /*threads=*/1);
+  const DatacenterReport report = dc.report();
   EXPECT_EQ(cluster.chain_sim(hot).nodes_off_home(), 0u);
   EXPECT_EQ(report.fleet.inter_server_hops, 0u);
   EXPECT_TRUE(report.fleet.conserved());
@@ -192,8 +192,8 @@ TEST(Cluster, ServerFailureEvacuatesResidentNfsLossFree) {
     fleet.on_server_failed(1);
   });
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
+  dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   EXPECT_EQ(fleet.evacuations(), 2u);
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
@@ -231,8 +231,8 @@ TEST(Cluster, DeadTargetAbortsInFlightMoveLossFree) {
     fleet.on_server_failed(1);
   });
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
+  dc.run(SimTime::milliseconds(30), SimTime::milliseconds(2), /*threads=*/1);
+  const DatacenterReport report = dc.report();
 
   EXPECT_EQ(fleet.scale_out_moves(), 0u);
   EXPECT_EQ(fleet.evacuations(), 0u);
@@ -259,8 +259,8 @@ TEST(Cluster, ChurnWindowBoundsInjectionAndConserves) {
   {
     DatacenterSimulator dc{one_rack(1)};
     dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
-    const DatacenterReport report =
-        dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+    dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+    const DatacenterReport report = dc.report();
     full_injected = report.fleet.injected;
     EXPECT_TRUE(report.fleet.conserved());
   }
@@ -269,8 +269,8 @@ TEST(Cluster, ChurnWindowBoundsInjectionAndConserves) {
   const std::size_t c = dc.add_chain(paper_figure1_chain(), traffic(1.0, 41), 0);
   cluster.chain_sim(c).set_active_window(SimTime::milliseconds(10),
                                          SimTime::milliseconds(20));
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+  dc.run(SimTime::milliseconds(30), SimTime::zero(), /*threads=*/1);
+  const DatacenterReport report = dc.report();
   EXPECT_GT(report.fleet.injected, 0u);
   EXPECT_LT(report.fleet.injected, full_injected);
   EXPECT_TRUE(report.fleet.conserved());

@@ -9,6 +9,7 @@
 #include "control/controller.hpp"
 #include "core/pam_policy.hpp"
 #include "core/scale_in_policy.hpp"
+#include "one_chain.hpp"
 
 namespace pam {
 namespace {
@@ -32,13 +33,13 @@ ControllerOptions fast_controller() {
 }
 
 TEST(Controller, ResolvesOverloadWithPam) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server,
-                     spiking_traffic(paper_baseline_rate(), paper_overload_rate(),
-                                     SimTime::milliseconds(40))};
+  OneChain one{paper_figure1_chain(),
+               spiking_traffic(paper_baseline_rate(), paper_overload_rate(),
+                               SimTime::milliseconds(40))};
+  ChainSimulator& sim = one.sim();
   Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
-  const auto report = sim.run(SimTime::milliseconds(120), SimTime::milliseconds(5));
+  const auto report = one.run(SimTime::milliseconds(120), SimTime::milliseconds(5));
 
   EXPECT_EQ(controller.migrations_executed(), 1u);
   EXPECT_EQ(controller.engine().records()[0].nf_name, "Logger");
@@ -57,25 +58,23 @@ TEST(Controller, ResolvesOverloadWithPam) {
 }
 
 TEST(Controller, QuietBelowTrigger) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server,
-                     spiking_traffic(1.0_gbps, 1.0_gbps, SimTime::zero())};
+  OneChain one{paper_figure1_chain(), spiking_traffic(1.0_gbps, 1.0_gbps, SimTime::zero())};
+  ChainSimulator& sim = one.sim();
   Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
   EXPECT_EQ(controller.migrations_executed(), 0u);
   EXPECT_TRUE(controller.events().empty());
 }
 
 TEST(Controller, TriggerUtilizationIsConfigurable) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server,
-                     spiking_traffic(1.2_gbps, 1.2_gbps, SimTime::zero())};
+  OneChain one{paper_figure1_chain(), spiking_traffic(1.2_gbps, 1.2_gbps, SimTime::zero())};
+  ChainSimulator& sim = one.sim();
   ControllerOptions opts = fast_controller();
   opts.trigger_utilization = 0.6;  // S sits at ~0.795 -> fires
   Controller controller{sim, std::make_unique<PamPolicy>(PamOptions{0.6, 64}), opts};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
   EXPECT_GE(controller.migrations_executed(), 1u);
 }
 
@@ -85,12 +84,11 @@ TEST(Controller, RequestsScaleOutWhenInfeasible) {
                          .add(NfType::kLogger, "log", Location::kSmartNic, 1.0)
                          .add(NfType::kDpi, "heavy", Location::kCpu)
                          .build();
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{chain, server,
-                     spiking_traffic(2.9_gbps, 2.9_gbps, SimTime::zero())};
+  OneChain one{chain, spiking_traffic(2.9_gbps, 2.9_gbps, SimTime::zero())};
+  ChainSimulator& sim = one.sim();
   Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
   EXPECT_TRUE(controller.scale_out_requested());
   EXPECT_EQ(controller.migrations_executed(), 0u);
   // The request lands exactly once in the typed event log.
@@ -102,15 +100,15 @@ TEST(Controller, RequestsScaleOutWhenInfeasible) {
 }
 
 TEST(Controller, CooldownPreventsBackToBackMigrations) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server,
-                     spiking_traffic(paper_overload_rate(), paper_overload_rate(),
-                                     SimTime::zero())};
+  OneChain one{paper_figure1_chain(),
+               spiking_traffic(paper_overload_rate(), paper_overload_rate(),
+                               SimTime::zero())};
+  ChainSimulator& sim = one.sim();
   ControllerOptions opts = fast_controller();
   opts.cooldown = SimTime::seconds(10);  // effectively forever
   Controller controller{sim, std::make_unique<PamPolicy>(), opts};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(150), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(150), SimTime::milliseconds(5));
   // One migration resolves it; even if load were still high, the cooldown
   // would hold further action.
   EXPECT_EQ(controller.migrations_executed(), 1u);
@@ -118,7 +116,6 @@ TEST(Controller, CooldownPreventsBackToBackMigrations) {
 
 TEST(Controller, ScaleInReturnsNfAfterSpike) {
   // Spike then calm: PAM pushes the Logger aside, scale-in brings it back.
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = RateProfile::schedule({
       {SimTime::zero(), paper_overload_rate()},
@@ -126,13 +123,14 @@ TEST(Controller, ScaleInReturnsNfAfterSpike) {
   });
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = 21;
-  ChainSimulator sim{paper_figure1_chain(), server, cfg};
+  OneChain one{paper_figure1_chain(), cfg};
+  ChainSimulator& sim = one.sim();
   ControllerOptions opts = fast_controller();
   opts.cooldown = SimTime::milliseconds(10);
   Controller controller{sim, std::make_unique<PamPolicy>(), opts};
   controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>(), 0.4);
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(150), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(150), SimTime::milliseconds(5));
 
   // At least one forward and one reverse migration happened…
   bool pushed = false;
@@ -148,7 +146,6 @@ TEST(Controller, ScaleInReturnsNfAfterSpike) {
 }
 
 TEST(Controller, NoScaleInWithoutPolicy) {
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = RateProfile::constant(0.3_gbps);
   cfg.sizes = PacketSizeDistribution::fixed(512);
@@ -156,23 +153,24 @@ TEST(Controller, NoScaleInWithoutPolicy) {
   // Start from the pushed-aside placement.
   auto chain = paper_figure1_chain();
   chain.set_location(2, Location::kCpu);
-  ChainSimulator sim{chain, server, cfg};
+  OneChain one{chain, cfg};
+  ChainSimulator& sim = one.sim();
   // Far below the trigger, but no scale-in policy installed.
   Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
   EXPECT_EQ(controller.migrations_executed(), 0u);
   EXPECT_EQ(sim.chain().location_of(2), Location::kCpu);
 }
 
 TEST(Controller, EventTimesAreMonotone) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server,
-                     spiking_traffic(paper_baseline_rate(), paper_overload_rate(),
-                                     SimTime::milliseconds(30))};
+  OneChain one{paper_figure1_chain(),
+               spiking_traffic(paper_baseline_rate(), paper_overload_rate(),
+                               SimTime::milliseconds(30))};
+  ChainSimulator& sim = one.sim();
   Controller controller{sim, std::make_unique<PamPolicy>(), fast_controller()};
   controller.arm();
-  (void)sim.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
   SimTime prev = SimTime::zero();
   for (const auto& event : controller.events()) {
     EXPECT_GE(event.at, prev);

@@ -10,6 +10,7 @@
 #include "core/pam_policy.hpp"
 #include "migration/migration_engine.hpp"
 #include "nf/monitor.hpp"
+#include "one_chain.hpp"
 
 namespace pam {
 namespace {
@@ -37,12 +38,12 @@ MigrationPlan logger_plan() {
 }
 
 TEST(MigrationEngine, ExecutesPlanAndRelocates) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
   MigrationEngine engine{sim};
-  sim.schedule_at(SimTime::milliseconds(20),
-                  [&] { engine.execute(logger_plan()); });
-  const auto report = sim.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
+  sim.kernel().schedule_at(SimTime::milliseconds(20),
+                           [&] { engine.execute(logger_plan()); });
+  const auto report = one.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
 
   EXPECT_EQ(sim.chain().location_of(2), Location::kCpu);
   ASSERT_EQ(engine.records().size(), 1u);
@@ -54,12 +55,12 @@ TEST(MigrationEngine, ExecutesPlanAndRelocates) {
 }
 
 TEST(MigrationEngine, LossFreeUnderLoad) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.4_gbps)};
+  OneChain one{paper_figure1_chain(), traffic(1.4_gbps)};
+  ChainSimulator& sim = one.sim();
   MigrationEngine engine{sim};
-  sim.schedule_at(SimTime::milliseconds(20),
-                  [&] { engine.execute(logger_plan()); });
-  const auto report = sim.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
+  sim.kernel().schedule_at(SimTime::milliseconds(20),
+                           [&] { engine.execute(logger_plan()); });
+  const auto report = one.run(SimTime::milliseconds(80), SimTime::milliseconds(5));
 
   ASSERT_EQ(engine.records().size(), 1u);
   EXPECT_GT(engine.records()[0].packets_buffered, 0u);  // traffic was parked
@@ -69,8 +70,8 @@ TEST(MigrationEngine, LossFreeUnderLoad) {
 }
 
 TEST(MigrationEngine, StateSurvivesMigrationExactly) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
   MigrationEngine engine{sim};
 
   // Snapshot the Monitor's view just before migrating the Monitor itself.
@@ -85,13 +86,13 @@ TEST(MigrationEngine, StateSurvivesMigrationExactly) {
   step.to = Location::kCpu;
   plan.steps.push_back(step);
 
-  sim.schedule_at(SimTime::milliseconds(25), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(25), [&] {
     const auto& mon = dynamic_cast<const Monitor&>(sim.nf(1));
     flows_before = mon.flow_count();
     bytes_before = mon.total_bytes();
     engine.execute(plan);
   });
-  (void)sim.run(SimTime::milliseconds(70), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(70), SimTime::milliseconds(5));
 
   const auto& mon_after = dynamic_cast<const Monitor&>(sim.nf(1));
   EXPECT_GT(flows_before, 0u);
@@ -116,12 +117,13 @@ TEST(MigrationEngine, MultiStepPlansRunSequentially) {
   const auto plan = policy.plan(chain, analyzer, 1.5_gbps);
   ASSERT_EQ(plan.steps.size(), 2u);
 
-  ChainSimulator sim{chain, server, traffic(1.5_gbps)};
+  OneChain one{chain, traffic(1.5_gbps)};
+  ChainSimulator& sim = one.sim();
   MigrationEngine engine{sim};
   bool done = false;
-  sim.schedule_at(SimTime::milliseconds(20),
-                  [&] { engine.execute(plan, [&] { done = true; }); });
-  const auto report = sim.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
+  sim.kernel().schedule_at(SimTime::milliseconds(20),
+                           [&] { engine.execute(plan, [&] { done = true; }); });
+  const auto report = one.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
 
   EXPECT_TRUE(done);
   ASSERT_EQ(engine.records().size(), 2u);
@@ -133,15 +135,15 @@ TEST(MigrationEngine, MultiStepPlansRunSequentially) {
 }
 
 TEST(MigrationEngine, InfeasiblePlanIsANoOp) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
   MigrationEngine engine{sim};
   MigrationPlan plan = logger_plan();
   plan.feasible = false;
   bool done = false;
-  sim.schedule_at(SimTime::milliseconds(10),
-                  [&] { engine.execute(plan, [&] { done = true; }); });
-  (void)sim.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
+  sim.kernel().schedule_at(SimTime::milliseconds(10),
+                           [&] { engine.execute(plan, [&] { done = true; }); });
+  (void)one.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
   EXPECT_TRUE(done);  // callback still fires
   EXPECT_TRUE(engine.records().empty());
   EXPECT_EQ(sim.chain().location_of(2), Location::kSmartNic);
@@ -151,10 +153,10 @@ TEST(MigrationEngine, DowntimeScalesWithStateSize) {
   // Run longer before migrating -> the Monitor accumulates more flow state
   // -> larger blob -> longer transfer.
   auto run_with_migration_at = [](SimTime when) {
-    Server server = Server::paper_testbed();
     TrafficSourceConfig cfg = traffic(1.0_gbps, 42);
     cfg.flows.flow_count = 4096;  // plenty of distinct flows to accumulate
-    ChainSimulator sim{paper_figure1_chain(), server, cfg};
+    OneChain one{paper_figure1_chain(), cfg};
+    ChainSimulator& sim = one.sim();
     MigrationEngine engine{sim};
     MigrationPlan plan;
     plan.policy_name = "test";
@@ -164,8 +166,8 @@ TEST(MigrationEngine, DowntimeScalesWithStateSize) {
     step.from = Location::kSmartNic;
     step.to = Location::kCpu;
     plan.steps.push_back(step);
-    sim.schedule_at(when, [&] { engine.execute(plan); });
-    (void)sim.run(when + SimTime::milliseconds(40), SimTime::milliseconds(1));
+    sim.kernel().schedule_at(when, [&] { engine.execute(plan); });
+    (void)one.run(when + SimTime::milliseconds(40), SimTime::milliseconds(1));
     return engine.records().at(0);
   };
   const auto early = run_with_migration_at(SimTime::milliseconds(5));
@@ -187,13 +189,14 @@ TEST(MigrationEngine, DowntimeIsControlOverheadPlusStateTransfer) {
       Server server = Server::paper_testbed();
       ServiceChain chain = paper_figure1_chain();
       chain.set_location(2, from);
-      ChainSimulator sim{chain, server, traffic(Gbps::zero())};
+      OneChain one{chain, traffic(Gbps::zero())};
+      ChainSimulator& sim = one.sim();
       MigrationEngine engine{sim, opts};
       MigrationPlan plan = logger_plan();
       plan.steps[0].from = from;
       plan.steps[0].to = to;
-      sim.schedule_at(SimTime::milliseconds(5), [&] { engine.execute(plan); });
-      (void)sim.run(SimTime::milliseconds(20), SimTime::milliseconds(1));
+      sim.kernel().schedule_at(SimTime::milliseconds(5), [&] { engine.execute(plan); });
+      (void)one.run(SimTime::milliseconds(20), SimTime::milliseconds(1));
       const MigrationRecord record = engine.records().at(0);
       const SimTime transfer =
           record.state_size.value() > 0

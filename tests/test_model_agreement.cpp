@@ -8,7 +8,7 @@
 #include "chain/chain_analyzer.hpp"
 #include "chain/chain_builder.hpp"
 #include "common/rng.hpp"
-#include "sim/chain_simulator.hpp"
+#include "one_chain.hpp"
 
 namespace pam {
 namespace {
@@ -62,8 +62,8 @@ TEST_P(ModelAgreement, UtilizationMatches) {
   cfg.rate = RateProfile::constant(s.rate);
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = GetParam();
-  ChainSimulator sim{s.chain, server, cfg};
-  const SimReport report = sim.run(SimTime::milliseconds(50), SimTime::milliseconds(10));
+  OneChain one{s.chain, cfg};
+  const SimReport report = one.run(SimTime::milliseconds(50), SimTime::milliseconds(10));
 
   const auto predicted = analyzer.utilization(s.chain, s.rate);
   EXPECT_NEAR(report.smartnic_utilization, predicted.smartnic,
@@ -83,8 +83,8 @@ TEST_P(ModelAgreement, GoodputMatches) {
   cfg.rate = RateProfile::constant(s.rate);
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = GetParam() + 1;
-  ChainSimulator sim{s.chain, server, cfg};
-  const SimReport report = sim.run(SimTime::milliseconds(50), SimTime::milliseconds(10));
+  OneChain one{s.chain, cfg};
+  const SimReport report = one.run(SimTime::milliseconds(50), SimTime::milliseconds(10));
 
   const Gbps predicted = analyzer.predicted_goodput(s.chain, s.rate);
   EXPECT_NEAR(report.egress_goodput.value(), predicted.value(),
@@ -100,8 +100,8 @@ TEST_P(ModelAgreement, LowLoadLatencyMatchesStructural) {
   cfg.rate = RateProfile::constant(s.rate * 0.15);  // very light load
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = GetParam() + 2;
-  ChainSimulator sim{s.chain, server, cfg};
-  const SimReport report = sim.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
+  OneChain one{s.chain, cfg};
+  const SimReport report = one.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
   if (report.measured_delivered < 50) {
     GTEST_SKIP() << "not enough deliveries for a stable mean";
   }

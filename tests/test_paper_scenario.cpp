@@ -9,7 +9,7 @@
 #include "chain/chain_builder.hpp"
 #include "core/naive_policy.hpp"
 #include "core/pam_policy.hpp"
-#include "sim/chain_simulator.hpp"
+#include "one_chain.hpp"
 
 namespace pam {
 namespace {
@@ -34,13 +34,12 @@ struct Scenario {
 };
 
 SimReport measure(const ServiceChain& chain, Gbps rate, std::size_t size) {
-  Server server = Server::paper_testbed();
   TrafficSourceConfig cfg;
   cfg.rate = RateProfile::constant(rate);
   cfg.sizes = PacketSizeDistribution::fixed(size);
   cfg.seed = 1234;
-  ChainSimulator sim{chain, server, cfg};
-  return sim.run(SimTime::milliseconds(80), SimTime::milliseconds(15));
+  OneChain one{chain, cfg};
+  return one.run(SimTime::milliseconds(80), SimTime::milliseconds(15));
 }
 
 /// Mean latency across the paper's 64B..1500B sweep.

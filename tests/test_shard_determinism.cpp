@@ -296,7 +296,8 @@ ProbeRun run_probe(DatacenterSimulator& dc, const char* spec, bool lease,
     EXPECT_TRUE(dc.commit_lease(c, 0, 1));
   }
   ProbeRun out;
-  out.report = dc.run(SimTime::milliseconds(20), SimTime::milliseconds(5), 2);
+  dc.run(SimTime::milliseconds(20), SimTime::milliseconds(5), 2);
+  out.report = dc.report();
   out.pending = std::move(seen->pending);
   out.frames = std::move(seen->frames);
   return out;

@@ -6,7 +6,7 @@
 
 #include "chain/chain_analyzer.hpp"
 #include "chain/chain_builder.hpp"
-#include "sim/chain_simulator.hpp"
+#include "one_chain.hpp"
 
 namespace pam {
 namespace {
@@ -27,9 +27,8 @@ TrafficSourceConfig traffic(Gbps rate, std::size_t packet_size = 512,
 SimReport run_once(const ServiceChain& chain, TrafficSourceConfig cfg,
                    SimTime duration = SimTime::milliseconds(60),
                    SimTime warmup = SimTime::milliseconds(10)) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{chain, server, std::move(cfg)};
-  return sim.run(duration, warmup);
+  OneChain one{chain, std::move(cfg)};
+  return one.run(duration, warmup);
 }
 
 TEST(Simulator, PacketConservation) {
@@ -143,10 +142,10 @@ TEST(Simulator, MoreCrossingsMoreLatency) {
 }
 
 TEST(Simulator, FunctionalNfsObserveTraffic) {
-  Server server = Server::paper_testbed();
   const auto chain = paper_figure1_chain();
-  ChainSimulator sim{chain, server, traffic(0.8_gbps)};
-  const auto report = sim.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
+  OneChain one{chain, traffic(0.8_gbps)};
+  ChainSimulator& sim = one.sim();
+  const auto report = one.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
   // Every delivered packet passed through all four NFs.
   EXPECT_EQ(sim.nf(0).counters().packets_in, report.injected);
   EXPECT_EQ(sim.nf(1).counters().packets_in, report.injected);
@@ -158,32 +157,32 @@ TEST(Simulator, RateProfileStepChangesThroughput) {
   cfg.rate = RateProfile::step(0.5_gbps, 2.0_gbps, SimTime::milliseconds(50));
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = 3;
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, cfg};
+  OneChain one{paper_figure1_chain(), cfg};
+  ChainSimulator& sim = one.sim();
 
   std::vector<Gbps> observations;
-  sim.schedule_at(SimTime::milliseconds(45), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(45), [&] {
     observations.push_back(sim.observed_ingress_rate(SimTime::milliseconds(10)));
   });
-  sim.schedule_at(SimTime::milliseconds(95), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(95), [&] {
     observations.push_back(sim.observed_ingress_rate(SimTime::milliseconds(10)));
   });
-  (void)sim.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(100), SimTime::milliseconds(5));
   ASSERT_EQ(observations.size(), 2u);
   EXPECT_NEAR(observations[0].value(), 0.5, 0.1);
   EXPECT_NEAR(observations[1].value(), 2.0, 0.25);
 }
 
 TEST(Simulator, PauseBuffersAndResumeFlushes) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
-  sim.schedule_at(SimTime::milliseconds(20), [&] { sim.pause_node(2); });
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
+  sim.kernel().schedule_at(SimTime::milliseconds(20), [&] { sim.pause_node(2); });
   std::size_t buffered_at_resume = 0;
-  sim.schedule_at(SimTime::milliseconds(21), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(21), [&] {
     buffered_at_resume = sim.buffered_at(2);
     sim.resume_node(2);
   });
-  const auto report = sim.run(SimTime::milliseconds(50), SimTime::milliseconds(5));
+  const auto report = one.run(SimTime::milliseconds(50), SimTime::milliseconds(5));
   EXPECT_GT(buffered_at_resume, 0u);   // 1 ms of traffic parked
   EXPECT_GT(sim.total_buffered(), 0u);
   EXPECT_TRUE(report.conserved());
@@ -191,21 +190,21 @@ TEST(Simulator, PauseBuffersAndResumeFlushes) {
 }
 
 TEST(Simulator, PausedNodeAtEndStrandsBufferedPackets) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
-  sim.schedule_at(SimTime::milliseconds(20), [&] { sim.pause_node(2); });
-  const auto report = sim.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
+  sim.kernel().schedule_at(SimTime::milliseconds(20), [&] { sim.pause_node(2); });
+  const auto report = one.run(SimTime::milliseconds(30), SimTime::milliseconds(5));
   EXPECT_GT(report.in_flight_at_end, 0u);  // parked forever, but accounted
   EXPECT_TRUE(report.conserved());
 }
 
 TEST(Simulator, MidRunRelocationTakesEffect) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.0_gbps)};
-  sim.schedule_at(SimTime::milliseconds(25), [&] {
+  OneChain one{paper_figure1_chain(), traffic(1.0_gbps)};
+  ChainSimulator& sim = one.sim();
+  sim.kernel().schedule_at(SimTime::milliseconds(25), [&] {
     sim.set_node_location(2, Location::kCpu);  // Logger -> CPU, crossings stay 1
   });
-  const auto report = sim.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
+  const auto report = one.run(SimTime::milliseconds(60), SimTime::milliseconds(5));
   EXPECT_TRUE(report.conserved());
   EXPECT_EQ(sim.chain().location_of(2), Location::kCpu);
   // Crossings per packet unchanged (border move).
@@ -213,13 +212,13 @@ TEST(Simulator, MidRunRelocationTakesEffect) {
 }
 
 TEST(Simulator, ObservedIngressRateTracksOffered) {
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(1.5_gbps)};
+  OneChain one{paper_figure1_chain(), traffic(1.5_gbps)};
+  ChainSimulator& sim = one.sim();
   Gbps observed;
-  sim.schedule_at(SimTime::milliseconds(30), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(30), [&] {
     observed = sim.observed_ingress_rate(SimTime::milliseconds(5));
   });
-  (void)sim.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(40), SimTime::milliseconds(5));
   EXPECT_NEAR(observed.value(), 1.5, 0.15);
 }
 
@@ -227,13 +226,13 @@ TEST(Simulator, IngressWindowKeepsTheLatest65536Arrivals) {
   // 64 B frames at 10 Gbps arrive every ~51 ns, so a 10 ms window would
   // hold ~196k of them: the estimator keeps only the latest 65,536, and its
   // running byte sum must equal exactly their bytes.
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic(10.0_gbps, 64)};
+  OneChain one{paper_figure1_chain(), traffic(10.0_gbps, 64)};
+  ChainSimulator& sim = one.sim();
   Gbps observed;
-  sim.schedule_at(SimTime::milliseconds(20), [&] {
+  sim.kernel().schedule_at(SimTime::milliseconds(20), [&] {
     observed = sim.observed_ingress_rate(SimTime::milliseconds(10));
   });
-  (void)sim.run(SimTime::milliseconds(21), SimTime::milliseconds(5));
+  (void)one.run(SimTime::milliseconds(21), SimTime::milliseconds(5));
   EXPECT_EQ(observed.value(),
             rate_of(Bytes{65536 * 64}, SimTime::milliseconds(10)).value());
 }
@@ -250,10 +249,9 @@ TEST(Simulator, PoissonAndCbrSameMeanThroughput) {
 TEST(Simulator, PerNodeStatsIdentifyTheHotNf) {
   // At 90% SmartNIC utilisation the shared-device queueing shows up in every
   // SmartNIC node's residence time, and each node saw every packet.
-  Server server = Server::paper_testbed();
   const auto chain = paper_figure1_chain();
-  ChainSimulator sim{chain, server, traffic(1.4_gbps)};
-  const auto report = sim.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
+  OneChain one{chain, traffic(1.4_gbps)};
+  const auto report = one.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
 
   ASSERT_EQ(report.per_node.size(), 4u);
   EXPECT_EQ(report.per_node[0].name, "Firewall");
@@ -274,10 +272,8 @@ TEST(Simulator, PerNodeResidenceGrowsWithLoad) {
   // almost no queueing even at 96% utilisation.
   Server server = Server::paper_testbed();
   const auto chain = paper_figure1_chain();
-  ChainSimulator light{chain, server,
-                       traffic(0.3_gbps, 512, 4, ArrivalProcess::kPoisson)};
-  ChainSimulator heavy{chain, server,
-                       traffic(1.45_gbps, 512, 4, ArrivalProcess::kPoisson)};
+  OneChain light{chain, traffic(0.3_gbps, 512, 4, ArrivalProcess::kPoisson)};
+  OneChain heavy{chain, traffic(1.45_gbps, 512, 4, ArrivalProcess::kPoisson)};
   const auto light_report = light.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
   const auto heavy_report = heavy.run(SimTime::milliseconds(60), SimTime::milliseconds(10));
   // Queue wait at ~96% utilisation dwarfs the light-load residence.

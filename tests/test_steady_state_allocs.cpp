@@ -1,18 +1,20 @@
 // The per-packet datapath allocates nothing in steady state.
 //
 // This binary replaces the global operator new with a counting one (each
-// test_*.cpp links into its own executable, so no other test sees it).  A
-// standalone ChainSimulator runs the Figure-1 chain until its packet pool,
-// FCFS rings, ingress window and latency reservoirs have all reached their
-// high-water marks; then a window of EventQueue::run_one() calls — tens of
-// thousands of packet hops, metered, with drop-tail losses in the overload
-// case — must make zero heap allocations.
+// test_*.cpp links into its own executable, so no other test sees it).
+// Every steady-state case runs a DatacenterSimulator until its packet
+// pools, FCFS rings, ingress window and latency reservoirs have all reached
+// their high-water marks; then a window of whole epochs, opened and closed
+// from the barrier hook, must make zero heap allocations.  The window
+// counts everything an epoch does: the events, EpochExecutor::run_epoch,
+// the fabric exchange and the barrier itself.
 //
-// Two more cases move the same chain's Monitor off its home slot, so every
-// packet also makes two extra hops: to another slot of the same rack over
-// the rack fabric, or to a lease on another rack over the shard fabric.
-// The window there is a run of whole epochs, opened and closed from the
-// barrier hook.
+// The first case runs the Figure-1 chain on a one-rack, one-slot
+// simulator: tens of thousands of packet hops, metered, with drop-tail
+// losses in the overload case.  Two more move the same chain's Monitor off
+// its home slot, so every packet also makes two extra hops: to another
+// slot of the same rack over the rack fabric, or to a lease on another
+// rack over the shard fabric.
 //
 // A last case checks that buffers follow the traffic, not the fleet: a
 // 64-rack datacenter with its chains on rack 0 pays a few allocations per
@@ -30,7 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/chain_builder.hpp"
-#include "sim/chain_simulator.hpp"
+#include "one_chain.hpp"
 #include "sim/datacenter_simulator.hpp"
 
 namespace {
@@ -60,75 +62,13 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace pam {
 namespace {
 
-class SteadyStateAllocs : public ::testing::TestWithParam<double> {};
-
-TEST_P(SteadyStateAllocs, PacketHopsDoNotAllocate) {
-  const double gbps = GetParam();
-  TrafficSourceConfig traffic;
-  traffic.rate = RateProfile::constant(Gbps{gbps});
-  traffic.sizes = PacketSizeDistribution::fixed(512);
-  traffic.seed = 2018;
-  Server server = Server::paper_testbed();
-  ChainSimulator sim{paper_figure1_chain(), server, traffic};
-
-  // By 300 ms more than 65,536 packets have arrived at either rate: the
-  // ingress window is at its cap and every LatencyRecorder reservoir is
-  // full, so neither grows any more.
-  const SimTime warmup = SimTime::milliseconds(10);
-  const SimTime window_start = SimTime::milliseconds(300);
-  const SimTime window_end = SimTime::milliseconds(350);
-  const SimTime duration = SimTime::milliseconds(400);
-  sim.start();
-  SimulationKernel& kernel = sim.kernel();
-  kernel.arm(duration, warmup);
-  kernel.advance_until(window_start);
-  const std::uint64_t injected_before = sim.build_report().injected;
-
-  EventQueue& queue = kernel.queue();
-  const std::uint64_t executed_before = queue.executed();
-  g_allocations.store(0);
-  g_counting.store(true);
-  while (queue.now() < window_end && queue.run_one()) {
-  }
-  g_counting.store(false);
-  const std::uint64_t allocations = g_allocations.load();
-  const std::uint64_t events = queue.executed() - executed_before;
-  const std::uint64_t injected = sim.build_report().injected - injected_before;
-
-  kernel.advance_until(duration);
-  kernel.begin_drain();
-  while (queue.run_one()) {
-  }
-  const SimReport report = sim.build_report();
-
-  EXPECT_EQ(allocations, 0u) << "over " << events << " events";
-  EXPECT_GT(events, 100'000u);
-  EXPECT_GT(injected, 10'000u);
-  EXPECT_GT(report.latency.count(), 65'536u);
-  EXPECT_TRUE(report.conserved());
-  const std::uint64_t queue_drops = report.dropped_queue_nic + report.dropped_queue_cpu;
-  if (gbps > 2.0) {
-    EXPECT_GT(queue_drops, 0u);
-  } else {
-    EXPECT_EQ(queue_drops, 0u);
-  }
-}
-
-// 1.0 Gbps is within the chain's capacity; 2.2 Gbps (the Figure-1
-// overload rate) keeps the hot queue full and dropping.
-INSTANTIATE_TEST_SUITE_P(
-    FigureOneChain, SteadyStateAllocs, ::testing::Values(1.0, 2.2),
-    [](const ::testing::TestParamInfo<double>& info) {
-      return std::string{info.param > 2.0 ? "overload" : "underload"};
-    });
-
 /// A datacenter run whose steady-state window is counted from the barrier
 /// hook: allocations, events on every rack and packets `chain` injected
-/// over the epochs in [300 ms, 350 ms) of a 400 ms run.  Same warm-up
-/// reasoning as above: by 300 ms every reservoir, ring and mailbox has
-/// reached its high-water mark.
+/// over the epochs in [300 ms, 350 ms) of a 400 ms run.  By 300 ms more
+/// than 65,536 packets have arrived at every rate used here: the ingress
+/// window is at its cap, every LatencyRecorder reservoir is full, and every
+/// pool, ring and mailbox has reached its high-water mark.
 struct WindowedRun {
-  DatacenterReport report;
   std::uint64_t allocations = 0;
   std::uint64_t events = 0;
   std::uint64_t injected = 0;
@@ -165,17 +105,46 @@ WindowedRun run_with_window(DatacenterSimulator& dc, std::size_t chain,
     out.events = executed() - executed_before;
     out.injected = dc.chain_sim(chain).build_report().injected - injected_before;
   });
-  out.report = dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), threads);
+  dc.run(SimTime::milliseconds(400), SimTime::milliseconds(10), threads);
   return out;
 }
 
-TrafficSourceConfig steady_traffic() {
+TrafficSourceConfig steady_traffic(double gbps = 1.0) {
   TrafficSourceConfig traffic;
-  traffic.rate = RateProfile::constant(Gbps{1.0});
+  traffic.rate = RateProfile::constant(Gbps{gbps});
   traffic.sizes = PacketSizeDistribution::fixed(512);
   traffic.seed = 2018;
   return traffic;
 }
+
+class SteadyStateAllocs : public ::testing::TestWithParam<double> {};
+
+TEST_P(SteadyStateAllocs, PacketHopsDoNotAllocate) {
+  const double gbps = GetParam();
+  OneChain one{paper_figure1_chain(), steady_traffic(gbps)};
+  const WindowedRun run = run_with_window(one.dc(), 0, /*threads=*/1);
+  const SimReport report = one.sim().build_report();
+
+  EXPECT_EQ(run.allocations, 0u) << "over " << run.events << " events";
+  EXPECT_GT(run.events, 100'000u);
+  EXPECT_GT(run.injected, 10'000u);
+  EXPECT_GT(report.latency.count(), 65'536u);
+  EXPECT_TRUE(report.conserved());
+  const std::uint64_t queue_drops = report.dropped_queue_nic + report.dropped_queue_cpu;
+  if (gbps > 2.0) {
+    EXPECT_GT(queue_drops, 0u);
+  } else {
+    EXPECT_EQ(queue_drops, 0u);
+  }
+}
+
+// 1.0 Gbps is within the chain's capacity; 2.2 Gbps (the Figure-1
+// overload rate) keeps the hot queue full and dropping.
+INSTANTIATE_TEST_SUITE_P(
+    FigureOneChain, SteadyStateAllocs, ::testing::Values(1.0, 2.2),
+    [](const ::testing::TestParamInfo<double>& info) {
+      return std::string{info.param > 2.0 ? "overload" : "underload"};
+    });
 
 constexpr std::size_t kMonitor = 1;  ///< the Figure-1 chain's second node
 
@@ -188,12 +157,13 @@ TEST(SteadyStateAllocs, CrossRackLeaseDoesNotAllocate) {
   ASSERT_TRUE(dc.commit_lease(chain, kMonitor, 1));
 
   const WindowedRun run = run_with_window(dc, chain, /*threads=*/2);
+  const DatacenterReport report = dc.report();
   EXPECT_EQ(run.allocations, 0u) << "over " << run.events << " events, "
                                  << run.injected << " packets";
   EXPECT_GT(run.injected, 10'000u);
   EXPECT_GT(run.events, 100'000u);
-  EXPECT_GE(run.report.cross_rack_frames, 2 * run.injected);
-  EXPECT_TRUE(run.report.fleet.conserved());
+  EXPECT_GE(report.cross_rack_frames, 2 * run.injected);
+  EXPECT_TRUE(report.fleet.conserved());
   for (std::size_t r = 0; r < dc.num_racks(); ++r) {
     EXPECT_EQ(dc.rack(r).kernel().pool().in_use(), 0u) << "rack " << r;
   }
@@ -211,12 +181,13 @@ TEST(SteadyStateAllocs, CrossServerHopDoesNotAllocate) {
   dc.rack(0).move_node(dc.local_chain_of(chain), kMonitor, 1, monitor_at);
 
   const WindowedRun run = run_with_window(dc, chain, /*threads=*/1);
+  const DatacenterReport report = dc.report();
   EXPECT_EQ(run.allocations, 0u) << "over " << run.events << " events, "
                                  << run.injected << " packets";
   EXPECT_GT(run.injected, 10'000u);
   EXPECT_GT(run.events, 100'000u);
-  EXPECT_GE(run.report.fleet.inter_server_hops, 2 * run.injected);
-  EXPECT_TRUE(run.report.fleet.conserved());
+  EXPECT_GE(report.fleet.inter_server_hops, 2 * run.injected);
+  EXPECT_TRUE(report.fleet.conserved());
 }
 
 TEST(SteadyStateAllocs, IdleRacksCostNothing) {
@@ -243,8 +214,8 @@ TEST(SteadyStateAllocs, IdleRacksCostNothing) {
   // reservation.
   EXPECT_LT(setup_allocations, 20 * kRacks);
 
-  const DatacenterReport report =
-      dc.run(SimTime::milliseconds(20), SimTime::milliseconds(2), /*threads=*/2);
+  dc.run(SimTime::milliseconds(20), SimTime::milliseconds(2), /*threads=*/2);
+  const DatacenterReport report = dc.report();
   EXPECT_TRUE(report.fleet.conserved());
   EXPECT_GT(report.cross_rack_frames, 0u);
   EXPECT_GT(dc.rack(0).kernel().pool().capacity(), 0u);
