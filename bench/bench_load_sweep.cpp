@@ -51,10 +51,7 @@ Point measure(const ServiceChain& chain, Gbps rate, SimTime duration,
   cfg.rate = RateProfile::constant(rate);
   cfg.sizes = PacketSizeDistribution::fixed(512);
   cfg.seed = 5150;
-  DatacenterSimulator::Options one_slot;
-  one_slot.shards = 1;
-  one_slot.servers_total = 1;
-  DatacenterSimulator dc{one_slot};
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};  // one rack, one slot
   dc.add_chain(chain, cfg, 0);
   const auto t0 = std::chrono::steady_clock::now();
   dc.run(duration, warmup, /*threads=*/1);

@@ -1,7 +1,7 @@
 // Closed-loop scenario: fluctuating datacenter traffic drives the chain,
-// the Controller periodically queries device load (as the paper's network
-// administrators do), and PAM migrations are executed live by the
-// MigrationEngine — loss-free, inside simulated time.
+// the rack's FleetController periodically queries device load (as the
+// paper's network administrators do), and PAM migrations are executed live
+// by the MigrationEngine — loss-free, inside simulated time.
 //
 //   $ ./build/examples/adaptive_datacenter
 
@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "chain/chain_builder.hpp"
-#include "control/controller.hpp"
+#include "control/fleet_controller.hpp"
 #include "control/scale_out.hpp"
 #include "core/pam_policy.hpp"
 #include "device/server.hpp"
@@ -31,19 +31,16 @@ int main() {
   traffic.flows.flow_count = 512;
   traffic.seed = 2024;
 
-  // One rack with one slot: the chain runs as chain 0.
-  DatacenterSimulator::Options one_slot;
-  one_slot.shards = 1;
-  one_slot.servers_total = 1;
-  DatacenterSimulator dc{one_slot};
+  // One rack with one slot (the default shape): the chain runs as chain 0.
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};
   dc.add_chain(chain, traffic, 0);
   ChainSimulator& sim = dc.chain_sim(0);
 
-  ControllerOptions copts;
+  FleetControllerOptions copts;
   copts.period = SimTime::milliseconds(5);
   copts.first_check = SimTime::milliseconds(5);
   copts.trigger_utilization = 1.0;
-  Controller controller{sim, std::make_unique<PamPolicy>(), copts};
+  FleetController controller{dc.rack(0), std::make_unique<PamPolicy>(), copts};
   controller.arm();
 
   std::printf("chain: %s\n", chain.describe().c_str());
@@ -58,7 +55,7 @@ int main() {
                 std::string{to_string(event.kind)}.c_str(), event.detail.c_str());
   }
   std::printf("\n--- migrations ---\n");
-  for (const auto& record : controller.engine().records()) {
+  for (const auto& record : controller.engine(0).records()) {
     std::printf("%s: %s -> %s, state %s, downtime %s, buffered %llu pkts (0 lost)\n",
                 record.nf_name.c_str(), std::string(to_string(record.from)).c_str(),
                 std::string(to_string(record.to)).c_str(),

@@ -70,10 +70,7 @@ void analyse(const ServiceChain& chain, Gbps rate, MigrationPolicy& policy,
     cfg.rate = RateProfile::constant(rate);
     cfg.sizes = PacketSizeDistribution::imix();
     cfg.process = ArrivalProcess::kPoisson;
-    DatacenterSimulator::Options one_slot;  // one rack with one slot
-    one_slot.shards = 1;
-    one_slot.servers_total = 1;
-    DatacenterSimulator dc{one_slot};
+    DatacenterSimulator dc{DatacenterSimulator::Options{}};  // one rack, one slot
     dc.add_chain(after, cfg, 0);
     dc.run(simulate, simulate * 0.15, /*threads=*/1);
     const SimReport report = dc.chain_sim(0).build_report();

@@ -9,7 +9,7 @@
 #include <memory>
 
 #include "chain/chain_builder.hpp"
-#include "control/controller.hpp"
+#include "control/fleet_controller.hpp"
 #include "core/pam_policy.hpp"
 #include "core/scale_in_policy.hpp"
 #include "sim/datacenter_simulator.hpp"
@@ -31,21 +31,18 @@ int main() {
   traffic.sizes = PacketSizeDistribution::imix();
   traffic.seed = 77;
 
-  // One rack with one slot: the chain runs as chain 0.
-  DatacenterSimulator::Options one_slot;
-  one_slot.shards = 1;
-  one_slot.servers_total = 1;
-  DatacenterSimulator dc{one_slot};
+  // One rack with one slot (the default shape): the chain runs as chain 0.
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};
   dc.add_chain(chain, traffic, 0);
   ChainSimulator& sim = dc.chain_sim(0);
 
-  ControllerOptions opts;
+  FleetControllerOptions opts;
   opts.period = SimTime::milliseconds(5);
   opts.first_check = SimTime::milliseconds(5);
   opts.cooldown = SimTime::milliseconds(30);
-  Controller controller{sim, std::make_unique<PamPolicy>(), opts};
+  FleetController controller{dc.rack(0), std::make_unique<PamPolicy>(), opts};
   // 0.55: a hysteresis band under the trigger.
-  controller.set_scale_in_policy(std::make_unique<ScaleInPolicy>(), 0.55);
+  controller.plane().set_scale_in_policy(std::make_unique<ScaleInPolicy>(), 0.55);
   controller.arm();
 
   std::printf("chain: %s\nload:  %s\n\n", chain.describe().c_str(),
@@ -60,8 +57,8 @@ int main() {
                 std::string{to_string(event.kind)}.c_str(), event.detail.c_str());
   }
   std::printf("\n--- migrations (%zu total) ---\n",
-              controller.engine().records().size());
-  for (const auto& record : controller.engine().records()) {
+              controller.engine(0).records().size());
+  for (const auto& record : controller.engine(0).records()) {
     std::printf("%-8s %s -> %-8s downtime %-10s buffered %llu\n",
                 record.nf_name.c_str(), std::string(to_string(record.from)).c_str(),
                 std::string(to_string(record.to)).c_str(),

@@ -2,9 +2,10 @@
 # Runs the static-analysis gate: pam_lint (architecture and determinism
 # rules A001..A003/D001..D004/D006/X001,
 # docs/STATIC_ANALYSIS.md), a check that the layer diagram in
-# docs/ARCHITECTURE.md matches `pam_lint graph --dot`, then clang-tidy over
-# the curated check set in .clang-tidy, which alone owns the copy checks.
-# This is exactly what the `lint` CI job runs.
+# docs/ARCHITECTURE.md matches `pam_lint graph --dot`, a check that
+# `pam_lint metrics` counts no function over the line budget, then
+# clang-tidy over the curated check set in .clang-tidy, which alone owns the
+# copy checks.  This is exactly what the `lint` CI job runs.
 #
 #   scripts/run_lint.sh [--build-dir DIR] [--json FILE] [--metrics FILE]
 #                       [--dot FILE] [--changed] [--skip-tidy]
@@ -44,7 +45,7 @@ while [[ $# -gt 0 ]]; do
     --dot) DOT_OUT="$2"; shift 2 ;;
     --changed) CHANGED=1; shift ;;
     --skip-tidy) SKIP_TIDY=1; shift ;;
-    -h|--help) sed -n '2,28p' "${BASH_SOURCE[0]}"; exit 0 ;;
+    -h|--help) sed -n '2,29p' "${BASH_SOURCE[0]}"; exit 0 ;;
     *) echo "run_lint: unknown argument: $1" >&2; exit 2 ;;
   esac
 done
@@ -114,6 +115,24 @@ if ! diff -u --label "docs/ARCHITECTURE.md (dot block)" --label "pam_lint graph 
   DOC_STATUS=1
 fi
 
+# No function of the whole tree may outgrow the line budget (also under
+# --changed); each file that holds one is named.
+BUDGET_STATUS=0
+if ! "$PAM_LINT" metrics --root "$ROOT_DIR" | python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)
+budget = metrics["function_budget_lines"]
+for f in metrics["files"]:
+    if f["functions_over_budget"] > 0:
+        print("run_lint: %s: %d function(s) over the %d-line budget (longest %d)"
+              % (f["file"], f["functions_over_budget"], budget, f["longest_function"]),
+              file=sys.stderr)
+sys.exit(1 if metrics["totals"]["functions_over_budget"] > 0 else 0)
+'; then
+  echo "run_lint: function budget FAILED; split the functions named above" >&2
+  BUDGET_STATUS=1
+fi
+
 TIDY_STATUS=0
 if [[ "$SKIP_TIDY" == 1 ]]; then
   echo "run_lint: clang-tidy skipped (--skip-tidy)"
@@ -179,6 +198,9 @@ if [[ "$LINT_STATUS" -ne 0 ]]; then
 fi
 if [[ "$DOC_STATUS" -ne 0 ]]; then
   exit "$DOC_STATUS"
+fi
+if [[ "$BUDGET_STATUS" -ne 0 ]]; then
+  exit "$BUDGET_STATUS"
 fi
 if [[ "$TIDY_STATUS" -ne 0 ]]; then
   exit "$TIDY_STATUS"

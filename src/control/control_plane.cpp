@@ -179,9 +179,9 @@ void ControlPlane::check(std::size_t c) {
     return;  // policy saw no useful move and no emergency
   }
   // Both devices hot (or the slot is saturated by co-homed chains): the
-  // paper defers to OpenNF-style scale-out.  What that means — recording the
-  // request on one box, a cross-server border-NF move in a rack — is the
-  // actuator's business.
+  // paper defers to OpenNF-style scale-out.  What that means — a
+  // cross-server border-NF move, or a recorded request on a one-slot rack —
+  // is the actuator's business.
   const std::string reason = action.plan.feasible
                                  ? "slot saturated by co-homed chains"
                                  : action.plan.infeasibility_reason;

@@ -1,10 +1,8 @@
-// The control-plane API: ONE sense → decide → act loop for every controller.
+// The control-plane API: ONE sense → decide → act loop.
 //
 // The paper's contribution is a decision loop — "the network administrators
 // can periodically query the load of SmartNIC and CPU and execute the PAM
-// border vNF selection algorithm" — and the repo used to carry two divergent
-// copies of it (single-server Controller, rack-scale FleetController) with
-// separate trigger/cooldown/event code.  ControlPlane owns the loop once:
+// border vNF selection algorithm".  ControlPlane owns it once:
 //
 //   every `period`, per managed chain:
 //     skip while an action is in flight or the cooldown is running
@@ -13,23 +11,24 @@
 //     hot?             — chain demand >= trigger, or the shared slot is hot
 //       Sensor::plan   — run the installed MigrationPolicy on that view
 //       feasible       — Actuator::execute (loss-free migration engine)
-//       infeasible     — Actuator::scale_out (record the OpenNF request on
-//                        one box; actually move a border NF cross-server in
-//                        a rack)
+//       infeasible     — Actuator::scale_out (move a border NF cross-server;
+//                        on a one-slot rack, record the OpenNF request)
 //     calm?            — when a scale-in policy is installed and the
 //                        SmartNIC sits below its threshold, run it (pull
 //                        pushed-aside vNFs back to the SmartNIC)
 //
-// Controller and FleetController are thin specialisations: they implement
-// the Sensor (what "load" and "the chain" mean locally) and the Actuator
-// (what "migrate" and "scale out" do locally) and delegate everything else
-// here.  Every decision is recorded as a typed ControlEvent — machine-
-// readable telemetry serialised into the `control_events` JSON section by
-// the experiment layer (docs/REPRODUCING.md documents the schema).
+// FleetController, the rack tier, is the one client: it implements the
+// Sensor (what "load" and "the chain" mean in a rack) and the Actuator (what
+// "migrate" and "scale out" do there) and delegates everything else here.
+// The two interfaces stay abstract so tests can drive the loop with
+// scripted fakes.  Every decision is recorded as a typed ControlEvent —
+// machine-readable telemetry serialised into the `control_events` JSON
+// section by the experiment layer (docs/REPRODUCING.md documents the
+// schema).
 //
-// The datacenter tier above them (DatacenterOrchestrator) is not a client:
+// The datacenter tier above it (DatacenterOrchestrator) is not a client:
 // it has no policy to plan with, only a barrier-time check that leases a
-// border NF to another rack through the rack tier's target scan.  All three
+// border NF to another rack through the rack tier's target scan.  Both
 // tiers share one knob set: ControlPlaneOptions (extended by the racks'
 // FleetControllerOptions, which the orchestrator reads too) and the
 // kRateWindow constant below.
@@ -71,7 +70,7 @@ struct ControlEvent {
 
   SimTime at = SimTime::zero();  ///< simulated time of the decision
   Kind kind = Kind::kTriggered;
-  std::size_t chain = 0;   ///< managed-chain index (0 on a single box)
+  std::size_t chain = 0;   ///< managed-chain index, local to the rack
   std::size_t server = 0;  ///< home slot; target slot for scale-out/cross-server events
   /// NFs moved by this decision, in plan order (empty for pure observations).
   std::vector<std::string> moved_nfs;
@@ -89,12 +88,12 @@ struct ControlEvent {
 /// Every kind, in declaration order — for docs, CLIs and CI validators.
 [[nodiscard]] const std::vector<ControlEvent::Kind>& all_control_event_kinds();
 
-/// Trailing window every control tier (box, rack, datacenter) uses to
-/// estimate a chain's offered load.
+/// Trailing window both control tiers (rack, datacenter) use to estimate a
+/// chain's offered load.
 inline constexpr SimTime kRateWindow = SimTime::milliseconds(5.0);
 
-/// The shared loop's knobs.  Identical semantics on one box and on a rack;
-/// the rack-only target slot ceiling lives with FleetController.
+/// The shared loop's knobs; the target slot ceiling lives with
+/// FleetControllerOptions.
 struct ControlPlaneOptions {
   SimTime period = SimTime::milliseconds(10.0);
   SimTime first_check = SimTime::milliseconds(10.0);
@@ -114,7 +113,7 @@ class ControlPlane {
     Gbps offered{0.0};        ///< trailing-window ingress estimate
     UtilizationReport util;   ///< analytic utilisation of the resident view
     /// Live shared-slot overload (co-homed chains can saturate a slot while
-    /// each chain sits below the trigger).  Always false on a single box.
+    /// each chain sits below the trigger).  Always false on a one-slot rack.
     bool slot_hot = false;
     std::size_t server = 0;   ///< home slot id, stamped into events
   };
@@ -154,10 +153,10 @@ class ControlPlane {
     /// last step completes.
     virtual void execute(std::size_t c, const MigrationPlan& plan,
                          std::function<void()> done) = 0;
-    /// Push-aside cannot relieve the hot spot (`reason`): record an
-    /// OpenNF-style request (single box) or move a border NF to another
-    /// server (rack).  Implementations emit their own kInfeasible /
-    /// kScaleOut / kCrossServerMove events via emit()/complete_action().
+    /// Push-aside cannot relieve the hot spot (`reason`): move a border NF
+    /// to another server, or record an OpenNF-style request where there is
+    /// none.  Implementations emit their own kInfeasible / kScaleOut /
+    /// kCrossServerMove events via emit()/complete_action().
     virtual void scale_out(std::size_t c, const std::string& reason, Gbps offered) = 0;
   };
 

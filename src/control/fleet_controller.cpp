@@ -114,14 +114,19 @@ ControlPlane::Sample FleetController::sense(std::size_t c) const {
   sample.util = analyzer_.utilization(resident, sample.offered);
   // Second overload signal beyond the chain's own analytic demand: the
   // slot's live device load — co-homed chains can saturate a shared
-  // SmartNIC while every individual chain sits below the trigger.
-  sample.slot_hot =
-      cluster_.server_nic_load(home) >= options_.trigger_utilization;
+  // SmartNIC while every individual chain sits below the trigger.  A
+  // one-slot rack has no other slot to relieve, so only demand counts.
+  sample.slot_hot = cluster_.num_servers() > 1 &&
+                    cluster_.server_nic_load(home) >= options_.trigger_utilization;
   return sample;
 }
 
 std::string FleetController::describe_overload(
     std::size_t /*c*/, const ControlPlane::Sample& sample) const {
+  if (cluster_.num_servers() == 1) {
+    return format("overload detected at %s offered: %s",
+                  sample.offered.to_string().c_str(), sample.util.describe().c_str());
+  }
   return format("overload on server %zu (nic load %.2f) at %s offered: %s",
                 sample.server, cluster_.server_nic_load(sample.server),
                 sample.offered.to_string().c_str(),
@@ -162,6 +167,18 @@ void FleetController::execute(std::size_t c, const MigrationPlan& plan,
 
 void FleetController::scale_out(std::size_t c, const std::string& reason,
                                 Gbps offered) {
+  if (cluster_.num_servers() == 1) {
+    // No slot to push a border NF to: record the request once per chain —
+    // provisioning another instance is outside the simulated rack.
+    if (!std::exchange(chains_.at(c).scale_out_requested, true)) {
+      ControlEvent event;
+      event.kind = ControlEvent::Kind::kScaleOut;
+      event.chain = c;
+      event.detail = "plan infeasible -> scale-out requested: " + reason;
+      plane_.emit(std::move(event));
+    }
+    return;
+  }
   ChainSimulator& sim = cluster_.chain_sim(c);
   const std::size_t home = sim.home_server();
 

@@ -1,11 +1,10 @@
-// The fleet-scale scaling controller.
+// The scaling controller, for a rack of any size.
 //
-// Controller (controller.hpp) runs the paper's loop for one chain on one
-// server and, when a migration is infeasible (both devices hot), can only
-// *record* an OpenNF-style scale-out request.  FleetController closes that
-// loop for a rack.  The loop itself — period, trigger, cooldown, in-flight
-// tracking, typed ControlEvent log — is ControlPlane's; this class is the
-// rack specialisation:
+// "The network administrators can periodically query the load of SmartNIC
+// and CPU and execute the PAM border vNF selection algorithm" — this class
+// runs that loop for every chain homed on one rack.  The loop itself —
+// period, trigger, cooldown, in-flight tracking, typed ControlEvent log —
+// is ControlPlane's; this class is the rack specialisation:
 //
 //   Sensor    — per chain: trailing-window ingress rate + the rack's
 //               ChainAnalyzer over the chain's *resident* view (off-loaded
@@ -20,6 +19,12 @@
 //               the datacenter tier), and move it there loss-free
 //               (pause -> transfer over the rack fabric -> re-bind ->
 //               resume)
+//
+// A one-slot rack — how timeline scenarios, the examples and the tests run
+// a single chain — has no other slot to push a border NF to.  There only
+// the chain's own demand triggers the loop, and an infeasible plan records
+// an OpenNF-style scale-out request, once per chain ("the network operator
+// must start another instance").
 //
 // Policies come from the PolicyRegistry: one shared default plus optional
 // per-chain overrides (heterogeneous fleets), both installable through the
@@ -110,6 +115,10 @@ class FleetController final : private ControlPlane::Sensor,
   }
   /// Completed single-server (push-aside) migrations across all chains.
   [[nodiscard]] std::size_t migrations_executed() const noexcept;
+  /// Chain `c`'s single-server migration engine (its records).
+  [[nodiscard]] const MigrationEngine& engine(std::size_t c) const {
+    return *chains_.at(c).engine;
+  }
   /// Completed cross-server border-NF moves.
   [[nodiscard]] std::size_t scale_out_moves() const noexcept {
     return scale_out_moves_;
@@ -125,7 +134,8 @@ class FleetController final : private ControlPlane::Sensor,
   void set_external_hold(std::function<bool(std::size_t)> hold) {
     external_hold_ = std::move(hold);
   }
-  /// The shared loop; the orchestrator asks it chain_busy_or_cooling.
+  /// The shared loop: the orchestrator asks it chain_busy_or_cooling, and
+  /// timeline runs install the calm-direction policy on it.
   [[nodiscard]] ControlPlane& plane() noexcept { return plane_; }
 
  private:
@@ -134,6 +144,8 @@ class FleetController final : private ControlPlane::Sensor,
     /// Concurrent cross-server transfers (scale-out plus evacuations — a
     /// server failure can put several of one chain's NFs in flight at once).
     std::size_t remote_moves_in_flight = 0;
+    /// One-slot rack: the scale-out request is already recorded.
+    bool scale_out_requested = false;
   };
 
   // ControlPlane::Sensor

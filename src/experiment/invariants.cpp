@@ -105,7 +105,7 @@ bool is_completion(const ControlEvent& event) {
 }
 
 void check_events(const std::vector<ControlEvent>& events, double duration_ms,
-                  double cooldown_ms, bool fleet, InvariantReport& report) {
+                  double cooldown_ms, InvariantReport& report) {
   // monotone-events: the log is appended in simulated-time order.
   SimTime last = SimTime::zero();
   for (std::size_t i = 0; i < events.size(); ++i) {
@@ -163,7 +163,8 @@ void check_events(const std::vector<ControlEvent>& events, double duration_ms,
   }
 
   // single-flight: per chain, at most one visible action between open
-  // (planned / scale-in / fleet scale-out) and close (its completion).
+  // (planned / scale-in / a scale-out that moves an NF) and close (its
+  // completion).
   // Evacuations open without an event of their own, so their completions
   // only ever *close*; the depth is clamped at zero to absorb that.
   std::map<std::size_t, std::size_t> depth;
@@ -191,9 +192,9 @@ void check_events(const std::vector<ControlEvent>& events, double duration_ms,
         ++open;
         break;
       case ControlEvent::Kind::kScaleOut:
-        // Single-server controllers only *record* the request; the fleet
-        // actuator starts a real cross-server transfer.
-        if (fleet) {
+        // A scale-out that names the NF it moves starts a real transfer; a
+        // one-slot rack, with nowhere to move one, only records the request.
+        if (!event.moved_nfs.empty()) {
           if (open > 0) {
             add(report, "single-flight",
                 format("event %zu: chain %zu started a scale-out move at "
@@ -252,8 +253,7 @@ InvariantReport check_invariants(const RunResult& result) {
     const TimelineResult& tl = *result.timeline;
     check_conservation(tl.metrics, "timeline metrics", report);
     check_nf_state(tl.chain_before, tl.chain_after, "timeline chain", report);
-    check_events(tl.events, spec.duration_ms, spec.controller.cooldown_ms,
-                 /*fleet=*/false, report);
+    check_events(tl.events, spec.duration_ms, spec.controller.cooldown_ms, report);
   }
 
   if (result.deployment) {
@@ -276,8 +276,7 @@ InvariantReport check_invariants(const RunResult& result) {
       add(report, "conservation",
           "cluster report's own conservation flag is false");
     }
-    check_events(cr.events, spec.duration_ms, spec.cluster.cooldown_ms,
-                 /*fleet=*/true, report);
+    check_events(cr.events, spec.duration_ms, spec.cluster.cooldown_ms, report);
     // shard-totals: every packet the fleet accounts for is accounted for
     // by exactly one shard (a one-rack run has one), so a sharded run
     // hides nothing in the fabric.

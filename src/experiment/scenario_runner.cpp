@@ -11,7 +11,6 @@
 #include "chain/deployment.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "control/controller.hpp"
 #include "control/fleet_controller.hpp"
 #include "control/orchestrator.hpp"
 #include "control/policy_registry.hpp"
@@ -117,14 +116,6 @@ RateProfile profile_of(const RateSpec& rate) {
   return RateProfile::constant(Gbps{rate.a});
 }
 
-/// A one-rack, one-slot datacenter: how a single chain runs (chain 0).
-DatacenterSimulator::Options one_slot() {
-  DatacenterSimulator::Options options;
-  options.shards = 1;
-  options.servers_total = 1;
-  return options;
-}
-
 /// One DES execution of `chain` at constant `rate` with the scenario's
 /// arrival process and the given size distribution.
 MeasuredRun simulate_once(const ScenarioSpec& spec, const ServiceChain& chain,
@@ -135,7 +126,7 @@ MeasuredRun simulate_once(const ScenarioSpec& spec, const ServiceChain& chain,
   cfg.process = spec.traffic.arrival;
   cfg.sizes = sizes;
   cfg.seed = spec.seed;
-  DatacenterSimulator dc{one_slot()};
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};  // one rack, one slot
   dc.add_chain(chain, std::move(cfg), 0);
   dc.run(SimTime::milliseconds(spec.duration_ms),
          SimTime::milliseconds(spec.warmup_ms), /*threads=*/1);
@@ -272,11 +263,11 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
   cfg.sizes = dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
   cfg.seed = spec.seed;
 
-  DatacenterSimulator dc{one_slot()};
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};  // one rack, one slot
   dc.add_chain(chain, std::move(cfg), 0);
   ChainSimulator& sim = dc.chain_sim(0);
 
-  ControllerOptions opts;
+  FleetControllerOptions opts;
   opts.trigger_utilization = spec.controller.trigger_utilization;
   opts.period = SimTime::milliseconds(spec.controller.period_ms);
   opts.first_check = SimTime::milliseconds(spec.controller.first_check_ms);
@@ -286,14 +277,14 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
   if (!policy) {
     return policy.error();
   }
-  Controller controller{sim, std::move(policy).value(), opts};
+  FleetController controller{dc.rack(0), std::move(policy).value(), opts};
   if (spec.scale_in.name != "none") {
     auto scale_in = make_policy(spec.scale_in);
     if (!scale_in) {
       return scale_in.error();
     }
-    controller.set_scale_in_policy(std::move(scale_in).value(),
-                                   spec.controller.scale_in_below);
+    controller.plane().set_scale_in_policy(std::move(scale_in).value(),
+                                           spec.controller.scale_in_below);
   }
   controller.arm();
   dc.run(SimTime::milliseconds(spec.duration_ms),
@@ -302,7 +293,10 @@ Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& cha
   tl.chain_after = sim.chain().describe();
   tl.events = controller.events();
   tl.migrations_executed = controller.migrations_executed();
-  tl.scale_out_requested = controller.scale_out_requested();
+  tl.scale_out_requested =
+      std::any_of(tl.events.begin(), tl.events.end(), [](const ControlEvent& event) {
+        return event.kind == ControlEvent::Kind::kScaleOut;
+      });
   const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
                                 ? spec.traffic.sizes.fixed
                                 : 0;

@@ -28,8 +28,8 @@
 //                | sinusoid BASE AMP period_ms=P
 //                | flash BASE PEAK at_ms=T for_ms=D; timeline scenarios only)
 //   [policy]     name (registered policy, inline params allowed),
-//                param.KEY = NUMBER (repeatable per key), scale_in,
-//                scale_in.param.KEY       — timeline + cluster
+//                param.KEY = NUMBER (repeatable per key) — timeline + fleet
+//                kinds; scale_in, scale_in.param.KEY  — timeline only
 //   [variant]    label, policy (registered name[:key=val,...]),
 //                measure_rate (G | plan | cap x M)    — repeatable; compare
 //   [capacity]   nfs, locations, loss_threshold, search_iters, size_bytes
@@ -183,9 +183,10 @@ struct CapacitySpec {
   [[nodiscard]] bool operator==(const CapacitySpec&) const = default;
 };
 
-/// Controller loop parameters (timeline scenarios); mirrors
-/// ControlPlaneOptions, plus `scale_in_below`, the threshold handed to
-/// Controller::set_scale_in_policy with the `scale_in` policy.  The
+/// Control loop parameters of a timeline scenario, whose chain runs under
+/// the FleetController of a one-slot rack; mirrors ControlPlaneOptions,
+/// plus `scale_in_below`, the threshold handed to
+/// ControlPlane::set_scale_in_policy with the `scale_in` policy.  The
 /// policies themselves come from [policy].
 struct ControllerSpec {
   double trigger_utilization = 1.0;

@@ -1,5 +1,6 @@
-// `pam_lint metrics` — the advisory complexity/suppression trend artifact
-// (schema pam-lint-metrics/v1, documented in docs/STATIC_ANALYSIS.md).
+// `pam_lint metrics` — the complexity/suppression trend artifact (schema
+// pam-lint-metrics/v1, documented in docs/STATIC_ANALYSIS.md); of it, only
+// the function-length budget gates (scripts/run_lint.sh).
 // CI uploads one per push so the suppression count, per-file size, the
 // function-length budget and include-graph fan-in/fan-out become part of
 // the perf trajectory next to BENCH_*.json: a hot-path rewrite that

@@ -6,7 +6,7 @@
 //   pam_lint --root /path/to/repo src/nf src/sim/fcfs_server.cpp
 //   pam_lint --list-rules
 //   pam_lint graph --dot             # layer DAG + observed include edges
-//   pam_lint metrics                 # advisory pam-lint-metrics/v1 JSON
+//   pam_lint metrics                 # pam-lint-metrics/v1 JSON
 //
 // Exit code: 0 when clean, 1 on violations/stale suppressions, 2 on usage
 // or I/O errors.  `graph` and `metrics` are informational: they exit 0
@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ void usage(std::FILE* out) {
       "  graph                  print the layer DAG and observed include\n"
       "                         edges (--dot for Graphviz; ARCHITECTURE.md's\n"
       "                         diagram is regenerated from it)\n"
-      "  metrics                emit advisory pam-lint-metrics/v1 JSON\n"
+      "  metrics                emit pam-lint-metrics/v1 JSON\n"
       "                         (LoC, function budget, suppressions, fan-in/out)\n"
       "\n"
       "options:\n"
@@ -73,19 +74,21 @@ int write_to(const std::string& file, Emit emit) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  namespace fs = std::filesystem;
-  std::string root = fs::current_path().string();
+/// The parsed command line.
+struct Cli {
+  std::string root = std::filesystem::current_path().string();
   std::vector<std::string> paths;
   bool json = false;
   std::string json_file;
   bool dot = false;
   std::string dot_file;
   bool list_rules = false;
-  std::string subcommand;
+  std::string subcommand;  ///< "", "graph" or "metrics"
+};
 
+/// Parses argv into `cli`.  Returns the exit code when the command line
+/// ends the run: 0 after --help, 2 (usage printed) on an unknown option.
+std::optional<int> parse_args(int argc, char** argv, Cli& cli) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "-h" || arg == "--help") {
@@ -93,117 +96,106 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (i == 1 && (arg == "graph" || arg == "metrics")) {
-      subcommand = arg;
+      cli.subcommand = arg;
     } else if (arg == "--list-rules") {
-      list_rules = true;
+      cli.list_rules = true;
     } else if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
+      cli.root = argv[++i];
     } else if (arg.rfind("--root=", 0) == 0) {
-      root = arg.substr(7);
+      cli.root = arg.substr(7);
     } else if (arg == "--json") {
-      json = true;
+      cli.json = true;
     } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_file = arg.substr(7);
+      cli.json = true;
+      cli.json_file = arg.substr(7);
     } else if (arg == "--dot") {
-      dot = true;
+      cli.dot = true;
     } else if (arg.rfind("--dot=", 0) == 0) {
-      dot = true;
-      dot_file = arg.substr(6);
+      cli.dot = true;
+      cli.dot_file = arg.substr(6);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "pam_lint: unknown option '%s'\n", arg.c_str());
       usage(stderr);
       return 2;
     } else {
-      paths.push_back(arg);
+      cli.paths.push_back(arg);
     }
   }
+  return std::nullopt;
+}
 
-  if (list_rules) {
-    for (const auto& r : pam::lint::rules()) {
-      std::printf("  %s  %-32s %s\n", r.id.c_str(), r.name.c_str(),
-                  r.description.c_str());
-    }
-    return 0;
-  }
-
+/// Expands the root-relative `paths` into files (everything under src/
+/// when none is given).  False (message printed) on a missing path.
+bool resolve_files(const std::string& root, const std::vector<std::string>& paths,
+                   std::vector<std::string>& files) {
+  namespace fs = std::filesystem;
   std::error_code ec;
-  root = fs::canonical(fs::path(root), ec).string();
-  if (ec) {
-    std::fprintf(stderr, "pam_lint: bad --root: %s\n", ec.message().c_str());
-    return 2;
-  }
-
-  pam::lint::LintOptions options;
-  options.root = root;
   for (const auto& p : paths) {
     const fs::path abs = fs::path(root) / p;
     if (fs::is_directory(abs, ec)) {
       const auto batch = pam::lint::files_under(abs.string(), root);
-      options.files.insert(options.files.end(), batch.begin(), batch.end());
+      files.insert(files.end(), batch.begin(), batch.end());
     } else if (fs::is_regular_file(abs, ec)) {
-      options.files.push_back(p);
+      files.push_back(p);
     } else {
-      std::fprintf(stderr, "pam_lint: no such file or directory: %s\n",
-                   p.c_str());
+      std::fprintf(stderr, "pam_lint: no such file or directory: %s\n", p.c_str());
+      return false;
+    }
+  }
+  if (files.empty()) {
+    files = pam::lint::files_under((fs::path(root) / "src").string(), root);
+  }
+  return true;
+}
+
+/// `graph` and `metrics`: both work from the resolved include graph.
+int run_report(const Cli& cli, const pam::lint::LintOptions& options) {
+  std::map<std::string, std::vector<pam::lint::IncludeDirective>> per_file;
+  std::map<std::string, std::string> raw;
+  for (const auto& rel : options.files) {
+    auto content = pam::lint::read_file(std::filesystem::path(options.root) / rel);
+    if (!content) {
+      std::fprintf(stderr, "pam_lint: cannot read %s\n", rel.c_str());
       return 2;
     }
+    per_file.emplace(rel, pam::lint::extract_includes(*content));
+    raw.emplace(rel, std::move(*content));
   }
-  if (options.files.empty()) {
-    options.files =
-        pam::lint::files_under((fs::path(root) / "src").string(), root);
-  }
+  const pam::lint::IncludeGraph graph = pam::lint::build_include_graph(per_file);
 
-  if (subcommand == "graph" || subcommand == "metrics") {
-    // Both subcommands work from the resolved include graph.
-    std::map<std::string, std::vector<pam::lint::IncludeDirective>> per_file;
-    std::map<std::string, std::string> raw;
-    for (const auto& rel : options.files) {
-      auto content = pam::lint::read_file(fs::path(root) / rel);
-      if (!content) {
-        std::fprintf(stderr, "pam_lint: cannot read %s\n", rel.c_str());
-        return 2;
+  if (cli.subcommand == "graph") {
+    return write_to(cli.dot ? cli.dot_file : cli.json_file, [&](std::ostream& out) {
+      if (cli.dot) {
+        pam::lint::write_layer_dot(out, &graph);
+      } else {
+        pam::lint::write_graph_human(out, graph);
       }
-      per_file.emplace(rel, pam::lint::extract_includes(*content));
-      raw.emplace(rel, std::move(*content));
-    }
-    const pam::lint::IncludeGraph graph =
-        pam::lint::build_include_graph(per_file);
-
-    if (subcommand == "graph") {
-      return write_to(dot ? dot_file : json_file, [&](std::ostream& out) {
-        if (dot) {
-          pam::lint::write_layer_dot(out, &graph);
-        } else {
-          pam::lint::write_graph_human(out, graph);
-        }
-      });
-    }
-
-    // metrics: per-file shape + suppression counts from a full lint pass.
-    const pam::lint::LintReport report = pam::lint::run_lint(options);
-    std::map<std::string, std::size_t> suppressions;
-    for (const auto& s : report.suppressions) ++suppressions[s.file];
-    for (const auto& s : report.stale) ++suppressions[s.file];
-    std::vector<pam::lint::FileMetrics> metrics;
-    for (const auto& [rel, content] : raw) {
-      pam::lint::FileMetrics m =
-          pam::lint::measure_file(rel, pam::lint::preprocess(content));
-      m.suppressions =
-          suppressions.count(rel) > 0 ? suppressions.at(rel) : 0;
-      m.fan_in = graph.fan_in(rel);
-      m.fan_out = graph.fan_out(rel);
-      metrics.push_back(std::move(m));
-    }
-    return write_to(json_file, [&](std::ostream& out) {
-      pam::lint::write_metrics_json(metrics, out);
     });
   }
 
+  // metrics: per-file shape + suppression counts from a full lint pass.
   const pam::lint::LintReport report = pam::lint::run_lint(options);
+  std::map<std::string, std::size_t> suppressions;
+  for (const auto& s : report.suppressions) ++suppressions[s.file];
+  for (const auto& s : report.stale) ++suppressions[s.file];
+  std::vector<pam::lint::FileMetrics> metrics;
+  for (const auto& [rel, content] : raw) {
+    pam::lint::FileMetrics m = pam::lint::measure_file(rel, pam::lint::preprocess(content));
+    m.suppressions = suppressions.count(rel) > 0 ? suppressions.at(rel) : 0;
+    m.fan_in = graph.fan_in(rel);
+    m.fan_out = graph.fan_out(rel);
+    metrics.push_back(std::move(m));
+  }
+  return write_to(cli.json_file, [&](std::ostream& out) {
+    pam::lint::write_metrics_json(metrics, out);
+  });
+}
 
-  if (json) {
-    const int rc = write_to(json_file, [&](std::ostream& out) {
+/// The lint gate: 0 when clean, 1 on violations or stale suppressions.
+int run_gate(const Cli& cli, const pam::lint::LintOptions& options) {
+  const pam::lint::LintReport report = pam::lint::run_lint(options);
+  if (cli.json) {
+    const int rc = write_to(cli.json_file, [&](std::ostream& out) {
       pam::lint::write_json(report, out);
     });
     if (rc != 0) {
@@ -213,4 +205,31 @@ int main(int argc, char** argv) {
     pam::lint::write_human(report, std::cout);
   }
   return report.clean() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Cli cli;
+  if (const std::optional<int> done = parse_args(argc, argv, cli)) {
+    return *done;
+  }
+  if (cli.list_rules) {
+    for (const auto& r : pam::lint::rules()) {
+      std::printf("  %s  %-32s %s\n", r.id.c_str(), r.name.c_str(), r.description.c_str());
+    }
+    return 0;
+  }
+
+  std::error_code ec;
+  pam::lint::LintOptions options;
+  options.root = std::filesystem::canonical(std::filesystem::path(cli.root), ec).string();
+  if (ec) {
+    std::fprintf(stderr, "pam_lint: bad --root: %s\n", ec.message().c_str());
+    return 2;
+  }
+  if (!resolve_files(options.root, cli.paths, options.files)) {
+    return 2;
+  }
+  return cli.subcommand.empty() ? run_gate(cli, options) : run_report(cli, options);
 }

@@ -105,9 +105,10 @@ struct DatacenterReport {
 
 class DatacenterSimulator final : public EventSink {
  public:
+  /// The defaults are one rack with one slot: how a single chain runs.
   struct Options {
-    std::size_t shards = 2;
-    std::size_t servers_total = 2;  ///< must be divisible by shards
+    std::size_t shards = 1;
+    std::size_t servers_total = 1;  ///< must be divisible by shards
     SimTime intra_rack_latency = SimTime::microseconds(50.0);
     /// One-way cross-rack fabric latency == the epoch quantum (lookahead).
     SimTime cross_rack_latency = SimTime::microseconds(100.0);

@@ -13,7 +13,8 @@ namespace pam {
 
 class OneChain {
  public:
-  OneChain(ServiceChain chain, TrafficSourceConfig traffic) : dc_{one_slot()} {
+  OneChain(ServiceChain chain, TrafficSourceConfig traffic)
+      : dc_{DatacenterSimulator::Options{}} {
     dc_.add_chain(std::move(chain), std::move(traffic), 0);
   }
 
@@ -28,13 +29,6 @@ class OneChain {
   }
 
  private:
-  static DatacenterSimulator::Options one_slot() {
-    DatacenterSimulator::Options options;
-    options.shards = 1;
-    options.servers_total = 1;
-    return options;
-  }
-
   DatacenterSimulator dc_;
 };
 

@@ -194,6 +194,72 @@ TEST(Invariants, TriggerWhileMoveInFlightBreaksSingleFlight) {
   expect_caught(mutated, "single-flight", "still in flight");
 }
 
+TEST(Invariants, OnlyAScaleOutThatMovesAnNfOpensAnAction) {
+  // A one-slot rack records its scale-out request without moving anything,
+  // so a later trigger on the chain is legal; a scale-out that moves an NF
+  // holds the chain until the move lands.
+  RunResult mutated = green_result();
+  auto& events = mutated.cluster->events;
+  events.clear();
+  ControlEvent request;
+  request.kind = ControlEvent::Kind::kScaleOut;
+  request.chain = 0;
+  request.at = SimTime::milliseconds(5);
+  events.push_back(request);
+  ControlEvent trig;
+  trig.kind = ControlEvent::Kind::kTriggered;
+  trig.chain = 0;
+  trig.at = SimTime::milliseconds(10);
+  events.push_back(trig);
+  EXPECT_TRUE(check_invariants(mutated).ok()) << check_invariants(mutated).describe();
+
+  events.front().moved_nfs.push_back("Firewall");
+  expect_caught(mutated, "single-flight", "still in flight");
+}
+
+TEST(Invariants, OneSlotClusterRunAuditsGreen) {
+  // One slot with both devices hot: the rack controller can only record
+  // the scale-out request, and re-triggers each period after it.
+  auto spec = ScenarioSpec::parse(R"(
+[scenario]
+name = one-slot-fixture
+kind = cluster
+duration_ms = 40
+warmup_ms = 5
+seed = 3
+
+[traffic]
+arrival = cbr
+sizes = fixed 512
+
+[chain]
+name = hot
+spec = wire | S:Firewall S:Monitor C:DPI | host
+offered_gbps = 2.8
+
+[cluster]
+servers = 1
+rebalance = on
+first_check_ms = 5
+period_ms = 5
+cooldown_ms = 10
+)",
+                                  "one-slot-fixture");
+  ASSERT_TRUE(spec) << spec.error().what();
+  const auto run = ScenarioRunner{}.run(spec.value());
+  ASSERT_TRUE(run) << run.error().what();
+  std::size_t requests = 0;
+  std::size_t triggers = 0;
+  for (const ControlEvent& event : run.value().cluster->events) {
+    requests += event.kind == ControlEvent::Kind::kScaleOut ? 1 : 0;
+    triggers += event.kind == ControlEvent::Kind::kTriggered ? 1 : 0;
+  }
+  EXPECT_EQ(requests, 1u);
+  EXPECT_GT(triggers, 1u);
+  const InvariantReport report = check_invariants(run.value());
+  EXPECT_TRUE(report.ok()) << report.describe();
+}
+
 TEST(Invariants, EvacuationCompletionsNeedNoOpeningEvent) {
   // Evacuations are opened by on_server_failed without a visible event;
   // their completions must not be flagged as spurious closes, and they do

@@ -1,6 +1,6 @@
 // SimulationKernel unit tests: measurement-window bookkeeping, the drain
 // contract, and the shared horizon-bounded schedule_periodic implementation
-// that ChainSimulator, Controller, and FleetController all ride on.
+// that ChainSimulator and FleetController ride on.
 
 #include <gtest/gtest.h>
 
