@@ -50,7 +50,6 @@ FleetController::FleetController(ClusterSimulator& cluster,
       plane_(cluster.kernel(), *this, *this, cluster.num_chains(),
              std::move(policy), options) {
   chains_.resize(cluster_.num_chains());
-  views_.resize(cluster_.num_chains());
   for (std::size_t c = 0; c < cluster_.num_chains(); ++c) {
     chains_[c].engine = std::make_unique<MigrationEngine>(cluster_.chain_sim(c));
   }
@@ -72,29 +71,23 @@ std::optional<UtilizationReport> FleetController::target_load(std::size_t s,
   return UtilizationReport{cluster_.server_nic_load(s), cluster_.server_cpu_load(s)};
 }
 
-const FleetController::HomeView& FleetController::home_view(std::size_t c) const {
+FleetController::HomeView FleetController::home_view(std::size_t c) const {
   const ChainSimulator& sim = cluster_.chain_sim(c);
-  HomeView& view = views_.at(c);
-  if (view.built_at == cluster_.kernel().now()) {
-    return view;  // same tick: placement cannot have changed underneath us
-  }
   const ServiceChain& full = sim.chain();
-  ServiceChain reduced{full.name()};
-  reduced.set_ingress(full.ingress());
-  reduced.set_egress(full.egress());
-  view.index_map.clear();
+  HomeView view;
+  view.chain = ServiceChain{full.name()};
+  view.chain.set_ingress(full.ingress());
+  view.chain.set_egress(full.egress());
   for (std::size_t i = 0; i < full.size(); ++i) {
     if (sim.node_remote(i)) {
       continue;  // leased to another rack: burns no home capacity, and the
                  // orchestrator alone may move it again
     }
     if (sim.node_server(i) == sim.home_server()) {
-      reduced.add_node(full.node(i).spec, full.node(i).location);
+      view.chain.add_node(full.node(i).spec, full.node(i).location);
       view.index_map.push_back(i);
     }
   }
-  view.chain = std::move(reduced);
-  view.built_at = cluster_.kernel().now();
   return view;
 }
 
@@ -106,7 +99,7 @@ ControlPlane::Sample FleetController::sense(std::size_t c) const {
   sample.server = home;
   sample.offered = sim.observed_ingress_rate(kRateWindow);
 
-  const ServiceChain& resident = home_view(c).chain;
+  const ServiceChain resident = home_view(c).chain;
   if (resident.empty()) {
     sample.has_resident = false;
     return sample;
@@ -136,7 +129,7 @@ std::string FleetController::describe_overload(
 ControlPlane::Planned FleetController::plan(std::size_t c,
                                             const MigrationPolicy& policy,
                                             Gbps offered) const {
-  const HomeView& view = home_view(c);
+  const HomeView view = home_view(c);
 
   ControlPlane::Planned out;
   out.plan = policy.plan(view.chain, analyzer_, offered);
@@ -185,7 +178,7 @@ void FleetController::scale_out(std::size_t c, const std::string& reason,
   // Candidates are the home chain's SmartNIC border NFs — moving one is
   // crossing-safe on the home server (PAM Step 1), and it re-enters the
   // fleet at the target's SmartNIC side.
-  const HomeView& view = home_view(c);
+  const HomeView view = home_view(c);
   const BorderSets borders = find_borders(view.chain);
   std::vector<std::size_t> candidates;
   for (const std::size_t reduced_idx : borders.all()) {

@@ -168,14 +168,10 @@ class FleetController final : private ControlPlane::Sensor,
   struct HomeView {
     ServiceChain chain{""};
     std::vector<std::size_t> index_map;  ///< reduced index -> real index
-    SimTime built_at = SimTime::nanoseconds(-1);
   };
 
-  /// Builds (or returns the tick's cached) home view of chain `c`.  One
-  /// loop tick calls sense -> plan -> scale_out at a single simulated
-  /// instant with no placement change in between, so a view built "now" is
-  /// valid for the whole tick.
-  [[nodiscard]] const HomeView& home_view(std::size_t c) const;
+  /// Builds the home view of chain `c` from its current placement.
+  [[nodiscard]] HomeView home_view(std::size_t c) const;
 
   /// Slot `s`'s device loads as a move target for pick_border_move:
   /// nullopt for `away` (the slot the NF leaves) and for a dead slot.
@@ -191,7 +187,6 @@ class FleetController final : private ControlPlane::Sensor,
   void complete_remote_move(std::size_t c, std::size_t node, std::size_t target,
                             ControlEvent::Kind kind);
 
-  mutable std::vector<HomeView> views_;   ///< per-chain per-tick cache
   std::function<bool(std::size_t)> external_hold_;  ///< orchestrator veto
   std::size_t scale_out_moves_ = 0;
   std::size_t evacuations_ = 0;

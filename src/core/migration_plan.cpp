@@ -26,6 +26,14 @@ ServiceChain MigrationPlan::apply_to(const ServiceChain& chain) const {
   return out;
 }
 
+Deployment MigrationPlan::apply_to(const Deployment& deployment) const {
+  Deployment out = deployment;
+  for (const auto& step : steps) {
+    out.at(step.chain).chain.set_location(step.node_index, step.to);
+  }
+  return out;
+}
+
 int MigrationPlan::total_crossing_delta() const noexcept {
   int total = 0;
   for (const auto& step : steps) {

@@ -12,17 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "chain/deployment.hpp"
 #include "chain/service_chain.hpp"
 
 namespace pam {
 
 struct MigrationStep {
+  std::size_t chain = 0;  ///< index of the chain in the planned Deployment
   std::size_t node_index = 0;
   std::string nf_name;
   Location from = Location::kSmartNic;
   Location to = Location::kCpu;
   int crossing_delta = 0;  ///< change in chain PCIe crossings caused by this move
-  std::string reason;      ///< why the policy chose this NF
 };
 
 struct MigrationPlan {
@@ -44,6 +45,10 @@ struct MigrationPlan {
   /// std::invalid_argument if a step references a node whose current
   /// location does not match `from` (stale plan).
   [[nodiscard]] ServiceChain apply_to(const ServiceChain& chain) const;
+
+  /// The same for a multi-chain plan: each step moves a node of the
+  /// deployment's chain `step.chain`.
+  [[nodiscard]] Deployment apply_to(const Deployment& deployment) const;
 
   /// Net change in PCIe crossings across all steps.
   [[nodiscard]] int total_crossing_delta() const noexcept;

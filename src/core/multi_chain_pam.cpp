@@ -1,114 +1,17 @@
 #include "core/multi_chain_pam.hpp"
 
-#include <limits>
-#include <optional>
-#include <set>
-
-#include "chain/border.hpp"
-#include "common/strings.hpp"
+#include "core/pam_policy.hpp"
 
 namespace pam {
 
-Deployment MultiChainPlan::apply_to(const Deployment& deployment) const {
-  Deployment out = deployment;
-  for (const auto& mc_step : steps) {
-    auto& deployed = out.at(mc_step.chain_index);
-    deployed.chain.set_location(mc_step.step.node_index, mc_step.step.to);
-  }
-  return out;
-}
-
-int MultiChainPlan::total_crossing_delta() const noexcept {
-  int total = 0;
-  for (const auto& mc_step : steps) {
-    total += mc_step.step.crossing_delta;
-  }
-  return total;
-}
-
-MultiChainPlan MultiChainPam::plan(const Deployment& deployment,
-                                   const ChainAnalyzer& analyzer) const {
-  MultiChainPlan out;
-  Deployment work = deployment;
-  const double limit = options_.utilization_limit;
-
-  auto util = work.utilization(analyzer);
-  out.trace.push_back("initial aggregate " + util.describe());
-  if (util.smartnic < limit) {
-    out.trace.push_back("SmartNIC below limit; nothing to do");
-    return out;
-  }
-
-  std::set<std::pair<std::size_t, std::string>> rejected;
-
-  while (out.steps.size() < options_.max_migrations) {
-    // Step 1+2 across chains: min theta^S border among non-rejected.
-    std::optional<std::pair<std::size_t, std::size_t>> pick;  // (chain, node)
-    double best_cap = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < work.size(); ++c) {
-      const ServiceChain& chain = work.at(c).chain;
-      for (const std::size_t i : find_borders(chain).all()) {
-        const auto& spec = chain.node(i).spec;
-        if (rejected.contains({c, spec.name})) {
-          continue;
-        }
-        if (spec.capacity.smartnic.value() < best_cap) {
-          best_cap = spec.capacity.smartnic.value();
-          pick = {c, i};
-        }
-      }
-    }
-    if (!pick) {
-      out.feasible = false;
-      out.infeasibility_reason =
-          "no border vNF in any chain can move without overloading the CPU";
-      out.trace.push_back("candidates exhausted -> infeasible");
-      return out;
-    }
-    const auto [chain_idx, node_idx] = *pick;
-    // Copy identifying fields before `work` is reassigned below.
-    const std::string chain_name = work.at(chain_idx).chain.name();
-    const NfSpec spec = work.at(chain_idx).chain.node(node_idx).spec;
-    out.trace.push_back(format("b0 = %s/%s (theta_S=%s)",
-                               chain_name.c_str(), spec.name.c_str(),
-                               spec.capacity.smartnic.to_string().c_str()));
-
-    // Step 3 / Eq. 2 on the aggregate.
-    Deployment candidate = work;
-    const int delta =
-        candidate.at(chain_idx).chain.crossing_delta_if_migrated(node_idx);
-    candidate.at(chain_idx).chain.set_location(node_idx, Location::kCpu);
-    const auto cand_util = candidate.utilization(analyzer);
-    if (cand_util.cpu >= limit) {
-      out.trace.push_back(format("Eq.2 violated (aggregate CPU %.3f); reject %s/%s",
-                                 cand_util.cpu, chain_name.c_str(),
-                                 spec.name.c_str()));
-      rejected.insert({chain_idx, spec.name});
-      continue;
-    }
-
-    MultiChainStep mc_step;
-    mc_step.chain_index = chain_idx;
-    mc_step.step.node_index = node_idx;
-    mc_step.step.nf_name = spec.name;
-    mc_step.step.from = Location::kSmartNic;
-    mc_step.step.to = Location::kCpu;
-    mc_step.step.crossing_delta = delta;
-    out.steps.push_back(mc_step);
-    work = candidate;
-    out.trace.push_back(format("migrate %s/%s -> CPU (crossings %+d, now %s)",
-                               chain_name.c_str(), spec.name.c_str(), delta,
-                               cand_util.describe().c_str()));
-    if (cand_util.smartnic < limit) {
-      out.trace.push_back("Eq.3 satisfied; terminate");
-      return out;
-    }
-  }
-
-  out.feasible = false;
-  out.infeasibility_reason =
-      format("exceeded max_migrations=%zu", options_.max_migrations);
-  return out;
+MigrationPlan MultiChainPam::plan(const Deployment& deployment,
+                                  const ChainAnalyzer& analyzer) const {
+  MoveRule rule;
+  rule.max_moves = 128;
+  rule.exhausted = "no border vNF in any chain can move without overloading the CPU";
+  rule.exceeded = "exceeded max_migrations=128";
+  rule.select = select_pam_border;
+  return run_moves("PAM", deployment, analyzer, rule);
 }
 
 }  // namespace pam

@@ -4,55 +4,25 @@
 // With several chains sharing one SmartNIC, the overload is a property of
 // the aggregate, but the crossing-safety argument is per-chain: a border
 // vNF of *any* chain can migrate without adding crossings to *its* chain
-// (and other chains are untouched).  The algorithm is therefore the same
-// three steps with the candidate set being the union of all chains' border
-// sets, Eq. 2/3 evaluated on aggregate utilisation.
+// (and other chains are untouched).  The algorithm is therefore PAM's own
+// loop and `select_pam_border` (core/pam_policy.hpp) run over the whole
+// Deployment: the candidates are the union of all chains' border sets, and
+// Eq. 2/3 are evaluated on aggregate utilisation.  Each step names its
+// chain (`MigrationStep::chain`).
 
 #pragma once
-
-#include <string>
-#include <vector>
 
 #include "chain/deployment.hpp"
 #include "core/migration_plan.hpp"
 
 namespace pam {
 
-/// One selected move: which chain, which node.
-struct MultiChainStep {
-  std::size_t chain_index = 0;
-  MigrationStep step;
-};
-
-struct MultiChainPlan {
-  std::vector<MultiChainStep> steps;
-  bool feasible = true;
-  std::string infeasibility_reason;
-  std::vector<std::string> trace;
-
-  [[nodiscard]] bool empty() const noexcept { return steps.empty(); }
-
-  /// Applies all steps, returning the migrated deployment.
-  [[nodiscard]] Deployment apply_to(const Deployment& deployment) const;
-
-  /// Net crossing change summed over all affected chains.
-  [[nodiscard]] int total_crossing_delta() const noexcept;
-};
-
-struct MultiChainPamOptions {
-  double utilization_limit = 1.0;
-  std::size_t max_migrations = 128;
-};
-
 class MultiChainPam {
  public:
-  explicit MultiChainPam(MultiChainPamOptions options = {}) : options_(options) {}
-
-  [[nodiscard]] MultiChainPlan plan(const Deployment& deployment,
-                                    const ChainAnalyzer& analyzer) const;
-
- private:
-  MultiChainPamOptions options_;
+  /// Plans moves that bring the aggregate SmartNIC below 1.0; infeasible
+  /// when no border vNF of any chain fits on the CPU.
+  [[nodiscard]] MigrationPlan plan(const Deployment& deployment,
+                                   const ChainAnalyzer& analyzer) const;
 };
 
 }  // namespace pam

@@ -1,77 +1,22 @@
 #include "core/naive_policy.hpp"
 
-#include <limits>
-#include <optional>
-#include <unordered_set>
-
-#include "common/strings.hpp"
+#include "core/migration_loop.hpp"
 
 namespace pam {
 namespace {
 
-/// Shared loop for the naive variants: `select` picks the next SmartNIC
-/// candidate to migrate from the working chain.
-template <typename Selector>
-MigrationPlan naive_loop(std::string policy_name, const ServiceChain& chain,
-                         const ChainAnalyzer& analyzer, Gbps ingress_rate,
-                         double limit, Selector&& select) {
-  MigrationPlan out;
-  out.policy_name = std::move(policy_name);
+/// A naive rule: any SmartNIC-resident vNF is a candidate.  Every kept move
+/// takes one off the candidate list, so the loop ends without a bound.
+MoveRule naive_rule(double limit, SelectFn select) {
+  MoveRule rule;
+  rule.limit = limit;
+  rule.exhausted = "no SmartNIC vNF can move without overloading the CPU";
+  rule.select = select;
+  return rule;
+}
 
-  ServiceChain work = chain;
-  auto util = analyzer.utilization(work, ingress_rate);
-  out.trace.push_back(format("initial %s, crossings=%u",
-                             util.describe().c_str(), work.pcie_crossings()));
-  if (util.smartnic < limit) {
-    out.trace.push_back("SmartNIC below limit; nothing to do");
-    return out;
-  }
-
-  std::unordered_set<std::string> rejected;
-  const std::size_t max_steps = chain.size() + 1;
-  while (out.steps.size() < max_steps) {
-    const std::optional<std::size_t> pick = select(work, ingress_rate, rejected);
-    if (!pick) {
-      out.feasible = false;
-      out.infeasibility_reason =
-          "no SmartNIC vNF can move without overloading the CPU";
-      out.trace.push_back("candidates exhausted -> infeasible");
-      return out;
-    }
-    const std::size_t idx = *pick;
-    const auto& spec = work.node(idx).spec;
-
-    ServiceChain candidate = work;
-    const int delta = candidate.crossing_delta_if_migrated(idx);
-    candidate.set_location(idx, Location::kCpu);
-    const auto cand_util = analyzer.utilization(candidate, ingress_rate);
-    if (cand_util.cpu >= limit) {
-      out.trace.push_back(format("Eq.2 violated for %s (CPU would be %.3f); reject",
-                                 spec.name.c_str(), cand_util.cpu));
-      rejected.insert(spec.name);
-      continue;
-    }
-
-    MigrationStep step;
-    step.node_index = idx;
-    step.nf_name = spec.name;
-    step.from = Location::kSmartNic;
-    step.to = Location::kCpu;
-    step.crossing_delta = delta;
-    step.reason = "naive candidate";
-    out.steps.push_back(step);
-    work = candidate;
-    out.trace.push_back(format("migrate %s -> CPU (crossings %+d, now %s)",
-                               spec.name.c_str(), delta,
-                               cand_util.describe().c_str()));
-    if (cand_util.smartnic < limit) {
-      return out;
-    }
-  }
-
-  out.feasible = false;
-  out.infeasibility_reason = "loop bound exceeded";
-  return out;
+bool on_smartnic(const ServiceChain& chain, std::size_t i) {
+  return chain.location_of(i) == Location::kSmartNic;
 }
 
 }  // namespace
@@ -79,56 +24,31 @@ MigrationPlan naive_loop(std::string policy_name, const ServiceChain& chain,
 MigrationPlan NaiveBottleneckPolicy::plan(const ServiceChain& chain,
                                           const ChainAnalyzer& analyzer,
                                           Gbps ingress_rate) const {
-  return naive_loop(
-      name(), chain, analyzer, ingress_rate, limit_,
-      [](const ServiceChain& work, Gbps rate,
-         const std::unordered_set<std::string>& rejected)
-          -> std::optional<std::size_t> {
-        // The bottleneck vNF: largest resource share on the SmartNIC.
-        std::optional<std::size_t> best;
-        double best_util = -1.0;
-        for (std::size_t i = 0; i < work.size(); ++i) {
-          const auto& node = work.node(i);
-          if (node.location != Location::kSmartNic ||
-              rejected.contains(node.spec.name)) {
-            continue;
-          }
-          const double u =
-              node.spec.utilization_at(Location::kSmartNic, work.offered_at(i, rate));
-          if (u > best_util) {
-            best_util = u;
-            best = i;
-          }
-        }
-        return best;
-      });
+  // The bottleneck vNF: largest resource share on the SmartNIC.
+  const SelectFn select = [](const Deployment& work, const Rejected& rejected,
+                             std::vector<std::string>& /*trace*/) {
+    return best_nf(work, rejected, on_smartnic, [](const DeployedChain& d, std::size_t i) {
+      return d.chain.node(i).spec.utilization_at(Location::kSmartNic,
+                                                 d.chain.offered_at(i, d.offered));
+    });
+  };
+  return run_moves(name(), one_chain(chain, ingress_rate), analyzer,
+                   naive_rule(limit_, select));
 }
 
 MigrationPlan NaiveMinCapacityPolicy::plan(const ServiceChain& chain,
                                            const ChainAnalyzer& analyzer,
                                            Gbps ingress_rate) const {
-  return naive_loop(
-      name(), chain, analyzer, ingress_rate, limit_,
-      [](const ServiceChain& work, Gbps /*rate*/,
-         const std::unordered_set<std::string>& rejected)
-          -> std::optional<std::size_t> {
-        // θ^S-minimal vNF on the SmartNIC (the poster's §3 wording).
-        std::optional<std::size_t> best;
-        double best_cap = std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < work.size(); ++i) {
-          const auto& node = work.node(i);
-          if (node.location != Location::kSmartNic ||
-              rejected.contains(node.spec.name)) {
-            continue;
-          }
-          const double cap = node.spec.capacity.smartnic.value();
-          if (cap < best_cap) {
-            best_cap = cap;
-            best = i;
-          }
-        }
-        return best;
-      });
+  // θ^S-minimal vNF on the SmartNIC (the poster's §3 wording): the
+  // largest -θ^S.
+  const SelectFn select = [](const Deployment& work, const Rejected& rejected,
+                             std::vector<std::string>& /*trace*/) {
+    return best_nf(work, rejected, on_smartnic, [](const DeployedChain& d, std::size_t i) {
+      return -d.chain.node(i).spec.capacity.smartnic.value();
+    });
+  };
+  return run_moves(name(), one_chain(chain, ingress_rate), analyzer,
+                   naive_rule(limit_, select));
 }
 
 MigrationPlan NoMigrationPolicy::plan(const ServiceChain& chain,

@@ -15,9 +15,10 @@
 //  - NoMigrationPolicy ("Original"): never migrates; the overloaded
 //    configuration the other policies start from.
 //
-// Both naive variants apply the same CPU-safety check (Eq. 2) and loop
-// until the SmartNIC drops below the limit, so the comparison against PAM
-// isolates *candidate selection*, not loop mechanics.
+// Both naive variants run PAM's own loop (core/migration_loop.hpp: the
+// Eq. 2 CPU-safety check, then the Eq. 3 stop) with a different `select`,
+// so the comparison against PAM isolates *candidate selection*, not loop
+// mechanics.
 
 #pragma once
 

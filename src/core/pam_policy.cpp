@@ -1,115 +1,52 @@
 #include "core/pam_policy.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <unordered_set>
-
 #include "chain/border.hpp"
 #include "common/strings.hpp"
 
 namespace pam {
 
+std::optional<NfRef> select_pam_border(const Deployment& work, const Rejected& rejected,
+                                       std::vector<std::string>& trace) {
+  // Step 1: (re-)identify borders on the working placement.  After a move
+  // the border expands inward: the moved NF's SmartNIC neighbour is found.
+  std::string line = "borders:";
+  for (std::size_t c = 0; c < work.size(); ++c) {
+    const ServiceChain& chain = work.at(c).chain;
+    line += c ? "; " : " ";
+    if (work.size() > 1) {
+      line += chain.name() + " ";
+    }
+    line += find_borders(chain).describe(chain);
+  }
+  trace.push_back(std::move(line));
+
+  // Step 2: b0 = argmin_{b in BL ∪ BR} θ^S_b among non-rejected.
+  const std::optional<NfRef> b0 =
+      best_nf(work, rejected, is_border, [](const DeployedChain& d, std::size_t i) {
+        return -d.chain.node(i).spec.capacity.smartnic.value();
+      });
+  if (b0) {
+    const NfSpec& spec = work.at(b0->chain).chain.node(b0->node).spec;
+    trace.push_back(format("step 2: b0=%s (theta_S=%s, min among borders)",
+                           nf_label(work, *b0).c_str(),
+                           spec.capacity.smartnic.to_string().c_str()));
+  }
+  return b0;
+}
+
 MigrationPlan PamPolicy::plan(const ServiceChain& chain,
                               const ChainAnalyzer& analyzer,
                               Gbps ingress_rate) const {
-  MigrationPlan out;
-  out.policy_name = name();
-
-  ServiceChain work = chain;
-  const double limit = options_.utilization_limit;
-
-  auto util = analyzer.utilization(work, ingress_rate);
-  out.trace.push_back(format("initial %s, crossings=%u",
-                             util.describe().c_str(), work.pcie_crossings()));
-  if (util.smartnic < limit) {
-    out.trace.push_back("SmartNIC below limit; nothing to do");
-    return out;
-  }
-
-  // NFs rejected by the Eq. 2 (CPU-safety) check.  The paper removes them
-  // from BL/BR and never reconsiders: CPU utilisation only grows as the
-  // loop migrates more NFs, so a rejected candidate can never become
-  // feasible later.
-  std::unordered_set<std::string> rejected;
-
-  while (out.steps.size() < options_.max_migrations) {
-    // Step 1: (re-)identify borders on the working placement.
-    const BorderSets borders = find_borders(work);
-    out.trace.push_back("borders: " + borders.describe(work));
-
-    // Step 2: b0 = argmin_{b in BL ∪ BR} θ^S_b among non-rejected.
-    std::optional<std::size_t> b0;
-    double best_cap = std::numeric_limits<double>::infinity();
-    for (const std::size_t i : borders.all()) {
-      const auto& spec = work.node(i).spec;
-      if (rejected.contains(spec.name)) {
-        continue;
-      }
-      const double cap = spec.capacity.smartnic.value();
-      if (cap < best_cap) {
-        best_cap = cap;
-        b0 = i;
-      }
-    }
-    if (!b0) {
-      out.feasible = false;
-      out.infeasibility_reason =
-          "no border vNF can move without overloading the CPU — "
-          "both devices hot; scale out another instance";
-      out.trace.push_back("candidates exhausted -> infeasible");
-      return out;
-    }
-
-    const std::size_t idx = *b0;
-    const auto& spec = work.node(idx).spec;
-    out.trace.push_back(format("step 2: b0=%s (theta_S=%s, min among borders)",
-                               spec.name.c_str(),
-                               spec.capacity.smartnic.to_string().c_str()));
-
-    // Step 3, constraint (1) — Eq. 2: CPU with b0 must stay below limit.
-    ServiceChain candidate = work;
-    const int delta = candidate.crossing_delta_if_migrated(idx);
-    candidate.set_location(idx, Location::kCpu);
-    const auto cand_util = analyzer.utilization(candidate, ingress_rate);
-    if (cand_util.cpu >= limit) {
-      out.trace.push_back(format(
-          "step 3: Eq.2 violated (CPU would be %.3f >= %.2f); reject %s",
-          cand_util.cpu, limit, spec.name.c_str()));
-      rejected.insert(spec.name);
-      continue;  // back to Step 2 with b0 removed
-    }
-
-    // Migrate b0.
-    MigrationStep step;
-    step.node_index = idx;
-    step.nf_name = spec.name;
-    step.from = Location::kSmartNic;
-    step.to = Location::kCpu;
-    step.crossing_delta = delta;
-    step.reason = format("border vNF with min theta_S=%s",
-                         spec.capacity.smartnic.to_string().c_str());
-    out.steps.push_back(step);
-    work = candidate;
-    out.trace.push_back(format("migrate %s -> CPU (crossings %+d, now %s)",
-                               spec.name.c_str(), delta,
-                               cand_util.describe().c_str()));
-
-    // Step 3, constraint (2) — Eq. 3: terminate once the SmartNIC (without
-    // the NFs migrated so far) is below the limit.
-    if (cand_util.smartnic < limit) {
-      out.trace.push_back(format("Eq.3 satisfied (S=%.3f < %.2f); terminate",
-                                 cand_util.smartnic, limit));
-      return out;
-    }
-    // Otherwise the border expands inward automatically: find_borders on
-    // the updated placement discovers b0's former SmartNIC neighbour.
-  }
-
-  out.feasible = false;
-  out.infeasibility_reason =
-      format("exceeded max_migrations=%zu without alleviating the hot spot",
-             options_.max_migrations);
-  return out;
+  MoveRule rule;
+  rule.limit = options_.utilization_limit;
+  rule.max_moves = options_.max_migrations;
+  rule.exhausted =
+      "no border vNF can move without overloading the CPU — "
+      "both devices hot; scale out another instance";
+  rule.exceeded = format("exceeded max_migrations=%zu without alleviating the hot spot",
+                         options_.max_migrations);
+  rule.select = select_pam_border;
+  return run_moves(name(), one_chain(chain, ingress_rate), analyzer, rule);
 }
 
 }  // namespace pam

@@ -20,12 +20,27 @@
 // If candidates run out while the SmartNIC is still hot, both devices are
 // effectively overloaded and the plan is reported infeasible — the operator
 // must start another instance (OpenNF-style scale-out, src/control).
+//
+// Step 3 is the loop every policy shares (core/migration_loop.hpp); what is
+// PAM's own is Steps 1-2, `select_pam_border`, which MultiChainPam runs
+// over the union of every chain's border sets.
 
 #pragma once
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "core/migration_loop.hpp"
 #include "core/policy.hpp"
 
 namespace pam {
+
+/// Steps 1-2 over every chain of `work`: the border vNF with minimum θ^S
+/// that is not in `rejected`.  Traces the border sets and the pick.
+[[nodiscard]] std::optional<NfRef> select_pam_border(const Deployment& work,
+                                                     const Rejected& rejected,
+                                                     std::vector<std::string>& trace);
 
 /// Tunables of the PAM selection loop.  The defaults reproduce the paper.
 struct PamOptions {

@@ -1,20 +1,24 @@
 #include "core/scale_in_policy.hpp"
 
-#include <optional>
-#include <unordered_set>
-
-#include "common/strings.hpp"
+#include "core/migration_loop.hpp"
 
 namespace pam {
 namespace {
 
-/// CPU-resident NFs whose return to the SmartNIC cannot add crossings.
-bool is_reverse_border(const ServiceChain& chain, std::size_t i) {
-  if (chain.location_of(i) != Location::kCpu) {
-    return false;
-  }
-  return chain.upstream_side(i) == Location::kSmartNic ||
-         chain.downstream_side(i) == Location::kSmartNic;
+/// Steps 1-2: the CPU-resident NF with a SmartNIC-side neighbour (its
+/// return cannot add crossings) and the largest CPU share.
+std::optional<NfRef> select_reverse_border(const Deployment& work,
+                                           const Rejected& rejected,
+                                           std::vector<std::string>& /*trace*/) {
+  const auto reverse_border = [](const ServiceChain& chain, std::size_t i) {
+    return chain.location_of(i) == Location::kCpu &&
+           (chain.upstream_side(i) == Location::kSmartNic ||
+            chain.downstream_side(i) == Location::kSmartNic);
+  };
+  return best_nf(work, rejected, reverse_border, [](const DeployedChain& d, std::size_t i) {
+    return d.chain.node(i).spec.utilization_at(Location::kCpu,
+                                               d.chain.offered_at(i, d.offered));
+  });
 }
 
 }  // namespace
@@ -22,65 +26,12 @@ bool is_reverse_border(const ServiceChain& chain, std::size_t i) {
 MigrationPlan ScaleInPolicy::plan(const ServiceChain& chain,
                                   const ChainAnalyzer& analyzer,
                                   Gbps ingress_rate) const {
-  MigrationPlan out;
-  out.policy_name = name();
-
-  ServiceChain work = chain;
-  auto util = analyzer.utilization(work, ingress_rate);
-  out.trace.push_back("initial " + util.describe());
-
-  std::unordered_set<std::string> rejected;
-
-  while (out.steps.size() < options_.max_migrations) {
-    // Step 1+2: the reverse border with the largest CPU share.
-    std::optional<std::size_t> pick;
-    double best_share = -1.0;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (!is_reverse_border(work, i) || rejected.contains(work.node(i).spec.name)) {
-        continue;
-      }
-      const double share = work.node(i).spec.utilization_at(
-          Location::kCpu, work.offered_at(i, ingress_rate));
-      if (share > best_share) {
-        best_share = share;
-        pick = i;
-      }
-    }
-    if (!pick) {
-      out.trace.push_back("no further candidate fits; done");
-      return out;
-    }
-    const std::size_t idx = *pick;
-    const NfSpec spec = work.node(idx).spec;
-
-    // Step 3 (mirrored Eq. 3): the SmartNIC with the NF back must stay
-    // below the ceiling.
-    ServiceChain candidate = work;
-    const int delta = candidate.crossing_delta_if_migrated(idx);
-    candidate.set_location(idx, Location::kSmartNic);
-    const auto cand_util = analyzer.utilization(candidate, ingress_rate);
-    if (cand_util.smartnic >= options_.smartnic_ceiling) {
-      out.trace.push_back(format(
-          "SmartNIC would reach %.3f >= %.2f; reject %s", cand_util.smartnic,
-          options_.smartnic_ceiling, spec.name.c_str()));
-      rejected.insert(spec.name);
-      continue;
-    }
-
-    MigrationStep step;
-    step.node_index = idx;
-    step.nf_name = spec.name;
-    step.from = Location::kCpu;
-    step.to = Location::kSmartNic;
-    step.crossing_delta = delta;
-    step.reason = format("reverse border freeing %.3f CPU share", best_share);
-    out.steps.push_back(step);
-    work = candidate;
-    out.trace.push_back(format("return %s -> SmartNIC (crossings %+d, now %s)",
-                               spec.name.c_str(), delta,
-                               cand_util.describe().c_str()));
-  }
-  return out;
+  MoveRule rule;
+  rule.to = Location::kSmartNic;
+  rule.limit = options_.smartnic_ceiling;
+  rule.max_moves = options_.max_migrations;
+  rule.select = select_reverse_border;
+  return run_moves(name(), one_chain(chain, ingress_rate), analyzer, rule);
 }
 
 }  // namespace pam

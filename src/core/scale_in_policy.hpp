@@ -13,6 +13,10 @@
 //   Step 3  Check the SmartNIC stays below the limit with the NF back
 //           (Eq. 3 mirrored); loop while any candidate fits.
 //
+// Step 3 is PAM's own loop (core/migration_loop.hpp) run in the other
+// direction: the landing device is the SmartNIC, nothing is relieved, so
+// the loop ends when no candidate fits and the plan is always feasible.
+//
 // Together with PamPolicy this gives the controller a bidirectional
 // placement loop: push aside on overload, pull back on calm.
 

@@ -330,7 +330,7 @@ Result<RunResult> run_deployment(const ScenarioSpec& spec) {
   dr.weighted_crossings_before = dep.weighted_crossings();
 
   const MultiChainPam pam;
-  const MultiChainPlan plan = pam.plan(dep, analyzer);
+  const MigrationPlan plan = pam.plan(dep, analyzer);
   dr.trace = plan.trace;
   dr.feasible = plan.feasible;
   dr.infeasibility_reason = plan.infeasibility_reason;

@@ -7,6 +7,7 @@
 #include "chain/deployment.hpp"
 #include "common/rng.hpp"
 #include "core/multi_chain_pam.hpp"
+#include "core/pam_policy.hpp"
 
 namespace pam {
 namespace {
@@ -87,8 +88,8 @@ TEST_F(MultiChainFixture, SharedOverloadCrossChainEq2Rejection) {
   const auto plan = pam.plan(dep, analyzer_);
   ASSERT_TRUE(plan.feasible);
   ASSERT_EQ(plan.steps.size(), 1u);
-  EXPECT_EQ(plan.steps[0].chain_index, 0u);
-  EXPECT_EQ(plan.steps[0].step.nf_name, "a-mon");
+  EXPECT_EQ(plan.steps[0].chain, 0u);
+  EXPECT_EQ(plan.steps[0].nf_name, "a-mon");
   bool logger_rejected = false;
   for (const auto& line : plan.trace) {
     logger_rejected |= line.find("Eq.2 violated") != std::string::npos &&
@@ -117,7 +118,7 @@ TEST_F(MultiChainFixture, SpansMultipleChainsWhenNeeded) {
   const auto plan = pam.plan(dep, analyzer_);
   ASSERT_TRUE(plan.feasible) << plan.infeasibility_reason;
   ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_NE(plan.steps[0].chain_index, plan.steps[1].chain_index);
+  EXPECT_NE(plan.steps[0].chain, plan.steps[1].chain);
   const auto after = plan.apply_to(dep);
   EXPECT_LT(after.utilization(analyzer_).smartnic, 1.0);
   EXPECT_LT(after.utilization(analyzer_).cpu, 1.0);
@@ -145,19 +146,16 @@ TEST_F(MultiChainFixture, DescribeListsChains) {
   EXPECT_NE(text.find("1 chains"), std::string::npos);
 }
 
-// Property: the multi-chain plan never increases any chain's crossings and,
-// when feasible and non-empty, resolves the aggregate overload.
-class MultiChainInvariants : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MultiChainInvariants, HoldOnRandomDeployments) {
-  Rng rng{GetParam() * 6364136223846793005ull};
-  Server server = Server::paper_testbed();
-  const ChainAnalyzer analyzer{server};
+/// A random deployment of 1..max_chains chains of 1-4 NFs, each chain at
+/// a rate drawn from [0.2, max_gbps).
+Deployment random_deployment(std::uint64_t seed, std::size_t max_chains,
+                             double max_gbps = 1.5) {
+  Rng rng{seed * 6364136223846793005ull};
   const NfType types[] = {NfType::kFirewall, NfType::kLogger, NfType::kMonitor,
                           NfType::kLoadBalancer, NfType::kNat, NfType::kDpi,
                           NfType::kRateLimiter, NfType::kEncryptor};
   Deployment dep;
-  const std::size_t n_chains = 1 + rng.bounded(4);
+  const std::size_t n_chains = 1 + rng.bounded(max_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
     ChainBuilder builder{"chain" + std::to_string(c)};
     builder.egress(rng.chance(0.5) ? Attachment::kWire : Attachment::kHost);
@@ -167,8 +165,19 @@ TEST_P(MultiChainInvariants, HoldOnRandomDeployments) {
                   "c" + std::to_string(c) + "n" + std::to_string(i),
                   rng.chance(0.7) ? Location::kSmartNic : Location::kCpu);
     }
-    dep.add(builder.build(), Gbps{rng.uniform(0.2, 1.5)});
+    dep.add(builder.build(), Gbps{rng.uniform(0.2, max_gbps)});
   }
+  return dep;
+}
+
+// Property: the multi-chain plan never increases any chain's crossings and,
+// when feasible and non-empty, resolves the aggregate overload.
+class MultiChainInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MultiChainInvariants, HoldOnRandomDeployments) {
+  Server server = Server::paper_testbed();
+  const ChainAnalyzer analyzer{server};
+  const Deployment dep = random_deployment(GetParam(), 4);
 
   const MultiChainPam pam;
   const auto plan = pam.plan(dep, analyzer);
@@ -182,6 +191,40 @@ TEST_P(MultiChainInvariants, HoldOnRandomDeployments) {
     EXPECT_LT(after.utilization(analyzer).smartnic, 1.0);
     EXPECT_LT(after.utilization(analyzer).cpu, 1.0);
   }
+}
+
+// Property: on a one-chain deployment, multi-chain PAM is PamPolicy — the
+// same steps, the same feasibility and the same trace.
+TEST(MultiChainPamOneChain, MatchesPamPolicy) {
+  Server server = Server::paper_testbed();
+  const ChainAnalyzer analyzer{server};
+  const MultiChainPam multi;
+  const PamPolicy single;
+  std::size_t moved = 0;
+  std::size_t infeasible = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const Deployment dep = random_deployment(seed, 1, 3.5);
+    const DeployedChain& only = dep.at(0);
+    const MigrationPlan a = multi.plan(dep, analyzer);
+    const MigrationPlan b = single.plan(only.chain, analyzer, only.offered);
+    SCOPED_TRACE(only.chain.describe() + " @ " + only.offered.to_string());
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.trace, b.trace);
+    ASSERT_EQ(a.steps.size(), b.steps.size());
+    for (std::size_t k = 0; k < a.steps.size(); ++k) {
+      EXPECT_EQ(a.steps[k].chain, 0u);
+      EXPECT_EQ(a.steps[k].node_index, b.steps[k].node_index);
+      EXPECT_EQ(a.steps[k].nf_name, b.steps[k].nf_name);
+      EXPECT_EQ(a.steps[k].from, b.steps[k].from);
+      EXPECT_EQ(a.steps[k].to, b.steps[k].to);
+      EXPECT_EQ(a.steps[k].crossing_delta, b.steps[k].crossing_delta);
+    }
+    moved += b.steps.empty() ? 0 : 1;
+    infeasible += b.feasible ? 0 : 1;
+  }
+  // The rates reach 3.5 Gbps, so the sample exercises both outcomes.
+  EXPECT_GT(moved, 20u);
+  EXPECT_GT(infeasible, 50u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiChainInvariants,

@@ -66,6 +66,21 @@ TEST_F(PamFixture, TraceDocumentsEveryStep) {
   EXPECT_TRUE(has_terminate_line);
 }
 
+TEST_F(PamFixture, Figure1TraceIsPinned) {
+  // The paper's walkthrough, line by line: Step 1's border sets, Step 2's
+  // pick, the move and the Eq. 3 stop.
+  const std::vector<std::string> expected = {
+      "initial util{S=1.458 OVERLOADED, C=0.605, PCIe=0.069, wire=0.110}, crossings=1",
+      "borders: BL={} BR={Logger}",
+      "step 2: b0=Logger (theta_S=2.000 Gbps, min among borders)",
+      "migrate Logger -> CPU (crossings +0, now util{S=0.907, C=0.880, PCIe=0.069, "
+      "wire=0.110})",
+      "Eq.3 satisfied (S=0.907 < 1.00); terminate",
+  };
+  const auto plan = policy_.plan(paper_figure1_chain(), analyzer_, paper_overload_rate());
+  EXPECT_EQ(plan.trace, expected);
+}
+
 TEST_F(PamFixture, MultiStepExpandsBorderInward) {
   // Heavy SmartNIC segment: one border migration is not enough, PAM must
   // walk the border inward.

@@ -190,6 +190,27 @@ TEST(SteadyStateAllocs, CrossServerHopDoesNotAllocate) {
   EXPECT_TRUE(report.fleet.conserved());
 }
 
+TEST(SteadyStateAllocs, OneSlotSimulatorSetUpIsBounded) {
+  // The shape every compare, capacity and timeline run builds: one rack,
+  // one slot, one chain.
+  const ServiceChain chain = paper_figure1_chain();
+  const TrafficSourceConfig traffic = steady_traffic();
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  DatacenterSimulator dc{DatacenterSimulator::Options{}};
+  const std::uint64_t rack_allocations = g_allocations.load();
+  dc.add_chain(chain, traffic, 0);
+  g_counting.store(false);
+  const std::uint64_t setup_allocations = g_allocations.load();
+
+  // Measured: 13 for the simulator (its one rack, kernel and one-lane
+  // fabric), within the per-rack budget IdleRacksCostNothing sets, and
+  // 290 once the Figure-1 chain is added.
+  EXPECT_LT(rack_allocations, 20u);
+  EXPECT_LT(setup_allocations, 330u);
+}
+
 TEST(SteadyStateAllocs, IdleRacksCostNothing) {
   constexpr std::size_t kRacks = 64;
   DatacenterSimulator::Options options;
