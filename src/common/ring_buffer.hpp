@@ -1,6 +1,8 @@
 // Ring buffers.
 //
-// RingBuffer: fixed capacity, used for the Logger NF's record ring.
+// RingBuffer: a bounded ring of a set capacity, used for the Logger NF's
+// record ring.  Storage comes on the first push, reserved once at full
+// capacity and filled by push_back, so building one costs nothing.
 // Overwrites the oldest element when full (the behaviour a packet logger
 // wants) unless the caller uses try_push.
 //
@@ -30,20 +32,29 @@ namespace pam {
 template <typename T>
 class RingBuffer {
  public:
-  explicit RingBuffer(std::size_t capacity) : buf_(capacity) {
+  explicit RingBuffer(std::size_t capacity) : capacity_(capacity) {
     assert(capacity > 0);
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] bool full() const noexcept { return size_ == buf_.size(); }
+  [[nodiscard]] bool full() const noexcept { return size_ == capacity_; }
 
   /// Push, overwriting the oldest element when full.  Returns true when an
   /// element was overwritten.
   bool push_overwrite(T value) {
     const bool overwrote = full();
-    buf_[head_] = std::move(value);
+    if (head_ == buf_.size()) {
+      // A slot never written, so still in the fill phase (head_ is always
+      // below capacity_).  Reserve the whole ring at once: no doubling.
+      if (buf_.size() == buf_.capacity()) {
+        buf_.reserve(capacity_);
+      }
+      buf_.push_back(std::move(value));
+    } else {
+      buf_[head_] = std::move(value);
+    }
     head_ = next(head_);
     if (overwrote) {
       tail_ = next(tail_);
@@ -75,7 +86,7 @@ class RingBuffer {
   /// Oldest-first access without consuming, index 0 == oldest.
   [[nodiscard]] const T& at(std::size_t i) const {
     assert(i < size_);
-    return buf_[(tail_ + i) % buf_.size()];
+    return buf_[(tail_ + i) % capacity_];
   }
 
   void clear() noexcept {
@@ -84,10 +95,11 @@ class RingBuffer {
 
  private:
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
-    return (i + 1) % buf_.size();
+    return i + 1 == capacity_ ? 0 : i + 1;
   }
 
-  std::vector<T> buf_;
+  std::size_t capacity_;
+  std::vector<T> buf_;    // the slots written so far, up to capacity_
   std::size_t head_ = 0;  // next write position
   std::size_t tail_ = 0;  // oldest element
   std::size_t size_ = 0;

@@ -72,7 +72,7 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> s_{};
-  // Cached alias table for zipf().
+  // zipf()'s cached CDF over ranks 1..n, binary-searched per draw.
   std::size_t zipf_n_ = 0;
   double zipf_s_ = -1.0;
   std::vector<double> zipf_cdf_;

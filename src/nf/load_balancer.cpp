@@ -17,6 +17,11 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x;
 }
 
+/// Orders a ring entry before a hash point, for lower_bound over the ring.
+constexpr auto point_below = [](const auto& entry, std::uint64_t point) {
+  return entry.first < point;
+};
+
 }  // namespace
 
 ConsistentHashRing::ConsistentHashRing(std::uint32_t vnodes_per_backend)
@@ -24,32 +29,33 @@ ConsistentHashRing::ConsistentHashRing(std::uint32_t vnodes_per_backend)
 
 void ConsistentHashRing::add(const Backend& backend) {
   backends_.push_back(backend);
+  const auto old_end = static_cast<std::ptrdiff_t>(ring_.size());
+  ring_.reserve(ring_.size() + vnodes_);
   for (std::uint32_t v = 0; v < vnodes_; ++v) {
     const std::uint64_t point =
         mix((static_cast<std::uint64_t>(backend.ip) << 20) | v);
-    ring_[point] = backend.ip;
+    // A point already on the ring passes to this backend, so the last added
+    // owner wins and re-adding a backend adds no points.
+    const auto it = std::lower_bound(ring_.begin(), ring_.begin() + old_end, point,
+                                     point_below);
+    if (it != ring_.begin() + old_end && it->first == point) {
+      it->second = backend.ip;
+    } else {
+      ring_.emplace_back(point, backend.ip);
+    }
   }
+  // One sort per add; a point drawn twice in this add has one owner.
+  std::sort(ring_.begin(), ring_.end());
+  ring_.erase(std::unique(ring_.begin(), ring_.end(),
+                          [](const auto& a, const auto& b) { return a.first == b.first; }),
+              ring_.end());
 }
 
 bool ConsistentHashRing::remove(std::uint32_t backend_ip) {
-  bool found = false;
-  for (auto it = backends_.begin(); it != backends_.end();) {
-    if (it->ip == backend_ip) {
-      it = backends_.erase(it);
-      found = true;
-    } else {
-      ++it;
-    }
-  }
-  if (found) {
-    for (auto it = ring_.begin(); it != ring_.end();) {
-      if (it->second == backend_ip) {
-        it = ring_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  const bool found = std::erase_if(backends_, [backend_ip](const Backend& b) {
+                       return b.ip == backend_ip;
+                     }) > 0;
+  std::erase_if(ring_, [backend_ip](const auto& p) { return p.second == backend_ip; });
   return found;
 }
 
@@ -58,7 +64,7 @@ const Backend& ConsistentHashRing::pick(const FiveTuple& key) const {
     throw std::logic_error("ConsistentHashRing::pick on empty ring");
   }
   const std::uint64_t h = hash_value(key);
-  auto it = ring_.lower_bound(h);
+  auto it = std::lower_bound(ring_.begin(), ring_.end(), h, point_below);
   if (it == ring_.end()) {
     it = ring_.begin();  // wrap around
   }

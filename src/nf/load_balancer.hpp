@@ -10,9 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nf/network_function.hpp"
@@ -43,7 +43,8 @@ class ConsistentHashRing {
  private:
   std::uint32_t vnodes_;
   std::vector<Backend> backends_;
-  std::map<std::uint64_t, std::uint32_t> ring_;  ///< hash point -> backend ip
+  /// (hash point, backend ip), sorted by point, one entry per point.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
 };
 
 class LoadBalancer final : public NetworkFunction {

@@ -12,6 +12,7 @@ namespace pam {
 namespace {
 
 TEST(RingBuffer, StartsEmpty) {
+  // Storage comes on the first push; capacity() is the configured value.
   RingBuffer<int> rb{4};
   EXPECT_TRUE(rb.empty());
   EXPECT_FALSE(rb.full());
@@ -71,19 +72,52 @@ TEST(RingBuffer, InterleavedPushPop) {
   rb.push_overwrite(3);
   rb.push_overwrite(4);
   EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop().value(), 2);
+  EXPECT_TRUE(rb.push_overwrite(5));  // evicts 2
   EXPECT_EQ(rb.pop().value(), 3);
   EXPECT_EQ(rb.pop().value(), 4);
+  EXPECT_EQ(rb.pop().value(), 5);
 }
 
 TEST(RingBuffer, ClearResets) {
   RingBuffer<int> rb{3};
   rb.push_overwrite(1);
-  rb.push_overwrite(2);
-  rb.clear();
+  rb.clear();  // in the fill phase
+  EXPECT_FALSE(rb.push_overwrite(2));
+  EXPECT_FALSE(rb.push_overwrite(3));
+  EXPECT_FALSE(rb.push_overwrite(4));
+  EXPECT_TRUE(rb.full());
+  EXPECT_EQ(rb.at(0), 2);
+  EXPECT_EQ(rb.at(2), 4);
+  rb.push_overwrite(5);
+  rb.clear();  // full and wrapped
   EXPECT_TRUE(rb.empty());
-  rb.push_overwrite(9);
-  EXPECT_EQ(rb.at(0), 9);
+  EXPECT_FALSE(rb.push_overwrite(6));
+  EXPECT_FALSE(rb.push_overwrite(7));
+  ASSERT_EQ(rb.size(), 2u);
+  EXPECT_EQ(rb.at(0), 6);
+  EXPECT_EQ(rb.at(1), 7);
+  EXPECT_FALSE(rb.push_overwrite(8));
+  EXPECT_TRUE(rb.push_overwrite(9));  // evicts 6
+  EXPECT_EQ(rb.pop().value(), 7);
+  EXPECT_EQ(rb.pop().value(), 8);
+  EXPECT_EQ(rb.pop().value(), 9);
+  EXPECT_TRUE(rb.empty());
+}
+
+TEST(RingBuffer, WrapsAfterTheFillPhase) {
+  RingBuffer<int> rb{4};
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(rb.push_overwrite(i));
+  }
+  for (int i = 4; i < 10; ++i) {
+    EXPECT_TRUE(rb.push_overwrite(i));
+  }
+  EXPECT_EQ(rb.capacity(), 4u);
+  for (int expect = 6; expect < 10; ++expect) {
+    EXPECT_EQ(rb.pop().value(), expect);
+  }
+  EXPECT_FALSE(rb.push_overwrite(10));
+  EXPECT_EQ(rb.at(0), 10);
 }
 
 TEST(RingBuffer, MoveOnlyElements) {

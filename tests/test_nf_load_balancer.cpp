@@ -1,12 +1,15 @@
-// Load balancer tests: consistent hashing spread, flow affinity, minimal
-// remapping on backend removal, and state migration.
+// Load balancer tests: consistent hashing spread, a pinned flow-to-backend
+// mapping, flow affinity, minimal remapping on backend removal, and state
+// migration.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "nf/load_balancer.hpp"
 #include "packet/packet_builder.hpp"
+#include "trafficgen/flow_generator.hpp"
 
 namespace pam {
 namespace {
@@ -25,6 +28,36 @@ Packet make_packet(const FiveTuple& t) {
   Packet p;
   PacketBuilder{}.size(128).flow(t).build_into(p);
   return p;
+}
+
+/// The ring the NF factory builds: backends 1-4 at 64 vnodes each.
+ConsistentHashRing factory_ring() {
+  ConsistentHashRing ring{64};
+  for (std::uint32_t b = 1; b <= 4; ++b) {
+    ring.add(backend(b));
+  }
+  return ring;
+}
+
+/// Traffic-source flows at a fixed seed: 4,096 of them, enough that some
+/// hash past the ring's last point and take the wrap-around.
+std::vector<FiveTuple> generator_flows() {
+  FlowGeneratorConfig config;
+  config.flow_count = 4096;
+  return FlowGenerator{config, 2018}.flows();
+}
+
+/// FNV-1a over the picked backend address of every flow, in order.
+std::uint64_t pick_digest(const ConsistentHashRing& ring,
+                          const std::vector<FiveTuple>& flows) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const FiveTuple& f : flows) {
+    const std::uint32_t ip = ring.pick(f).ip;
+    for (int shift = 0; shift < 32; shift += 8) {
+      h = (h ^ ((ip >> shift) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  return h;
 }
 
 TEST(ConsistentHashRing, EmptyRingThrows) {
@@ -78,6 +111,30 @@ TEST(ConsistentHashRing, RemovalOnlyRemapsVictims) {
   }
   // Consistent hashing: flows on surviving backends stay put.
   EXPECT_EQ(moved_from_surviving, 0);
+}
+
+// Which backend each flow lands on is part of every report digest, so a
+// change to the ring's storage must not move one flow.
+TEST(ConsistentHashRing, FactoryRingMappingIsPinned) {
+  const ConsistentHashRing ring = factory_ring();
+  const std::vector<FiveTuple> flows = generator_flows();
+  ASSERT_EQ(flows.size(), 4096u);
+  EXPECT_EQ(pick_digest(ring, flows), 0xe059a3bd26a7b44bull);
+}
+
+TEST(ConsistentHashRing, ReAddKeepsPicksAndRemoveEmpties) {
+  ConsistentHashRing ring = factory_ring();
+  const std::vector<FiveTuple> flows = generator_flows();
+  const std::uint64_t before = pick_digest(ring, flows);
+  ring.add(backend(2));  // its points are already on the ring
+  ring.add(backend(4));
+  EXPECT_EQ(pick_digest(ring, flows), before);
+  for (std::uint32_t b = 1; b <= 4; ++b) {
+    EXPECT_TRUE(ring.remove(backend(b).ip));
+  }
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.backend_count(), 0u);
+  EXPECT_THROW((void)ring.pick(flows.front()), std::logic_error);
 }
 
 TEST(ConsistentHashRing, RemoveUnknownReturnsFalse) {

@@ -98,20 +98,56 @@ TEST(LoggerNf, StateRoundTripPreservesPhase) {
   EXPECT_EQ(restored.records_written(), 2u);
 }
 
-TEST(LoggerNf, StateRoundTripPreservesRing) {
-  LoggerNf logger{"log", 1, 8};
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    Packet p = make_packet(i, 100 + i);
+/// Runs `packets` packets through `logger`, starting at packet id `first`.
+void feed(LoggerNf& logger, std::uint64_t first, std::uint64_t packets) {
+  for (std::uint64_t i = first; i < first + packets; ++i) {
+    Packet p = make_packet(i, 64 + i % 1400);
     (void)logger.handle(p, SimTime::microseconds(static_cast<double>(i)));
   }
-  LoggerNf restored{"log2", 1, 8};
-  restored.import_state(logger.export_state());
-  ASSERT_EQ(restored.ring().size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(restored.ring().at(i).packet_id, logger.ring().at(i).packet_id);
-    EXPECT_EQ(restored.ring().at(i).wire_bytes, logger.ring().at(i).wire_bytes);
+}
+
+// The record ring takes its storage on the first push, so a snapshot must
+// come out byte-equal whether the ring is unwritten, partly filled or full
+// and wrapped, and a restored logger must keep writing the same records.
+class StateBlobRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StateBlobRoundTrip, BlobIsByteEqual) {
+  LoggerNf logger{"log", 1, 8};
+  feed(logger, 0, GetParam());
+  const NfState snapshot = logger.export_state();
+
+  LoggerNf fresh{"log2", 1, 8};
+  fresh.import_state(snapshot);
+  EXPECT_EQ(fresh.export_state().blob, snapshot.blob);
+  ASSERT_EQ(fresh.ring().size(), logger.ring().size());
+  for (std::size_t i = 0; i < logger.ring().size(); ++i) {
+    const LogRecord& want = logger.ring().at(i);
+    const LogRecord& got = fresh.ring().at(i);
+    EXPECT_EQ(got.packet_id, want.packet_id);
+    EXPECT_EQ(got.timestamp, want.timestamp);
+    EXPECT_EQ(got.flow, want.flow);
+    EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  }
+
+  // Imported over a ring partly filled, and over one full and wrapped.
+  LoggerNf partly{"log3", 1, 8};
+  feed(partly, 1000, 3);
+  partly.import_state(snapshot);
+  EXPECT_EQ(partly.export_state().blob, snapshot.blob);
+  LoggerNf wrapped{"log4", 1, 8};
+  feed(wrapped, 1000, 13);
+  wrapped.import_state(snapshot);
+  EXPECT_EQ(wrapped.export_state().blob, snapshot.blob);
+
+  feed(logger, 500, 11);
+  for (LoggerNf* restored : {&fresh, &partly, &wrapped}) {
+    feed(*restored, 500, 11);
+    EXPECT_EQ(restored->export_state().blob, logger.export_state().blob);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(RingFill, StateBlobRoundTrip,
+                         ::testing::Values(0u, 5u, 8u, 21u));
 
 TEST(LoggerNf, ImportRejectsTruncatedBlob) {
   LoggerNf logger{"log", 1};
