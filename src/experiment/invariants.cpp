@@ -253,7 +253,7 @@ InvariantReport check_invariants(const RunResult& result) {
     const TimelineResult& tl = *result.timeline;
     check_conservation(tl.metrics, "timeline metrics", report);
     check_nf_state(tl.chain_before, tl.chain_after, "timeline chain", report);
-    check_events(tl.events, spec.duration_ms, spec.controller.cooldown_ms, report);
+    check_events(tl.events, spec.duration_ms, spec.cluster.cooldown_ms, report);
   }
 
   if (result.deployment) {

@@ -98,13 +98,12 @@ PolicyConfig random_policy(Rng& rng) {
   return PolicyConfig{kPolicies[rng.bounded(3)], {}};
 }
 
-void random_loop_knobs(Rng& rng, double& trigger, double& period_ms,
-                       double& first_check_ms, double& cooldown_ms) {
+void random_loop_knobs(Rng& rng, ClusterSpec& knobs) {
   constexpr double kTriggers[] = {0.8, 0.9, 1.0};
-  trigger = kTriggers[rng.bounded(3)];
-  period_ms = rng.chance(0.5) ? 2.0 : 5.0;
-  first_check_ms = period_ms;
-  cooldown_ms = rng.chance(0.5) ? 4.0 : 10.0;
+  knobs.trigger_utilization = kTriggers[rng.bounded(3)];
+  knobs.period_ms = rng.chance(0.5) ? 2.0 : 5.0;
+  knobs.first_check_ms = knobs.period_ms;
+  knobs.cooldown_ms = rng.chance(0.5) ? 4.0 : 10.0;
 }
 
 void generate_fleet(Rng& rng, ScenarioSpec& spec) {
@@ -112,10 +111,7 @@ void generate_fleet(Rng& rng, ScenarioSpec& spec) {
   spec.cluster.rebalance =
       spec.kind == ScenarioKind::kFailure || rng.chance(0.8);
   spec.cluster.inter_server_us = rng.chance(0.5) ? 20.0 : 50.0;
-  spec.cluster.target_max_load = 0.9;
-  random_loop_knobs(rng, spec.cluster.trigger_utilization,
-                    spec.cluster.period_ms, spec.cluster.first_check_ms,
-                    spec.cluster.cooldown_ms);
+  random_loop_knobs(rng, spec.cluster);
   spec.policy = random_policy(rng);
 
   const std::size_t chains = 1 + rng.bounded(3);
@@ -255,13 +251,10 @@ ScenarioSpec generate_random_spec(Rng& rng, std::size_t index, bool quick) {
       spec.chain = random_chain_text(rng);
       spec.traffic.rate = random_rate(rng, spec.duration_ms);
       spec.policy = random_policy(rng);
-      random_loop_knobs(rng, spec.controller.trigger_utilization,
-                        spec.controller.period_ms,
-                        spec.controller.first_check_ms,
-                        spec.controller.cooldown_ms);
+      random_loop_knobs(rng, spec.cluster);
       if (rng.chance(0.3)) {
         spec.scale_in = PolicyConfig{"scale-in", {}};
-        spec.controller.scale_in_below = 0.3;
+        spec.cluster.scale_in_below = 0.3;
       }
       break;
     }
@@ -409,7 +402,7 @@ ScenarioSpec shrink(ScenarioSpec spec, bool parse_failed) {
     if (spec.scale_in.name != "none") {
       edits.emplace_back([](ScenarioSpec& s) {
         s.scale_in = PolicyConfig{"none", {}};
-        s.controller.scale_in_below = 0.0;
+        s.cluster.scale_in_below = 0.0;
         return true;
       });
     }

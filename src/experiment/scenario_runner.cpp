@@ -250,62 +250,6 @@ RunResult run_capacity(const ScenarioSpec& spec) {
   return result;
 }
 
-Result<RunResult> run_timeline(const ScenarioSpec& spec, const ServiceChain& chain) {
-  RunResult result;
-  result.spec = spec;
-
-  TimelineResult tl;
-  tl.chain_before = chain.describe();
-
-  TrafficSourceConfig cfg;
-  cfg.rate = profile_of(spec.traffic.rate);
-  cfg.process = spec.traffic.arrival;
-  cfg.sizes = dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
-  cfg.seed = spec.seed;
-
-  DatacenterSimulator dc{DatacenterSimulator::Options{}};  // one rack, one slot
-  dc.add_chain(chain, std::move(cfg), 0);
-  ChainSimulator& sim = dc.chain_sim(0);
-
-  FleetControllerOptions opts;
-  opts.trigger_utilization = spec.controller.trigger_utilization;
-  opts.period = SimTime::milliseconds(spec.controller.period_ms);
-  opts.first_check = SimTime::milliseconds(spec.controller.first_check_ms);
-  opts.cooldown = SimTime::milliseconds(spec.controller.cooldown_ms);
-
-  auto policy = make_policy(spec.policy);
-  if (!policy) {
-    return policy.error();
-  }
-  FleetController controller{dc.rack(0), std::move(policy).value(), opts};
-  if (spec.scale_in.name != "none") {
-    auto scale_in = make_policy(spec.scale_in);
-    if (!scale_in) {
-      return scale_in.error();
-    }
-    controller.plane().set_scale_in_policy(std::move(scale_in).value(),
-                                           spec.controller.scale_in_below);
-  }
-  controller.arm();
-  dc.run(SimTime::milliseconds(spec.duration_ms),
-         SimTime::milliseconds(spec.warmup_ms), /*threads=*/1);
-
-  tl.chain_after = sim.chain().describe();
-  tl.events = controller.events();
-  tl.migrations_executed = controller.migrations_executed();
-  tl.scale_out_requested =
-      std::any_of(tl.events.begin(), tl.events.end(), [](const ControlEvent& event) {
-        return event.kind == ControlEvent::Kind::kScaleOut;
-      });
-  const std::size_t point = spec.traffic.sizes.kind == SizeSpec::Kind::kFixed
-                                ? spec.traffic.sizes.fixed
-                                : 0;
-  tl.metrics = to_measured(sim.build_report(), point);
-
-  result.timeline = std::move(tl);
-  return result;
-}
-
 Result<RunResult> run_deployment(const ScenarioSpec& spec) {
   RunResult result;
   result.spec = spec;
@@ -420,11 +364,12 @@ void schedule_perturbations(const ScenarioSpec& spec, Fleet& fleet) {
   }
 }
 
-/// Builds the fleet of a cluster/churn/failure/hostile scenario for any
-/// shard count: [cluster] shards racks of servers/shards slots, per-rack
-/// FleetControllers, and the DatacenterOrchestrator above them when there
-/// is more than one rack (a lease must cross racks).  shards = 1 is one
-/// rack whose epochs merely slice a single kernel's run.
+/// Builds the fleet of a cluster/churn/failure/hostile scenario (or of a
+/// timeline, as one slot) for any shard count: [cluster] shards racks of
+/// servers/shards slots, per-rack FleetControllers, and the
+/// DatacenterOrchestrator above them when there is more than one rack (a
+/// lease must cross racks).  shards = 1 is one rack whose epochs merely
+/// slice a single kernel's run.
 Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
   const ClusterSpec& cs = spec.cluster;
   DatacenterSimulator::Options options;
@@ -454,8 +399,11 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
         dist_for(spec.traffic.sizes, size_points(spec.traffic.sizes).front());
     // One seed lineage: stream i derives from the scenario seed alone
     // through a splitmix64 mix — which rack (or thread) runs the chain
-    // never enters the stream, and neither do clocks or random_device.
-    cfg.seed = Rng::derive(spec.seed, i);
+    // never enters the stream, and neither do clocks or random_device.  A
+    // timeline's one chain keeps the scenario seed itself: its stream is
+    // older than the fleet path, and its digest is pinned.
+    cfg.seed = spec.kind == ScenarioKind::kTimeline ? spec.seed
+                                                    : Rng::derive(spec.seed, i);
     fleet->before.push_back(parsed.value().describe());
     dc.add_chain(std::move(parsed).value(), std::move(cfg), home);
     if (decl.arrive_ms > 0.0 || decl.depart_ms >= 0.0) {
@@ -466,8 +414,8 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
     }
   }
 
-  // The [cluster] control knobs, shared by the rack controllers and the
-  // orchestrator.
+  // The control knobs ([cluster], or a timeline's [controller]), shared by
+  // the rack controllers and the orchestrator.
   FleetControllerOptions opts;
   opts.trigger_utilization = cs.trigger_utilization;
   opts.target_max_load = cs.target_max_load;
@@ -481,8 +429,18 @@ Result<std::unique_ptr<Fleet>> build_fleet(const ScenarioSpec& spec) {
       if (!policy) {
         return policy.error();
       }
-      fleet->controllers.push_back(std::make_unique<FleetController>(
-          dc.rack(r), std::move(policy).value(), opts));
+      const auto& controller =
+          fleet->controllers.emplace_back(std::make_unique<FleetController>(
+              dc.rack(r), std::move(policy).value(), opts));
+      // Only a timeline names a calm-direction policy.
+      if (spec.scale_in.name != "none") {
+        auto scale_in = make_policy(spec.scale_in);
+        if (!scale_in) {
+          return scale_in.error();
+        }
+        controller->plane().set_scale_in_policy(std::move(scale_in).value(),
+                                                cs.scale_in_below);
+      }
     }
     // Heterogeneous fleets: per-chain [chain] policy overrides.
     for (std::size_t i = 0; i < spec.chains.size(); ++i) {
@@ -601,6 +559,41 @@ Result<RunResult> run_fleet(const ScenarioSpec& spec, std::size_t threads) {
   return result;
 }
 
+/// A timeline is a one-slot fleet whose one chain is the [scenario] chain
+/// under the [traffic] rate profile; its result is that chain's view of the
+/// fleet run.
+Result<RunResult> run_timeline(const ScenarioSpec& spec) {
+  ScenarioSpec fleet_spec = spec;
+  fleet_spec.cluster.servers = 1;
+  ChainDecl& decl = fleet_spec.chains.emplace_back();
+  decl.name = spec.name;
+  decl.spec = spec.chain;
+  decl.has_rate = true;
+  decl.rate = spec.traffic.rate;
+  auto run = run_fleet(fleet_spec, 0);
+  if (!run) {
+    return run.error();
+  }
+  ClusterResult& cr = *run.value().cluster;
+  ClusterChainResult& chain = cr.chains.front();
+
+  TimelineResult tl;
+  tl.chain_before = std::move(chain.chain_before);
+  tl.chain_after = std::move(chain.chain_after);
+  tl.events = std::move(cr.events);
+  tl.migrations_executed = cr.migrations_executed;
+  tl.scale_out_requested =
+      std::any_of(tl.events.begin(), tl.events.end(), [](const ControlEvent& event) {
+        return event.kind == ControlEvent::Kind::kScaleOut;
+      });
+  tl.metrics = chain.metrics;
+
+  RunResult result;
+  result.spec = spec;
+  result.timeline = std::move(tl);
+  return result;
+}
+
 }  // namespace
 
 Result<RunResult> ScenarioRunner::run(const ScenarioSpec& spec,
@@ -610,18 +603,16 @@ Result<RunResult> ScenarioRunner::run(const ScenarioSpec& spec,
         "--threads only applies to sharded scenarios ([cluster] shards > 1)"};
   }
   switch (spec.kind) {
-    case ScenarioKind::kCompare:
-    case ScenarioKind::kTimeline: {
+    case ScenarioKind::kCompare: {
       auto parsed = parse_chain_spec(spec.chain, spec.name);
       if (!parsed) {
         return Error{format("scenario '%s': %s", spec.name.c_str(),
                             parsed.error().what().c_str())};
       }
-      if (spec.kind == ScenarioKind::kCompare) {
-        return run_compare(spec, parsed.value());
-      }
-      return run_timeline(spec, parsed.value());
+      return run_compare(spec, parsed.value());
     }
+    case ScenarioKind::kTimeline:
+      return run_timeline(spec);
     case ScenarioKind::kCapacity:
       return run_capacity(spec);
     case ScenarioKind::kDeployment:

@@ -4,8 +4,9 @@
 // The runner is the one place in the tree that knows how to set up an
 // experiment; benches and examples are thin wrappers that load a bundled
 // scenario and hand it here (see scenario_library.hpp).  Every run is
-// deterministic given the scenario's seed: the DES is single-threaded and
-// seeded, and no wall-clock time enters the measurement.
+// deterministic given the scenario's seed: the DES is seeded, a sharded run's
+// `threads` workers give bit-identical results at any thread count, and no
+// wall-clock time enters the measurement.
 
 #pragma once
 

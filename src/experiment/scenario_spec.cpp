@@ -441,7 +441,6 @@ template <class Part> constexpr auto kHome = nullptr;
 template <> constexpr auto kHome<TrafficSpec> = &ScenarioSpec::traffic;
 template <> constexpr auto kHome<VariantSpec> = &ScenarioSpec::variants;
 template <> constexpr auto kHome<CapacitySpec> = &ScenarioSpec::capacity;
-template <> constexpr auto kHome<ControllerSpec> = &ScenarioSpec::controller;
 template <> constexpr auto kHome<ChainDecl> = &ScenarioSpec::chains;
 template <> constexpr auto kHome<DeploymentSpec> = &ScenarioSpec::deployment;
 template <> constexpr auto kHome<ClusterSpec> = &ScenarioSpec::cluster;
@@ -556,11 +555,11 @@ constexpr Row kRows[] = {
     {"capacity", "size_bytes", kCapacity, io<Size<>, &CapacitySpec::size_bytes>()},
 
     {"controller", "trigger_utilization", kTimeline,
-     io<NonNeg, &ControllerSpec::trigger_utilization>()},
-    {"controller", "scale_in_below", kTimeline, io<NonNeg, &ControllerSpec::scale_in_below>()},
-    {"controller", "period_ms", kTimeline, io<Number<kTickMs>, &ControllerSpec::period_ms>()},
-    {"controller", "first_check_ms", kTimeline, io<Ms, &ControllerSpec::first_check_ms>()},
-    {"controller", "cooldown_ms", kTimeline, io<Ms, &ControllerSpec::cooldown_ms>()},
+     io<NonNeg, &ClusterSpec::trigger_utilization>()},
+    {"controller", "scale_in_below", kTimeline, io<NonNeg, &ClusterSpec::scale_in_below>()},
+    {"controller", "period_ms", kTimeline, io<Number<kTickMs>, &ClusterSpec::period_ms>()},
+    {"controller", "first_check_ms", kTimeline, io<Ms, &ClusterSpec::first_check_ms>()},
+    {"controller", "cooldown_ms", kTimeline, io<Ms, &ClusterSpec::cooldown_ms>()},
 
     {"chain", "name", kDeployment | kFleet, io<Text, &ChainDecl::name>(), nullptr, kAll},
     {"chain", "spec", kDeployment | kFleet, io<Text, &ChainDecl::spec>(), nullptr, kAll},

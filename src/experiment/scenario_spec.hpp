@@ -34,7 +34,8 @@
 //                measure_rate (G | plan | cap x M)    — repeatable; compare
 //   [capacity]   nfs, locations, loss_threshold, search_iters, size_bytes
 //   [controller] trigger_utilization, scale_in_below, period_ms,
-//                first_check_ms, cooldown_ms          — timeline
+//                first_check_ms, cooldown_ms          — timeline; the loop
+//                knobs of ClusterSpec, as [cluster] sets them for a fleet
 //   [chain]      name, spec, offered_gbps,
 //                server, policy (fleet kinds only),
 //                arrive_ms, depart_ms, rate (churn only)
@@ -50,7 +51,8 @@
 //                fade = SERVER at_ms=T speed=F     — repeatable; hostile
 //
 // "Fleet kinds" are the multi-server DES kinds sharing the [cluster] rack
-// model: cluster, churn, failure, hostile.
+// model: cluster, churn, failure, hostile.  A timeline runs the same fleet
+// path on one slot; its [controller] keys set the same ClusterSpec fields.
 //
 // Policies are named, not enumerated: every `policy`/`name` value is
 // resolved against control/policy_registry.hpp at parse time, so an unknown
@@ -183,21 +185,6 @@ struct CapacitySpec {
   [[nodiscard]] bool operator==(const CapacitySpec&) const = default;
 };
 
-/// Control loop parameters of a timeline scenario, whose chain runs under
-/// the FleetController of a one-slot rack; mirrors ControlPlaneOptions,
-/// plus `scale_in_below`, the threshold handed to
-/// ControlPlane::set_scale_in_policy with the `scale_in` policy.  The
-/// policies themselves come from [policy].
-struct ControllerSpec {
-  double trigger_utilization = 1.0;
-  double scale_in_below = 0.0;  ///< 0 disables the calm direction
-  double period_ms = 10.0;
-  double first_check_ms = 10.0;
-  double cooldown_ms = 20.0;
-
-  [[nodiscard]] bool operator==(const ControllerSpec&) const = default;
-};
-
 /// One tenant chain of a deployment or fleet scenario.
 struct ChainDecl {
   std::string name;
@@ -213,8 +200,8 @@ struct ChainDecl {
   /// arrive_ms and dies at depart_ms (-1 = stays for the whole run).
   double arrive_ms = 0.0;
   double depart_ms = -1.0;
-  /// Per-chain offered-load profile (churn only); when unset the chain
-  /// offers a constant offered_gbps.
+  /// Per-chain offered-load profile (churn; a timeline's run sets it from
+  /// [traffic] rate); when unset the chain offers a constant offered_gbps.
   bool has_rate = false;
   RateSpec rate;
 
@@ -264,8 +251,10 @@ struct DeploymentSpec {
   [[nodiscard]] bool operator==(const DeploymentSpec&) const = default;
 };
 
-/// Cluster-scenario parameters; mirrors FleetControllerOptions where named,
-/// which both the rack controllers and the datacenter orchestrator read.
+/// The rack model and control-loop knobs; mirrors FleetControllerOptions
+/// where named, which both the rack controllers and the datacenter
+/// orchestrator read.  A fleet kind sets them in [cluster]; a timeline (a
+/// one-slot fleet) sets only the loop knobs, in [controller].
 struct ClusterSpec {
   std::size_t servers = 2;          ///< rack slots simulated
   bool rebalance = true;            ///< arm the fleet controller
@@ -276,6 +265,9 @@ struct ClusterSpec {
   double period_ms = 10.0;
   double first_check_ms = 10.0;
   double cooldown_ms = 20.0;
+  /// Calm-direction threshold handed to ControlPlane::set_scale_in_policy
+  /// with the `scale_in` policy (timeline only); 0 disables it.
+  double scale_in_below = 0.0;
 
   // --- racks (the keys after `shards` parse only when shards > 1) -----------
   /// Kernel shards (racks): the fleet is partitioned into `shards` racks of
@@ -318,10 +310,9 @@ struct ScenarioSpec {
   PolicyConfig scale_in{"none", {}};
   std::vector<VariantSpec> variants;  ///< compare scenarios
   CapacitySpec capacity;              ///< capacity scenarios
-  ControllerSpec controller;          ///< timeline scenarios
   std::vector<ChainDecl> chains;      ///< deployment + fleet scenarios
   DeploymentSpec deployment;          ///< deployment scenarios
-  ClusterSpec cluster;                ///< fleet scenarios
+  ClusterSpec cluster;                ///< fleet + timeline scenarios
   std::vector<FailureEvent> failures; ///< failure scenarios
   LinkTraceSpec link;                 ///< hostile scenarios
 

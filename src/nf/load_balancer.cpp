@@ -151,7 +151,7 @@ NfState LoadBalancer::export_state() const {
 void LoadBalancer::import_state(const NfState& state) {
   StateReader r{state.blob};
   const auto n_backends = r.u32();
-  ConsistentHashRing restored_ring{64};
+  ConsistentHashRing restored_ring{ring_.vnodes_per_backend()};
   for (std::uint32_t i = 0; i < n_backends; ++i) {
     Backend b;
     b.ip = r.u32();

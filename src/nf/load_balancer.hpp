@@ -39,6 +39,7 @@ class ConsistentHashRing {
   [[nodiscard]] const Backend& pick(const FiveTuple& key) const;
 
   [[nodiscard]] const std::vector<Backend>& backends() const noexcept { return backends_; }
+  [[nodiscard]] std::uint32_t vnodes_per_backend() const noexcept { return vnodes_; }
 
  private:
   std::uint32_t vnodes_;

@@ -241,6 +241,27 @@ TEST(LoadBalancer, StateRoundTripKeepsAffinity) {
   }
 }
 
+TEST(LoadBalancer, StateRoundTripKeepsVnodeCount) {
+  // A migrated balancer must hash new flows exactly as its source did, so
+  // the restored ring keeps the instance's own vnode count.
+  LoadBalancer lb{"lb", 8};
+  for (std::uint32_t b = 1; b <= 4; ++b) {
+    lb.add_backend(backend(b));
+  }
+  LoadBalancer restored{"lb2", 8};
+  restored.import_state(lb.export_state());
+
+  std::size_t moved = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    Packet a = make_packet(flow(i));
+    Packet b = make_packet(flow(i));
+    (void)lb.handle(a, SimTime::zero());
+    (void)restored.handle(b, SimTime::zero());
+    moved += a.five_tuple()->dst_ip != b.five_tuple()->dst_ip ? 1 : 0;
+  }
+  EXPECT_EQ(moved, 0u);
+}
+
 TEST(LoadBalancer, ImportRejectsTruncatedBlob) {
   LoadBalancer lb{"lb"};
   lb.add_backend(backend(1));

@@ -385,6 +385,17 @@ TEST(ScenarioSpecErrors, SectionKindMismatch) {
       "[scenario]\nname = x\nkind = compare\nchain = wire | S:Monitor | wire\n"
       "[variant]\npolicy = pam\n[controller]\nperiod_ms = 5\n",
       "[controller] is only valid for kind = timeline");
+  // [controller] and [cluster] set the same ClusterSpec knobs, but each
+  // stays the section of its own kinds.
+  expect_error(
+      "[scenario]\nname = x\nkind = timeline\nchain = wire | S:Monitor | wire\n"
+      "[traffic]\nrate = constant 1\n[cluster]\nperiod_ms = 5\n",
+      "[cluster] is only valid for kind = cluster");
+  expect_error(
+      "[scenario]\nname = x\nkind = cluster\n"
+      "[chain]\nname = a\nspec = wire | S:Monitor | wire\n"
+      "[cluster]\nservers = 1\n[controller]\nperiod_ms = 5\n",
+      "[controller] is only valid for kind = timeline");
 }
 
 TEST(ScenarioSpecErrors, DeploymentNeedsChains) {
@@ -449,9 +460,23 @@ scale_in = scale-in
 [controller]
 trigger_utilization = 0.95
 scale_in_below = 0.4
+period_ms = 4
+first_check_ms = 6
+cooldown_ms = 12
 )");
   ASSERT_TRUE(first.has_value()) << first.error().what();
-  const auto second = ScenarioSpec::parse(first.value().to_text());
+  // A timeline's [controller] sets the loop knobs of its ClusterSpec.
+  const ClusterSpec& knobs = first.value().cluster;
+  EXPECT_DOUBLE_EQ(knobs.trigger_utilization, 0.95);
+  EXPECT_DOUBLE_EQ(knobs.scale_in_below, 0.4);
+  EXPECT_DOUBLE_EQ(knobs.period_ms, 4.0);
+  EXPECT_DOUBLE_EQ(knobs.first_check_ms, 6.0);
+  EXPECT_DOUBLE_EQ(knobs.cooldown_ms, 12.0);
+  // ...and prints them back under [controller], never [cluster].
+  const std::string text = first.value().to_text();
+  EXPECT_NE(text.find("[controller]\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("[cluster]"), std::string::npos) << text;
+  const auto second = ScenarioSpec::parse(text);
   ASSERT_TRUE(second.has_value()) << second.error().what();
   EXPECT_TRUE(first.value() == second.value());
 }
