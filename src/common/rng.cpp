@@ -1,6 +1,6 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -20,6 +20,30 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 }
 
 }  // namespace
+
+ZipfTable::ZipfTable(std::size_t n, double s) : s_(s), cdf_(n) {
+  assert(n > 0 && n <= UINT32_MAX);
+  double cum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+    cdf_[i] = cum;
+  }
+  for (auto& x : cdf_) {
+    x /= cum;  // the last entry becomes exactly 1.0
+  }
+  guide_.resize(std::bit_ceil(4 * n));
+  // g * width is exact (width is a power of two), so each cell's bound is
+  // exactly g / cells.
+  const double width = 1.0 / static_cast<double>(guide_.size());
+  std::size_t r = 0;
+  for (std::size_t g = 0; g < guide_.size(); ++g) {
+    const double bound = static_cast<double>(g) * width;
+    while (cdf_[r] < bound) {
+      ++r;
+    }
+    guide_[g] = static_cast<std::uint32_t>(r);
+  }
+}
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
@@ -120,23 +144,10 @@ double Rng::pareto(double xm, double alpha) noexcept {
 }
 
 std::size_t Rng::zipf(std::size_t n, double s) noexcept {
-  assert(n > 0);
-  if (n != zipf_n_ || s != zipf_s_) {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(n);
-    double cum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      cum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-      zipf_cdf_[i] = cum;
-    }
-    for (auto& x : zipf_cdf_) {
-      x /= cum;
-    }
+  if (!zipf_ || zipf_->n() != n || zipf_->s() != s) {
+    zipf_ = std::make_shared<const ZipfTable>(n, s);
   }
-  const double u = next_double();
-  const auto it = std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u);
-  return static_cast<std::size_t>(it - zipf_cdf_.begin());
+  return zipf(*zipf_);
 }
 
 Rng Rng::split() noexcept {

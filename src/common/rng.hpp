@@ -11,9 +11,40 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace pam {
+
+/// The Zipf(n, s) distribution over ranks [0, n): its CDF plus a guide
+/// table, so a draw costs O(1) expected instead of a binary search.  The
+/// guide has a power-of-two number of cells, at least 4n; cell g holds the
+/// first rank whose CDF is >= g / cells.  A power of two keeps
+/// floor(u * cells) exact, so u never lies below its cell's bound and the
+/// forward walk from the cell lands on exactly the rank std::lower_bound
+/// over the CDF gives.  Immutable once built, so chains may share one.
+class ZipfTable {
+ public:
+  ZipfTable(std::size_t n, double s);
+
+  [[nodiscard]] std::size_t n() const noexcept { return cdf_.size(); }
+  [[nodiscard]] double s() const noexcept { return s_; }
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept { return cdf_; }
+
+  /// The first rank whose CDF is >= u, for u in [0, 1).
+  [[nodiscard]] std::size_t rank(double u) const noexcept {
+    std::size_t r = guide_[static_cast<std::size_t>(u * static_cast<double>(guide_.size()))];
+    while (cdf_[r] < u) {
+      ++r;
+    }
+    return r;
+  }
+
+ private:
+  double s_;
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+};
 
 class Rng {
  public:
@@ -50,10 +81,15 @@ class Rng {
   /// sizes).
   [[nodiscard]] double pareto(double xm, double alpha) noexcept;
 
-  /// Sample an index from a Zipf(n, s) distribution over [0, n).  Used for
-  /// skewed flow popularity.  O(1) per sample after O(n) table build — the
-  /// table is cached per (n, s).
+  /// Sample an index from a Zipf(n, s) distribution over [0, n).  O(1)
+  /// expected per sample; this Rng builds the O(n) table on the first draw
+  /// and again whenever (n, s) changes.
   [[nodiscard]] std::size_t zipf(std::size_t n, double s) noexcept;
+  /// The same draw from a table built elsewhere (FlowGenerator shares one
+  /// across chains); consumes one next_double() either way.
+  [[nodiscard]] std::size_t zipf(const ZipfTable& table) noexcept {
+    return table.rank(next_double());
+  }
 
   /// Split a statistically independent child stream (for per-component RNGs).
   [[nodiscard]] Rng split() noexcept;
@@ -72,10 +108,8 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> s_{};
-  // zipf()'s cached CDF over ranks 1..n, binary-searched per draw.
-  std::size_t zipf_n_ = 0;
-  double zipf_s_ = -1.0;
-  std::vector<double> zipf_cdf_;
+  // zipf(n, s)'s table for the last (n, s) drawn.
+  std::shared_ptr<const ZipfTable> zipf_;
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
 };

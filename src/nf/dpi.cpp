@@ -3,6 +3,7 @@
 #include <cassert>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 namespace pam {
 
@@ -130,7 +131,8 @@ Verdict Dpi::process(Packet& pkt, SimTime /*now*/) {
   }
   // Lazy compile so callers may interleave add_signature and traffic.
   const_cast<AhoCorasick&>(automaton_).compile();
-  const auto matches = automaton_.find_all(pkt.payload());
+  // The const view: a read-only scan keeps the packet's cached flow key.
+  const auto matches = automaton_.find_all(std::as_const(pkt).payload());
   if (matches.empty()) {
     return Verdict::kForward;
   }

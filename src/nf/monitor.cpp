@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace pam {
 
@@ -10,42 +11,92 @@ SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
 }
 
 void SpaceSaving::add(const FiveTuple& key, std::uint64_t weight) {
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    it->second.count += weight;
+  if (const auto it = slot_of_.find(key); it != slot_of_.end()) {
+    slots_[it->second].count += weight;
+    sift_down(heap_pos_[it->second]);
     return;
   }
-  if (entries_.size() < capacity_) {
-    entries_.emplace(key, Entry{key, weight, 0});
+  if (slots_.size() < capacity_) {
+    const auto slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Entry{key, weight, 0});
+    heap_.push_back(slot);
+    heap_pos_.push_back(slot);
+    slot_of_.emplace(key, slot);
+    sift_up(heap_.size() - 1);
     return;
   }
-  // Evict the current minimum and inherit its count as error bound.  Ties
-  // break on the key so the victim never depends on hash-table order.
-  // pam-lint: allow(D003) full scan with (count, key) total order — the chosen victim is iteration-order independent
-  auto min_it = entries_.begin();
-  // pam-lint: allow(D003) same scan, loop header
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->second.count < min_it->second.count ||
-        (it->second.count == min_it->second.count &&
-         it->first < min_it->first)) {
-      min_it = it;
-    }
-  }
-  const std::uint64_t min_count = min_it->second.count;
-  // Re-key the victim's node instead of erase + emplace: a full sketch
-  // then counts without allocating.
-  auto node = entries_.extract(min_it);
+  // Evict the current minimum (the root) and inherit its count as error
+  // bound.  Re-key the victim's map node instead of erase + emplace: a full
+  // sketch then counts without allocating.
+  const std::uint32_t slot = heap_[0];
+  Entry& victim = slots_[slot];
+  const std::uint64_t min_count = victim.count;
+  auto node = slot_of_.extract(victim.key);
   node.key() = key;
-  node.mapped() = Entry{key, min_count + weight, min_count};
-  entries_.insert(std::move(node));
+  slot_of_.insert(std::move(node));
+  victim = Entry{key, min_count + weight, min_count};
+  sift_down(0);
+}
+
+void SpaceSaving::restore(std::vector<Entry> entries) {
+  if (entries.size() > capacity_) {
+    entries.resize(capacity_);
+  }
+  slots_ = std::move(entries);
+  heap_.resize(slots_.size());
+  heap_pos_.resize(slots_.size());
+  slot_of_.clear();
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    place(slot, slot);
+    slot_of_.emplace(slots_[slot].key, slot);
+  }
+  for (std::size_t pos = heap_.size() / 2; pos-- > 0;) {
+    sift_down(pos);
+  }
+}
+
+bool SpaceSaving::before(std::uint32_t a, std::uint32_t b) const noexcept {
+  const Entry& x = slots_[a];
+  const Entry& y = slots_[b];
+  return x.count != y.count ? x.count < y.count : x.key < y.key;
+}
+
+void SpaceSaving::place(std::size_t pos, std::uint32_t slot) noexcept {
+  heap_[pos] = slot;
+  heap_pos_[slot] = static_cast<std::uint32_t>(pos);
+}
+
+void SpaceSaving::sift_up(std::size_t pos) noexcept {
+  const std::uint32_t slot = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!before(slot, heap_[parent])) {
+      break;
+    }
+    place(pos, heap_[parent]);
+    pos = parent;
+  }
+  place(pos, slot);
+}
+
+void SpaceSaving::sift_down(std::size_t pos) noexcept {
+  const std::uint32_t slot = heap_[pos];
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!before(heap_[child], slot)) {
+      break;
+    }
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, slot);
 }
 
 std::vector<SpaceSaving::Entry> SpaceSaving::top(std::size_t k) const {
-  std::vector<Entry> out;
-  out.reserve(entries_.size());
-  // pam-lint: allow(D003) collection pass only; the sort below imposes a (count desc, key asc) total order
-  for (const auto& [key, entry] : entries_) {
-    out.push_back(entry);
-  }
+  std::vector<Entry> out = slots_;
   std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
     return a.count != b.count ? a.count > b.count : a.key < b.key;
   });
@@ -144,19 +195,17 @@ void Monitor::import_state(const NfState& state) {
     flows_.emplace(key, stats);
   }
   const auto n_entries = r.u32();
-  SpaceSaving restored{sketch_.capacity()};
-  for (std::uint32_t i = 0; i < n_entries; ++i) {
-    FiveTuple key;
-    key.src_ip = r.u32();
-    key.dst_ip = r.u32();
-    key.src_port = r.u16();
-    key.dst_port = r.u16();
-    key.proto = static_cast<IpProto>(r.u8());
-    const auto count = r.u64();
-    [[maybe_unused]] const auto max_error = r.u64();
-    restored.add(key, count);
+  std::vector<SpaceSaving::Entry> entries(n_entries);
+  for (auto& e : entries) {
+    e.key.src_ip = r.u32();
+    e.key.dst_ip = r.u32();
+    e.key.src_port = r.u16();
+    e.key.dst_port = r.u16();
+    e.key.proto = static_cast<IpProto>(r.u8());
+    e.count = r.u64();
+    e.max_error = r.u64();
   }
-  sketch_ = std::move(restored);
+  sketch_.restore(std::move(entries));
 }
 
 }  // namespace pam

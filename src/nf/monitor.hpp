@@ -25,6 +25,11 @@ struct FlowStats {
 
 /// Space-Saving top-k sketch: bounded memory, guaranteed to contain every
 /// flow whose true count exceeds N/k.
+///
+/// The entries sit in a slot array with a min-heap of slot ids on
+/// (count, key) beside it, so a hit or an eviction costs O(log k) and the
+/// root is always the entry the rule evicts: the least count, ties broken
+/// on the key, never on hash-table order.
 class SpaceSaving {
  public:
   explicit SpaceSaving(std::size_t capacity);
@@ -39,12 +44,29 @@ class SpaceSaving {
 
   /// Entries sorted by estimated count, descending.
   [[nodiscard]] std::vector<Entry> top(std::size_t k) const;
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
+  /// Replaces the contents with `entries` (distinct keys, as top() gives
+  /// them), each with its count and max_error; beyond capacity() the first
+  /// ones are kept.
+  void restore(std::vector<Entry> entries);
+
  private:
+  /// The heap order: (count, key) ascending.
+  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const noexcept;
+  /// Moves the slot at heap index `pos` towards the root or the leaves
+  /// until the heap order holds again.
+  void sift_up(std::size_t pos) noexcept;
+  void sift_down(std::size_t pos) noexcept;
+  /// Puts `slot` at heap index `pos` and records where it went.
+  void place(std::size_t pos, std::uint32_t slot) noexcept;
+
   std::size_t capacity_;
-  std::unordered_map<FiveTuple, Entry, FiveTupleHash> entries_;
+  std::vector<Entry> slots_;
+  std::vector<std::uint32_t> heap_;      ///< slot ids, min-heap on (count, key)
+  std::vector<std::uint32_t> heap_pos_;  ///< slot id -> its index in heap_
+  std::unordered_map<FiveTuple, std::uint32_t, FiveTupleHash> slot_of_;
 };
 
 class Monitor final : public NetworkFunction {

@@ -5,29 +5,6 @@
 
 namespace pam {
 
-std::uint16_t load_be16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-void store_be16(std::uint8_t* p, std::uint16_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 8);
-  p[1] = static_cast<std::uint8_t>(v & 0xff);
-}
-
-void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>((v >> 16) & 0xff);
-  p[2] = static_cast<std::uint8_t>((v >> 8) & 0xff);
-  p[3] = static_cast<std::uint8_t>(v & 0xff);
-}
-
 std::string mac_to_string(const MacAddress& mac) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%02x:%02x:%02x:%02x:%02x:%02x",

@@ -26,6 +26,7 @@ void Packet::reset(std::size_t wire_size) {
   ingress_time_ = SimTime::zero();
   pcie_crossings_ = 0;
   hops_ = 0;
+  tuple_state_ = TupleState::kStale;
   payload_pending_ = false;
 }
 
@@ -40,6 +41,7 @@ void Packet::reset_headers(std::size_t wire_size) {
   ingress_time_ = SimTime::zero();
   pcie_crossings_ = 0;
   hops_ = 0;
+  tuple_state_ = TupleState::kStale;
   payload_pending_ = false;
 }
 
@@ -85,18 +87,20 @@ std::span<const std::uint8_t> Packet::payload() const noexcept {
 // change them.
 
 std::optional<Ipv4Header> Packet::ipv4() const noexcept {
-  const std::span<const std::uint8_t> raw{data_};
-  const auto eth = EthernetHeader::parse(raw);
-  if (!eth || eth->ether_type != EthernetHeader::kEtherTypeIpv4) {
+  // The ether_type is read in place: parsing the whole Ethernet header
+  // would copy both MACs for nothing.
+  if (data_.size() < EthernetHeader::kSize ||
+      load_be16(data_.data() + 12) != EthernetHeader::kEtherTypeIpv4) {
     return std::nullopt;
   }
-  return Ipv4Header::parse(tail_from(raw, kL3Offset));
+  return Ipv4Header::parse(tail_from(std::span<const std::uint8_t>{data_}, kL3Offset));
 }
 
-std::optional<FiveTuple> Packet::five_tuple() const noexcept {
+void Packet::parse_five_tuple() const noexcept {
+  tuple_state_ = TupleState::kNone;
   const auto ip = ipv4();
   if (!ip) {
-    return std::nullopt;
+    return;
   }
   FiveTuple t;
   t.src_ip = ip->src;
@@ -106,19 +110,20 @@ std::optional<FiveTuple> Packet::five_tuple() const noexcept {
   if (ip->protocol == IpProto::kTcp) {
     const auto tcp = TcpHeader::parse(l4_bytes);
     if (!tcp) {
-      return std::nullopt;
+      return;
     }
     t.src_port = tcp->src_port;
     t.dst_port = tcp->dst_port;
   } else if (ip->protocol == IpProto::kUdp) {
     const auto udp = UdpHeader::parse(l4_bytes);
     if (!udp) {
-      return std::nullopt;
+      return;
     }
     t.src_port = udp->src_port;
     t.dst_port = udp->dst_port;
   }
-  return t;
+  tuple_ = t;
+  tuple_state_ = TupleState::kValid;
 }
 
 void Packet::rewrite_ipv4_addrs(std::uint32_t new_src, std::uint32_t new_dst) noexcept {
@@ -129,6 +134,11 @@ void Packet::rewrite_ipv4_addrs(std::uint32_t new_src, std::uint32_t new_dst) no
   ip->src = new_src;
   ip->dst = new_dst;
   ip->write(tail_from(std::span<std::uint8_t>{data_}, kL3Offset));
+  // A stale or "no tuple" cache stays as it is: a parse would give the same.
+  if (tuple_state_ == TupleState::kValid) {
+    tuple_.src_ip = new_src;
+    tuple_.dst_ip = new_dst;
+  }
 }
 
 void Packet::rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcept {
@@ -143,6 +153,12 @@ void Packet::rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcep
   // src/dst port live at identical offsets for TCP and UDP.
   store_be16(l4_bytes.data(), new_src);
   store_be16(l4_bytes.data() + 2, new_dst);
+  // Other protocols keep port 0 in the key, whatever the bytes say.
+  if (tuple_state_ == TupleState::kValid &&
+      (ip->protocol == IpProto::kTcp || ip->protocol == IpProto::kUdp)) {
+    tuple_.src_port = new_src;
+    tuple_.dst_port = new_dst;
+  }
 }
 
 PacketPtr::~PacketPtr() {

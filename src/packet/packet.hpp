@@ -13,6 +13,22 @@
 // header region and never fill, which is why header-only NFs never pay for
 // the payload.  Because a const accessor may write the buffer, a Packet must
 // not be read from two threads at once.
+//
+// The flow key is cached: five_tuple() parses the headers once and keeps the
+// result, "no tuple" included, until something may have changed them.
+//   - PacketBuilder::build_into seeds the cache with the tuple it wrote
+//     (ports 0 for a protocol other than TCP or UDP, as a parse gives), so a
+//     generated packet is never parsed for its key at all.
+//   - rewrite_ipv4_addrs and rewrite_ports keep the cache equal to a fresh
+//     parse (rewrite_ports moves the cached ports only for TCP and UDP).
+//   - Every mutable byte accessor — data(), l3(), l4(), payload() — drops
+//     it, as do reset and reset_headers; the const accessors do not (the
+//     deferred fill writes only from byte 42, past every key byte).
+// A header byte written through a mutable span therefore shows up only if
+// the span was taken *after* the last five_tuple() call: never write a
+// header byte through a span held across a five_tuple() call.  A reader
+// that only reads the payload (DPI) takes the const view so it keeps the
+// cache.
 
 #pragma once
 
@@ -74,7 +90,9 @@ class Packet {
 
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] Bytes wire_bytes() const noexcept { return Bytes{data_.size()}; }
+  /// Drops the cached flow key (see the file comment).
   [[nodiscard]] std::span<std::uint8_t> data() noexcept {
+    tuple_state_ = TupleState::kStale;
     fill_if_pending();
     return data_;
   }
@@ -84,7 +102,8 @@ class Packet {
   }
 
   /// Byte views of the embedded headers (L2 at offset 0, L3 at 14, L4 at 34).
-  /// Each extends to the end of the frame, so each fills a pending payload.
+  /// Each extends to the end of the frame, so each fills a pending payload;
+  /// the mutable ones drop the cached flow key.
   [[nodiscard]] std::span<std::uint8_t> l3() noexcept;
   [[nodiscard]] std::span<const std::uint8_t> l3() const noexcept;
   [[nodiscard]] std::span<std::uint8_t> l4() noexcept;
@@ -100,13 +119,24 @@ class Packet {
   /// Parses headers out of the buffer.  Returns nullopt for truncated or
   /// non-IPv4 frames.  Never fills a pending payload.
   [[nodiscard]] std::optional<Ipv4Header> ipv4() const noexcept;
-  [[nodiscard]] std::optional<FiveTuple> five_tuple() const noexcept;
+  /// The flow key, parsed on the first call and cached (see the file
+  /// comment).
+  [[nodiscard]] std::optional<FiveTuple> five_tuple() const noexcept {
+    if (tuple_state_ == TupleState::kStale) {
+      parse_five_tuple();
+    }
+    if (tuple_state_ == TupleState::kNone) {
+      return std::nullopt;
+    }
+    return tuple_;
+  }
 
   /// Rewrites the IPv4 src/dst (host order) in place, recomputing the IP
-  /// checksum — what the NAT and load balancer do.  Never fills.
+  /// checksum — what the NAT and load balancer do.  Never fills; keeps the
+  /// cached flow key current.
   void rewrite_ipv4_addrs(std::uint32_t new_src, std::uint32_t new_dst) noexcept;
   /// Rewrites L4 ports in place (TCP or UDP inferred from the IP header).
-  /// Never fills.
+  /// Never fills; keeps the cached flow key current.
   void rewrite_ports(std::uint16_t new_src, std::uint16_t new_dst) noexcept;
 
   // --- simulator metadata ---------------------------------------------------
@@ -124,6 +154,13 @@ class Packet {
   void note_hop() noexcept { ++hops_; }
 
  private:
+  friend class PacketBuilder;  // seeds the flow-key cache (build_into)
+
+  /// kStale: not parsed since the last change; kNone: parsed, no tuple.
+  enum class TupleState : std::uint8_t { kStale, kNone, kValid };
+
+  /// Parses the headers into the flow-key cache.
+  void parse_five_tuple() const noexcept;
   void fill_if_pending() const noexcept {
     if (payload_pending_) {
       fill_payload();
@@ -140,6 +177,9 @@ class Packet {
   std::uint32_t pcie_crossings_ = 0;
   std::uint32_t hops_ = 0;
   std::uint64_t payload_seed_ = 0;
+  // Mutable so the const five_tuple() can fill the cache.
+  mutable FiveTuple tuple_{};
+  mutable TupleState tuple_state_ = TupleState::kStale;
   mutable bool payload_pending_ = false;
 };
 

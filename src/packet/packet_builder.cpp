@@ -58,6 +58,14 @@ void PacketBuilder::build_into(Packet& pkt) const {
     const std::size_t n = std::min(payload_text_.size(), payload.size());
     std::copy_n(payload_text_.data(), n, reinterpret_cast<char*>(payload.data()));
   }
+  // Seed the flow-key cache with what a parse of the bytes above gives (the
+  // mutable accessors dropped it): ports only for TCP and UDP.
+  pkt.tuple_ = tuple_;
+  if (tuple_.proto != IpProto::kTcp && tuple_.proto != IpProto::kUdp) {
+    pkt.tuple_.src_port = 0;
+    pkt.tuple_.dst_port = 0;
+  }
+  pkt.tuple_state_ = Packet::TupleState::kValid;
 }
 
 }  // namespace pam

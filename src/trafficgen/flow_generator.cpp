@@ -3,9 +3,26 @@
 #include <cassert>
 
 namespace pam {
+namespace {
+
+/// The Zipf table for (n, s).  Every chain draws from the default
+/// population, so its table is built once, on the thread that constructs
+/// the first generator, and shared: a function-local static, not
+/// thread-local state, because epoch workers exit after each run.
+std::shared_ptr<const ZipfTable> zipf_table(std::size_t n, double s) {
+  constexpr FlowGeneratorConfig kDefault{};
+  if (n == kDefault.flow_count && s == kDefault.zipf_skew) {
+    static const auto shared = std::make_shared<const ZipfTable>(n, s);
+    return shared;
+  }
+  return std::make_shared<const ZipfTable>(n, s);
+}
+
+}  // namespace
 
 FlowGenerator::FlowGenerator(FlowGeneratorConfig config, std::uint64_t seed)
-    : config_(config) {
+    : zipf_(config.zipf_skew > 0.0 ? zipf_table(config.flow_count, config.zipf_skew)
+                                   : nullptr) {
   assert(config.flow_count > 0);
   Rng build_rng{seed};
   flows_.reserve(config.flow_count);
@@ -22,10 +39,10 @@ FlowGenerator::FlowGenerator(FlowGeneratorConfig config, std::uint64_t seed)
 }
 
 const FiveTuple& FlowGenerator::next(Rng& rng) {
-  if (config_.zipf_skew <= 0.0) {
+  if (!zipf_) {
     return flows_[rng.bounded(flows_.size())];
   }
-  return flows_[rng.zipf(flows_.size(), config_.zipf_skew)];
+  return flows_[rng.zipf(*zipf_)];
 }
 
 }  // namespace pam

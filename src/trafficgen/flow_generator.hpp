@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,8 +36,10 @@ class FlowGenerator {
   [[nodiscard]] const std::vector<FiveTuple>& flows() const noexcept { return flows_; }
 
  private:
-  FlowGeneratorConfig config_;
   std::vector<FiveTuple> flows_;
+  /// Popularity table; null for uniform popularity.  Shared read-only by
+  /// every generator with the default (flow_count, zipf_skew).
+  std::shared_ptr<const ZipfTable> zipf_;
 };
 
 }  // namespace pam

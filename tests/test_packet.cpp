@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -482,6 +483,104 @@ TEST(LazyPayloadNf, HeaderOnlyNfsNeverFillAndDpiDoes) {
   PacketBuilder{}.size(1500).flow(sample_tuple(IpProto::kTcp)).build_into(p);
   (void)dpi.handle(p, SimTime::zero());
   EXPECT_FALSE(p.payload_pending());
+}
+
+// --- cached flow key --------------------------------------------------------
+
+/// The flow key a parse of `p`'s bytes gives: a byte copy parsed from
+/// scratch.  Read through the const view, which keeps `p`'s own cache.
+std::optional<FiveTuple> parsed_tuple(const Packet& p) {
+  Packet fresh{p.size()};
+  const auto bytes = p.data();
+  std::copy(bytes.begin(), bytes.end(), fresh.data().begin());
+  return fresh.five_tuple();
+}
+
+class TupleCache
+    : public ::testing::TestWithParam<std::tuple<std::size_t, IpProto>> {
+ protected:
+  Packet built() const {
+    const auto [size, proto] = GetParam();
+    Packet p;
+    PacketBuilder{}.size(size).flow(sample_tuple(proto)).payload_seed(7).build_into(p);
+    return p;
+  }
+  bool has_ports() const {
+    const IpProto proto = std::get<1>(GetParam());
+    return proto == IpProto::kTcp || proto == IpProto::kUdp;
+  }
+};
+
+TEST_P(TupleCache, SeededTupleEqualsAFreshParse) {
+  const Packet p = built();
+  const auto tuple = p.five_tuple();
+  ASSERT_TRUE(tuple.has_value());
+  EXPECT_EQ(tuple, parsed_tuple(p));
+  FiveTuple want = sample_tuple(std::get<1>(GetParam()));
+  if (!has_ports()) {
+    want.src_port = 0;  // a parse reads no ports for other protocols
+    want.dst_port = 0;
+  }
+  EXPECT_EQ(*tuple, want);
+}
+
+TEST_P(TupleCache, EachMutableAccessorDropsTheCache) {
+  constexpr std::size_t kSrcIpByte = 14 + 12;  // low-address byte of the IPv4 src
+  const auto check = [&](const char* accessor, auto&& write) {
+    Packet p = built();
+    const auto before = p.five_tuple();
+    ASSERT_TRUE(before.has_value()) << accessor;
+    write(p);
+    EXPECT_NE(p.five_tuple(), before) << accessor;
+    EXPECT_EQ(p.five_tuple(), parsed_tuple(p)) << accessor;
+  };
+  check("data()", [](Packet& p) { p.data()[kSrcIpByte] ^= 0xff; });
+  check("l3()", [](Packet& p) { p.l3()[kSrcIpByte - 14] ^= 0xff; });
+  if (has_ports()) {
+    check("l4()", [](Packet& p) { p.l4()[0] ^= 0xff; });  // src port
+  }
+  // payload() starts past every key byte, so a write through it cannot show;
+  // it drops the cache all the same (it goes through data()).
+}
+
+TEST_P(TupleCache, RewritesKeepTheCacheEqualToAFreshParse) {
+  for (const bool warm : {true, false}) {
+    Packet p = built();
+    if (warm) {
+      ASSERT_TRUE(p.five_tuple().has_value());
+    } else {
+      (void)p.data();  // a stale cache: the rewrites must not revive it wrongly
+    }
+    p.rewrite_ipv4_addrs(0x01020304, 0x05060708);
+    EXPECT_EQ(p.five_tuple(), parsed_tuple(p)) << "warm=" << warm;
+    EXPECT_EQ(p.five_tuple()->src_ip, 0x01020304u);
+    p.rewrite_ports(1111, 2222);
+    EXPECT_EQ(p.five_tuple(), parsed_tuple(p)) << "warm=" << warm;
+    EXPECT_EQ(p.five_tuple()->src_port, has_ports() ? 1111 : 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndProtocols, TupleCache,
+    ::testing::Combine(::testing::Values(64, 1500),
+                       ::testing::Values(IpProto::kUdp, IpProto::kTcp, IpProto::kIcmp)));
+
+TEST(TupleCachePool, RecycledPacketNeverReportsThePreviousOccupant) {
+  PacketPool pool{1, 1};
+  {
+    auto p = pool.acquire(512);
+    ASSERT_TRUE(p);
+    PacketBuilder{}.size(512).flow(sample_tuple(IpProto::kTcp)).build_into(*p);
+    ASSERT_TRUE(p->five_tuple().has_value());
+  }
+  auto p = pool.acquire(512);
+  ASSERT_TRUE(p);
+  EXPECT_EQ(p->five_tuple(), std::nullopt);  // zeroed headers parse to no key
+  FiveTuple other = sample_tuple(IpProto::kUdp);
+  other.src_port = 5555;
+  PacketBuilder{}.size(512).flow(other).build_into(*p);
+  EXPECT_EQ(p->five_tuple(), other);
+  EXPECT_EQ(p->five_tuple(), parsed_tuple(*p));
 }
 
 // Builder validity across the paper's full size sweep and both L4 protocols.

@@ -176,6 +176,53 @@ TEST(Rng, ZipfZeroSkewIsUniformish) {
   }
 }
 
+/// What a Zipf draw returned before the guide table: a binary search of
+/// the CDF.
+std::size_t lower_bound_rank(const ZipfTable& table, double u) {
+  const auto& cdf = table.cdf();
+  return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                  cdf.begin());
+}
+
+TEST(ZipfTable, GuideDrawEqualsLowerBound) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{100}, std::size_t{256}}) {
+    for (const double s : {1.1, 1.2, 1e-9}) {
+      const ZipfTable table{n, s};
+      ASSERT_EQ(table.n(), n);
+      ASSERT_EQ(table.cdf().back(), 1.0);
+      std::vector<double> us{0.0, 0x1.0p-53, 1.0 - 0x1.0p-53};
+      for (const double c : table.cdf()) {
+        // On each CDF point and one ulp either side of it.
+        for (const double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 2.0)}) {
+          if (u < 1.0) {
+            us.push_back(u);
+          }
+        }
+      }
+      Rng r{61};
+      for (int i = 0; i < 20000; ++i) {
+        us.push_back(r.next_double());
+      }
+      for (const double u : us) {
+        ASSERT_EQ(table.rank(u), lower_bound_rank(table, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      }
+    }
+  }
+}
+
+TEST(ZipfTable, SharedTableDrawsTheSameStream) {
+  // Rng::zipf(n, s) and a draw from a table built elsewhere consume the
+  // same next_double() and give the same rank.
+  const ZipfTable table{256, 1.1};
+  Rng a{67};
+  Rng b{67};
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(a.zipf(256, 1.1), b.zipf(table));
+  }
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
 TEST(Rng, SplitStreamsDiffer) {
   Rng parent{59};
   Rng child = parent.split();
